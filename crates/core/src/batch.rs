@@ -515,11 +515,11 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
     progress.flush();
 
     // Publish the union of every job's freshly solved queries as one new
-    // segment. Seeding the union cache with the original disk records marks
-    // them as already-persisted, so only genuinely new entries are written.
+    // segment. Every job cache was seeded from the same disk records, and
+    // `export_new_*` never returns a seeded key, so only entries missing
+    // from disk are written.
     if let Some(d) = &disk {
         let union = QueryCache::new();
-        seed_cache(&union, &records);
         for cache in &caches {
             for (k, v) in cache.export_new_check() {
                 union.store_check(k, v);

@@ -56,7 +56,8 @@ pub enum Counter {
     JobsUnknown,
     /// Query-cache hits answered from the persistent disk tier.
     DiskHits,
-    /// Disk-cache records or segments rejected by an integrity check.
+    /// Disk-cache segments quarantined by an integrity check (once per
+    /// segment, however many of its records were bad).
     DiskQuarantine,
     /// Definitions whose abstraction was reused verbatim from the
     /// transition memo (cone fingerprint unchanged since the last build).
@@ -73,7 +74,7 @@ pub enum Counter {
     /// Relevant context components dropped by the `max_context_atoms` cap
     /// while selecting guard predicates (a precision, not soundness, loss).
     AbsCtxTruncated,
-    /// Run-ledger segments or records rejected by an integrity check.
+    /// Run-ledger files quarantined by an integrity check.
     LedgerQuarantine,
     /// Definitions whose abstraction was replayed from a prior run's
     /// persisted artifact (cross-run incremental re-verification).
@@ -81,8 +82,8 @@ pub enum Counter {
     /// Predicates seeded into the initial environment from a prior run's
     /// winning predicate environment.
     ReverifyPredsSeeded,
-    /// Artifact-store files rejected by an integrity check and quarantined
-    /// (the run degrades to the cold path).
+    /// Artifact- or evidence-store files quarantined by an integrity check
+    /// (the run degrades to the cold path, or the certificate is rejected).
     ArtifactQuarantine,
     /// Verdict-evidence files emitted (one per decisive run with an
     /// evidence directory configured).
@@ -166,16 +167,16 @@ impl Counter {
             Counter::JobsRetried => "Batch job attempts re-queued after retryable exhaustion",
             Counter::JobsUnknown => "Batch jobs degraded to unknown",
             Counter::DiskHits => "Query-cache hits answered from the disk tier",
-            Counter::DiskQuarantine => "Disk-cache records or segments rejected by integrity checks",
+            Counter::DiskQuarantine => "Disk-cache segments quarantined by integrity checks",
             Counter::AbsDefsReused => "Definitions reused verbatim from the transition memo",
             Counter::AbsDefsRebuilt => "Definitions re-abstracted after a cone fingerprint change",
             Counter::AbsImplicants => "Feasible implicants from model-guided enumeration",
             Counter::AbsQueriesSaved => "SMT queries avoided by incremental abstraction",
             Counter::AbsCtxTruncated => "Context components dropped by the context-atom cap",
-            Counter::LedgerQuarantine => "Run-ledger segments or records rejected by integrity checks",
+            Counter::LedgerQuarantine => "Run-ledger files quarantined by integrity checks",
             Counter::ReverifyDefsSkipped => "Definitions replayed from a prior run's persisted artifact",
             Counter::ReverifyPredsSeeded => "Predicates seeded from a prior run's winning environment",
-            Counter::ArtifactQuarantine => "Artifact-store files rejected by integrity checks and quarantined",
+            Counter::ArtifactQuarantine => "Artifact- or evidence-store files quarantined by integrity checks",
             Counter::EvidenceEmitted => "Verdict-evidence files emitted",
             Counter::CheckPass => "Independent evidence checks that validated their verdict",
             Counter::CheckFail => "Independent evidence checks that rejected their evidence",

@@ -14,58 +14,46 @@
 //! * the interpolants discovered during refinement — seeded into the
 //!   query cache so re-refinement of an unchanged path is a lookup.
 //!
-//! # File format
-//!
-//! One file per program key, `<slug>-<hash16>.art`:
-//!
-//! ```text
-//! homc-artifact v1\n                       ← magic + schema version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one frame_line per record
-//! ```
-//!
-//! using the same FNV-checksummed framing as cache segments. Record
-//! payloads are flat token streams in the [`crate::codec`] style (tagged,
-//! length-prefixed strings, explicit child counts, total decoding).
-//!
-//! # Failure policy
-//!
-//! The whole file is one atomic unit of trust: *any* integrity violation
-//! (bad magic, framing, checksum, decode error, structural mismatch)
-//! quarantines the file — rename to `<name>.quarantined`, bump
-//! [`Counter::ArtifactQuarantine`] — and the caller proceeds cold. A
-//! partial artifact is never seeded: unlike cache records, the pieces are
-//! interdependent (a memo entry is only meaningful next to the manifest it
-//! was fingerprinted against). Version mismatches are removed silently
-//! (clean cold start, artifacts are rebuildable by construction).
-//! Publication composes the file in memory, writes a dot-prefixed temp
-//! file, fsyncs, and `rename`s.
-//!
-//! Soundness does not rest on any of this: everything seeded from an
-//! artifact is a *candidate* (predicates, cone-fingerprinted memo
-//! entries, cached interpolant answers keyed by full keys), so even a
-//! checksum-forging corruption could cost iterations, never verdicts.
+//! Each program key has one `.art` file in the framed-file store, of record
+//! payloads in the [`crate::codec`] style. Soundness does not rest on its
+//! integrity: everything seeded from an artifact is a *candidate*
+//! (predicates, cone-fingerprinted memo entries, cached interpolant answers
+//! keyed by full keys), so even a checksum-forging corruption could cost
+//! iterations, never verdicts.
 
 use std::collections::BTreeSet;
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use homc_abs::{AbsEnv, AbsTy, MemoDefExport, Predicate};
+use homc_abs::{AbsEnv, MemoDefExport};
 use homc_hbp::{BDef, BExpr, BTy, BVal, BoolExpr};
 use homc_lang::kernel::FunName;
 use homc_lang::manifest::{DefEntry, Manifest};
-use homc_lang::types::SimpleTy;
 use homc_metrics::{Counter, Metrics};
 use homc_smt::{Formula, InterpKey, Literal};
-use homc_trace::stable_hash64;
 
-use crate::codec::{put_atom, put_formula, put_var, CodecError, Cur};
-use crate::disk::{frame_line, parse_frame};
+use crate::codec::{
+    put_atom, put_env, put_formula, put_funname, put_u64, put_usize, put_var, CodecError, Cur,
+};
+use crate::store::{Format, Naming, Store};
 
 /// First bytes of every artifact file.
 pub const ARTIFACT_MAGIC: &str = "homc-artifact";
 /// Schema version of the record payloads; bump on any codec change.
 pub const ARTIFACT_VERSION: u32 = 1;
+
+/// Artifacts can be rebuilt, so stale files are removed. The pieces are
+/// interdependent (a memo entry is only meaningful next to the manifest it
+/// was fingerprinted against), so a partial artifact is never seeded: one
+/// bad record quarantines the whole file.
+static FORMAT: Format = Format {
+    magic: ARTIFACT_MAGIC,
+    version: ARTIFACT_VERSION,
+    naming: Naming::Keyed { ext: "art" },
+    reclaim_stale: true,
+    skip_bad_records: false,
+    counter: Counter::ArtifactQuarantine,
+};
 
 /// Everything one verification run persists for its program.
 #[derive(Clone, Debug)]
@@ -84,41 +72,34 @@ pub struct Artifact {
 /// cache directory — the file-name namespaces don't collide).
 #[derive(Clone, Debug)]
 pub struct ArtifactStore {
-    dir: PathBuf,
-    metrics: Metrics,
+    store: Store,
 }
 
 impl ArtifactStore {
     /// A store rooted at `dir` (created on first publish).
     pub fn new(dir: impl Into<PathBuf>) -> ArtifactStore {
         ArtifactStore {
-            dir: dir.into(),
-            metrics: Metrics::disabled(),
+            store: Store::new(dir, &FORMAT),
         }
     }
 
     /// Attaches a metrics registry ([`Counter::ArtifactQuarantine`]).
-    pub fn with_metrics(mut self, metrics: Metrics) -> ArtifactStore {
-        self.metrics = metrics;
-        self
+    pub fn with_metrics(self, metrics: Metrics) -> ArtifactStore {
+        ArtifactStore {
+            store: self.store.with_metrics(metrics),
+        }
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The file path for a program key. The key (a suite program name or a
     /// source path) is slugged for the filesystem and disambiguated by its
     /// full FNV hash, so distinct keys never share a file.
     pub fn path_for(&self, key: &str) -> PathBuf {
-        let slug: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .take(40)
-            .collect();
-        self.dir
-            .join(format!("{slug}-{:016x}.art", stable_hash64(key)))
+        self.store.path_for(key)
     }
 
     /// Loads the artifact for `key`. A `None` artifact with
@@ -127,68 +108,20 @@ impl ArtifactStore {
     /// `<name>.quarantined` (and counted) — either way the caller proceeds
     /// cold.
     pub fn load(&self, key: &str) -> io::Result<ArtifactLoad> {
-        let path = self.path_for(key);
-        let miss = ArtifactLoad {
-            artifact: None,
-            quarantined: false,
-        };
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(miss),
-            Err(_) => {
-                self.quarantine(&path);
-                return Ok(ArtifactLoad {
-                    artifact: None,
-                    quarantined: true,
-                });
-            }
-        };
-        match parse_artifact(&bytes) {
-            ParseOutcome::Good(a) => Ok(ArtifactLoad {
-                artifact: Some(*a),
-                quarantined: false,
-            }),
-            ParseOutcome::Stale => {
-                // Another schema version: rebuildable, reclaim silently.
-                let _ = fs::remove_file(&path);
-                Ok(miss)
-            }
-            ParseOutcome::Corrupt => {
-                self.quarantine(&path);
-                Ok(ArtifactLoad {
-                    artifact: None,
-                    quarantined: true,
-                })
-            }
-        }
-    }
-
-    fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        self.metrics.incr(Counter::ArtifactQuarantine);
+        let (artifact, quarantined) = self
+            .store
+            .load_key(key, |bytes| FORMAT.parse(bytes, decode_into, finish));
+        Ok(ArtifactLoad {
+            artifact,
+            quarantined,
+        })
     }
 
     /// Publishes `artifact` under `key`, atomically replacing any previous
     /// artifact for the same key.
     pub fn publish(&self, key: &str, artifact: &Artifact) -> io::Result<PathBuf> {
-        let mut bytes = format!("{ARTIFACT_MAGIC} v{ARTIFACT_VERSION}\n").into_bytes();
-        for payload in encode_artifact(artifact) {
-            bytes.extend_from_slice(frame_line(&payload).as_bytes());
-        }
-        fs::create_dir_all(&self.dir)?;
-        let final_path = self.path_for(key);
-        let tmp_path = self
-            .dir
-            .join(format!(".tmp-art-{:016x}", stable_hash64(key)));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        Ok(final_path)
+        let text = FORMAT.compose(encode_artifact(artifact));
+        self.store.publish_key(key, text.as_bytes())
     }
 }
 
@@ -202,70 +135,7 @@ pub struct ArtifactLoad {
     pub quarantined: bool,
 }
 
-enum ParseOutcome {
-    Good(Box<Artifact>),
-    Stale,
-    Corrupt,
-}
-
 // ---------------------------------------------------------------- encoding
-
-pub(crate) fn put_funname(out: &mut String, f: &FunName) {
-    out.push_str(&f.0.len().to_string());
-    out.push(':');
-    out.push_str(&f.0);
-}
-
-pub(crate) fn put_u64(out: &mut String, n: u64) {
-    out.push_str(&n.to_string());
-}
-
-pub(crate) fn put_usize(out: &mut String, n: usize) {
-    out.push_str(&n.to_string());
-}
-
-fn put_simplety(out: &mut String, t: &SimpleTy) {
-    match t {
-        SimpleTy::Unit => out.push('u'),
-        SimpleTy::Bool => out.push('b'),
-        SimpleTy::Int => out.push('i'),
-        SimpleTy::Fun(a, r) => {
-            out.push_str("f ");
-            put_simplety(out, a);
-            out.push(' ');
-            put_simplety(out, r);
-        }
-    }
-}
-
-pub(crate) fn put_predicate(out: &mut String, p: &Predicate) {
-    put_var(out, p.nu());
-    out.push(' ');
-    put_formula(out, p.body());
-}
-
-pub(crate) fn put_absty(out: &mut String, t: &AbsTy) {
-    match t {
-        AbsTy::Base(st, preds) => {
-            out.push_str("B ");
-            put_simplety(out, st);
-            out.push(' ');
-            put_usize(out, preds.len());
-            for p in preds {
-                out.push(' ');
-                put_predicate(out, p);
-            }
-        }
-        AbsTy::Fun(x, a, r) => {
-            out.push_str("F ");
-            put_var(out, x);
-            out.push(' ');
-            put_absty(out, a);
-            out.push(' ');
-            put_absty(out, r);
-        }
-    }
-}
 
 fn put_bty(out: &mut String, t: &BTy) {
     match t {
@@ -436,30 +306,7 @@ fn encode_artifact(a: &Artifact) -> Vec<String> {
         put_u64(&mut s, d.cone_hash);
         out.push(s);
     }
-    for (f, scheme) in &a.env.schemes {
-        let mut s = String::from("E ");
-        put_funname(&mut s, f);
-        s.push(' ');
-        put_usize(&mut s, scheme.len());
-        for (x, t) in scheme {
-            s.push(' ');
-            put_var(&mut s, x);
-            s.push(' ');
-            put_absty(&mut s, t);
-        }
-        out.push(s);
-    }
-    for (x, preds) in &a.env.rand_sites {
-        let mut s = String::from("R ");
-        put_var(&mut s, x);
-        s.push(' ');
-        put_usize(&mut s, preds.len());
-        for p in preds {
-            s.push(' ');
-            put_predicate(&mut s, p);
-        }
-        out.push(s);
-    }
+    put_env(&mut out, &a.env);
     for e in &a.memo {
         let mut s = String::from("D ");
         put_usize(&mut s, e.index);
@@ -510,65 +357,6 @@ fn encode_artifact(a: &Artifact) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------- decoding
-
-pub(crate) fn get_funname(c: &mut Cur<'_>) -> Result<FunName, CodecError> {
-    Ok(FunName(c.var()?.name().to_string()))
-}
-
-pub(crate) fn get_u64(c: &mut Cur<'_>) -> Result<u64, CodecError> {
-    let n = c.int()?;
-    u64::try_from(n).map_err(|_| c.err("u64 out of range"))
-}
-
-fn get_simplety(c: &mut Cur<'_>) -> Result<SimpleTy, CodecError> {
-    match c.tok()? {
-        "u" => Ok(SimpleTy::Unit),
-        "b" => Ok(SimpleTy::Bool),
-        "i" => Ok(SimpleTy::Int),
-        "f" => {
-            c.sep()?;
-            let a = get_simplety(c)?;
-            c.sep()?;
-            let r = get_simplety(c)?;
-            Ok(SimpleTy::Fun(Box::new(a), Box::new(r)))
-        }
-        t => Err(c.err(format!("bad simple-type tag {t:?}"))),
-    }
-}
-
-pub(crate) fn get_predicate(c: &mut Cur<'_>) -> Result<Predicate, CodecError> {
-    let nu = c.var()?;
-    c.sep()?;
-    let body = c.formula()?;
-    Ok(Predicate::new(nu, body))
-}
-
-pub(crate) fn get_absty(c: &mut Cur<'_>) -> Result<AbsTy, CodecError> {
-    match c.tok()? {
-        "B" => {
-            c.sep()?;
-            let st = get_simplety(c)?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(c)?);
-            }
-            Ok(AbsTy::Base(st, preds))
-        }
-        "F" => {
-            c.sep()?;
-            let x = c.var()?;
-            c.sep()?;
-            let a = get_absty(c)?;
-            c.sep()?;
-            let r = get_absty(c)?;
-            Ok(AbsTy::Fun(x, Box::new(a), Box::new(r)))
-        }
-        t => Err(c.err(format!("bad abs-type tag {t:?}"))),
-    }
-}
 
 fn get_bty(c: &mut Cur<'_>) -> Result<BTy, CodecError> {
     match c.tok()? {
@@ -637,7 +425,7 @@ fn get_bval(c: &mut Cur<'_>) -> Result<BVal, CodecError> {
         }
         "G" => {
             c.sep()?;
-            Ok(BVal::Fun(get_funname(c)?))
+            Ok(BVal::Fun(c.funname()?))
         }
         "A" => {
             c.sep()?;
@@ -709,7 +497,7 @@ fn get_bexpr(c: &mut Cur<'_>) -> Result<BExpr, CodecError> {
 }
 
 fn get_bdef(c: &mut Cur<'_>) -> Result<BDef, CodecError> {
-    let name = get_funname(c)?;
+    let name = c.funname()?;
     c.sep()?;
     let n = c.count()?;
     let mut params = Vec::new();
@@ -751,7 +539,7 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
     match c.tok()? {
         "H" => {
             c.sep()?;
-            let main = get_funname(&mut c)?;
+            let main = c.funname()?;
             c.sep()?;
             let n = c.count()?;
             c.end()?;
@@ -763,11 +551,11 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
             c.sep()?;
             let index = c.count()?;
             c.sep()?;
-            let name = get_funname(&mut c)?;
+            let name = c.funname()?;
             c.sep()?;
-            let body_hash = get_u64(&mut c)?;
+            let body_hash = c.u64()?;
             c.sep()?;
-            let cone_hash = get_u64(&mut c)?;
+            let cone_hash = c.u64()?;
             c.end()?;
             partial.defs.push((
                 index,
@@ -778,45 +566,14 @@ fn decode_into(payload: &str, partial: &mut PartialArtifact) -> Result<(), Codec
                 },
             ));
         }
-        "E" => {
-            c.sep()?;
-            let f = get_funname(&mut c)?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut scheme = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                let x = c.var()?;
-                c.sep()?;
-                scheme.push((x, get_absty(&mut c)?));
-            }
-            c.end()?;
-            if partial.env.schemes.insert(f, scheme).is_some() {
-                return Err(c.err("duplicate scheme record"));
-            }
-        }
-        "R" => {
-            c.sep()?;
-            let x = c.var()?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(&mut c)?);
-            }
-            c.end()?;
-            if partial.env.rand_sites.insert(x, preds).is_some() {
-                return Err(c.err("duplicate rand-site record"));
-            }
-        }
+        tag @ ("E" | "R") => c.env_record(tag, &mut partial.env)?,
         "D" => {
             c.sep()?;
             let index = c.count()?;
             c.sep()?;
-            let name = get_funname(&mut c)?;
+            let name = c.funname()?;
             c.sep()?;
-            let fp = get_u64(&mut c)?;
+            let fp = c.u64()?;
             c.sep()?;
             let sat_queries = c.count()?;
             c.sep()?;
@@ -886,52 +643,19 @@ struct PartialArtifact {
     interp: Vec<(InterpKey, Option<Formula>)>,
 }
 
-fn parse_artifact(bytes: &[u8]) -> ParseOutcome {
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-        return ParseOutcome::Corrupt;
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..header_end]) else {
-        return ParseOutcome::Corrupt;
-    };
-    let Some(version) = header
-        .strip_prefix(ARTIFACT_MAGIC)
-        .and_then(|r| r.strip_prefix(" v"))
-    else {
-        return ParseOutcome::Corrupt;
-    };
-    match version.parse::<u32>() {
-        Ok(v) if v == ARTIFACT_VERSION => {}
-        Ok(_) => return ParseOutcome::Stale,
-        Err(_) => return ParseOutcome::Corrupt,
-    }
-    let mut partial = PartialArtifact::default();
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        let Some(frame) = parse_frame(&bytes[pos..]) else {
-            return ParseOutcome::Corrupt;
-        };
-        pos += frame.consumed;
-        if stable_hash64(frame.payload) != frame.sum {
-            return ParseOutcome::Corrupt;
-        }
-        if decode_into(frame.payload, &mut partial).is_err() {
-            return ParseOutcome::Corrupt;
-        }
-    }
-    // Structural validation: the manifest must be complete and contiguous.
-    let Some((main, ndefs)) = partial.header else {
-        return ParseOutcome::Corrupt;
-    };
+/// Structural validation: the manifest must be complete and contiguous.
+fn finish(mut partial: PartialArtifact) -> Option<Artifact> {
+    let (main, ndefs) = partial.header?;
     if partial.defs.len() != ndefs {
-        return ParseOutcome::Corrupt;
+        return None;
     }
     partial.defs.sort_by_key(|(i, _)| *i);
     let contiguous = partial.defs.iter().enumerate().all(|(i, (j, _))| i == *j);
     let distinct: BTreeSet<usize> = partial.defs.iter().map(|(i, _)| *i).collect();
     if !contiguous || distinct.len() != ndefs {
-        return ParseOutcome::Corrupt;
+        return None;
     }
-    ParseOutcome::Good(Box::new(Artifact {
+    Some(Artifact {
         manifest: Manifest {
             defs: partial.defs.into_iter().map(|(_, d)| d).collect(),
             main,
@@ -939,14 +663,16 @@ fn parse_artifact(bytes: &[u8]) -> ParseOutcome {
         env: partial.env,
         memo: partial.memo,
         interp: partial.interp,
-    }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homc_abs::Predicate;
     use homc_lang::frontend;
     use homc_smt::{Atom, LinExpr, Var};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

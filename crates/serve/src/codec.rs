@@ -1,4 +1,5 @@
-//! Exact text serialization of query-cache records.
+//! Exact text serialization of store records: the token codec every format
+//! shares, and the query-cache records built on it.
 //!
 //! The disk tier stores **full canonical keys**, not hashes: a record is only
 //! replayed into a [`QueryCache`](homc_smt::QueryCache) when its key decodes
@@ -20,6 +21,9 @@
 
 use std::fmt;
 
+use homc_abs::{AbsEnv, AbsTy, Predicate};
+use homc_lang::kernel::FunName;
+use homc_lang::types::SimpleTy;
 use homc_smt::{Atom, CachedSat, CubeSat, Formula, LinExpr, Model, Rel, Var};
 
 /// A malformed record payload.
@@ -47,11 +51,27 @@ impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------- encoding
 
-pub(crate) fn put_var(out: &mut String, v: &Var) {
-    let name = v.name();
-    out.push_str(&name.len().to_string());
+/// A length-prefixed string, `<len>:<bytes>`.
+pub(crate) fn put_str(out: &mut String, s: &str) {
+    out.push_str(&s.len().to_string());
     out.push(':');
-    out.push_str(name);
+    out.push_str(s);
+}
+
+pub(crate) fn put_var(out: &mut String, v: &Var) {
+    put_str(out, v.name());
+}
+
+pub(crate) fn put_funname(out: &mut String, f: &FunName) {
+    put_str(out, &f.0);
+}
+
+pub(crate) fn put_u64(out: &mut String, n: u64) {
+    out.push_str(&n.to_string());
+}
+
+pub(crate) fn put_usize(out: &mut String, n: usize) {
+    out.push_str(&n.to_string());
 }
 
 pub(crate) fn put_linexpr(out: &mut String, e: &LinExpr) {
@@ -121,6 +141,79 @@ pub(crate) fn put_model(out: &mut String, m: &Model) {
         put_var(out, v);
         out.push(' ');
         out.push(if b { '1' } else { '0' });
+    }
+}
+
+fn put_simplety(out: &mut String, t: &SimpleTy) {
+    match t {
+        SimpleTy::Unit => out.push('u'),
+        SimpleTy::Bool => out.push('b'),
+        SimpleTy::Int => out.push('i'),
+        SimpleTy::Fun(a, r) => {
+            out.push_str("f ");
+            put_simplety(out, a);
+            out.push(' ');
+            put_simplety(out, r);
+        }
+    }
+}
+
+fn put_predicate(out: &mut String, p: &Predicate) {
+    put_var(out, p.nu());
+    out.push(' ');
+    put_formula(out, p.body());
+}
+
+fn put_absty(out: &mut String, t: &AbsTy) {
+    match t {
+        AbsTy::Base(st, preds) => {
+            out.push_str("B ");
+            put_simplety(out, st);
+            out.push(' ');
+            put_usize(out, preds.len());
+            for p in preds {
+                out.push(' ');
+                put_predicate(out, p);
+            }
+        }
+        AbsTy::Fun(x, a, r) => {
+            out.push_str("F ");
+            put_var(out, x);
+            out.push(' ');
+            put_absty(out, a);
+            out.push(' ');
+            put_absty(out, r);
+        }
+    }
+}
+
+/// Encodes a predicate environment as record payloads: one `E` per
+/// function scheme, then one `R` per rand site (the artifact and evidence
+/// formats share these records).
+pub(crate) fn put_env(out: &mut Vec<String>, env: &AbsEnv) {
+    for (f, scheme) in &env.schemes {
+        let mut s = String::from("E ");
+        put_funname(&mut s, f);
+        s.push(' ');
+        put_usize(&mut s, scheme.len());
+        for (x, t) in scheme {
+            s.push(' ');
+            put_var(&mut s, x);
+            s.push(' ');
+            put_absty(&mut s, t);
+        }
+        out.push(s);
+    }
+    for (x, preds) in &env.rand_sites {
+        let mut s = String::from("R ");
+        put_var(&mut s, x);
+        s.push(' ');
+        put_usize(&mut s, preds.len());
+        for p in preds {
+            s.push(' ');
+            put_predicate(&mut s, p);
+        }
+        out.push(s);
     }
 }
 
@@ -213,7 +306,8 @@ impl<'a> Cur<'a> {
         t.parse::<usize>().map_err(|_| self.err(format!("bad count {t:?}")))
     }
 
-    pub(crate) fn var(&mut self) -> Result<Var, CodecError> {
+    /// A length-prefixed string (the inverse of [`put_str`]).
+    pub(crate) fn str(&mut self) -> Result<&'a str, CodecError> {
         let rest = &self.s[self.pos..];
         let colon = rest
             .find(':')
@@ -226,7 +320,20 @@ impl<'a> Cur<'a> {
             .get(start..start + len)
             .ok_or_else(|| self.err("string extends past record or splits UTF-8"))?;
         self.pos += start + len;
-        Ok(Var::new(name))
+        Ok(name)
+    }
+
+    pub(crate) fn var(&mut self) -> Result<Var, CodecError> {
+        Ok(Var::new(self.str()?))
+    }
+
+    pub(crate) fn funname(&mut self) -> Result<FunName, CodecError> {
+        Ok(FunName(self.str()?.to_string()))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
+        let n = self.int()?;
+        u64::try_from(n).map_err(|_| self.err("u64 out of range"))
     }
 
     pub(crate) fn linexpr(&mut self) -> Result<LinExpr, CodecError> {
@@ -322,6 +429,92 @@ impl<'a> Cur<'a> {
             bools.insert(v, b);
         }
         Ok(Model::new(ints, bools))
+    }
+
+    fn simplety(&mut self) -> Result<SimpleTy, CodecError> {
+        match self.tok()? {
+            "u" => Ok(SimpleTy::Unit),
+            "b" => Ok(SimpleTy::Bool),
+            "i" => Ok(SimpleTy::Int),
+            "f" => {
+                self.sep()?;
+                let a = self.simplety()?;
+                self.sep()?;
+                let r = self.simplety()?;
+                Ok(SimpleTy::Fun(Box::new(a), Box::new(r)))
+            }
+            t => Err(self.err(format!("bad simple-type tag {t:?}"))),
+        }
+    }
+
+    fn predicate(&mut self) -> Result<Predicate, CodecError> {
+        let nu = self.var()?;
+        self.sep()?;
+        let body = self.formula()?;
+        Ok(Predicate::new(nu, body))
+    }
+
+    fn absty(&mut self) -> Result<AbsTy, CodecError> {
+        match self.tok()? {
+            "B" => {
+                self.sep()?;
+                let st = self.simplety()?;
+                self.sep()?;
+                let n = self.count()?;
+                let mut preds = Vec::new();
+                for _ in 0..n {
+                    self.sep()?;
+                    preds.push(self.predicate()?);
+                }
+                Ok(AbsTy::Base(st, preds))
+            }
+            "F" => {
+                self.sep()?;
+                let x = self.var()?;
+                self.sep()?;
+                let a = self.absty()?;
+                self.sep()?;
+                let r = self.absty()?;
+                Ok(AbsTy::Fun(x, Box::new(a), Box::new(r)))
+            }
+            t => Err(self.err(format!("bad abs-type tag {t:?}"))),
+        }
+    }
+
+    /// Decodes the rest of an `E` or `R` record (see [`put_env`]) into
+    /// `env`, rejecting a second record for the same function or site.
+    pub(crate) fn env_record(&mut self, tag: &str, env: &mut AbsEnv) -> Result<(), CodecError> {
+        self.sep()?;
+        if tag == "E" {
+            let f = self.funname()?;
+            self.sep()?;
+            let n = self.count()?;
+            let mut scheme = Vec::new();
+            for _ in 0..n {
+                self.sep()?;
+                let x = self.var()?;
+                self.sep()?;
+                scheme.push((x, self.absty()?));
+            }
+            self.end()?;
+            if env.schemes.insert(f, scheme).is_some() {
+                return Err(self.err("duplicate scheme record"));
+            }
+        } else {
+            let x = self.var()?;
+            self.sep()?;
+            let n = self.count()?;
+            let mut preds = Vec::new();
+            for _ in 0..n {
+                self.sep()?;
+                preds.push(self.predicate()?);
+            }
+            self.end()?;
+            if env.rand_sites.insert(x, preds).is_some() {
+                return Err(self.err("duplicate rand-site record"));
+            }
+        }
+        Ok(())
     }
 
     pub(crate) fn end(&self) -> Result<(), CodecError> {

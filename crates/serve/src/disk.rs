@@ -1,55 +1,42 @@
-//! The versioned on-disk tier of the [`QueryCache`].
+//! The versioned on-disk tier of the [`QueryCache`]: one append-only
+//! segment file (`seg-NNNNNN.seg`) of the framed-file store per batch run.
 //!
-//! # File format
-//!
-//! A cache directory holds append-only **segment files** (`seg-*.seg`), one
-//! published per batch run. A segment is:
-//!
-//! ```text
-//! homc-cache v1\n                          ← magic + schema version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one line per record
-//! ```
-//!
-//! where `XXXXXXXX` is the payload byte length (8 hex digits) and
-//! `YYYYYYYYYYYYYYYY` is the FNV-1a 64 checksum of the payload (16 hex
-//! digits). Payloads are [`codec`](crate::codec) record encodings carrying
-//! **full keys**, so integrity is layered: the checksum rejects any
-//! single-byte flip outright, and even a flip that forged a checksum could
-//! only produce a record whose key no live query matches, or a decode error —
-//! never a wrong answer to a real query.
-//!
-//! # Failure policy
-//!
-//! * **Bad magic** — the file is not a cache segment: quarantined.
-//! * **Version mismatch** — a valid segment from another schema: removed
-//!   (clean cold start; the cache is rebuildable by construction).
-//! * **Checksum or decode failure** — the record is skipped, counted, and the
-//!   segment is quarantined after the scan (later runs start cold on it).
-//! * **Framing failure** (bad length field, truncation, torn tail) — the scan
-//!   cannot resync, so the remainder is dropped and the segment quarantined.
-//!
-//! Quarantine = rename to `<name>.quarantined`, so evidence survives for
-//! inspection but the loader never parses the file again. Every rejection
-//! bumps [`Counter::DiskQuarantine`]. Publication composes the whole segment
-//! in memory, writes it to a dot-prefixed temp file, fsyncs, and `rename`s —
-//! readers never observe a half-written segment under a `seg-*.seg` name.
+//! Payloads are [`codec`](crate::codec) record encodings carrying **full
+//! keys**, so integrity is layered: the checksum rejects any single-byte
+//! flip outright, and even a flip that forged a checksum could only produce
+//! a record whose key no live query matches, or a decode error — never a
+//! wrong answer to a real query.
 
-use std::fmt;
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use homc_metrics::{Counter, Metrics};
 use homc_smt::QueryCache;
-use homc_trace::stable_hash64;
 
 use crate::codec::{decode_record, encode_check, encode_cube, Record};
+pub use crate::store::LoadReport;
+use crate::store::{Format, Naming, Store};
 
 /// First bytes of every segment file.
 pub const MAGIC: &str = "homc-cache";
 /// Schema version of the record payloads; bump on any codec change.
 pub const VERSION: u32 = 1;
+
+/// The cache can be rebuilt, so stale segments are removed, and a lost
+/// record is only a lost hit, so a bad one is skipped and the rest of its
+/// segment still loads.
+static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    naming: Naming::Sequenced {
+        prefix: "seg",
+        ext: "seg",
+    },
+    reclaim_stale: true,
+    skip_bad_records: true,
+    counter: Counter::DiskQuarantine,
+};
 
 /// A deterministic fault to apply while publishing a segment (the disk
 /// half of the `--inject` plan: torn writes, truncation, checksum flips).
@@ -106,31 +93,6 @@ impl FromStr for DiskFault {
     }
 }
 
-/// What [`DiskCache::load_into`] found and did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Segment files scanned (including rejected ones).
-    pub segments: usize,
-    /// Records replayed into the in-memory cache.
-    pub records: usize,
-    /// Records rejected by checksum, framing, or decode.
-    pub bad_records: usize,
-    /// Segments renamed to `.quarantined`.
-    pub quarantined: usize,
-    /// Segments from another schema version, removed (clean cold start).
-    pub stale: usize,
-}
-
-impl fmt::Display for LoadReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} records from {} segments ({} bad, {} quarantined, {} stale)",
-            self.records, self.segments, self.bad_records, self.quarantined, self.stale
-        )
-    }
-}
-
 /// What [`DiskCache::publish`] wrote.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PublishReport {
@@ -145,18 +107,16 @@ pub struct PublishReport {
 /// Handle to one on-disk cache directory.
 #[derive(Clone, Debug)]
 pub struct DiskCache {
-    dir: PathBuf,
+    store: Store,
     fault: Option<DiskFault>,
-    metrics: Metrics,
 }
 
 impl DiskCache {
     /// A cache rooted at `dir` (created on first publish).
     pub fn new(dir: impl Into<PathBuf>) -> DiskCache {
         DiskCache {
-            dir: dir.into(),
+            store: Store::new(dir, &FORMAT),
             fault: None,
-            metrics: Metrics::disabled(),
         }
     }
 
@@ -168,32 +128,13 @@ impl DiskCache {
 
     /// Attaches a metrics registry ([`Counter::DiskQuarantine`] etc.).
     pub fn with_metrics(mut self, metrics: Metrics) -> DiskCache {
-        self.metrics = metrics;
+        self.store = self.store.with_metrics(metrics);
         self
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Segment paths in deterministic (name) order.
-    fn segments(&self) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("seg-") && name.ends_with(".seg") {
-                out.push(path);
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.store.dir()
     }
 
     /// Reads every valid record of every valid segment. Never fails on file
@@ -201,30 +142,7 @@ impl DiskCache {
     /// segments are quarantined and counted. The records can seed any number
     /// of per-job caches via [`seed_cache`].
     pub fn load(&self) -> io::Result<(Vec<Record>, LoadReport)> {
-        let mut report = LoadReport::default();
-        let mut records = Vec::new();
-        for path in self.segments()? {
-            report.segments += 1;
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
-                    self.quarantine(&path, &mut report);
-                    continue;
-                }
-            };
-            match self.scan_segment(&bytes, &mut records, &mut report) {
-                SegmentVerdict::Clean => {}
-                SegmentVerdict::Quarantine => self.quarantine(&path, &mut report),
-                SegmentVerdict::Stale => {
-                    // Another schema version: a clean cold start, not an
-                    // integrity event. The segment can never be read again,
-                    // so reclaim it.
-                    let _ = fs::remove_file(&path);
-                    report.stale += 1;
-                }
-            }
-        }
-        Ok((records, report))
+        self.store.load_all(decode_record)
     }
 
     /// [`load`](Self::load) + [`seed_cache`] in one call, for single-cache
@@ -233,69 +151,6 @@ impl DiskCache {
         let (records, report) = self.load()?;
         seed_cache(cache, &records);
         Ok(report)
-    }
-
-    fn quarantine(&self, path: &Path, report: &mut LoadReport) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        report.quarantined += 1;
-        self.metrics.incr(Counter::DiskQuarantine);
-    }
-
-    /// Scans one segment's bytes, collecting good records.
-    fn scan_segment(
-        &self,
-        bytes: &[u8],
-        records: &mut Vec<Record>,
-        report: &mut LoadReport,
-    ) -> SegmentVerdict {
-        let header_end = match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => i,
-            None => return SegmentVerdict::Quarantine,
-        };
-        let header = match std::str::from_utf8(&bytes[..header_end]) {
-            Ok(h) => h,
-            Err(_) => return SegmentVerdict::Quarantine,
-        };
-        let Some(version) = header.strip_prefix(MAGIC).and_then(|r| r.strip_prefix(" v"))
-        else {
-            return SegmentVerdict::Quarantine;
-        };
-        match version.parse::<u32>() {
-            Ok(v) if v == VERSION => {}
-            Ok(_) => return SegmentVerdict::Stale,
-            Err(_) => return SegmentVerdict::Quarantine,
-        }
-        let mut pos = header_end + 1;
-        let mut verdict = SegmentVerdict::Clean;
-        while pos < bytes.len() {
-            // Frame: 8 hex len, space, 16 hex sum, space, payload, newline.
-            let Some(frame) = parse_frame(&bytes[pos..]) else {
-                report.bad_records += 1;
-                self.metrics.incr(Counter::DiskQuarantine);
-                return SegmentVerdict::Quarantine; // cannot resync
-            };
-            pos += frame.consumed;
-            if stable_hash64(frame.payload) != frame.sum {
-                report.bad_records += 1;
-                self.metrics.incr(Counter::DiskQuarantine);
-                verdict = SegmentVerdict::Quarantine;
-                continue; // framing is intact; keep scanning
-            }
-            match decode_record(frame.payload) {
-                Ok(r) => {
-                    records.push(r);
-                    report.records += 1;
-                }
-                Err(_) => {
-                    report.bad_records += 1;
-                    self.metrics.incr(Counter::DiskQuarantine);
-                    verdict = SegmentVerdict::Quarantine;
-                }
-            }
-        }
-        verdict
     }
 
     /// Publishes every entry the run discovered (seeded entries excluded) as
@@ -320,19 +175,11 @@ impl DiskCache {
         payloads.dedup();
         let records = payloads.len();
 
-        let mut bytes = format!("{MAGIC} v{VERSION}\n").into_bytes();
-        let mut kept = 0usize;
-        let mut record_offsets = Vec::with_capacity(records);
-        for p in &payloads {
-            record_offsets.push(bytes.len());
-            bytes.extend_from_slice(frame_line(p).as_bytes());
-            kept += 1;
-            if let Some(DiskFault::Truncate { keep_records }) = self.fault {
-                if kept >= keep_records {
-                    break;
-                }
-            }
-        }
+        let kept = match self.fault {
+            Some(DiskFault::Truncate { keep_records }) => keep_records.clamp(1, records),
+            _ => records,
+        };
+        let mut bytes = FORMAT.compose(&payloads[..kept]).into_bytes();
         match self.fault {
             Some(DiskFault::Torn { keep_bytes }) => {
                 bytes.truncate(keep_bytes as usize);
@@ -342,91 +189,22 @@ impl DiskCache {
                     *b ^= 0x01;
                 }
             }
-            Some(DiskFault::FlipChecksum { record }) => {
+            Some(DiskFault::FlipChecksum { record }) if record < kept => {
                 // The checksum field starts 9 bytes into the record line
                 // (8 hex digits of length plus one space).
-                if let Some(&off) = record_offsets.get(record) {
-                    if let Some(b) = bytes.get_mut(off + 9) {
-                        *b = if *b == b'0' { b'1' } else { b'0' };
-                    }
-                }
+                let b = &mut bytes[FORMAT.compose(&payloads[..record]).len() + 9];
+                *b = if *b == b'0' { b'1' } else { b'0' };
             }
-            Some(DiskFault::Truncate { .. }) | None => {}
+            _ => {}
         }
-
-        fs::create_dir_all(&self.dir)?;
-        let seq = 1 + self
-            .segments()?
-            .iter()
-            .filter_map(|p| {
-                p.file_stem()?
-                    .to_str()?
-                    .strip_prefix("seg-")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .unwrap_or(0);
-        let final_path = self.dir.join(format!("seg-{seq:06}.seg"));
-        let tmp_path = self.dir.join(format!(".tmp-seg-{seq:06}"));
         let len = bytes.len() as u64;
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
+        let (path, _) = self.store.publish_next(|_| bytes.clone())?;
         Ok(Some(PublishReport {
-            path: final_path,
+            path,
             records,
             bytes: len,
         }))
     }
-}
-
-enum SegmentVerdict {
-    Clean,
-    Quarantine,
-    Stale,
-}
-
-pub(crate) struct Frame<'a> {
-    pub(crate) payload: &'a str,
-    pub(crate) sum: u64,
-    pub(crate) consumed: usize,
-}
-
-/// Composes one checksummed record line (the inverse of [`parse_frame`]):
-/// 8 hex digits of payload length, a space, 16 hex digits of FNV-1a 64
-/// checksum, a space, the payload, a newline. Shared by the disk cache and
-/// the run ledger so both stores speak the same frame format.
-pub(crate) fn frame_line(payload: &str) -> String {
-    format!("{:08x} {:016x} {payload}\n", payload.len(), stable_hash64(payload))
-}
-
-/// Parses one record frame from the head of `rest`; `None` on any framing
-/// violation (short input, bad hex, missing separators or newline, length
-/// running past the end, non-UTF-8 payload).
-pub(crate) fn parse_frame(rest: &[u8]) -> Option<Frame<'_>> {
-    if rest.len() < 8 + 1 + 16 + 1 {
-        return None;
-    }
-    let len = parse_hex(&rest[0..8])? as usize;
-    if rest[8] != b' ' || rest[25] != b' ' {
-        return None;
-    }
-    let sum = parse_hex(&rest[9..25])?;
-    let start = 26usize;
-    let end = start.checked_add(len)?;
-    if end >= rest.len() || rest[end] != b'\n' {
-        return None;
-    }
-    let payload = std::str::from_utf8(&rest[start..end]).ok()?;
-    Some(Frame {
-        payload,
-        sum,
-        consumed: end + 1,
-    })
 }
 
 /// Replays loaded disk records into a cache via the seeded stores, so they
@@ -440,23 +218,11 @@ pub fn seed_cache(cache: &QueryCache, records: &[Record]) {
     }
 }
 
-fn parse_hex(digits: &[u8]) -> Option<u64> {
-    let mut v: u64 = 0;
-    for &d in digits {
-        let nib = match d {
-            b'0'..=b'9' => d - b'0',
-            b'a'..=b'f' => d - b'a' + 10,
-            _ => return None,
-        };
-        v = v.checked_mul(16)?.checked_add(nib as u64)?;
-    }
-    Some(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use homc_smt::{Atom, CachedSat, CubeSat, Formula, LinExpr};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

@@ -26,25 +26,13 @@
 //! mechanism introduced each predicate — the raw material for
 //! `homc explain`.
 //!
-//! # File format
-//!
-//! One file per program key, `<slug>-<hash16>.evd`:
-//!
-//! ```text
-//! homc-evidence v1\n                       ← magic + schema version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one frame_line per record
-//! ```
-//!
-//! using the same FNV-checksummed framing, atomic tmp-file+`rename`
-//! publication, and whole-file quarantine discipline as the artifact store:
-//! *any* integrity violation renames the file to `<name>.quarantined` and
-//! bumps [`Counter::ArtifactQuarantine`]. The [`Evidence::digest`] recorded
-//! in run ledgers is the FNV-1a hash of the complete rendered file, so a
-//! ledger entry pins the exact certificate bytes it was checked against.
+//! Each program key has one `.evd` file in the framed-file store. The
+//! [`Evidence::digest`] recorded in run ledgers is the FNV-1a hash of the
+//! complete rendered file, so a ledger entry pins the exact certificate
+//! bytes it was checked against.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use homc_abs::AbsEnv;
@@ -54,17 +42,27 @@ use homc_metrics::{Counter, Metrics};
 use homc_smt::{ArithRefutation, CubeProof, Formula, Rat, UnsatProof};
 use homc_trace::stable_hash64;
 
-use crate::artifact::{
-    get_absty, get_funname, get_predicate, get_u64, put_absty, put_funname, put_predicate,
-    put_u64, put_usize,
+use crate::codec::{
+    put_env, put_formula, put_funname, put_str, put_u64, put_usize, put_var, CodecError, Cur,
 };
-use crate::codec::{put_formula, put_var, CodecError, Cur};
-use crate::disk::{frame_line, parse_frame};
+use crate::store::{Format, Naming, Parsed, Store};
 
 /// First bytes of every evidence file.
 pub const EVIDENCE_MAGIC: &str = "homc-evidence";
 /// Schema version of the record payloads; bump on any codec change.
 pub const EVIDENCE_VERSION: u32 = 1;
+
+/// Trusted whole, like an artifact: one bad record, or records that
+/// disagree with the verdict tag, quarantine the file. Its quarantines
+/// count under the artifact store's counter.
+static FORMAT: Format = Format {
+    magic: EVIDENCE_MAGIC,
+    version: EVIDENCE_VERSION,
+    naming: Naming::Keyed { ext: "evd" },
+    reclaim_stale: true,
+    skip_bad_records: false,
+    counter: Counter::ArtifactQuarantine,
+};
 
 /// The origin of one predicate, stamped with the CEGAR iteration that
 /// introduced it (serialized form of the refiner's provenance).
@@ -139,104 +137,52 @@ impl Evidence {
 /// Handle to one evidence directory.
 #[derive(Clone, Debug)]
 pub struct EvidenceStore {
-    dir: PathBuf,
-    metrics: Metrics,
+    store: Store,
 }
 
 impl EvidenceStore {
     /// A store rooted at `dir` (created on first publish).
     pub fn new(dir: impl Into<PathBuf>) -> EvidenceStore {
         EvidenceStore {
-            dir: dir.into(),
-            metrics: Metrics::disabled(),
+            store: Store::new(dir, &FORMAT),
         }
     }
 
     /// Attaches a metrics registry ([`Counter::ArtifactQuarantine`]).
-    pub fn with_metrics(mut self, metrics: Metrics) -> EvidenceStore {
-        self.metrics = metrics;
-        self
+    pub fn with_metrics(self, metrics: Metrics) -> EvidenceStore {
+        EvidenceStore {
+            store: self.store.with_metrics(metrics),
+        }
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The file path for a program key (same slug-plus-full-hash naming as
     /// the artifact store, different extension).
     pub fn path_for(&self, key: &str) -> PathBuf {
-        let slug: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .take(40)
-            .collect();
-        self.dir
-            .join(format!("{slug}-{:016x}.evd", stable_hash64(key)))
+        self.store.path_for(key)
     }
 
     /// Loads the evidence for `key`. A `None` with `quarantined: false` is a
     /// clean miss; with `quarantined: true` the file failed an integrity
     /// check and has been renamed to `<name>.quarantined` (and counted).
     pub fn load(&self, key: &str) -> io::Result<EvidenceLoad> {
-        let path = self.path_for(key);
-        let miss = EvidenceLoad {
-            evidence: None,
-            quarantined: false,
-        };
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(miss),
-            Err(_) => {
-                self.quarantine(&path);
-                return Ok(EvidenceLoad {
-                    evidence: None,
-                    quarantined: true,
-                });
-            }
-        };
-        match parse_evidence(&bytes) {
-            ParseOutcome::Good(e) => Ok(EvidenceLoad {
-                evidence: Some(*e),
-                quarantined: false,
-            }),
-            ParseOutcome::Stale => {
-                let _ = fs::remove_file(&path);
-                Ok(miss)
-            }
-            ParseOutcome::Corrupt => {
-                self.quarantine(&path);
-                Ok(EvidenceLoad {
-                    evidence: None,
-                    quarantined: true,
-                })
-            }
-        }
-    }
-
-    fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        self.metrics.incr(Counter::ArtifactQuarantine);
+        let (evidence, quarantined) = self.store.load_key(key, parse);
+        Ok(EvidenceLoad {
+            evidence,
+            quarantined,
+        })
     }
 
     /// Publishes `evidence` under `key`, atomically replacing any previous
     /// evidence for the same key. Returns the path and the file digest.
     pub fn publish(&self, key: &str, evidence: &Evidence) -> io::Result<(PathBuf, u64)> {
         let text = render(evidence);
-        fs::create_dir_all(&self.dir)?;
-        let final_path = self.path_for(key);
-        let tmp_path = self
-            .dir
-            .join(format!(".tmp-evd-{:016x}", stable_hash64(key)));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        Ok((final_path, stable_hash64(&text)))
+        let path = self.store.publish_key(key, text.as_bytes())?;
+        Ok((path, stable_hash64(&text)))
     }
 }
 
@@ -254,25 +200,17 @@ pub struct EvidenceLoad {
 /// and by `homc check` on an explicit file path. `None` means the bytes
 /// failed an integrity or schema check.
 pub fn parse_evidence_bytes(bytes: &[u8]) -> Option<Evidence> {
-    match parse_evidence(bytes) {
-        ParseOutcome::Good(e) => Some(*e),
-        ParseOutcome::Stale | ParseOutcome::Corrupt => None,
+    match parse(bytes) {
+        Parsed::Good(e) => Some(e),
+        Parsed::Stale | Parsed::Corrupt => None,
     }
 }
 
-enum ParseOutcome {
-    Good(Box<Evidence>),
-    Stale,
-    Corrupt,
+fn parse(bytes: &[u8]) -> Parsed<Evidence> {
+    FORMAT.parse(bytes, decode_into, finish)
 }
 
 // ---------------------------------------------------------------- encoding
-
-fn put_str(out: &mut String, s: &str) {
-    out.push_str(&s.len().to_string());
-    out.push(':');
-    out.push_str(s);
-}
 
 fn put_rat(out: &mut String, r: Rat) {
     out.push_str(&r.num().to_string());
@@ -384,30 +322,7 @@ fn encode_evidence(e: &Evidence) -> Vec<String> {
     }
     match &e.verdict {
         EvidenceVerdict::Safe(safe) => {
-            for (f, scheme) in &safe.env.schemes {
-                let mut s = String::from("E ");
-                put_funname(&mut s, f);
-                s.push(' ');
-                put_usize(&mut s, scheme.len());
-                for (x, t) in scheme {
-                    s.push(' ');
-                    put_var(&mut s, x);
-                    s.push(' ');
-                    put_absty(&mut s, t);
-                }
-                out.push(s);
-            }
-            for (x, preds) in &safe.env.rand_sites {
-                let mut s = String::from("R ");
-                put_var(&mut s, x);
-                s.push(' ');
-                put_usize(&mut s, preds.len());
-                for p in preds {
-                    s.push(' ');
-                    put_predicate(&mut s, p);
-                }
-                out.push(s);
-            }
+            put_env(&mut out, &safe.env);
             for (f, typings) in &safe.gamma {
                 let mut s = String::from("G ");
                 put_funname(&mut s, f);
@@ -477,18 +392,10 @@ fn encode_evidence(e: &Evidence) -> Vec<String> {
 }
 
 fn render(e: &Evidence) -> String {
-    let mut text = format!("{EVIDENCE_MAGIC} v{EVIDENCE_VERSION}\n");
-    for payload in encode_evidence(e) {
-        text.push_str(&frame_line(&payload));
-    }
-    text
+    FORMAT.compose(encode_evidence(e))
 }
 
 // ---------------------------------------------------------------- decoding
-
-fn get_str(c: &mut Cur<'_>) -> Result<String, CodecError> {
-    Ok(c.var()?.name().to_string())
-}
 
 fn get_rat(c: &mut Cur<'_>) -> Result<Rat, CodecError> {
     let num = c.int()?;
@@ -565,7 +472,7 @@ fn get_argreq(c: &mut Cur<'_>) -> Result<ArgReq, CodecError> {
     match c.tok()? {
         "b" => {
             c.sep()?;
-            Ok(ArgReq::Base(get_u64(c)?))
+            Ok(ArgReq::Base(c.u64()?))
         }
         "f" => {
             c.sep()?;
@@ -603,11 +510,11 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
     match c.tok()? {
         "H" => {
             c.sep()?;
-            let program = get_str(&mut c)?;
+            let program = c.str()?.to_string();
             c.sep()?;
-            let source_hash = get_u64(&mut c)?;
+            let source_hash = c.u64()?;
             c.sep()?;
-            let iterations = get_u64(&mut c)?;
+            let iterations = c.u64()?;
             c.sep()?;
             let tag = match c.tok()? {
                 "S" => 'S',
@@ -625,15 +532,15 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
         }
         "P" => {
             c.sep()?;
-            let iteration = get_u64(&mut c)?;
+            let iteration = c.u64()?;
             c.sep()?;
-            let cut = get_u64(&mut c)?;
+            let cut = c.u64()?;
             c.sep()?;
-            let source = get_str(&mut c)?;
+            let source = c.str()?.to_string();
             c.sep()?;
-            let target = get_str(&mut c)?;
+            let target = c.str()?.to_string();
             c.sep()?;
-            let pred = get_str(&mut c)?;
+            let pred = c.str()?.to_string();
             c.end()?;
             partial.provenance.push(ProvenanceRecord {
                 iteration,
@@ -643,41 +550,10 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
                 pred,
             });
         }
-        "E" => {
-            c.sep()?;
-            let f = get_funname(&mut c)?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut scheme = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                let x = c.var()?;
-                c.sep()?;
-                scheme.push((x, get_absty(&mut c)?));
-            }
-            c.end()?;
-            if partial.safe.env.schemes.insert(f, scheme).is_some() {
-                return Err(c.err("duplicate scheme record"));
-            }
-        }
-        "R" => {
-            c.sep()?;
-            let x = c.var()?;
-            c.sep()?;
-            let n = c.count()?;
-            let mut preds = Vec::new();
-            for _ in 0..n {
-                c.sep()?;
-                preds.push(get_predicate(&mut c)?);
-            }
-            c.end()?;
-            if partial.safe.env.rand_sites.insert(x, preds).is_some() {
-                return Err(c.err("duplicate rand-site record"));
-            }
-        }
+        tag @ ("E" | "R") => c.env_record(tag, &mut partial.safe.env)?,
         "G" => {
             c.sep()?;
-            let f = get_funname(&mut c)?;
+            let f = c.funname()?;
             c.sep()?;
             let n = c.count()?;
             let mut typings = BTreeSet::new();
@@ -699,7 +575,7 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
         }
         "B" => {
             c.sep()?;
-            let f = get_funname(&mut c)?;
+            let f = c.funname()?;
             c.sep()?;
             let idx = c.count()?;
             c.sep()?;
@@ -707,7 +583,7 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
             let mut seen = BTreeSet::new();
             for _ in 0..n {
                 c.sep()?;
-                seen.insert(get_u64(&mut c)?);
+                seen.insert(c.u64()?);
             }
             c.end()?;
             if partial.safe.base_flow.insert((f, idx), seen).is_some() {
@@ -724,7 +600,7 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
         }
         "X" => {
             c.sep()?;
-            let n = get_u64(&mut c)?;
+            let n = c.u64()?;
             c.end()?;
             if partial.unproved.replace(n).is_some() {
                 return Err(c.err("duplicate unproved-count record"));
@@ -766,44 +642,11 @@ fn decode_into(payload: &str, partial: &mut Partial) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn parse_evidence(bytes: &[u8]) -> ParseOutcome {
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-        return ParseOutcome::Corrupt;
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..header_end]) else {
-        return ParseOutcome::Corrupt;
-    };
-    let Some(version) = header
-        .strip_prefix(EVIDENCE_MAGIC)
-        .and_then(|r| r.strip_prefix(" v"))
-    else {
-        return ParseOutcome::Corrupt;
-    };
-    match version.parse::<u32>() {
-        Ok(v) if v == EVIDENCE_VERSION => {}
-        Ok(_) => return ParseOutcome::Stale,
-        Err(_) => return ParseOutcome::Corrupt,
-    }
-    let mut partial = Partial::default();
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        let Some(frame) = parse_frame(&bytes[pos..]) else {
-            return ParseOutcome::Corrupt;
-        };
-        pos += frame.consumed;
-        if stable_hash64(frame.payload) != frame.sum {
-            return ParseOutcome::Corrupt;
-        }
-        if decode_into(frame.payload, &mut partial).is_err() {
-            return ParseOutcome::Corrupt;
-        }
-    }
-    // Structural validation: the record set must match the verdict tag
-    // exactly — Safe carries its unproved count and no counterexample,
-    // Unsafe carries witness + path and no invariant pieces.
-    let Some((program, source_hash, iterations, tag)) = partial.header else {
-        return ParseOutcome::Corrupt;
-    };
+/// Structural validation: the record set must match the verdict tag
+/// exactly — Safe carries its unproved count and no counterexample, Unsafe
+/// carries witness + path and no invariant pieces.
+fn finish(partial: Partial) -> Option<Evidence> {
+    let (program, source_hash, iterations, tag) = partial.header?;
     let has_safe_records = !partial.safe.env.schemes.is_empty()
         || !partial.safe.env.rand_sites.is_empty()
         || !partial.safe.gamma.is_empty()
@@ -813,39 +656,38 @@ fn parse_evidence(bytes: &[u8]) -> ParseOutcome {
     let verdict = match tag {
         'S' => {
             if partial.witness.is_some() || partial.path.is_some() {
-                return ParseOutcome::Corrupt;
+                return None;
             }
-            let Some(unproved) = partial.unproved else {
-                return ParseOutcome::Corrupt;
-            };
             let mut safe = partial.safe;
-            safe.unproved = unproved;
+            safe.unproved = partial.unproved?;
             EvidenceVerdict::Safe(Box::new(safe))
         }
         'U' => {
             if has_safe_records {
-                return ParseOutcome::Corrupt;
+                return None;
             }
-            let (Some(witness), Some(path)) = (partial.witness, partial.path) else {
-                return ParseOutcome::Corrupt;
-            };
-            EvidenceVerdict::Unsafe { witness, path }
+            EvidenceVerdict::Unsafe {
+                witness: partial.witness?,
+                path: partial.path?,
+            }
         }
-        _ => return ParseOutcome::Corrupt,
+        _ => return None,
     };
-    ParseOutcome::Good(Box::new(Evidence {
+    Some(Evidence {
         program,
         source_hash,
         iterations,
         provenance: partial.provenance,
         verdict,
-    }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::parse_frame;
     use homc_smt::{Atom, LinExpr, Var};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -988,7 +830,7 @@ mod tests {
             .lines()
             .filter(|l| {
                 parse_frame(format!("{l}\n").as_bytes())
-                    .is_some_and(|f| f.payload.starts_with("W "))
+                    .is_some_and(|(payload, ..)| payload.starts_with("W "))
             })
             .collect();
         lines.extend(extra);

@@ -1,44 +1,19 @@
-//! The persistent run ledger: an append-only, versioned, checksummed JSONL
-//! store of verification runs.
-//!
-//! # File format
-//!
-//! A ledger directory holds append-only **run files** (`run-*.led`), one
-//! published per run (a `homc --suite`, `homc batch`, or `table1`
-//! invocation). A run file reuses the disk cache's frame format:
-//!
-//! ```text
-//! homc-ledger v1\n                         ← magic + container version
-//! XXXXXXXX YYYYYYYYYYYYYYYY <payload>\n    ← one line per program record
-//! ```
-//!
-//! where `XXXXXXXX` is the payload byte length (8 hex digits) and
-//! `YYYYYYYYYYYYYYYY` is the FNV-1a 64 checksum of the payload (16 hex
-//! digits). Payloads are stable-field-order JSON [`RunRecord`] encodings,
-//! each carrying its own `schema` version so the trend layer can refuse to
-//! compare across incompatible record generations instead of guessing.
-//!
-//! # Failure policy
-//!
-//! Same quarantine discipline as the disk cache, with one deliberate
-//! difference: a **container version mismatch** keeps the file in place
-//! (counted as stale, skipped). The cache is rebuildable, so stale segments
-//! are reclaimed; history is *not* rebuildable, so the ledger never deletes
-//! anything. Corruption (bad magic, checksum, framing, undecodable payload)
-//! quarantines the run file — renamed to `<name>.quarantined`, bumping
-//! [`Counter::LedgerQuarantine`] — so a byte flip can cost history, never
-//! produce a wrong trend verdict from a forged record.
+//! The persistent run ledger: one append-only run file (`run-NNNNNN.led`)
+//! of the framed-file store per verification run — a `homc --suite`,
+//! `homc batch`, or `table1` invocation. Payloads are stable-field-order JSON
+//! [`RunRecord`] encodings, each carrying its own `schema` version so the
+//! trend layer can refuse to compare across incompatible record generations
+//! instead of guessing.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use homc_metrics::{Counter, Metrics};
-use homc_trace::{escape_json, parse_json, stable_hash64, JsonValue};
+use homc_trace::{escape_json, parse_json, JsonValue};
 
-use crate::disk::{frame_line, parse_frame};
+use crate::store::{Format, Naming, Store};
 
 /// First bytes of every run file.
 pub const LEDGER_MAGIC: &str = "homc-ledger";
@@ -46,6 +21,22 @@ pub const LEDGER_MAGIC: &str = "homc-ledger";
 pub const LEDGER_VERSION: u32 = 1;
 /// Schema version of [`RunRecord`] payloads; bump on any field change.
 pub const RECORD_SCHEMA: u64 = 1;
+
+/// History cannot be rebuilt, so stale run files are kept. A run file is
+/// all-or-nothing for trend math: a skipped record could drop the slowest
+/// program of a run and flip a regression verdict, so one bad record
+/// quarantines the whole file.
+static FORMAT: Format = Format {
+    magic: LEDGER_MAGIC,
+    version: LEDGER_VERSION,
+    naming: Naming::Sequenced {
+        prefix: "run",
+        ext: "led",
+    },
+    reclaim_stale: false,
+    skip_bad_records: false,
+    counter: Counter::LedgerQuarantine,
+};
 
 /// One program's outcome within one run. Field order here is the JSON
 /// field order (stable across builds — the encoder is hand-rolled).
@@ -210,90 +201,44 @@ pub struct AppendReport {
 /// Handle to one ledger directory.
 #[derive(Clone, Debug)]
 pub struct Ledger {
-    dir: PathBuf,
-    metrics: Metrics,
-}
-
-enum FileVerdict {
-    Clean,
-    Quarantine,
-    Stale,
+    store: Store,
 }
 
 impl Ledger {
     /// A ledger rooted at `dir` (created on first append).
     pub fn new(dir: impl Into<PathBuf>) -> Ledger {
         Ledger {
-            dir: dir.into(),
-            metrics: Metrics::disabled(),
+            store: Store::new(dir, &FORMAT),
         }
     }
 
     /// Attaches a metrics registry ([`Counter::LedgerQuarantine`]).
-    pub fn with_metrics(mut self, metrics: Metrics) -> Ledger {
-        self.metrics = metrics;
-        self
+    pub fn with_metrics(self, metrics: Metrics) -> Ledger {
+        Ledger {
+            store: self.store.with_metrics(metrics),
+        }
     }
 
     /// The ledger directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Run-file paths in deterministic (name = run id) order.
-    fn run_files(&self) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("run-") && name.ends_with(".led") {
-                out.push(path);
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.store.dir()
     }
 
     /// Appends one run: stamps every record with [`RECORD_SCHEMA`], the next
-    /// run id, and `kind`, then publishes them as one run file (composed in
-    /// memory, written to a dot-prefixed temp file, fsynced, renamed —
-    /// readers never observe a torn run).
+    /// run id, and `kind`, then publishes them as one run file — readers
+    /// never observe a torn run, and concurrent appends get distinct ids.
     pub fn append(&self, kind: &str, records: &mut [RunRecord]) -> io::Result<AppendReport> {
-        fs::create_dir_all(&self.dir)?;
-        let run = 1 + self
-            .run_files()?
-            .iter()
-            .filter_map(|p| {
-                p.file_stem()?
-                    .to_str()?
-                    .strip_prefix("run-")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .unwrap_or(0);
-        let mut bytes = format!("{LEDGER_MAGIC} v{LEDGER_VERSION}\n").into_bytes();
-        for r in records.iter_mut() {
-            r.schema = RECORD_SCHEMA;
-            r.run = run;
-            r.kind = kind.to_string();
-            bytes.extend_from_slice(frame_line(&r.encode()).as_bytes());
-        }
-        let final_path = self.dir.join(format!("run-{run:06}.led"));
-        let tmp_path = self.dir.join(format!(".tmp-run-{run:06}"));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
+        let (path, run) = self.store.publish_next(|run| {
+            let payloads = records.iter_mut().map(|r| {
+                r.schema = RECORD_SCHEMA;
+                r.run = run;
+                r.kind = kind.to_string();
+                r.encode()
+            });
+            FORMAT.compose(payloads).into_bytes()
+        })?;
         Ok(AppendReport {
-            path: final_path,
+            path,
             run,
             records: records.len(),
         })
@@ -303,93 +248,22 @@ impl Ledger {
     /// Never fails on file *content* — only on directory I/O errors;
     /// corrupt run files are quarantined and counted.
     pub fn load(&self) -> io::Result<(Vec<RunRecord>, LedgerLoad)> {
-        let mut report = LedgerLoad::default();
-        let mut records = Vec::new();
-        for path in self.run_files()? {
-            report.segments += 1;
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
-                    self.quarantine(&path, &mut report);
-                    continue;
-                }
-            };
-            match self.scan_file(&bytes, &mut records, &mut report) {
-                FileVerdict::Clean => {}
-                FileVerdict::Quarantine => self.quarantine(&path, &mut report),
-                FileVerdict::Stale => report.stale += 1, // kept: history ≠ cache
-            }
-        }
+        let (records, r) = self.store.load_all(RunRecord::decode)?;
+        let report = LedgerLoad {
+            segments: r.segments,
+            records: r.records,
+            bad_records: r.bad_records,
+            quarantined: r.quarantined,
+            stale: r.stale,
+        };
         Ok((records, report))
-    }
-
-    fn quarantine(&self, path: &Path, report: &mut LedgerLoad) {
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        let _ = fs::rename(path, PathBuf::from(q));
-        report.quarantined += 1;
-        self.metrics.incr(Counter::LedgerQuarantine);
-    }
-
-    fn scan_file(
-        &self,
-        bytes: &[u8],
-        records: &mut Vec<RunRecord>,
-        report: &mut LedgerLoad,
-    ) -> FileVerdict {
-        let header_end = match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => i,
-            None => return FileVerdict::Quarantine,
-        };
-        let header = match std::str::from_utf8(&bytes[..header_end]) {
-            Ok(h) => h,
-            Err(_) => return FileVerdict::Quarantine,
-        };
-        let Some(version) = header
-            .strip_prefix(LEDGER_MAGIC)
-            .and_then(|r| r.strip_prefix(" v"))
-        else {
-            return FileVerdict::Quarantine;
-        };
-        match version.parse::<u32>() {
-            Ok(v) if v == LEDGER_VERSION => {}
-            Ok(_) => return FileVerdict::Stale,
-            Err(_) => return FileVerdict::Quarantine,
-        }
-        // A run file is all-or-nothing for trend math: a torn tail or a
-        // skipped record could drop the slowest program of a run and flip a
-        // regression verdict, so any bad record rejects the whole file.
-        let mut pos = header_end + 1;
-        let kept = records.len();
-        while pos < bytes.len() {
-            let Some(frame) = parse_frame(&bytes[pos..]) else {
-                report.bad_records += 1;
-                records.truncate(kept);
-                return FileVerdict::Quarantine;
-            };
-            pos += frame.consumed;
-            let decoded = if stable_hash64(frame.payload) == frame.sum {
-                RunRecord::decode(frame.payload).ok()
-            } else {
-                None
-            };
-            match decoded {
-                Some(r) => records.push(r),
-                None => {
-                    report.bad_records += 1;
-                    records.truncate(kept);
-                    return FileVerdict::Quarantine;
-                }
-            }
-        }
-        report.records += records.len() - kept;
-        FileVerdict::Clean
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

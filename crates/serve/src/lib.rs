@@ -1,8 +1,6 @@
-//! `homc-serve`: the crash-safe serving layer of the homc pipeline.
-//!
-//! Two subsystems, both generic over what is being verified (the
-//! verification-specific batch driver lives in the `homc` crate, which
-//! depends on this one):
+//! `homc-serve`: the crash-safe serving and persistence layer of the homc
+//! pipeline. Nothing here knows how to verify a program (the batch driver
+//! lives in the `homc` crate, which depends on this one):
 //!
 //! * **A work-stealing job pool** ([`mod@pool`]): runs many jobs
 //!   concurrently, each under its own cooperative [`CancelToken`] (typically
@@ -11,23 +9,29 @@
 //!   an optional watchdog. Every submitted job yields exactly one structured
 //!   [`JobResult`] — a failed or hung job degrades to a report entry, never
 //!   a process abort.
-//! * **A versioned disk tier for the query cache** ([`mod@disk`]):
-//!   append-only segment files with per-record length+FNV-1a-checksum
-//!   framing, atomic tmp-file+rename publication, a schema/version header
-//!   that cold-starts cleanly on mismatch, and a corruption-quarantine path.
-//!   Records carry **full canonical keys** ([`mod@codec`]), so a byte flip
-//!   can cost a cache hit but can never change a verdict.
-//! * **A persistent run ledger with trend analytics** ([`mod@ledger`],
-//!   [`mod@trend`]): every suite/batch/bench run appends one checksummed
-//!   JSONL run file (same frame format as the disk tier, same quarantine
-//!   discipline — but stale versions are kept, history is not rebuildable),
-//!   and `homc history`/`homc regress` read the accumulated records for
-//!   per-program trends and a trailing-window regression gate.
+//! * **Four on-disk stores over one framed-file container.** A private
+//!   `store` module owns the container: versioned header, length+FNV-1a
+//!   checksummed frames, quarantine of corrupt files, file naming, and a
+//!   publish path that is atomic for readers, durable across crashes and
+//!   safe under concurrent writers. The four stores are record codecs on
+//!   top of it:
+//!   * the **query-cache disk tier** ([`mod@disk`], records in
+//!     [`mod@codec`]): one segment per batch run, records carrying **full
+//!     canonical keys**, so a byte flip can cost a cache hit but can never
+//!     change a verdict;
+//!   * the **run ledger** ([`mod@ledger`]) with trend analytics
+//!     ([`mod@trend`]): one JSONL run file per suite/batch/bench run, read
+//!     by `homc history`/`homc regress`;
+//!   * **abstraction artifacts** ([`mod@artifact`]): one file per program
+//!     key holding a run's manifest, predicate environment, memo entries
+//!     and interpolants, seeded into the next run of the same program;
+//!   * **verdict evidence** ([`mod@evidence`]): one certificate per program
+//!     key, replayed by `homc check`.
 //!
-//! Deterministic fault injection covers the new failure surfaces: torn
-//! writes, truncated segments, checksum flips ([`DiskFault`]), job-thread
-//! panics and cancellation races (injected by the batch driver through the
-//! job body). See DESIGN.md §"Serving & persistence architecture".
+//! Deterministic fault injection covers the failure surfaces: torn writes,
+//! truncated segments, checksum flips ([`DiskFault`]), job-thread panics and
+//! cancellation races (injected by the batch driver through the job body).
+//! See DESIGN.md §"Serving & persistence architecture" and §"On-disk store".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +42,7 @@ pub mod disk;
 pub mod evidence;
 pub mod ledger;
 pub mod pool;
+mod store;
 pub mod trend;
 
 pub use artifact::{Artifact, ArtifactLoad, ArtifactStore, ARTIFACT_MAGIC, ARTIFACT_VERSION};

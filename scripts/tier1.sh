@@ -188,6 +188,22 @@ if ! grep -q '3 program(s) over 2 run(s)' "$LEDGER_HISTORY"; then
 fi
 run cargo run --release --offline --bin homc -- regress "$LEDGER_DIR"
 
+# Benchmark smoke: the repository benchmark (`homcbench/`, a package of its
+# own) calls the store API directly, so it is built here, and the two
+# workloads that publish and load store files run for one second each.
+# A run's last line is its JSON result, which must say `"correct": true`.
+run cargo build --release --offline --manifest-path homcbench/Cargo.toml
+for WORKLOAD in resubmit certify; do
+    HOMCBENCH_OUT="target/homcbench-$WORKLOAD.txt"
+    run cargo run --release --offline --quiet --manifest-path homcbench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 | tee "$HOMCBENCH_OUT"
+    if ! tail -n 1 "$HOMCBENCH_OUT" | grep -q '"correct": true'; then
+        echo "tier1: homcbench-smoke: the $WORKLOAD run is not correct:" >&2
+        tail -n 1 "$HOMCBENCH_OUT" >&2
+        exit 1
+    fi
+done
+
 # Prometheus lint: --metrics-out must emit well-formed text exposition —
 # every sample line's metric name matches [a-z_][a-z0-9_]*, every family
 # has # HELP and # TYPE lines, every sample value is an integer.

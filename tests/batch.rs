@@ -3,7 +3,7 @@
 //! job, the tallies add up, and the **unaffected** jobs are bit-for-bit
 //! undisturbed — their logical traces are byte-identical to solo runs.
 
-use homc::{run_batch, suite, BatchJob, BatchOptions, JobFault, JobStatus};
+use homc::{run_batch, suite, BatchJob, BatchOptions, DiskCache, JobFault, JobStatus};
 
 fn job(name: &str) -> BatchJob {
     let p = suite::find(name).expect("suite program");
@@ -131,4 +131,47 @@ fn deadline_exhaustion_degrades_to_unknown() {
         );
         assert!(j.verdict.starts_with("unknown"), "got {:?}", j.verdict);
     }
+}
+
+/// Query-cache keys of `records`, checked distinct: loading a directory
+/// must never see the same key in two segments.
+fn distinct_keys(records: &[homc_serve::Record]) -> usize {
+    use homc_serve::Record;
+    let mut checks = std::collections::HashSet::new();
+    let mut cubes = std::collections::HashSet::new();
+    for r in records {
+        match r {
+            Record::Check { key, .. } => checks.insert(key.clone()),
+            Record::Cube { key, .. } => cubes.insert(key.clone()),
+        };
+    }
+    checks.len() + cubes.len()
+}
+
+#[test]
+fn batch_publishes_only_keys_the_cache_did_not_load() {
+    let dir = std::env::temp_dir().join(format!("homc-batch-publish-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = BatchOptions {
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        ..BatchOptions::default()
+    };
+    let cold = run_batch(vec![job("sum"), job("max")], &opts).expect("cold batch");
+    assert!(cold.publish.is_some(), "a cold batch publishes what it solved");
+
+    let warm = run_batch(vec![job("sum"), job("max")], &opts).expect("warm batch");
+    assert_eq!(warm.publish, None, "a warm rerun solves nothing new");
+
+    let (loaded, _) = DiskCache::new(&dir).load().expect("load");
+    let grown = run_batch(vec![job("sum"), job("max"), job("mc91")], &opts).expect("batch");
+    let publish = grown.publish.expect("the added program solves new queries");
+    let (after, _) = DiskCache::new(&dir).load().expect("load");
+    assert_eq!(after.len(), loaded.len() + publish.records);
+    assert_eq!(
+        distinct_keys(&after),
+        after.len(),
+        "the new segment republished a key the batch had loaded"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
