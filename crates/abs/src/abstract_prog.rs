@@ -222,9 +222,6 @@ pub(crate) fn abstract_task(
         let entry = a.build_entry()?;
         a.out.push(entry);
     }
-    metrics.add(Counter::AbsImplicants, a.stats.implicants as u64);
-    metrics.add(Counter::AbsQueriesSaved, a.stats.queries_saved as u64);
-    metrics.add(Counter::AbsCtxTruncated, a.stats.ctx_truncated as u64);
     Ok((a.out, a.stats))
 }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use homc_budget::Budget;
 use homc_hbp::{BDef, BProgram};
 use homc_lang::kernel::{Expr, FunName, Program, Value};
-use homc_metrics::{Counter, Metrics};
+use homc_metrics::Metrics;
 use homc_smt::{QueryCache, Var};
 use homc_trace::{stable_hash64, Tracer};
 
@@ -309,12 +309,9 @@ pub fn abstract_program_incremental(
                 stats.queries_saved += e.stats.sat_queries;
                 stats.coercions += e.stats.coercions;
                 stats.ctx_truncated += e.stats.ctx_truncated;
-                metrics.incr(Counter::AbsDefsReused);
-                metrics.add(Counter::AbsQueriesSaved, e.stats.sat_queries as u64);
             }
             Some(_) => {
                 stats.defs_rebuilt += 1;
-                metrics.incr(Counter::AbsDefsRebuilt);
                 rebuild.push(i);
             }
             None => rebuild.push(i),

@@ -16,156 +16,17 @@
 //! persistent run ledger (kind `table1`), so benchmark runs join `homc
 //! history` / `homc regress` trend analysis alongside suite and batch runs.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use homc::suite::SUITE;
-use homc::{ledger_record, Ledger, Verdict, VerifierOptions};
-use homc_bench::{format_row, run_program, Row};
+use homc::{ledger_record, Ledger, Verdict};
+use homc_bench::{baseline_json, format_row, run_program};
 
 // Count allocations for the whole benchmark run so each row can report its
 // per-phase heap watermarks. Installed in the binary only — library users
 // and the test harness keep the plain system allocator.
 #[global_allocator]
 static COUNTING_ALLOC: homc_metrics::mem::CountingAlloc = homc_metrics::mem::CountingAlloc::new();
-
-/// The baseline document's schema version. `bench-diff` refuses to compare
-/// documents whose schema (or suite, or clock mode) disagrees. Schema 5
-/// added the cross-run incremental column (`incr_total_s` per row,
-/// `incr_wall_s` in the totals); schema 6 added the evidence-checker
-/// column (`check_s` per row, `check_wall_s` in the totals).
-const SCHEMA: u64 = 6;
-
-/// Escapes a string for a JSON string literal (the names and verdicts here
-/// are ASCII identifiers, but quoting defensively costs nothing).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders the collected rows as the benchmark-baseline JSON document.
-fn to_json(rows: &[Row]) -> String {
-    let mut total = 0.0f64;
-    let (mut smt, mut hits, mut misses, mut pops, mut rescans) = (0usize, 0u64, 0u64, 0usize, 0usize);
-    let (mut sliced, mut reuse, mut prefix) = (0usize, 0usize, 0u64);
-    let (mut defs_reused, mut defs_rebuilt) = (0usize, 0usize);
-    let (mut implicants, mut queries_saved, mut ctx_trunc) = (0usize, 0usize, 0usize);
-    let mut peak = 0u64;
-    let (mut warm_total, mut disk_hits) = (0.0f64, 0u64);
-    let mut incr_total = 0.0f64;
-    let mut check_total = 0.0f64;
-    let mut body = String::from("{\n");
-    let _ = writeln!(
-        body,
-        "  \"meta\": {{\"schema\": {SCHEMA}, \"suite\": \"table1\", \"programs\": {}, \
-         \"threads\": {}, \"clock\": \"wall\"}},",
-        rows.len(),
-        VerifierOptions::default().abs.threads,
-    );
-    body.push_str("  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let s = &r.outcome.stats;
-        let verdict = match &r.outcome.verdict {
-            Verdict::Safe => "safe",
-            Verdict::Unsafe { .. } => "unsafe",
-            Verdict::Unknown { .. } => "unknown",
-        };
-        total += s.total.as_secs_f64();
-        smt += s.smt_queries;
-        hits += s.cache_hits;
-        misses += s.cache_misses;
-        pops += s.worklist_pops;
-        rescans += s.rescans_avoided;
-        sliced += s.cuts_sliced;
-        reuse += s.cert_reuse_hits;
-        prefix += s.fm_prefix_hits;
-        defs_reused += s.abs_defs_reused;
-        defs_rebuilt += s.abs_defs_rebuilt;
-        implicants += s.abs_implicants;
-        queries_saved += s.abs_queries_saved;
-        ctx_trunc += s.abs_ctx_truncated;
-        peak = peak.max(s.peak_bytes);
-        warm_total += r.warm_total_s;
-        disk_hits += r.warm_disk_hits;
-        incr_total += r.incr_total_s;
-        check_total += r.check_s;
-        let _ = writeln!(
-            body,
-            "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \"cycles\": {}, \
-             \"iterations\": {}, \"peak_hbp\": {}, \
-             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}, \
-             \"smt_queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"worklist_pops\": {}, \"rescans_avoided\": {}, \
-             \"cuts_sliced\": {}, \"cert_reuse_hits\": {}, \"fm_prefix_hits\": {}, \
-             \"abs_defs_reused\": {}, \"abs_defs_rebuilt\": {}, \"abs_implicants\": {}, \
-             \"abs_queries_saved\": {}, \"abs_ctx_truncated\": {}, \
-             \"peak_bytes\": {}, \"peak_abs_bytes\": {}, \"peak_mc_bytes\": {}, \
-             \"peak_feas_bytes\": {}, \"peak_interp_bytes\": {}, \
-             \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \"incr_total_s\": {:.4}, \
-             \"check_s\": {:.4}}}{}",
-            json_str(r.name),
-            json_str(verdict),
-            r.verdict_ok,
-            s.cycles,
-            r.iterations,
-            r.peak_hbp,
-            s.abst.as_secs_f64(),
-            s.mc.as_secs_f64(),
-            s.cegar.as_secs_f64(),
-            s.total.as_secs_f64(),
-            s.smt_queries,
-            s.cache_hits,
-            s.cache_misses,
-            s.worklist_pops,
-            s.rescans_avoided,
-            s.cuts_sliced,
-            s.cert_reuse_hits,
-            s.fm_prefix_hits,
-            s.abs_defs_reused,
-            s.abs_defs_rebuilt,
-            s.abs_implicants,
-            s.abs_queries_saved,
-            s.abs_ctx_truncated,
-            s.peak_bytes,
-            s.peak_abs_bytes,
-            s.peak_mc_bytes,
-            s.peak_feas_bytes,
-            s.peak_interp_bytes,
-            r.warm_total_s,
-            r.warm_disk_hits,
-            r.incr_total_s,
-            r.check_s,
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
-    let _ = write!(
-        body,
-        "  ],\n  \"totals\": {{\"wall_s\": {total:.4}, \"smt_queries\": {smt}, \
-         \"cache_hits\": {hits}, \"cache_misses\": {misses}, \"worklist_pops\": {pops}, \
-         \"rescans_avoided\": {rescans}, \"cuts_sliced\": {sliced}, \
-         \"cert_reuse_hits\": {reuse}, \"fm_prefix_hits\": {prefix}, \
-         \"abs_defs_reused\": {defs_reused}, \"abs_defs_rebuilt\": {defs_rebuilt}, \
-         \"abs_implicants\": {implicants}, \"abs_queries_saved\": {queries_saved}, \
-         \"abs_ctx_truncated\": {ctx_trunc}, \
-         \"peak_bytes\": {peak}, \"warm_wall_s\": {warm_total:.4}, \
-         \"warm_disk_hits\": {disk_hits}, \"incr_wall_s\": {incr_total:.4}, \
-         \"check_wall_s\": {check_total:.4}}}\n}}\n",
-    );
-    body
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -224,7 +85,7 @@ fn main() -> ExitCode {
         }
     );
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, to_json(&rows)) {
+        if let Err(e) = std::fs::write(&path, baseline_json(&rows)) {
             eprintln!("table1: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

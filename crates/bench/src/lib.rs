@@ -11,12 +11,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use homc::{
-    check_evidence, parse_json, stable_hash64, suite::SuiteProgram, verify, ArtifactConfig,
-    DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache, Tracer, Verdict,
-    VerifierOptions, VerifyOutcome,
+    check_evidence, escape_json, parse_json, stable_hash64, suite::SuiteProgram, verify,
+    ArtifactConfig, Counts, DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache,
+    Surface, Tracer, Verdict, VerifierOptions, VerifyOutcome,
 };
 
 /// One row of the regenerated Table 1.
@@ -55,6 +56,100 @@ pub struct Row {
     /// the run was undecided (no evidence to check); a check *failure*
     /// fails the row's `verdict_ok` instead.
     pub check_s: f64,
+}
+
+/// The baseline document's schema version. `bench-diff` refuses to compare
+/// documents whose schema (or suite, or clock mode) disagrees. Schema 5
+/// added the cross-run incremental column (`incr_total_s` per row,
+/// `incr_wall_s` in the totals); schema 6 added the evidence-checker
+/// column (`check_s` per row, `check_wall_s` in the totals).
+const SCHEMA: u64 = 6;
+
+/// The [`Surface::Table1`] counter columns, as `"name": value, ` pairs.
+fn counter_columns(counts: &Counts) -> String {
+    let mut out = String::new();
+    for (c, v) in counts.on(Surface::Table1) {
+        let _ = write!(out, "\"{}\": {v}, ", c.name());
+    }
+    out
+}
+
+/// Renders rows as the `table1 --json` baseline document: a `meta` header
+/// (schema version, suite name, thread count, clock mode), one object per
+/// program (verdict, cycles, per-phase times, the [`Surface::Table1`]
+/// counters, per-phase peak heap bytes, the warm, incremental and check
+/// reruns) and the suite totals.
+pub fn baseline_json(rows: &[Row]) -> String {
+    let mut total = 0.0f64;
+    let mut totals = Counts::default();
+    let mut peak = 0u64;
+    let (mut warm_total, mut disk_hits) = (0.0f64, 0u64);
+    let mut incr_total = 0.0f64;
+    let mut check_total = 0.0f64;
+    let mut body = String::from("{\n");
+    let _ = writeln!(
+        body,
+        "  \"meta\": {{\"schema\": {SCHEMA}, \"suite\": \"table1\", \"programs\": {}, \
+         \"threads\": {}, \"clock\": \"wall\"}},",
+        rows.len(),
+        VerifierOptions::default().abs.threads,
+    );
+    body.push_str("  \"programs\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let s = &r.outcome.stats;
+        let counts = s.counts();
+        let verdict = match &r.outcome.verdict {
+            Verdict::Safe => "safe",
+            Verdict::Unsafe { .. } => "unsafe",
+            Verdict::Unknown { .. } => "unknown",
+        };
+        total += s.total.as_secs_f64();
+        totals.merge(&counts);
+        peak = peak.max(s.peak_bytes);
+        warm_total += r.warm_total_s;
+        disk_hits += r.warm_disk_hits;
+        incr_total += r.incr_total_s;
+        check_total += r.check_s;
+        let _ = writeln!(
+            body,
+            "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \"cycles\": {}, \
+             \"iterations\": {}, \"peak_hbp\": {}, \
+             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}, \
+             {}\"peak_bytes\": {}, \"peak_abs_bytes\": {}, \"peak_mc_bytes\": {}, \
+             \"peak_feas_bytes\": {}, \"peak_interp_bytes\": {}, \
+             \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \"incr_total_s\": {:.4}, \
+             \"check_s\": {:.4}}}{}",
+            escape_json(r.name),
+            escape_json(verdict),
+            r.verdict_ok,
+            s.cycles,
+            r.iterations,
+            r.peak_hbp,
+            s.abst.as_secs_f64(),
+            s.mc.as_secs_f64(),
+            s.cegar.as_secs_f64(),
+            s.total.as_secs_f64(),
+            counter_columns(&counts),
+            s.peak_bytes,
+            s.peak_abs_bytes,
+            s.peak_mc_bytes,
+            s.peak_feas_bytes,
+            s.peak_interp_bytes,
+            r.warm_total_s,
+            r.warm_disk_hits,
+            r.incr_total_s,
+            r.check_s,
+            if i + 1 == rows.len() { "" } else { "," },
+        );
+    }
+    let _ = write!(
+        body,
+        "  ],\n  \"totals\": {{\"wall_s\": {total:.4}, {}\"peak_bytes\": {peak}, \
+         \"warm_wall_s\": {warm_total:.4}, \"warm_disk_hits\": {disk_hits}, \
+         \"incr_wall_s\": {incr_total:.4}, \"check_wall_s\": {check_total:.4}}}\n}}\n",
+        counter_columns(&totals),
+    );
+    body
 }
 
 /// Distills `(iterations, peak HBP size)` from a run's trace.

@@ -106,6 +106,8 @@ pub struct Refinement {
     /// Cut interpolants derived from a shared Farkas certificate (sequence
     /// interpolation) instead of an independent per-cut refutation.
     pub cert_reuse_hits: usize,
+    /// 1 when the fast path declined and the per-cut engine ran, else 0.
+    pub refine_fallback: usize,
     /// Where each installed predicate came from (one entry per install
     /// target), in discovery order — the raw material for `homc explain`.
     pub provenance: Vec<PredProvenance>,
@@ -410,6 +412,7 @@ pub fn discover_predicates_metered(
             )?;
         }
     } else {
+        out.refine_fallback = usize::from(!cuts.is_empty());
         let mut solved: Vec<Formula> = Vec::new();
         for (ci, &i) in cuts.iter().enumerate() {
             let (sym, _deps, def_eq) = match &trace.events[i] {

@@ -100,9 +100,9 @@ use homc::{
     bench_diff, check_evidence, fold_trace, ledger_record, parse_threshold, progress_complete,
     regress, render_batch_json, render_explain, render_history, render_report, render_top,
     run_batch, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify,
-    ArtifactConfig, BatchJob, BatchOptions, DiffOptions, DiskFault, EvidenceConfig, EvidenceStore,
-    Expected, Fault, FaultPlan, JobFault, JobStatus, Ledger, Metrics, RunRecord, Tracer,
-    TrendOptions, Verdict, VerifierOptions, VerifyStats,
+    ArtifactConfig, BatchJob, BatchOptions, Counts, DiffOptions, DiskFault, EvidenceConfig,
+    EvidenceStore, Expected, Fault, FaultPlan, JobFault, JobStatus, Ledger, Metrics, RunRecord,
+    Surface, Tracer, TrendOptions, Verdict, VerifierOptions, VerifyStats,
 };
 
 // The binary (not the library) installs the counting allocator: tests and
@@ -111,6 +111,9 @@ use homc::{
 // per-phase heap watermarks.
 #[global_allocator]
 static COUNTING_ALLOC: homc_metrics::mem::CountingAlloc = homc_metrics::mem::CountingAlloc::new();
+
+/// Indent of the `--stats` lines under a program's line (past its name).
+const STATS_INDENT: &str = "             ";
 
 fn fmt_d(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
@@ -206,38 +209,8 @@ fn run_one(
             // inspecting (what was it doing when the budget hit?), so its
             // partial counters are surfaced even without --stats.
             if show_stats || status == RunStatus::Unknown {
-                say(format_args!(
-                    "{:12} smt={} cache={}/{} worklist_pops={} rescans_avoided={} \
-                     cuts_sliced={} cert_reuse={} fm_prefix={}",
-                    "",
-                    out.stats.smt_queries,
-                    out.stats.cache_hits,
-                    out.stats.cache_misses,
-                    out.stats.worklist_pops,
-                    out.stats.rescans_avoided,
-                    out.stats.cuts_sliced,
-                    out.stats.cert_reuse_hits,
-                    out.stats.fm_prefix_hits,
-                ));
-                say(format_args!(
-                    "{:12} abs_defs_reused={} abs_defs_rebuilt={} abs_implicants={} \
-                     abs_queries_saved={} abs_ctx_truncated={} preds_dead={}",
-                    "",
-                    out.stats.abs_defs_reused,
-                    out.stats.abs_defs_rebuilt,
-                    out.stats.abs_implicants,
-                    out.stats.abs_queries_saved,
-                    out.stats.abs_ctx_truncated,
-                    out.stats.preds_dead,
-                ));
-                say(format_args!(
-                    "{:12} reverify_defs_skipped={} reverify_preds_seeded={} \
-                     artifact_quarantine={}",
-                    "",
-                    out.stats.reverify_defs_skipped,
-                    out.stats.reverify_preds_seeded,
-                    out.stats.artifact_quarantine,
-                ));
+                let counts = out.stats.counts().render(Surface::Stats, STATS_INDENT);
+                say(format_args!("{}", counts.trim_end()));
                 if out.stats.evidence_digest != 0 {
                     say(format_args!(
                         "{:12} evidence_digest={:016x}",
@@ -258,8 +231,8 @@ fn run_one(
             }
             if show_stats {
                 if let Some(before) = &metrics_before {
-                    let delta = opts.metrics.snapshot().delta(before);
-                    let rendered = delta.render("             ");
+                    let delta = opts.metrics.snapshot().delta(before).registry_only();
+                    let rendered = delta.render(STATS_INDENT);
                     if !rendered.is_empty() {
                         say(format_args!("{}", rendered.trim_end()));
                     }
@@ -1539,7 +1512,7 @@ fn main() -> ExitCode {
         let suite_start = Instant::now();
         let (mut passed, mut failed, mut unknown) = (0usize, 0usize, 0usize);
         let mut wall = Duration::ZERO;
-        let mut totals = VerifyStats::default();
+        let mut totals = Counts::default();
         let mut ledger_records: Vec<RunRecord> = Vec::new();
         for (i, p) in programs.iter().enumerate() {
             let mut per = opts.clone();
@@ -1571,24 +1544,8 @@ fn main() -> ExitCode {
                     None,
                 ));
             }
-            if let Some(s) = report.stats {
-                totals.smt_queries += s.smt_queries;
-                totals.cache_hits += s.cache_hits;
-                totals.cache_misses += s.cache_misses;
-                totals.worklist_pops += s.worklist_pops;
-                totals.rescans_avoided += s.rescans_avoided;
-                totals.cuts_sliced += s.cuts_sliced;
-                totals.cert_reuse_hits += s.cert_reuse_hits;
-                totals.fm_prefix_hits += s.fm_prefix_hits;
-                totals.abs_defs_reused += s.abs_defs_reused;
-                totals.abs_defs_rebuilt += s.abs_defs_rebuilt;
-                totals.abs_implicants += s.abs_implicants;
-                totals.abs_queries_saved += s.abs_queries_saved;
-                totals.abs_ctx_truncated += s.abs_ctx_truncated;
-                totals.reverify_defs_skipped += s.reverify_defs_skipped;
-                totals.reverify_preds_seeded += s.reverify_preds_seeded;
-                totals.artifact_quarantine += s.artifact_quarantine;
-                totals.preds_dead += s.preds_dead;
+            if let Some(s) = &report.stats {
+                totals.merge(&s.counts());
             }
         }
         progress.emit("batch_end", |e| {
@@ -1602,42 +1559,10 @@ fn main() -> ExitCode {
             "passed {passed}, failed {failed}, unknown {unknown}  wall={}",
             fmt_d(wall)
         ));
-        let lookups = totals.cache_hits + totals.cache_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            100.0 * totals.cache_hits as f64 / lookups as f64
-        };
         say(format_args!(
-            "smt queries {}, cache hits {}/{} ({hit_rate:.0}%), worklist pops {}, rescans avoided {}",
-            totals.smt_queries,
-            totals.cache_hits,
-            lookups,
-            totals.worklist_pops,
-            totals.rescans_avoided,
+            "suite totals:\n{}",
+            totals.render(Surface::Stats, "  ").trim_end()
         ));
-        say(format_args!(
-            "refinement fast path: cuts sliced {}, cert reuse {}, fm prefix hits {}",
-            totals.cuts_sliced, totals.cert_reuse_hits, totals.fm_prefix_hits,
-        ));
-        say(format_args!(
-            "incremental abstraction: defs reused {}, rebuilt {}, implicants {}, \
-             queries saved {}, ctx truncated {}, preds dead {}",
-            totals.abs_defs_reused,
-            totals.abs_defs_rebuilt,
-            totals.abs_implicants,
-            totals.abs_queries_saved,
-            totals.abs_ctx_truncated,
-            totals.preds_dead,
-        ));
-        if cli.artifacts_dir.is_some() {
-            say(format_args!(
-                "cross-run reverify: defs skipped {}, preds seeded {}, quarantined {}",
-                totals.reverify_defs_skipped,
-                totals.reverify_preds_seeded,
-                totals.artifact_quarantine,
-            ));
-        }
         if let Some(dir) = &cli.ledger {
             append_ledger(dir, "suite", ledger_records);
         }

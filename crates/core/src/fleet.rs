@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_metrics::Surface;
 use homc_serve::RunRecord;
 use homc_trace::{parse_json, stable_hash64, JsonValue};
 
@@ -194,34 +195,23 @@ pub fn render_top(stream: &str) -> String {
     out
 }
 
-/// The counter snapshot a ledger record carries: every headline effort
-/// counter of [`VerifyStats`], keyed by its `--stats` spelling.
+/// The counter snapshot a ledger record carries: the run's headline facts
+/// plus every [`Surface::Ledger`] counter, keyed by its `--stats` name.
 pub fn stats_counters(stats: &VerifyStats) -> BTreeMap<String, u64> {
-    let mut m = BTreeMap::new();
-    let mut put = |k: &str, v: u64| {
-        m.insert(k.to_string(), v);
-    };
-    put("cycles", stats.cycles as u64);
-    put("predicates", stats.predicates as u64);
-    put("final_hbp_size", stats.final_hbp_size as u64);
-    put("retries", stats.retries as u64);
-    put("smt_queries", stats.smt_queries as u64);
-    put("cache_hits", stats.cache_hits);
-    put("cache_misses", stats.cache_misses);
-    put("disk_hits", stats.disk_hits);
-    put("cuts_sliced", stats.cuts_sliced as u64);
-    put("cert_reuse_hits", stats.cert_reuse_hits as u64);
-    put("fm_prefix_hits", stats.fm_prefix_hits);
-    put("worklist_pops", stats.worklist_pops as u64);
-    put("rescans_avoided", stats.rescans_avoided as u64);
-    put("abs_defs_reused", stats.abs_defs_reused as u64);
-    put("abs_defs_rebuilt", stats.abs_defs_rebuilt as u64);
-    put("abs_implicants", stats.abs_implicants as u64);
-    put("abs_queries_saved", stats.abs_queries_saved as u64);
-    put("abs_ctx_truncated", stats.abs_ctx_truncated as u64);
-    put("preds_dead", stats.preds_dead);
-    put("evidence_digest", stats.evidence_digest);
-    m
+    let facts = [
+        ("cycles", stats.cycles as u64),
+        ("predicates", stats.predicates as u64),
+        ("final_hbp_size", stats.final_hbp_size as u64),
+        ("retries", stats.retries as u64),
+        ("evidence_digest", stats.evidence_digest),
+    ];
+    let counts = stats.counts();
+    let counters = counts.on(Surface::Ledger).map(|(c, v)| (c.name(), v));
+    facts
+        .into_iter()
+        .chain(counters)
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
 }
 
 /// Builds one ledger record from a settled run. `schema`, `run` and `kind`

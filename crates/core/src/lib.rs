@@ -60,7 +60,7 @@ pub use homc_budget::{
 pub use homc_metrics::{
     diff::{bench_diff, parse_threshold, trace_diff, DiffOptions, DiffReport, Threshold},
     profile::{fold_trace, validate_folded, Profile},
-    Counter, Hist, Metrics, Snapshot,
+    Agg, Counter, Counts, Hist, Metrics, Snapshot, Surface, COUNTERS,
 };
 pub use homc_serve::{
     regress, render_history, seed_cache, DiskCache, DiskFault, Ledger, LedgerLoad, LoadReport,
@@ -68,8 +68,8 @@ pub use homc_serve::{
 };
 pub use homc_smt::{CancelToken, QueryCache};
 pub use homc_trace::{
-    parse_json, render_report, stable_hash64, validate_line, validate_trace, JsonValue,
-    SchemaError, Tracer,
+    escape_json, parse_json, render_report, stable_hash64, validate_line, validate_trace,
+    JsonValue, SchemaError, Tracer,
 };
 pub use evcheck::{check_evidence, render_explain, EvidenceCheck};
 pub use suite::{Expected, SuiteProgram, SUITE};

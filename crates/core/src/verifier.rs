@@ -22,6 +22,7 @@
 //! (search steps, table size, trace fuel — not the deadline) stopped the
 //! run, the loop restarts once with limits scaled ×4 before giving up.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,25 +33,25 @@ use std::time::{Duration, Instant};
 
 use homc_abs::{
     abstract_program_incremental, abstract_program_metered, abstract_program_with_oracle, AbsEnv,
-    AbsError, AbsOptions, AbsTy, TransitionMemo,
+    AbsError, AbsOptions, AbsStats, AbsTy, TransitionMemo,
 };
 use homc_cegar::{
     build_trace_budgeted, refine_env_traced, seed_env, Feasibility, RefineError, RefineOptions,
-    TraceEnd, TraceError,
+    Refinement, TraceEnd, TraceError,
 };
-use homc_hbp::check::{CheckError, CheckLimits, Checker};
+use homc_hbp::check::{CheckError, CheckLimits, CheckStats, Checker};
 use homc_hbp::{find_error_path, source_labels, BProgram, Bits, FunName, Typing};
 use homc_lang::eval::Label;
 use homc_lang::manifest::Manifest;
 use homc_lang::{frontend, Compiled};
-use homc_metrics::{mem, Counter, Hist, Metrics};
+use homc_metrics::{counter_table, mem, Agg, Counter, Counts, Hist, Metrics, Surface, COUNTERS};
 use homc_serve::{
     Artifact, ArtifactStore, Evidence, EvidenceStore, EvidenceVerdict, ProvenanceRecord,
     SafeEvidence,
 };
 use homc_smt::{
-    prove_unsat, Budget, BudgetError, CancelToken, FaultPlan, LimitKind, Phase, QueryCache,
-    SmtSolver, UnsatProof,
+    prove_unsat, Budget, BudgetError, CacheStats, CancelToken, FaultPlan, LimitKind, Phase,
+    QueryCache, SmtSolver, UnsatProof,
 };
 use homc_smt::{Formula, Var};
 use homc_trace::Tracer;
@@ -266,101 +267,80 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Per-phase timing and effort statistics (the columns of the paper's
-/// Table 1).
-#[derive(Clone, Debug, Default)]
-pub struct VerifyStats {
-    /// CEGAR cycles (the paper's column C).
-    pub cycles: usize,
-    /// Time computing abstract programs (column `abst`).
-    pub abst: Duration,
-    /// Time model-checking boolean programs (column `mc`).
-    pub mc: Duration,
-    /// Time in feasibility checking + predicate discovery (column `cegar`).
-    pub cegar: Duration,
-    /// Total wall-clock time (column `total`).
-    pub total: Duration,
-    /// Total predicates in the final abstraction-type environment.
-    pub predicates: usize,
-    /// Size of the final boolean program (AST nodes).
-    pub final_hbp_size: usize,
-    /// Number of full-loop restarts after a retryable budget exhaustion.
-    pub retries: usize,
-    /// SMT queries issued across the whole run: every query-cache lookup in
-    /// any table (solver checks, interpolation cubes, cube-pair
-    /// interpolants, rational cores), so `cache_hits + cache_misses ==
-    /// smt_queries` exactly.
-    pub smt_queries: usize,
-    /// Query-cache hits across the whole run (all tables).
-    pub cache_hits: u64,
-    /// Query-cache misses across the whole run (all tables).
-    pub cache_misses: u64,
-    /// Refinement cut points answered trivially because no refuting
-    /// component of the sliced path condition crossed them.
-    pub cuts_sliced: usize,
-    /// Refinement cut points whose interpolant was derived from a shared
-    /// Farkas certificate (one refutation, many cuts).
-    pub cert_reuse_hits: usize,
-    /// Fourier–Motzkin eliminations skipped because the rational core of a
-    /// query was already in the certificate cache.
-    pub fm_prefix_hits: u64,
-    /// Cache hits answered by entries seeded from the persistent disk tier
-    /// (0 for cold runs and runs without a disk cache).
-    pub disk_hits: u64,
-    /// Model-checker worklist pops (definitions re-searched), summed over
-    /// iterations.
-    pub worklist_pops: usize,
-    /// Definition re-scans the worklist avoided versus a round-based sweep,
-    /// summed over iterations.
-    pub rescans_avoided: usize,
-    /// Peak live heap bytes over the run. All `peak_*` fields read the
-    /// process's counting allocator and are 0 when none is installed (the
-    /// `homc` and `table1` binaries install it; the test harness does not).
-    pub peak_bytes: u64,
-    /// Peak live heap bytes observed while the abstraction phase allocated.
-    pub peak_abs_bytes: u64,
-    /// Peak live heap bytes observed while the model checker allocated.
-    pub peak_mc_bytes: u64,
-    /// Peak live heap bytes observed while feasibility replay allocated.
-    pub peak_feas_bytes: u64,
-    /// Peak live heap bytes observed while interpolation allocated.
-    pub peak_interp_bytes: u64,
-    /// Definitions whose abstraction was reused verbatim from the
-    /// transition memo (cone fingerprint unchanged), summed over
-    /// iterations. First-time builds count neither as reused nor rebuilt.
-    pub abs_defs_reused: usize,
-    /// Definitions re-abstracted because their cone fingerprint changed,
-    /// summed over iterations.
-    pub abs_defs_rebuilt: usize,
-    /// Feasible implicants emitted by the model-guided enumeration, summed
-    /// over iterations.
-    pub abs_implicants: usize,
-    /// Abstraction SMT queries avoided (model-coverage skips plus the
-    /// recorded cost of memo-reused definitions), summed over iterations.
-    pub abs_queries_saved: usize,
-    /// Context components dropped by the `max_context_atoms` precision cap,
-    /// summed over iterations (includes the recorded drops of memo-reused
-    /// definitions).
-    pub abs_ctx_truncated: usize,
-    /// Definitions whose abstraction was replayed from a prior run's
-    /// persisted artifact before the first iteration (manifest cone
-    /// unchanged across the edit). 0 for cold runs.
-    pub reverify_defs_skipped: usize,
-    /// Predicates seeded into the initial environment from a prior run's
-    /// winning abstraction types. 0 for cold runs.
-    pub reverify_preds_seeded: usize,
-    /// Artifact files rejected by integrity checks and quarantined while
-    /// loading (at most 1 per run).
-    pub artifact_quarantine: u64,
-    /// Predicate components of the final environment that the final
-    /// boolean program never projects — installed but unread ("dead").
-    /// Conservative: components in higher-order positions always count as
-    /// live (their reads are indirect through closure wrappers).
-    pub preds_dead: u64,
-    /// FNV-1a digest of the evidence this run exported (0 when evidence
-    /// was not requested or the verdict was not decisive).
-    pub evidence_digest: u64,
+/// Declares [`VerifyStats`] with one field per run counter of the counter
+/// table ([`homc_metrics::counter_table!`]), and [`absorb`], which reads a
+/// phase result's counters by the table's source column.
+macro_rules! verify_stats {
+    (
+        registry { $($registry:tt)* }
+        run { $(
+            $v:ident $name:ident : $ty:ty = $agg:ident $(($src:ident . $($field:tt)+))?
+                [$($surface:ident),*] $help:literal;
+        )* }
+    ) => {
+        /// Per-phase timing and effort statistics (the columns of the
+        /// paper's Table 1), then one field per run counter of the counter
+        /// table.
+        #[derive(Clone, Debug, Default)]
+        pub struct VerifyStats {
+            /// CEGAR cycles (the paper's column C).
+            pub cycles: usize,
+            /// Time computing abstract programs (column `abst`).
+            pub abst: Duration,
+            /// Time model-checking boolean programs (column `mc`).
+            pub mc: Duration,
+            /// Time in feasibility checking + predicate discovery (`cegar`).
+            pub cegar: Duration,
+            /// Total wall-clock time (column `total`).
+            pub total: Duration,
+            /// Total predicates in the final abstraction-type environment.
+            pub predicates: usize,
+            /// Size of the final boolean program (AST nodes).
+            pub final_hbp_size: usize,
+            /// Full-loop restarts after a retryable budget exhaustion.
+            pub retries: usize,
+            /// Peak live heap bytes over the run. The `peak_*` fields read
+            /// the counting allocator and are 0 when none is installed (the
+            /// `homc` and `table1` binaries install it; tests do not).
+            pub peak_bytes: u64,
+            /// Peak live heap bytes while the abstraction phase allocated.
+            pub peak_abs_bytes: u64,
+            /// Peak live heap bytes while the model checker allocated.
+            pub peak_mc_bytes: u64,
+            /// Peak live heap bytes while feasibility replay allocated.
+            pub peak_feas_bytes: u64,
+            /// Peak live heap bytes while interpolation allocated.
+            pub peak_interp_bytes: u64,
+            /// FNV-1a digest of the exported evidence (0 when evidence was
+            /// not requested or the verdict was not decisive).
+            pub evidence_digest: u64,
+            $( #[doc = $help] pub $name: $ty, )*
+        }
+
+        impl VerifyStats {
+            /// The run counters as one record, indexed by [`Counter`].
+            pub fn counts(&self) -> Counts {
+                let mut c = Counts::default();
+                $( c.set(Counter::$v, self.$name as u64); )*
+                c
+            }
+
+            fn set_counts(&mut self, c: &Counts) {
+                $( self.$name = c.get(Counter::$v) as $ty; )*
+            }
+        }
+
+        /// Adds the counters a phase result carries (an [`AbsStats`],
+        /// [`CheckStats`], [`Refinement`] or [`CacheStats`] delta) to `rec`.
+        fn absorb(rec: &mut Counts, result: &dyn Any) {
+            $( $( if let Some(r) = result.downcast_ref::<$src>() {
+                rec.add(Counter::$v, r.$($field)+ as u64);
+            } )? )*
+        }
+    };
 }
+
+counter_table!(verify_stats);
 
 /// The result of a verification run.
 #[derive(Clone, Debug)]
@@ -447,10 +427,6 @@ struct IterRecord {
     hbp_terms: usize,
     /// Intersection typings derived by saturation.
     typings: usize,
-    /// Worklist pops this iteration.
-    pops: usize,
-    /// Re-scans avoided this iteration.
-    rescans: usize,
     /// Counterexample length (source-level labels), 0 when none was found.
     cex_len: usize,
     /// Predicates discovered by interpolation this iteration.
@@ -461,33 +437,8 @@ struct IterRecord {
     new_ho: usize,
     /// Largest interpolant (formula nodes) solved this iteration.
     interp_size_max: usize,
-    /// Abstraction-phase SMT queries this iteration (the trace's historical
-    /// `smt_queries` field keeps this meaning).
-    abs_queries: usize,
-    /// Cut points answered trivially by path slicing this iteration.
-    cuts_sliced: usize,
-    /// Cut points solved from a shared Farkas certificate this iteration.
-    cert_reuse_hits: usize,
-    /// Definitions reused verbatim from the transition memo this iteration.
-    abs_defs_reused: usize,
-    /// Definitions re-abstracted (stale cone fingerprint) this iteration.
-    abs_defs_rebuilt: usize,
-    /// Feasible implicants emitted by model-guided enumeration this
-    /// iteration.
-    abs_implicants: usize,
-    /// Abstraction queries avoided this iteration.
-    abs_queries_saved: usize,
-    /// Context components dropped by the precision cap this iteration.
-    abs_ctx_truncated: usize,
-    /// Definitions replayed from a persisted artifact (iteration 0 only).
-    reverify_defs_skipped: usize,
-    /// Predicates seeded from a persisted artifact (iteration 0 only).
-    reverify_preds_seeded: usize,
-    /// Artifact files quarantined while loading (iteration 0 only).
-    artifact_quarantine: u64,
-    /// Dead predicate components of this iteration's abstraction (installed
-    /// in the environment, never projected by the boolean program).
-    preds_dead: u64,
+    /// This iteration's run counters.
+    counts: Counts,
 }
 
 /// The model checker's final state at a Safe verdict — the pieces the
@@ -669,18 +620,21 @@ pub fn verify_compiled(
     // change its verdict (see DESIGN.md §"Cross-run incremental
     // verification" for the soundness argument).
     let manifest = opts.artifacts.as_ref().map(|_| Manifest::of(&compiled.cps));
+    // The seeding counters are credited to the first iteration's record.
+    // The stores are left without the registry: the run counter
+    // `artifact_quarantine` reaches it when the run ends.
+    let mut seeded = Counts::default();
+    let mut run = Counts::default();
     let mut store = None;
     let mut prior_interp = Vec::new();
     if let (Some(cfg), Some(manifest)) = (&opts.artifacts, &manifest) {
-        let s = ArtifactStore::new(&cfg.dir).with_metrics(metrics.clone());
+        let s = ArtifactStore::new(&cfg.dir);
         if let Ok(load) = s.load(&cfg.key) {
-            if load.quarantined {
-                stats.artifact_quarantine += 1;
-            }
+            seeded.add(Counter::ArtifactQuarantine, u64::from(load.quarantined));
             if let Some(prior) = load.artifact {
                 let unchanged = prior.manifest.unchanged_defs(manifest);
-                stats.reverify_preds_seeded =
-                    seed_env(&mut env, &prior.env, &compiled.cps, &unchanged);
+                let preds = seed_env(&mut env, &prior.env, &compiled.cps, &unchanged);
+                seeded.add(Counter::ReverifyPredsSeeded, preds as u64);
                 // Memo replay only helps the incremental abstraction path;
                 // the oracle path rebuilds everything regardless.
                 if opts.incremental_abs {
@@ -694,7 +648,7 @@ pub fn verify_compiled(
                             main_unchanged
                         };
                         if replay && memo.seed_entry(&compiled.cps, entry) {
-                            stats.reverify_defs_skipped += 1;
+                            seeded.add(Counter::ReverifyDefsSkipped, 1);
                         }
                     }
                 }
@@ -710,18 +664,6 @@ pub fn verify_compiled(
         // An unreadable store directory cold-starts silently; the publish
         // at the end of the run surfaces persistent I/O problems.
         store = Some(s);
-    }
-    if stats.reverify_defs_skipped > 0 {
-        metrics.add(
-            Counter::ReverifyDefsSkipped,
-            stats.reverify_defs_skipped as u64,
-        );
-    }
-    if stats.reverify_preds_seeded > 0 {
-        metrics.add(
-            Counter::ReverifyPredsSeeded,
-            stats.reverify_preds_seeded as u64,
-        );
     }
     // Evidence accumulators, filled where the facts are produced: predicate
     // provenance as refinement installs predicates, and — at a Safe verdict
@@ -743,20 +685,14 @@ pub fn verify_compiled(
             stats.cycles = iteration + 1;
             let iter_start = Instant::now();
             mem::window_reset();
-            let (hits0, misses0, rat_hits0, fuel0) = if tracer.enabled() {
-                let cs = cache.stats();
-                (cs.hits(), cs.misses(), cs.rat_hits, budget.fuel_used())
-            } else {
-                (0, 0, 0, 0)
-            };
+            let cache0 = cache.stats();
+            let fuel0 = budget.fuel_used();
             let mut rec = IterRecord::default();
             if iteration == 0 && stats.retries == 0 {
                 // Cross-run seeding happened once, before the loop; credit
                 // it to the first iteration's record so the trace carries it
                 // (and an escalation retry does not re-report it).
-                rec.reverify_defs_skipped = stats.reverify_defs_skipped;
-                rec.reverify_preds_seeded = stats.reverify_preds_seeded;
-                rec.artifact_quarantine = stats.artifact_quarantine;
+                rec.counts = seeded;
             }
             let outcome = trap_panics(|| {
                 run_iteration(
@@ -777,12 +713,14 @@ pub fn verify_compiled(
                     &mut safe_inv,
                 )
             });
+            let cache_delta = cache.stats().delta(&cache0);
+            absorb(&mut rec.counts, &cache_delta);
+            run.fold(&rec.counts);
             metrics.observe_dur(Hist::IterUs, iter_start);
             metrics.observe(Hist::HbpRules, rec.hbp_rules as u64);
             metrics.observe(Hist::HbpTerms, rec.hbp_terms as u64);
             if tracer.enabled() {
                 emit_injected_fault(&tracer, &outcome);
-                let cs = cache.stats();
                 let tag = outcome_tag(&outcome);
                 let by_fun = preds_by_binding(&env);
                 tracer.emit("iter", |e| {
@@ -793,73 +731,23 @@ pub fn verify_compiled(
                         .num("hbp_rules", rec.hbp_rules as u64)
                         .num("hbp_terms", rec.hbp_terms as u64)
                         .num("typings", rec.typings as u64)
-                        .num("pops", rec.pops as u64)
-                        .num("rescans", rec.rescans as u64)
+                        .num("pops", rec.counts.get(Counter::WorklistPops))
+                        .num("rescans", rec.counts.get(Counter::RescansAvoided))
                         .num("cex_len", rec.cex_len as u64)
                         .num("new_interp", rec.new_interp as u64)
                         .num("new_seeded", rec.new_seeded as u64)
                         .num("new_ho", rec.new_ho as u64)
                         .num("interp_size_max", rec.interp_size_max as u64)
-                        .num("smt_queries", rec.abs_queries as u64)
-                        .num("cache_hits", cs.hits() - hits0)
-                        .num("cache_misses", cs.misses() - misses0)
                         .num("fuel", budget.fuel_used() - fuel0)
                         .num("dur_us", tracer.dur_us(iter_start));
-                    // Fast-path counters postdate the golden traces: emit
-                    // them only when nonzero so unaffected runs stay
-                    // byte-identical.
-                    if rec.cuts_sliced > 0 {
-                        e.num("cuts_sliced", rec.cuts_sliced as u64);
+                    for (c, v) in rec.counts.on(Surface::Iter) {
+                        e.num(c.name(), v);
                     }
-                    if rec.cert_reuse_hits > 0 {
-                        e.num("cert_reuse_hits", rec.cert_reuse_hits as u64);
-                    }
-                    // Incremental-abstraction counters, same nonzero-only
-                    // policy (they postdate the golden traces too).
-                    if rec.abs_defs_reused > 0 {
-                        e.num("abs_defs_reused", rec.abs_defs_reused as u64);
-                    }
-                    if rec.abs_defs_rebuilt > 0 {
-                        e.num("abs_defs_rebuilt", rec.abs_defs_rebuilt as u64);
-                    }
-                    if rec.abs_implicants > 0 {
-                        e.num("abs_implicants", rec.abs_implicants as u64);
-                    }
-                    if rec.abs_queries_saved > 0 {
-                        e.num("abs_queries_saved", rec.abs_queries_saved as u64);
-                    }
-                    if rec.abs_ctx_truncated > 0 {
-                        e.num("abs_ctx_truncated", rec.abs_ctx_truncated as u64);
-                    }
-                    // Dead-predicate census, same nonzero-only policy (it
-                    // postdates the golden traces).
-                    if rec.preds_dead > 0 {
-                        e.num("preds_dead", rec.preds_dead);
-                    }
-                    // Cross-run seeding counters (first iteration only),
-                    // same nonzero-only policy: cold runs and artifact-free
-                    // runs emit byte-identical iter events.
-                    if rec.reverify_defs_skipped > 0 {
-                        e.num("reverify_defs_skipped", rec.reverify_defs_skipped as u64);
-                    }
-                    if rec.reverify_preds_seeded > 0 {
-                        e.num("reverify_preds_seeded", rec.reverify_preds_seeded as u64);
-                    }
-                    if rec.artifact_quarantine > 0 {
-                        e.num("artifact_quarantine", rec.artifact_quarantine);
-                    }
-                    if cs.rat_hits > rat_hits0 {
-                        e.num("fm_prefix_hits", cs.rat_hits - rat_hits0);
-                    }
-                    // Memory accounting postdates the golden traces and is
-                    // all-zero without the counting allocator (test
-                    // harness): emit only when the window saw real bytes.
                     // Heap watermarks are wall-like — they shift with argv
                     // length and ambient allocator state — so the logical
                     // clock omits them the same way it zeroes durations.
-                    let win_peak = mem::window_peak();
-                    if win_peak > 0 && !tracer.is_logical() {
-                        e.num("peak_bytes", win_peak);
+                    if mem::installed() && !tracer.is_logical() {
+                        e.num("peak_bytes", mem::window_peak());
                     }
                 });
             }
@@ -959,14 +847,11 @@ pub fn verify_compiled(
             if let Some(dir) = &cfg.dir {
                 // Publish failures are non-fatal: the evidence still rides
                 // on the outcome, and the verdict stands either way.
-                let estore = EvidenceStore::new(dir).with_metrics(metrics.clone());
+                let estore = EvidenceStore::new(dir);
                 let _ = estore.publish(&cfg.key, &ev);
             }
             evidence = Some(ev);
         }
-    }
-    if stats.preds_dead > 0 {
-        metrics.add(Counter::PredsDead, stats.preds_dead);
     }
     stats.total = start.elapsed();
     stats.predicates = env.fingerprint();
@@ -975,12 +860,14 @@ pub fn verify_compiled(
     stats.peak_mc_bytes = mem::phase_peak(Phase::Mc);
     stats.peak_feas_bytes = mem::phase_peak(Phase::Feas);
     stats.peak_interp_bytes = mem::phase_peak(Phase::Interp);
-    let cs = cache.stats().delta(&cache_start);
-    stats.smt_queries = cs.lookups() as usize;
-    stats.cache_hits = cs.hits();
-    stats.cache_misses = cs.misses();
-    stats.fm_prefix_hits = cs.rat_hits;
-    stats.disk_hits = cs.disk_hits;
+    let cache_delta = cache.stats().delta(&cache_start);
+    absorb(&mut run, &cache_delta);
+    stats.set_counts(&run);
+    // The registry takes its copy of each run counter from the run's value:
+    // one counting path per quantity.
+    for c in COUNTERS.into_iter().filter(|c| c.agg() != Agg::Registry) {
+        metrics.add(c, run.get(c));
+    }
     // Publish the artifact for the *next* run, but only on a decisive
     // verdict: an `Unknown` environment is mid-refinement noise, and
     // persisting it could keep a bad seed alive across edits. Seeded
@@ -1094,18 +981,7 @@ fn run_iteration(
     span("abs", t);
     let bp = match abs_result {
         Ok((bp, abs_stats)) => {
-            stats.smt_queries += abs_stats.sat_queries;
-            rec.abs_queries = abs_stats.sat_queries;
-            rec.abs_defs_reused = abs_stats.defs_reused;
-            rec.abs_defs_rebuilt = abs_stats.defs_rebuilt;
-            rec.abs_implicants = abs_stats.implicants;
-            rec.abs_queries_saved = abs_stats.queries_saved;
-            rec.abs_ctx_truncated = abs_stats.ctx_truncated;
-            stats.abs_defs_reused += abs_stats.defs_reused;
-            stats.abs_defs_rebuilt += abs_stats.defs_rebuilt;
-            stats.abs_implicants += abs_stats.implicants;
-            stats.abs_queries_saved += abs_stats.queries_saved;
-            stats.abs_ctx_truncated += abs_stats.ctx_truncated;
+            absorb(&mut rec.counts, &abs_stats);
             bp
         }
         Err(AbsError::Exhausted(e)) => return unknown(UnknownReason::Budget(e)),
@@ -1116,11 +992,11 @@ fn run_iteration(
     stats.final_hbp_size = bp.size();
     rec.hbp_rules = bp.defs.len();
     rec.hbp_terms = bp.size();
-    // Dead-predicate census for this iteration's abstraction; the run-level
-    // stat keeps the *final* iteration's value (the census of the winning
-    // environment against the winning boolean program).
-    rec.preds_dead = dead_predicates(env, &bp);
-    stats.preds_dead = rec.preds_dead;
+    // Dead-predicate census for this iteration's abstraction; the run keeps
+    // the *final* iteration's value (the census of the winning environment
+    // against the winning boolean program).
+    let dead = dead_predicates(env, &bp);
+    rec.counts.set(Counter::PredsDead, dead);
 
     // Step 2: higher-order model checking.
     pstart("mc");
@@ -1136,11 +1012,8 @@ fn run_iteration(
         checker.set_metrics(solver.metrics().clone());
         let saturated = checker.saturate();
         let cs = checker.stats();
-        stats.worklist_pops += cs.worklist_pops;
-        stats.rescans_avoided += cs.rescans_avoided;
+        absorb(&mut rec.counts, &cs);
         rec.typings = cs.typings;
-        rec.pops = cs.worklist_pops;
-        rec.rescans = cs.rescans_avoided;
         saturated?;
         if !checker.may_fail() {
             safe_checker = Some(checker);
@@ -1257,10 +1130,7 @@ fn run_iteration(
             rec.new_seeded = refinement.seeded;
             rec.new_ho = refinement.ho_updates.len();
             rec.interp_size_max = refinement.max_interp_size;
-            rec.cuts_sliced = refinement.cuts_sliced;
-            rec.cert_reuse_hits = refinement.cert_reuse_hits;
-            stats.cuts_sliced += refinement.cuts_sliced;
-            stats.cert_reuse_hits += refinement.cert_reuse_hits;
+            absorb(&mut rec.counts, &refinement);
             if !changed {
                 unknown(UnknownReason::NoProgress)
             } else {

@@ -18,19 +18,21 @@
 //! `--threshold total_s=2.0` covers every program while
 //! `--threshold totals.wall_s=1.25` pins the suite aggregate.
 //!
-//! `trace-diff` summarizes JSONL traces: counters summed from `iter`
-//! records plus event counts, and histogram summaries (p50/p90/max per
-//! [`crate::Hist`] vocabulary) rebuilt from the `smt`, `interp_cut`,
-//! `mc_round`, and `iter` events. `bench-diff` compares two table1
-//! `--json` baselines and first checks their `meta` headers (schema,
-//! suite, clock) — mismatches refuse to diff rather than produce noise.
+//! `trace-diff` summarizes JSONL traces: counters aggregated from `iter`
+//! records (every [`crate::Surface::Iter`] counter of the counter table,
+//! plus the records' fixed effort fields) and event counts, and histogram
+//! summaries (p50/p90/max per [`crate::Hist`] vocabulary) rebuilt from the
+//! `smt`, `interp_cut`, `mc_round`, and `iter` events. `bench-diff`
+//! compares two table1 `--json` baselines and first checks their `meta`
+//! headers (schema, suite, clock) — mismatches refuse to diff rather than
+//! produce noise.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use homc_trace::{parse_json, JsonValue};
 
-use crate::HistSnapshot;
+use crate::{Agg, HistSnapshot, Surface, COUNTERS};
 
 /// One gate rule: flag a metric when `new > old * ratio + slack`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,9 +164,10 @@ fn hist_metrics(metrics: &mut BTreeMap<String, f64>, name: &str, h: &HistSnapsho
     metrics.insert(format!("{name}.max"), h.max as f64);
 }
 
-/// Summarizes a JSONL trace into per-run metric maps. Counters are summed
-/// across `iter` records; histograms are rebuilt from the raw events using
-/// the [`crate::Hist`] vocabulary.
+/// Summarizes a JSONL trace into per-run metric maps. Counters aggregate
+/// across `iter` records (summed, or the last value of an [`Agg::Last`]
+/// counter); histograms are rebuilt from the raw events using the
+/// [`crate::Hist`] vocabulary.
 fn summarize_trace(trace: &str) -> Result<BTreeMap<String, ProgramSummary>, String> {
     let mut runs: BTreeMap<String, ProgramSummary> = BTreeMap::new();
     let mut current: Option<String> = None;
@@ -201,14 +204,19 @@ fn summarize_trace(trace: &str) -> Result<BTreeMap<String, ProgramSummary>, Stri
                     "rescans",
                     "new_interp",
                     "new_seeded",
-                    "smt_queries",
-                    "cache_hits",
-                    "cache_misses",
                     "fuel",
-                    "cuts_sliced",
-                    "cert_reuse_hits",
                 ] {
                     add(&mut run.metrics, key, f64_of(&v, key));
+                }
+                // Counters aggregate over iterations as the table says.
+                for c in COUNTERS.into_iter().filter(|c| c.shows(Surface::Iter)) {
+                    let x = f64_of(&v, c.name());
+                    match c.agg() {
+                        Agg::Last => {
+                            run.metrics.insert(c.name().to_string(), x);
+                        }
+                        _ => add(&mut run.metrics, c.name(), x),
+                    }
                 }
                 let peak = run.metrics.entry("peak_bytes".to_string()).or_insert(0.0);
                 *peak = peak.max(f64_of(&v, "peak_bytes"));

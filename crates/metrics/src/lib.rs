@@ -37,218 +37,272 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Monotone event counters, one slot per variant.
+/// The counter table: every counter homc reports, declared once.
+///
+/// Every counter is a family of the [`Metrics`] registry (`--metrics-out`).
+/// `registry` rows are bumped where they happen, straight into it. `run`
+/// rows are a verification run's counters. Each becomes a
+/// `homc::VerifyStats` field of the given type; it is recorded per CEGAR
+/// iteration, aggregated per run as its [`Agg`] says, and added to the
+/// registry when the run ends. When a phase result carries it, the
+/// parentheses name the result type and the field the verifier reads
+/// (`CacheStats` is the query cache's delta). The brackets list the other
+/// [`Surface`]s that show it, and the string is the help text.
+///
+/// The macro hands the rows to the macro named `$then`, which is how
+/// [`Counter`] and `homc::VerifyStats` are both derived from this one list:
+/// adding a counter is adding a row, plus the line that counts it.
+#[macro_export]
+macro_rules! counter_table {
+    ($then:ident) => {
+        $then! {
+            registry {
+                SmtSolves smt_solves "Queries the SMT solver actually solved";
+                InterpCuts interp_cuts "Interpolation cuts with a non-trivial interpolant";
+                McRounds mc_rounds "Model-checker worklist batches drained";
+                AbsDefs abs_defs "Definitions abstracted across all iterations";
+                JobsDone jobs_done "Batch jobs that ran to a verdict";
+                JobsRetried jobs_retried "Batch job attempts re-queued after retryable exhaustion";
+                JobsUnknown jobs_unknown "Batch jobs degraded to unknown";
+                DiskQuarantine disk_quarantine "Disk-cache segments quarantined by integrity checks";
+                LedgerQuarantine ledger_quarantine "Run-ledger files quarantined by integrity checks";
+                EvidenceEmitted evidence_emitted "Verdict-evidence files emitted";
+                CheckPass check_pass "Independent evidence checks that validated their verdict";
+                CheckFail check_fail "Independent evidence checks that rejected their evidence";
+            }
+            run {
+                SmtQueries smt_queries: usize = Cache(CacheStats.lookups())
+                    [Stats, Ledger, Iter, Table1] "Query-cache lookups in every table (hits + misses)";
+                CacheHits cache_hits: u64 = Cache(CacheStats.hits())
+                    [Stats, Ledger, Iter, Table1] "Query-cache lookups answered from the cache";
+                CacheMisses cache_misses: u64 = Cache(CacheStats.misses())
+                    [Stats, Ledger, Iter, Table1] "Query-cache lookups a decision procedure answered";
+                WorklistPops worklist_pops: usize = Sum(CheckStats.worklist_pops)
+                    [Stats, Ledger, Table1] "Definitions the model checker re-searched (iter key pops)";
+                RescansAvoided rescans_avoided: usize = Sum(CheckStats.rescans_avoided)
+                    [Stats, Ledger, Table1] "Re-scans the worklist saved over a round-based sweep (iter key rescans)";
+                CutsSliced cuts_sliced: usize = Sum(Refinement.cuts_sliced)
+                    [Stats, Ledger, Iter, Table1] "Refinement cuts settled trivially by path slicing";
+                CertReuseHits cert_reuse_hits: usize = Sum(Refinement.cert_reuse_hits)
+                    [Stats, Ledger, Iter, Table1] "Refinement cuts solved from a shared Farkas certificate";
+                RefineFallback refine_fallback: usize = Sum(Refinement.refine_fallback)
+                    [Stats, Ledger, Iter] "Refinements where the fast path declined and the per-cut engine ran";
+                FmPrefixHits fm_prefix_hits: u64 = Cache(CacheStats.rat_hits)
+                    [Stats, Ledger, Iter, Table1] "Fourier-Motzkin eliminations the rational-core cache skipped";
+                AbsDefsReused abs_defs_reused: usize = Sum(AbsStats.defs_reused)
+                    [Stats, Ledger, Iter, Table1] "Definitions reused verbatim from the transition memo";
+                AbsDefsRebuilt abs_defs_rebuilt: usize = Sum(AbsStats.defs_rebuilt)
+                    [Stats, Ledger, Iter, Table1] "Definitions re-abstracted after a cone fingerprint change";
+                AbsImplicants abs_implicants: usize = Sum(AbsStats.implicants)
+                    [Stats, Ledger, Iter, Table1] "Feasible implicants from model-guided enumeration";
+                AbsQueriesSaved abs_queries_saved: usize = Sum(AbsStats.queries_saved)
+                    [Stats, Ledger, Iter, Table1] "SMT queries avoided by incremental abstraction";
+                AbsCtxTruncated abs_ctx_truncated: usize = Sum(AbsStats.ctx_truncated)
+                    [Stats, Ledger, Iter, Table1] "Context components dropped by the context-atom cap";
+                DiskHits disk_hits: u64 = Cache(CacheStats.disk_hits)
+                    [Stats, Ledger, Iter] "Query-cache hits answered from the disk tier";
+                ReverifyDefsSkipped reverify_defs_skipped: usize = Sum
+                    [Stats, Ledger, Iter] "Definitions replayed from a prior run's persisted artifact";
+                ReverifyPredsSeeded reverify_preds_seeded: usize = Sum
+                    [Stats, Ledger, Iter] "Predicates seeded from a prior run's winning environment";
+                ArtifactQuarantine artifact_quarantine: u64 = Sum
+                    [Stats, Ledger, Iter] "Artifact files quarantined by integrity checks";
+                PredsDead preds_dead: u64 = Last
+                    [Stats, Ledger, Iter] "Final-environment predicate components the final boolean program never projects";
+            }
+        }
+    };
+}
+
+/// Declares a metric enum, the array of all its variants in table order,
+/// and each variant's display name and help text.
+macro_rules! metric_enum {
+    ($(#[$doc:meta])* $ty:ident, $all:ident { $( $v:ident $name:ident $help:literal; )* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $( #[doc = $help] $v, )*
+        }
+
+        /// All variants, in table order.
+        pub const $all: [$ty; [$(stringify!($v)),*].len()] = [$($ty::$v),*];
+
+        impl $ty {
+            const fn index(self) -> usize {
+                self as usize
+            }
+
+            /// The stable display name: the key on every surface and the
+            /// stem of the Prometheus family.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $ty::$v => stringify!($name), )*
+                }
+            }
+
+            /// One-line description, used as the Prometheus `# HELP` text.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $( $ty::$v => $help, )*
+                }
+            }
+        }
+    };
+}
+
+/// Declares [`Counter`] and [`COUNTERS`] from the rows of
+/// [`counter_table!`].
+macro_rules! define_counters {
+    (
+        registry { $( $rv:ident $rname:ident $rhelp:literal; )* }
+        run { $(
+            $v:ident $name:ident : $ty:ty = $agg:ident $(($($src:tt)+))? [$($surface:ident),*]
+                $help:literal;
+        )* }
+    ) => {
+        metric_enum! {
+            /// Every counter, one variant per row of [`counter_table!`].
+            Counter, COUNTERS {
+                $( $rv $rname $rhelp; )*
+                $( $v $name $help; )*
+            }
+        }
+
+        impl Counter {
+            /// `true` when `surface` shows this counter.
+            pub fn shows(self, surface: Surface) -> bool {
+                self.surfaces().contains(&surface)
+            }
+
+            /// How a run's value is formed.
+            pub fn agg(self) -> Agg {
+                match self {
+                    $( Counter::$rv => Agg::Registry, )*
+                    $( Counter::$v => Agg::$agg, )*
+                }
+            }
+
+            /// The surfaces besides the registry that show this counter.
+            fn surfaces(self) -> &'static [Surface] {
+                match self {
+                    $( Counter::$rv => &[], )*
+                    $( Counter::$v => &[$(Surface::$surface),*], )*
+                }
+            }
+        }
+    };
+}
+
+counter_table!(define_counters);
+
+/// How a counter's per-run value is formed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Counter {
-    /// Queries the SMT solver actually solved (cache misses + uncached).
-    SmtSolves,
-    /// Interpolation cut points that produced a non-trivial interpolant.
-    InterpCuts,
-    /// Model-checker worklist batches drained.
-    McRounds,
-    /// Definitions abstracted (every definition of every iteration).
-    AbsDefs,
-    /// Batch jobs that ran to a verdict (any verdict, including `Unknown`).
-    JobsDone,
-    /// Batch job attempts re-queued after retryable exhaustion.
-    JobsRetried,
-    /// Batch jobs degraded to `Unknown` (panic, exhaustion, cancellation).
-    JobsUnknown,
-    /// Query-cache hits answered from the persistent disk tier.
-    DiskHits,
-    /// Disk-cache segments quarantined by an integrity check (once per
-    /// segment, however many of its records were bad).
-    DiskQuarantine,
-    /// Definitions whose abstraction was reused verbatim from the
-    /// transition memo (cone fingerprint unchanged since the last build).
-    AbsDefsReused,
-    /// Definitions re-abstracted because a prior memo entry's cone
-    /// fingerprint changed (first-time builds count neither way).
-    AbsDefsRebuilt,
-    /// Feasible implicants emitted by the model-guided enumeration.
-    AbsImplicants,
-    /// SMT queries avoided by incremental abstraction: prefix probes
-    /// answered by an already-found model plus the recorded cost of every
-    /// memo-reused definition.
-    AbsQueriesSaved,
-    /// Relevant context components dropped by the `max_context_atoms` cap
-    /// while selecting guard predicates (a precision, not soundness, loss).
-    AbsCtxTruncated,
-    /// Run-ledger files quarantined by an integrity check.
-    LedgerQuarantine,
-    /// Definitions whose abstraction was replayed from a prior run's
-    /// persisted artifact (cross-run incremental re-verification).
-    ReverifyDefsSkipped,
-    /// Predicates seeded into the initial environment from a prior run's
-    /// winning predicate environment.
-    ReverifyPredsSeeded,
-    /// Artifact- or evidence-store files quarantined by an integrity check
-    /// (the run degrades to the cold path, or the certificate is rejected).
-    ArtifactQuarantine,
-    /// Verdict-evidence files emitted (one per decisive run with an
-    /// evidence directory configured).
-    EvidenceEmitted,
-    /// Independent evidence checks that validated their verdict.
-    CheckPass,
-    /// Independent evidence checks that rejected their evidence.
-    CheckFail,
-    /// Predicate-scheme components of the final environment never projected
-    /// by the final boolean program (dead predicates).
-    PredsDead,
+pub enum Agg {
+    /// Bumped straight into the registry where it happens; no run value.
+    Registry,
+    /// Summed over the run's CEGAR iterations.
+    Sum,
+    /// The run's last iteration's value.
+    Last,
+    /// The run's query-cache delta, which also covers the evidence replay
+    /// after the loop (an iteration's record holds its own delta).
+    Cache,
 }
 
-/// All counters, in display order.
-pub const COUNTERS: [Counter; 22] = [
-    Counter::SmtSolves,
-    Counter::InterpCuts,
-    Counter::McRounds,
-    Counter::AbsDefs,
-    Counter::JobsDone,
-    Counter::JobsRetried,
-    Counter::JobsUnknown,
-    Counter::DiskHits,
-    Counter::DiskQuarantine,
-    Counter::AbsDefsReused,
-    Counter::AbsDefsRebuilt,
-    Counter::AbsImplicants,
-    Counter::AbsQueriesSaved,
-    Counter::AbsCtxTruncated,
-    Counter::LedgerQuarantine,
-    Counter::ReverifyDefsSkipped,
-    Counter::ReverifyPredsSeeded,
-    Counter::ArtifactQuarantine,
-    Counter::EvidenceEmitted,
-    Counter::CheckPass,
-    Counter::CheckFail,
-    Counter::PredsDead,
-];
-
-impl Counter {
-    const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The stable display name (used by `--stats` and the diff tools).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SmtSolves => "smt_solves",
-            Counter::InterpCuts => "interp_cuts",
-            Counter::McRounds => "mc_rounds",
-            Counter::AbsDefs => "abs_defs",
-            Counter::JobsDone => "jobs_done",
-            Counter::JobsRetried => "jobs_retried",
-            Counter::JobsUnknown => "jobs_unknown",
-            Counter::DiskHits => "disk_hits",
-            Counter::DiskQuarantine => "disk_quarantine",
-            Counter::AbsDefsReused => "abs_defs_reused",
-            Counter::AbsDefsRebuilt => "abs_defs_rebuilt",
-            Counter::AbsImplicants => "abs_implicants",
-            Counter::AbsQueriesSaved => "abs_queries_saved",
-            Counter::AbsCtxTruncated => "abs_ctx_truncated",
-            Counter::LedgerQuarantine => "ledger_quarantine",
-            Counter::ReverifyDefsSkipped => "reverify_defs_skipped",
-            Counter::ReverifyPredsSeeded => "reverify_preds_seeded",
-            Counter::ArtifactQuarantine => "artifact_quarantine",
-            Counter::EvidenceEmitted => "evidence_emitted",
-            Counter::CheckPass => "check_pass",
-            Counter::CheckFail => "check_fail",
-            Counter::PredsDead => "preds_dead",
-        }
-    }
-
-    /// One-line description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::SmtSolves => "Queries the SMT solver actually solved",
-            Counter::InterpCuts => "Interpolation cuts with a non-trivial interpolant",
-            Counter::McRounds => "Model-checker worklist batches drained",
-            Counter::AbsDefs => "Definitions abstracted across all iterations",
-            Counter::JobsDone => "Batch jobs that ran to a verdict",
-            Counter::JobsRetried => "Batch job attempts re-queued after retryable exhaustion",
-            Counter::JobsUnknown => "Batch jobs degraded to unknown",
-            Counter::DiskHits => "Query-cache hits answered from the disk tier",
-            Counter::DiskQuarantine => "Disk-cache segments quarantined by integrity checks",
-            Counter::AbsDefsReused => "Definitions reused verbatim from the transition memo",
-            Counter::AbsDefsRebuilt => "Definitions re-abstracted after a cone fingerprint change",
-            Counter::AbsImplicants => "Feasible implicants from model-guided enumeration",
-            Counter::AbsQueriesSaved => "SMT queries avoided by incremental abstraction",
-            Counter::AbsCtxTruncated => "Context components dropped by the context-atom cap",
-            Counter::LedgerQuarantine => "Run-ledger files quarantined by integrity checks",
-            Counter::ReverifyDefsSkipped => "Definitions replayed from a prior run's persisted artifact",
-            Counter::ReverifyPredsSeeded => "Predicates seeded from a prior run's winning environment",
-            Counter::ArtifactQuarantine => "Artifact- or evidence-store files quarantined by integrity checks",
-            Counter::EvidenceEmitted => "Verdict-evidence files emitted",
-            Counter::CheckPass => "Independent evidence checks that validated their verdict",
-            Counter::CheckFail => "Independent evidence checks that rejected their evidence",
-            Counter::PredsDead => "Final-environment predicate components never projected by the final boolean program",
-        }
-    }
-}
-
-/// Log₂-bucketed histograms, one slot per variant.
+/// A place besides the registry where counters are shown.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hist {
-    /// Latency of solved SMT queries, in microseconds.
-    SmtSolveUs,
-    /// Latency of one definition's abstraction task, in microseconds.
-    AbsDefUs,
-    /// Latency of one whole CEGAR iteration, in microseconds.
-    IterUs,
-    /// AST size (formula nodes) of discovered interpolants.
-    InterpSize,
-    /// Boolean-program rule count per iteration (rule-set growth).
-    HbpRules,
-    /// Boolean-program AST size per iteration.
-    HbpTerms,
-    /// Model-checker worklist batch size at each drain.
-    WorklistDepth,
-    /// Wall-clock latency of one batch job attempt, in microseconds.
-    JobUs,
+pub enum Surface {
+    /// `homc --stats`: the per-program block and the suite totals.
+    Stats,
+    /// The run-ledger snapshot (`homc::stats_counters`).
+    Ledger,
+    /// The `iter` trace record; `trace-diff` aggregates these keys.
+    Iter,
+    /// The `table1 --json` row and totals columns.
+    Table1,
 }
 
-/// All histograms, in display order.
-pub const HISTS: [Hist; 8] = [
-    Hist::SmtSolveUs,
-    Hist::AbsDefUs,
-    Hist::IterUs,
-    Hist::InterpSize,
-    Hist::HbpRules,
-    Hist::HbpTerms,
-    Hist::WorklistDepth,
-    Hist::JobUs,
-];
+/// One value per counter, indexed like [`COUNTERS`]: an iteration's
+/// record, a run's totals, a suite's sum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counts([u64; COUNTERS.len()]);
 
-impl Hist {
-    const fn index(self) -> usize {
-        self as usize
+impl Default for Counts {
+    fn default() -> Counts {
+        Counts([0; COUNTERS.len()])
+    }
+}
+
+impl Counts {
+    /// One counter's value.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.0[c.index()]
     }
 
-    /// The stable display name (used by `--stats` and the diff tools).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::SmtSolveUs => "smt_solve_us",
-            Hist::AbsDefUs => "abs_def_us",
-            Hist::IterUs => "iter_us",
-            Hist::InterpSize => "interp_size",
-            Hist::HbpRules => "hbp_rules",
-            Hist::HbpTerms => "hbp_terms",
-            Hist::WorklistDepth => "worklist_depth",
-            Hist::JobUs => "job_us",
+    /// Adds `n` to a counter.
+    pub fn add(&mut self, c: Counter, n: u64) {
+        self.0[c.index()] += n;
+    }
+
+    /// Overwrites a counter.
+    pub fn set(&mut self, c: Counter, n: u64) {
+        self.0[c.index()] = n;
+    }
+
+    /// Folds one iteration's record into a run's totals: [`Agg::Sum`]
+    /// counters add up, [`Agg::Last`] ones take the iteration's value.
+    pub fn fold(&mut self, iter: &Counts) {
+        for c in COUNTERS {
+            match c.agg() {
+                Agg::Sum => self.add(c, iter.get(c)),
+                Agg::Last => self.set(c, iter.get(c)),
+                Agg::Cache | Agg::Registry => {}
+            }
         }
     }
 
-    /// One-line description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Hist::SmtSolveUs => "Latency of solved SMT queries in microseconds",
-            Hist::AbsDefUs => "Latency of one definition's abstraction task in microseconds",
-            Hist::IterUs => "Latency of one whole CEGAR iteration in microseconds",
-            Hist::InterpSize => "AST size of discovered interpolants",
-            Hist::HbpRules => "Boolean-program rule count per iteration",
-            Hist::HbpTerms => "Boolean-program AST size per iteration",
-            Hist::WorklistDepth => "Model-checker worklist batch size at each drain",
-            Hist::JobUs => "Wall-clock latency of one batch job attempt in microseconds",
+    /// Adds every counter of `other` (a suite's sum over runs).
+    pub fn merge(&mut self, other: &Counts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
         }
+    }
+
+    /// The counters `surface` shows, with their values, in table order.
+    pub fn on(&self, surface: Surface) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        COUNTERS
+            .into_iter()
+            .filter(move |c| c.shows(surface))
+            .map(|c| (c, self.get(c)))
+    }
+
+    /// `name=value` for every counter `surface` shows, zeros included,
+    /// five to a line, each line starting with `indent`.
+    pub fn render(&self, surface: Surface, indent: &str) -> String {
+        render_pairs(self.on(surface), indent)
+    }
+}
+
+/// `name=value` pairs, five to a line, each line starting with `indent`.
+fn render_pairs(pairs: impl Iterator<Item = (Counter, u64)>, indent: &str) -> String {
+    let items: Vec<String> = pairs.map(|(c, v)| format!("{}={v}", c.name())).collect();
+    items
+        .chunks(5)
+        .map(|line| format!("{indent}{}\n", line.join(" ")))
+        .collect()
+}
+
+metric_enum! {
+    /// Log₂-bucketed histograms, one slot per variant.
+    Hist, HISTS {
+        SmtSolveUs smt_solve_us "Latency of solved SMT queries in microseconds";
+        AbsDefUs abs_def_us "Latency of one definition's abstraction task in microseconds";
+        IterUs iter_us "Latency of one whole CEGAR iteration in microseconds";
+        InterpSize interp_size "AST size of discovered interpolants";
+        HbpRules hbp_rules "Boolean-program rule count per iteration";
+        HbpTerms hbp_terms "Boolean-program AST size per iteration";
+        WorklistDepth worklist_depth "Model-checker worklist batch size at each drain";
+        JobUs job_us "Wall-clock latency of one batch job attempt in microseconds";
     }
 }
 
@@ -408,7 +462,7 @@ impl Metrics {
     pub fn snapshot(&self) -> Snapshot {
         let mut s = Snapshot::default();
         if let Some(r) = &self.inner {
-            for (slot, a) in s.counters.iter_mut().zip(&r.counters) {
+            for (slot, a) in s.counters.0.iter_mut().zip(&r.counters) {
                 *slot = a.load(Ordering::Relaxed);
             }
             for (slot, h) in s.hists.iter_mut().zip(&r.hists) {
@@ -499,8 +553,8 @@ impl HistSnapshot {
 /// A point-in-time copy of the whole registry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Counter values, indexed like [`COUNTERS`].
-    pub counters: [u64; COUNTERS.len()],
+    /// Counter values.
+    pub counters: Counts,
     /// Histogram snapshots, indexed like [`HISTS`].
     pub hists: [HistSnapshot; HISTS.len()],
 }
@@ -508,7 +562,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// One counter's value.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c.index()]
+        self.counters.get(c)
     }
 
     /// One histogram's snapshot.
@@ -519,11 +573,22 @@ impl Snapshot {
     /// The difference `self - earlier`, counter- and bucket-wise.
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         let mut out = self.clone();
-        for (c, e) in out.counters.iter_mut().zip(&earlier.counters) {
-            *c = c.saturating_sub(*e);
+        for (c, e) in out.counters.0.iter_mut().zip(earlier.counters.0) {
+            *c = c.saturating_sub(e);
         }
         for (h, e) in out.hists.iter_mut().zip(&earlier.hists) {
             *h = h.delta(e);
+        }
+        out
+    }
+
+    /// This snapshot with the run counters zeroed, leaving the counters only
+    /// the registry keeps: a run's `--stats` block prints the run counters
+    /// from its own stats.
+    pub fn registry_only(&self) -> Snapshot {
+        let mut out = self.clone();
+        for c in COUNTERS.into_iter().filter(|c| c.agg() != Agg::Registry) {
+            out.counters.set(c, 0);
         }
         out
     }
@@ -532,15 +597,11 @@ impl Snapshot {
     /// string when nothing was recorded).
     pub fn render(&self, indent: &str) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let nonzero: Vec<String> = COUNTERS
-            .iter()
-            .filter(|c| self.counter(**c) > 0)
-            .map(|c| format!("{}={}", c.name(), self.counter(*c)))
-            .collect();
-        if !nonzero.is_empty() {
-            let _ = writeln!(out, "{indent}{}", nonzero.join(" "));
-        }
+        let nonzero = COUNTERS
+            .into_iter()
+            .map(|c| (c, self.counter(c)))
+            .filter(|&(_, v)| v > 0);
+        let mut out = render_pairs(nonzero, indent);
         for h in HISTS {
             let s = self.hist(h);
             if s.count == 0 {

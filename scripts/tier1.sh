@@ -117,6 +117,14 @@ if ! grep -q 'abs_defs_reused=[1-9]' "$ABS_SMOKE"; then
     echo "tier1: abs-incremental: transition memo reused nothing on a multi-iteration run" >&2
     exit 1
 fi
+# Every counter is declared once, so the program's --stats block (the lines
+# before the tally) prints each counter name once. Counter names all carry
+# an underscore, unlike the stat line's columns and the histograms' n=.
+DUPES=$(sed '/^passed /,$d' "$ABS_SMOKE" | grep -oE '[a-z0-9]+(_[a-z0-9]+)+=' | sort | uniq -d)
+if [ -n "$DUPES" ]; then
+    echo "tier1: abs-incremental: --stats printed counter name(s) twice:" $DUPES >&2
+    exit 1
+fi
 
 # Cross-run incremental smoke: the warm-edit path end to end. Verify
 # l-zipmap from a file with an artifact store, patch one integer literal
