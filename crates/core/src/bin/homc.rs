@@ -20,7 +20,8 @@
 //! homc bench-diff <old.json> <new.json>   [--threshold n=r[:s]]... [--gate]
 //!                                   compare two runs; exit 1 on a threshold
 //!                                   breach, 2 on a verdict flip, 3 when the
-//!                                   inputs are incomparable
+//!                                   inputs are incomparable (the exit codes
+//!                                   of `regress` too)
 //! homc top <progress.jsonl> [--snapshot] [--interval <secs>]
 //!                                   tail a --progress stream and redraw a
 //!                                   live fleet summary (worker state, queue
@@ -29,11 +30,11 @@
 //! homc history <ledger-dir> [program]
 //!                                   per-program latency/verdict trends and
 //!                                   p50/p90 summaries from the run ledger
-//! homc regress <ledger-dir> [--window <n>] [--ratio <r>] [--slack <ms>]
+//! homc regress <ledger-dir> [--window <n>] [--threshold n=r[:s]]...
 //!                                   gate the newest ledger run against the
-//!                                   trailing-window median baseline; exit 1
-//!                                   on a latency breach, 2 on a verdict
-//!                                   flip, 3 on an incompatible ledger
+//!                                   median of the last <n> (default 5) runs
+//!                                   of its kind; wall_us=1.5:100000 always
+//!                                   applies
 //! homc check (<file.ml> | --suite [program]) --evidence-dir <dir>
 //!                                   independently re-establish recorded
 //!                                   verdicts from exported evidence: safe
@@ -352,7 +353,7 @@ usage: homc [--timeout <secs>] [--inject <phase:n[:kind]>] [--stats] \
 \x20      homc bench-diff <old.json> <new.json> [--threshold <n=r[:s]>]... [--gate]\n\
 \x20      homc top <progress.jsonl> [--snapshot] [--interval <secs>]\n\
 \x20      homc history <ledger-dir> [program]\n\
-\x20      homc regress <ledger-dir> [--window <n>] [--ratio <r>] [--slack <ms>]\n\
+\x20      homc regress <ledger-dir> [--window <n>] [--threshold <n=r[:s]>]...\n\
 \x20      homc check (<file.ml> | --suite [program]) --evidence-dir <dir>\n\
 \x20      homc explain (<file.ml> | --suite <program>) [--evidence-dir <dir>] \
 [--trace-logical <out.jsonl>]";
@@ -478,29 +479,37 @@ fn cmd_trace_report(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `homc trace-diff` / `homc bench-diff`: compare two runs, exit by
-/// severity (0 clean, 1 threshold breach, 2 verdict flip, 3 incomparable).
+/// `homc trace-diff` / `bench-diff` / `regress`: distill the inputs, gate
+/// them in the one engine, and exit by severity (0 clean, 1 threshold
+/// breach, 2 verdict flip, 3 incomparable).
 fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
+    let ledger = kind == "regress";
     let mut opts = DiffOptions::default();
+    let mut window = TrendOptions::default().window;
     let mut paths: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--gate" => {
+            "--gate" if !ledger => {
                 opts.gate = true;
                 i += 1;
             }
-            "--threshold" => {
+            // `--window` belongs to `regress` alone.
+            flag @ ("--threshold" | "--window") if flag == "--threshold" || ledger => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: --threshold needs a value");
+                    eprintln!("homc: {flag} needs a value");
                     return usage();
                 };
-                match parse_threshold(v) {
-                    Ok(rule) => opts.thresholds.push(rule),
-                    Err(e) => {
-                        eprintln!("homc: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                let parsed = if flag == "--threshold" {
+                    parse_threshold(v).map(|rule| opts.thresholds.push(rule))
+                } else {
+                    let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+                    n.map(|n| window = n)
+                        .ok_or(format!("--window must be a positive integer, got {v:?}"))
+                };
+                if let Err(e) = parsed {
+                    eprintln!("homc: {e}");
+                    return ExitCode::FAILURE;
                 }
                 i += 2;
             }
@@ -514,31 +523,37 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
             }
         }
     }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("homc: {kind} needs exactly two input files");
-        return usage();
-    };
-    let read = |p: &String| match std::fs::read_to_string(p) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("homc: cannot read {p}: {e}");
-            None
+    let report = match paths.as_slice() {
+        [dir] if ledger => {
+            let Some(records) = load_ledger(dir) else {
+                return ExitCode::from(3);
+            };
+            let thresholds = opts.thresholds;
+            regress(&records, &TrendOptions { window, thresholds })
+        }
+        [old_path, new_path] if !ledger => {
+            let read = |p: &String| match std::fs::read_to_string(p) {
+                Ok(t) => Some(t),
+                Err(e) => {
+                    eprintln!("homc: cannot read {p}: {e}");
+                    None
+                }
+            };
+            let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
+                return ExitCode::from(3);
+            };
+            match kind {
+                "trace-diff" => trace_diff(&old, &new, &opts),
+                _ => bench_diff(&old, &new, &opts),
+            }
+        }
+        _ => {
+            let inputs = if ledger { "one ledger dir" } else { "exactly two input files" };
+            eprintln!("homc: {kind} needs {inputs}");
+            return usage();
         }
     };
-    let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
-        return ExitCode::from(3);
-    };
-    let report = match kind {
-        "trace-diff" => trace_diff(&old, &new, &opts),
-        _ => bench_diff(&old, &new, &opts),
-    };
-    if let Some(why) = &report.incompatible {
-        eprintln!("homc: {kind}: {why}");
-    }
-    let text = report.text.trim_end();
-    if !text.is_empty() {
-        say(format_args!("{text}"));
-    }
+    say(format_args!("{}", report.text.trim_end()));
     ExitCode::from(report.exit_code())
 }
 
@@ -777,65 +792,6 @@ fn cmd_history(args: &[String]) -> ExitCode {
         render_history(&records, filter.map(String::as_str)).trim_end()
     ));
     ExitCode::SUCCESS
-}
-
-/// `homc regress <ledger-dir>`: gate the newest ledger run against the
-/// trailing-window median baseline. Exit codes mirror `bench-diff`:
-/// 0 clean, 1 latency breach, 2 verdict flip, 3 incompatible ledger.
-fn cmd_regress(args: &[String]) -> ExitCode {
-    let mut opts = TrendOptions::default();
-    let mut dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            flag @ ("--window" | "--ratio" | "--slack") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: {flag} needs a value");
-                    return usage();
-                };
-                let bad = |what: &str| {
-                    eprintln!("homc: {flag} must be {what}, got {v:?}");
-                    ExitCode::FAILURE
-                };
-                match flag {
-                    "--window" => match v.parse::<usize>() {
-                        Ok(n) if n > 0 => opts.window = n,
-                        _ => return bad("a positive integer"),
-                    },
-                    "--ratio" => match v.parse::<f64>() {
-                        Ok(r) if r.is_finite() && r > 0.0 => opts.ratio = r,
-                        _ => return bad("a positive number"),
-                    },
-                    _ => match v.parse::<u64>() {
-                        Ok(ms) => opts.slack_us = ms.saturating_mul(1000),
-                        Err(_) => return bad("milliseconds"),
-                    },
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown regress flag {flag}");
-                return usage();
-            }
-            other => {
-                if dir.is_some() {
-                    eprintln!("homc: unexpected extra argument {other:?}");
-                    return usage();
-                }
-                dir = Some(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        return usage();
-    };
-    let Some(records) = load_ledger(&dir) else {
-        return ExitCode::from(3);
-    };
-    let report = regress(&records, &opts);
-    say(format_args!("{}", report.text.trim_end()));
-    ExitCode::from(report.exit_code())
 }
 
 /// Shared target resolution for `check`/`explain`: suite names (all of the
@@ -1399,7 +1355,7 @@ fn main() -> ExitCode {
             };
             return cmd_trace_report(path);
         }
-        kind @ ("trace-diff" | "bench-diff") => {
+        kind @ ("trace-diff" | "bench-diff" | "regress") => {
             return cmd_diff(kind, &args[1..]);
         }
         "profile" => {
@@ -1413,9 +1369,6 @@ fn main() -> ExitCode {
         }
         "history" => {
             return cmd_history(&args[1..]);
-        }
-        "regress" => {
-            return cmd_regress(&args[1..]);
         }
         "check" => {
             return cmd_check(&args[1..]);

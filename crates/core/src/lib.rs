@@ -64,7 +64,7 @@ pub use homc_metrics::{
 };
 pub use homc_serve::{
     regress, render_history, seed_cache, DiskCache, DiskFault, Ledger, LedgerLoad, LoadReport,
-    PublishReport, RegressReport, RetryPolicy, RunRecord, TrendOptions, RECORD_SCHEMA,
+    PublishReport, RetryPolicy, RunRecord, TrendOptions, RECORD_SCHEMA,
 };
 pub use homc_smt::{CancelToken, QueryCache};
 pub use homc_trace::{

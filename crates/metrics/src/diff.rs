@@ -1,8 +1,10 @@
-//! Run-comparison engines behind `homc trace-diff` and `homc bench-diff`.
+//! The one gate engine, behind `homc trace-diff`, `homc bench-diff` and
+//! `homc regress`.
 //!
-//! Both tools share one model: each side is distilled into *per-program
-//! metric maps* (`name → f64`), the maps are diffed key-by-key, and three
-//! severities fall out of the comparison, encoded in the exit code:
+//! Each command is a *distiller*: it reduces its input to per-program
+//! [`Summary`]s (a verdict, an optional pass flag and a flat `name → f64`
+//! metric map) and hands both sides to [`compare`], which diffs them under
+//! one rule list and renders one report. The severity is the exit code:
 //!
 //! | exit | meaning                                        |
 //! |------|------------------------------------------------|
@@ -14,20 +16,25 @@
 //! A threshold `name=ratio[:slack]` flags a metric when
 //! `new > old * ratio + slack` — only *increases* gate, shrinkage is
 //! reported but never fails. Lookup tries the qualified
-//! `<program>.<metric>` name first, then the bare metric name, so
-//! `--threshold total_s=2.0` covers every program while
-//! `--threshold totals.wall_s=1.25` pins the suite aggregate.
+//! `<program>.<metric>` name first, then the bare metric name, and later
+//! rules win, so `--threshold total_s=2.0` covers every program while
+//! `--threshold totals.wall_s=1.25` pins the suite aggregate. A verdict
+//! flips when its kind (the first word: `safe`, `unsafe`, `unknown`)
+//! changes or its pass flag goes from true to false; any other verdict
+//! change is reported without gating.
 //!
-//! `trace-diff` summarizes JSONL traces: counters aggregated from `iter`
+//! `trace-diff` distills JSONL traces: counters aggregated from `iter`
 //! records (every [`crate::Surface::Iter`] counter of the counter table,
 //! plus the records' fixed effort fields) and event counts, and histogram
 //! summaries (p50/p90/max per [`crate::Hist`] vocabulary) rebuilt from the
-//! `smt`, `interp_cut`, `mc_round`, and `iter` events. `bench-diff`
-//! compares two table1 `--json` baselines and first checks their `meta`
+//! `smt`, `interp_cut`, `mc_round`, and `iter` events; both sides must run
+//! under the same clock. `bench-diff` distills two table1 `--json`
+//! baselines (`verdict_ok` is the pass flag) and first checks their `meta`
 //! headers (schema, suite, clock) — mismatches refuse to diff rather than
-//! produce noise.
+//! produce noise. `regress` distills the run ledger (`homc-serve`'s
+//! `trend` module).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use homc_trace::{parse_json, JsonValue};
@@ -43,7 +50,7 @@ pub struct Threshold {
     pub slack: f64,
 }
 
-/// Options shared by both diff tools.
+/// Options of `trace-diff` and `bench-diff`.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOptions {
     /// `(metric name, rule)` pairs; later entries win on name collisions.
@@ -85,33 +92,35 @@ pub fn parse_threshold(s: &str) -> Result<(String, Threshold), String> {
 /// The built-in `--gate` rules (the tier1 bench guard): suite wall time
 /// within 1.25x (+0.2 s jitter), per-program total time within 2x (+0.1 s),
 /// per-program SMT query count within 1.5x (+200 queries).
-fn gate_defaults() -> Vec<(String, Threshold)> {
-    vec![
-        (
-            "totals.wall_s".to_string(),
-            Threshold { ratio: 1.25, slack: 0.2 },
-        ),
-        ("total_s".to_string(), Threshold { ratio: 2.0, slack: 0.1 }),
-        (
-            "smt_queries".to_string(),
-            Threshold { ratio: 1.5, slack: 200.0 },
-        ),
-    ]
+const GATE_RULES: &[&str] = &[
+    "totals.wall_s=1.25:0.2",
+    "total_s=2.0:0.1",
+    "smt_queries=1.5:200",
+];
+
+/// A rule list for [`compare`]: built-in `defaults`, written in the
+/// `--threshold` form, then `extra`, whose rules win on a collision.
+pub fn rules(defaults: &[&str], extra: &[(String, Threshold)]) -> Vec<(String, Threshold)> {
+    let parsed = defaults
+        .iter()
+        .map(|r| parse_threshold(r).expect("built-in rules parse"));
+    parsed.chain(extra.iter().cloned()).collect()
 }
 
 /// The outcome of a diff: rendered report plus severity tallies.
 #[derive(Clone, Debug, Default)]
 pub struct DiffReport {
-    /// The human-readable report (empty-diff runs render one line).
+    /// The human-readable report; its closing line is `<tool>: ok, ...`,
+    /// `<tool>: FAILED, ...` or `<tool>: incompatible: <why>`.
     pub text: String,
-    /// Metrics that differ at all (informational).
+    /// Metrics and verdicts that differ at all (informational).
     pub changes: usize,
     /// Metrics past a threshold, plus structural mismatches.
     pub breaches: usize,
-    /// Verdict flips.
+    /// Programs whose verdict flipped.
     pub flips: usize,
     /// Set when the inputs must not be compared (meta mismatch, clock
-    /// mismatch, unparseable input).
+    /// mismatch, unparseable input, foreign ledger schema).
     pub incompatible: Option<String>,
 }
 
@@ -130,12 +139,26 @@ impl DiffReport {
     }
 }
 
-/// One side's distilled program: verdict plus flat metrics.
+/// One program as a distiller sees it.
 #[derive(Clone, Debug, Default)]
-struct ProgramSummary {
-    verdict: String,
-    clock: String,
-    metrics: BTreeMap<String, f64>,
+pub struct Summary {
+    /// Verdict text; its first word is the kind a flip is judged on.
+    pub verdict: String,
+    /// Whether the verdict was the expected one, where the input says so.
+    pub ok: Option<bool>,
+    /// Flat metrics, diffed key by key.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+/// Both sides of a comparison, as a distiller hands them to [`compare`].
+#[derive(Clone, Debug, Default)]
+pub struct Sides {
+    /// Context lines printed above the diff.
+    pub notes: String,
+    /// Program name → summary, old side.
+    pub old: BTreeMap<String, Summary>,
+    /// Program name → summary, new side.
+    pub new: BTreeMap<String, Summary>,
 }
 
 fn text_of<'v>(v: &'v JsonValue, key: &str) -> &'v str {
@@ -164,12 +187,16 @@ fn hist_metrics(metrics: &mut BTreeMap<String, f64>, name: &str, h: &HistSnapsho
     metrics.insert(format!("{name}.max"), h.max as f64);
 }
 
+/// Per-run summaries of a JSONL trace, plus each run's clock.
+type TraceRuns = (BTreeMap<String, Summary>, BTreeMap<String, String>);
+
 /// Summarizes a JSONL trace into per-run metric maps. Counters aggregate
 /// across `iter` records (summed, or the last value of an [`Agg::Last`]
 /// counter); histograms are rebuilt from the raw events using the
 /// [`crate::Hist`] vocabulary.
-fn summarize_trace(trace: &str) -> Result<BTreeMap<String, ProgramSummary>, String> {
-    let mut runs: BTreeMap<String, ProgramSummary> = BTreeMap::new();
+fn summarize_trace(trace: &str) -> Result<TraceRuns, String> {
+    let mut runs: BTreeMap<String, Summary> = BTreeMap::new();
+    let mut clocks: BTreeMap<String, String> = BTreeMap::new();
     let mut current: Option<String> = None;
     let mut hists: BTreeMap<String, BTreeMap<&'static str, HistSnapshot>> = BTreeMap::new();
     let mut bad = 0usize;
@@ -184,8 +211,8 @@ fn summarize_trace(trace: &str) -> Result<BTreeMap<String, ProgramSummary>, Stri
         let ev = text_of(&v, "ev");
         if ev == "run_start" {
             let name = text_of(&v, "name").to_string();
-            let summary = runs.entry(name.clone()).or_default();
-            summary.clock = text_of(&v, "clock").to_string();
+            runs.entry(name.clone()).or_default();
+            clocks.insert(name.clone(), text_of(&v, "clock").to_string());
             current = Some(name);
             continue;
         }
@@ -260,7 +287,7 @@ fn summarize_trace(trace: &str) -> Result<BTreeMap<String, ProgramSummary>, Stri
             run.metrics.remove("peak_bytes");
         }
     }
-    Ok(runs)
+    Ok((runs, clocks))
 }
 
 /// Formats a metric value: integers without decoration, fractions at 4
@@ -297,7 +324,7 @@ fn diff_metrics(
     old: &BTreeMap<String, f64>,
     new: &BTreeMap<String, f64>,
 ) {
-    let keys: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+    let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
     for key in keys {
         let o = old.get(key).copied().unwrap_or(0.0);
         let n = new.get(key).copied().unwrap_or(0.0);
@@ -327,51 +354,76 @@ fn diff_metrics(
     }
 }
 
-/// Diffs two sets of per-program summaries (the shared core of both tools).
-fn diff_programs(
-    report: &mut DiffReport,
-    thresholds: &[(String, Threshold)],
-    old: &BTreeMap<String, ProgramSummary>,
-    new: &BTreeMap<String, ProgramSummary>,
-) {
-    let names: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
-    for name in names {
-        match (old.get(name), new.get(name)) {
-            (Some(_), None) => {
-                report.breaches += 1;
-                report.changes += 1;
-                let _ = writeln!(report.text, "  {name}: only in old run");
-            }
-            (None, Some(_)) => {
-                report.breaches += 1;
-                report.changes += 1;
-                let _ = writeln!(report.text, "  {name}: only in new run");
-            }
-            (Some(o), Some(n)) => {
-                if o.verdict != n.verdict {
-                    report.flips += 1;
-                    report.changes += 1;
-                    let _ = writeln!(
-                        report.text,
-                        "  {name}: VERDICT FLIP {} -> {}",
-                        if o.verdict.is_empty() { "<none>" } else { &o.verdict },
-                        if n.verdict.is_empty() { "<none>" } else { &n.verdict },
-                    );
-                }
-                diff_metrics(report, thresholds, name, &o.metrics, &n.metrics);
-            }
-            (None, None) => unreachable!("name came from a key set"),
-        }
-    }
+/// Diffs one program's verdict and pass flag. A flip is a change of
+/// verdict kind (the first word) or the pass flag going from true to
+/// false; any other change is reported but does not gate.
+fn diff_verdicts(report: &mut DiffReport, prog: &str, old: &Summary, new: &Summary) {
+    let shown = |s: &str| if s.is_empty() { "<none>".to_string() } else { s.to_string() };
+    let flag = |ok: Option<bool>| ok.map_or("<none>".to_string(), |b| b.to_string());
+    let detail = if old.verdict != new.verdict {
+        format!("{} -> {}", shown(&old.verdict), shown(&new.verdict))
+    } else if old.ok != new.ok {
+        format!("verdict_ok {} -> {}", flag(old.ok), flag(new.ok))
+    } else {
+        return;
+    };
+    report.changes += 1;
+    let kind_changed =
+        old.verdict.split_whitespace().next() != new.verdict.split_whitespace().next();
+    let what = if kind_changed || (old.ok == Some(true) && new.ok == Some(false)) {
+        report.flips += 1;
+        "VERDICT FLIP"
+    } else {
+        "verdict change"
+    };
+    let _ = writeln!(report.text, "  {prog}: {what} {detail}");
 }
 
-fn finish(mut report: DiffReport, what: &str) -> DiffReport {
-    if report.changes == 0 && report.incompatible.is_none() {
-        let _ = writeln!(report.text, "{what}: no differences");
-    } else if report.incompatible.is_none() {
+/// The engine: diffs two sets of per-program summaries under `rules` and
+/// renders `tool`'s report, ending in its closing line. An `Err` from
+/// the distiller is a refusal to compare (exit 3), reported with its
+/// reason.
+pub fn compare(
+    tool: &str,
+    sides: Result<Sides, String>,
+    rules: &[(String, Threshold)],
+) -> DiffReport {
+    let sides = match sides {
+        Ok(sides) => sides,
+        Err(why) => {
+            return DiffReport {
+                text: format!("{tool}: incompatible: {why}\n"),
+                incompatible: Some(why),
+                ..DiffReport::default()
+            }
+        }
+    };
+    let mut report = DiffReport {
+        text: sides.notes,
+        ..DiffReport::default()
+    };
+    let names: BTreeSet<&String> = sides.old.keys().chain(sides.new.keys()).collect();
+    for name in names {
+        match (sides.old.get(name), sides.new.get(name)) {
+            (Some(o), Some(n)) => {
+                diff_verdicts(&mut report, name, o, n);
+                diff_metrics(&mut report, rules, name, &o.metrics, &n.metrics);
+            }
+            (o, _) => {
+                report.breaches += 1;
+                report.changes += 1;
+                let side = if o.is_some() { "old" } else { "new" };
+                let _ = writeln!(report.text, "  {name}: only in {side} run");
+            }
+        }
+    }
+    let status = if report.exit_code() == 0 { "ok" } else { "FAILED" };
+    if report.changes == 0 {
+        let _ = writeln!(report.text, "{tool}: ok, no differences");
+    } else {
         let _ = writeln!(
             report.text,
-            "{what}: {} change(s), {} over threshold, {} verdict flip(s)",
+            "{tool}: {status}, {} change(s), {} over threshold, {} verdict flip(s)",
             report.changes, report.breaches, report.flips
         );
     }
@@ -382,36 +434,26 @@ fn finish(mut report: DiffReport, what: &str) -> DiffReport {
 /// same clock per run — wall durations against logical zeros would read as
 /// a total collapse.
 pub fn trace_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
-    let (old_runs, new_runs) = match (summarize_trace(old), summarize_trace(new)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) => {
-            report.incompatible = Some(format!("old trace: {e}"));
-            return report;
-        }
-        (_, Err(e)) => {
-            report.incompatible = Some(format!("new trace: {e}"));
-            return report;
-        }
-    };
-    for (name, o) in &old_runs {
-        if let Some(n) = new_runs.get(name) {
-            if o.clock != n.clock {
-                report.incompatible = Some(format!(
-                    "run {name:?}: clock mismatch ({:?} vs {:?})",
-                    o.clock, n.clock
-                ));
-                return report;
+    let gate = if opts.gate { GATE_RULES } else { &[] };
+    compare("trace-diff", trace_sides(old, new), &rules(gate, &opts.thresholds))
+}
+
+fn trace_sides(old: &str, new: &str) -> Result<Sides, String> {
+    let (old, old_clocks) = summarize_trace(old).map_err(|e| format!("old trace: {e}"))?;
+    let (new, new_clocks) = summarize_trace(new).map_err(|e| format!("new trace: {e}"))?;
+    for (name, o) in &old_clocks {
+        match new_clocks.get(name) {
+            Some(n) if n != o => {
+                return Err(format!("run {name:?}: clock mismatch ({o:?} vs {n:?})"))
             }
+            _ => {}
         }
     }
-    let mut thresholds = Vec::new();
-    if opts.gate {
-        thresholds.extend(gate_defaults());
-    }
-    thresholds.extend(opts.thresholds.iter().cloned());
-    diff_programs(&mut report, &thresholds, &old_runs, &new_runs);
-    finish(report, "trace-diff")
+    Ok(Sides {
+        notes: String::new(),
+        old,
+        new,
+    })
 }
 
 /// Reads the bench baseline's `meta` header into sorted `(key, value)`
@@ -435,7 +477,11 @@ fn meta_fields(doc: &JsonValue) -> Option<Vec<(String, String)>> {
 
 /// Summarizes a table1 `--json` baseline: per-program numeric columns plus
 /// a synthetic `totals` program.
-fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, ProgramSummary>, String> {
+fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, Summary>, String> {
+    let numeric = |v: &JsonValue| -> BTreeMap<String, f64> {
+        let fields = v.as_obj().unwrap_or(&[]).iter();
+        fields.filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
+    };
     let mut out = BTreeMap::new();
     let programs = doc
         .get("programs")
@@ -449,27 +495,21 @@ fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, ProgramSummary>, 
         if name.is_empty() {
             return Err("program row without a name".to_string());
         }
-        let mut summary = ProgramSummary {
+        let summary = Summary {
             verdict: text_of(p, "verdict").to_string(),
-            ..ProgramSummary::default()
+            ok: match p.get("verdict_ok") {
+                Some(JsonValue::Bool(b)) => Some(*b),
+                _ => None,
+            },
+            metrics: numeric(p),
         };
-        for (k, v) in p.as_obj().unwrap_or(&[]) {
-            if let Some(f) = v.as_f64() {
-                summary.metrics.insert(k.clone(), f);
-            } else if let JsonValue::Bool(b) = v {
-                // verdict_ok rides along as 0/1 so flips show in the diff.
-                summary.metrics.insert(k.clone(), if *b { 1.0 } else { 0.0 });
-            }
-        }
         out.insert(name.to_string(), summary);
     }
     if let Some(totals) = doc.get("totals") {
-        let mut summary = ProgramSummary::default();
-        for (k, v) in totals.as_obj().unwrap_or(&[]) {
-            if let Some(f) = v.as_f64() {
-                summary.metrics.insert(k.clone(), f);
-            }
-        }
+        let summary = Summary {
+            metrics: numeric(totals),
+            ..Summary::default()
+        };
         out.insert("totals".to_string(), summary);
     }
     Ok(out)
@@ -482,21 +522,14 @@ const META_STRICT: &[&str] = &["schema", "suite", "clock"];
 
 /// Diffs two table1 `--json` baselines (`homc bench-diff`).
 pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
-    let mut report = DiffReport::default();
-    let old_doc = match parse_json(old.trim()) {
-        Ok(d) => d,
-        Err(e) => {
-            report.incompatible = Some(format!("old baseline: {e}"));
-            return report;
-        }
-    };
-    let new_doc = match parse_json(new.trim()) {
-        Ok(d) => d,
-        Err(e) => {
-            report.incompatible = Some(format!("new baseline: {e}"));
-            return report;
-        }
-    };
+    let gate = if opts.gate { GATE_RULES } else { &[] };
+    compare("bench-diff", bench_sides(old, new), &rules(gate, &opts.thresholds))
+}
+
+fn bench_sides(old: &str, new: &str) -> Result<Sides, String> {
+    let old_doc = parse_json(old.trim()).map_err(|e| format!("old baseline: {e}"))?;
+    let new_doc = parse_json(new.trim()).map_err(|e| format!("new baseline: {e}"))?;
+    let mut notes = String::new();
     match (meta_fields(&old_doc), meta_fields(&new_doc)) {
         (Some(om), Some(nm)) => {
             let get = |m: &[(String, String)], k: &str| {
@@ -505,69 +538,36 @@ pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
             for key in META_STRICT {
                 let (ov, nv) = (get(&om, key), get(&nm, key));
                 if ov != nv {
-                    report.incompatible = Some(format!(
+                    return Err(format!(
                         "meta mismatch on {key:?}: {} vs {} — refusing to compare",
                         ov.as_deref().unwrap_or("<absent>"),
                         nv.as_deref().unwrap_or("<absent>"),
                     ));
-                    return report;
                 }
             }
             let (ot, nt) = (get(&om, "threads"), get(&nm, "threads"));
             if ot != nt {
                 let _ = writeln!(
-                    report.text,
+                    notes,
                     "  note: thread counts differ ({} vs {})",
                     ot.as_deref().unwrap_or("<absent>"),
                     nt.as_deref().unwrap_or("<absent>"),
                 );
             }
         }
-        (None, None) => {
-            let _ = writeln!(report.text, "  note: no meta headers (pre-schema baselines)");
-        }
+        (None, None) => notes.push_str("  note: no meta headers (pre-schema baselines)\n"),
         (old_meta, _) => {
-            report.incompatible = Some(format!(
+            return Err(format!(
                 "only the {} baseline has a meta header — refusing to compare",
                 if old_meta.is_some() { "old" } else { "new" },
-            ));
-            return report;
+            ))
         }
     }
-    let (old_progs, new_progs) = match (summarize_bench(&old_doc), summarize_bench(&new_doc)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) => {
-            report.incompatible = Some(format!("old baseline: {e}"));
-            return report;
-        }
-        (_, Err(e)) => {
-            report.incompatible = Some(format!("new baseline: {e}"));
-            return report;
-        }
-    };
-    // Verdict-ok regressions are flips even when the verdict string is
-    // unchanged in form (e.g. "unknown" expected-safe both sides is fine,
-    // but ok=true -> ok=false must gate hard).
-    for (name, o) in &old_progs {
-        if let Some(n) = new_progs.get(name) {
-            let (ook, nok) = (
-                o.metrics.get("verdict_ok").copied(),
-                n.metrics.get("verdict_ok").copied(),
-            );
-            if ook == Some(1.0) && nok == Some(0.0) {
-                report.flips += 1;
-                report.changes += 1;
-                let _ = writeln!(report.text, "  {name}: VERDICT FLIP verdict_ok true -> false");
-            }
-        }
-    }
-    let mut thresholds = Vec::new();
-    if opts.gate {
-        thresholds.extend(gate_defaults());
-    }
-    thresholds.extend(opts.thresholds.iter().cloned());
-    diff_programs(&mut report, &thresholds, &old_progs, &new_progs);
-    finish(report, "bench-diff")
+    Ok(Sides {
+        notes,
+        old: summarize_bench(&old_doc).map_err(|e| format!("old baseline: {e}"))?,
+        new: summarize_bench(&new_doc).map_err(|e| format!("new baseline: {e}"))?,
+    })
 }
 
 #[cfg(test)]

@@ -57,4 +57,4 @@ pub use ledger::{
     AppendReport, Ledger, LedgerLoad, RunRecord, LEDGER_MAGIC, LEDGER_VERSION, RECORD_SCHEMA,
 };
 pub use pool::{run_jobs, Attempt, Job, JobOutcome, JobResult, PoolConfig, RetryPolicy};
-pub use trend::{regress, render_history, RegressReport, TrendOptions};
+pub use trend::{regress, render_history, TrendOptions};

@@ -2,70 +2,46 @@
 //!
 //! `history` renders per-program latency trends and percentile summaries
 //! (log2-bucket quantiles from `homc-metrics`, so the numbers line up with
-//! every other latency report in the tree). `regress` gates the newest run
-//! against a trailing-window baseline: for each program, the new wall time
-//! must not exceed `median(baseline) * ratio + slack`, and its verdict must
-//! not differ from the most recent baseline verdict. The exit-code contract
-//! mirrors `bench-diff`: 0 clean, 1 latency breach, 2 verdict flip, 3
-//! incompatible record schema — so CI can gate on history, not just the one
+//! every other latency report in the tree). `regress` is the ledger's
+//! distiller for the gate engine ([`homc_metrics::diff`]), so it shares
+//! `bench-diff`'s rules, report and exit codes: the newest run is compared
+//! with the per-metric median over a trailing window of earlier runs of the
+//! same kind, and with the verdict of the most recent of them. Kinds never
+//! mix because their wall times measure different things: a `table1`
+//! record's is the verifier-internal total, while suite, file and batch
+//! records time the whole run. CI can thus gate on history, not just the one
 //! checked-in baseline file.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_metrics::diff::{compare, rules, DiffReport, Sides, Summary, Threshold};
 use homc_metrics::HistSnapshot;
 
 use crate::ledger::{RunRecord, RECORD_SCHEMA};
 
-/// Gate thresholds for [`regress`].
-#[derive(Clone, Copy, Debug)]
+/// Options of [`regress`].
+#[derive(Clone, Debug)]
 pub struct TrendOptions {
-    /// Trailing runs forming the baseline (the newest run excluded).
+    /// Trailing runs of the newest run's kind forming the baseline.
     pub window: usize,
-    /// Latency breach when `new > median * ratio + slack_us`.
-    pub ratio: f64,
-    /// Absolute slack, µs — keeps micro-benchmark jitter from gating.
-    pub slack_us: u64,
+    /// `--threshold` rules, applied after (so winning over) the built-in
+    /// `wall_us` rule.
+    pub thresholds: Vec<(String, Threshold)>,
 }
 
 impl Default for TrendOptions {
     fn default() -> TrendOptions {
         TrendOptions {
             window: 5,
-            ratio: 1.5,
-            slack_us: 100_000,
+            thresholds: Vec::new(),
         }
     }
 }
 
-/// What [`regress`] concluded.
-#[derive(Clone, Debug)]
-pub struct RegressReport {
-    /// Human-readable report (one table row per gated program).
-    pub text: String,
-    /// Programs whose new wall time breached the gate.
-    pub breaches: Vec<String>,
-    /// Programs whose verdict differs from the most recent baseline.
-    pub flips: Vec<String>,
-    /// Set when any record carries a foreign schema version.
-    pub incompatible: Option<String>,
-}
-
-impl RegressReport {
-    /// `bench-diff`-compatible exit code: 0 clean, 1 breach, 2 flip, 3
-    /// incompatible (flips outrank breaches; incompatibility outranks both).
-    pub fn exit_code(&self) -> u8 {
-        if self.incompatible.is_some() {
-            3
-        } else if !self.flips.is_empty() {
-            2
-        } else if !self.breaches.is_empty() {
-            1
-        } else {
-            0
-        }
-    }
-}
+/// The rule `regress` always applies: wall time within 1.5x the baseline
+/// median plus 100 ms, so micro-benchmark jitter does not gate.
+const WALL_RULE: &str = "wall_us=1.5:100000";
 
 fn ms(us: u64) -> String {
     format!("{:.1}", us as f64 / 1000.0)
@@ -79,130 +55,93 @@ fn by_run(records: &[RunRecord]) -> BTreeMap<u64, Vec<&RunRecord>> {
     runs
 }
 
+/// Every numeric field of a record, counters included.
+fn metrics(r: &RunRecord) -> BTreeMap<String, f64> {
+    let fields = [
+        ("wall_us", r.wall_us),
+        ("abst_us", r.abst_us),
+        ("mc_us", r.mc_us),
+        ("cegar_us", r.cegar_us),
+        ("total_us", r.total_us),
+        ("peak_bytes", r.peak_bytes),
+    ];
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    let counters = r.counters.iter().map(|(k, &v)| (k.clone(), v));
+    fields.chain(counters).map(|(k, v)| (k, v as f64)).collect()
+}
+
 /// Gates the newest run against the trailing-window baseline. Pure over its
 /// inputs: the same ledger records and options always produce the same
-/// report (programs are processed in sorted order).
-pub fn regress(records: &[RunRecord], opts: &TrendOptions) -> RegressReport {
+/// report.
+pub fn regress(records: &[RunRecord], opts: &TrendOptions) -> DiffReport {
+    let rules = rules(&[WALL_RULE], &opts.thresholds);
+    compare("regress", ledger_sides(records, opts.window), &rules)
+}
+
+/// Distills the ledger: the newest run's programs on the new side; on the
+/// old side, each one's per-metric median over the baseline window and
+/// the verdict of its most recent baseline record. Programs the newest run
+/// lacks are not compared, and a program without a baseline is noted as
+/// new rather than gated.
+fn ledger_sides(records: &[RunRecord], window: usize) -> Result<Sides, String> {
     if let Some(foreign) = records.iter().find(|r| r.schema != RECORD_SCHEMA) {
-        let msg = format!(
+        return Err(format!(
             "run {} record {:?} has schema {} but this build reads schema {}",
             foreign.run, foreign.program, foreign.schema, RECORD_SCHEMA
-        );
-        return RegressReport {
-            text: format!("regress: incompatible ledger: {msg}\n"),
-            breaches: Vec::new(),
-            flips: Vec::new(),
-            incompatible: Some(msg),
-        };
+        ));
     }
     let runs = by_run(records);
-    if runs.len() < 2 {
-        return RegressReport {
-            text: format!(
-                "regress: insufficient history ({} run{}, need 2)\n",
-                runs.len(),
-                if runs.len() == 1 { "" } else { "s" }
-            ),
-            breaches: Vec::new(),
-            flips: Vec::new(),
-            incompatible: None,
-        };
-    }
-    let (&newest_id, newest) = runs.iter().next_back().expect("non-empty");
-    let baseline_ids: Vec<u64> = runs
-        .keys()
+    let mut sides = Sides::default();
+    let Some((&newest_id, newest)) = runs.iter().next_back() else {
+        sides.notes = "  note: insufficient history (empty ledger)\n".to_string();
+        return Ok(sides);
+    };
+    let kind = &newest[0].kind;
+    // Baseline runs, most recent first.
+    let baseline: Vec<&Vec<&RunRecord>> = runs
+        .range(..newest_id)
         .rev()
-        .skip(1)
-        .take(opts.window.max(1))
-        .copied()
+        .map(|(_, run)| run)
+        .filter(|run| run[0].kind == *kind)
+        .take(window.max(1))
         .collect();
-
-    let mut text = String::new();
+    if baseline.is_empty() {
+        let why = format!("no {kind} run before run {newest_id}");
+        sides.notes = format!("  note: insufficient history ({why})\n");
+        return Ok(sides);
+    }
     let _ = writeln!(
-        text,
-        "regress: run {newest_id} vs baseline of {} run(s), gate = median*{} + {}ms",
-        baseline_ids.len(),
-        opts.ratio,
-        opts.slack_us / 1000
+        sides.notes,
+        "  note: run {newest_id} vs the median of {} earlier {kind} run(s)",
+        baseline.len()
     );
-    let _ = writeln!(
-        text,
-        "{:<14} {:>10} {:>10} {:>8}  status",
-        "program", "base ms", "new ms", "ratio"
-    );
-    let mut breaches = Vec::new();
-    let mut flips = Vec::new();
-
-    let mut programs: Vec<&RunRecord> = newest.clone();
-    programs.sort_by(|a, b| a.program.cmp(&b.program));
-    for rec in programs {
-        // Baseline samples, most recent first (baseline_ids is descending).
-        let mut walls = Vec::new();
-        let mut last_verdict: Option<&str> = None;
-        for id in &baseline_ids {
-            for b in &runs[id] {
-                if b.program == rec.program {
-                    walls.push(b.wall_us);
-                    if last_verdict.is_none() {
-                        last_verdict = Some(&b.verdict);
-                    }
-                }
-            }
-        }
-        if walls.is_empty() {
-            let _ = writeln!(
-                text,
-                "{:<14} {:>10} {:>10} {:>8}  new program",
-                rec.program,
-                "-",
-                ms(rec.wall_us),
-                "-"
-            );
+    for rec in newest {
+        let samples: Vec<&RunRecord> = baseline
+            .iter()
+            .flat_map(|run| run.iter().copied())
+            .filter(|b| b.program == rec.program)
+            .collect();
+        let Some(last) = samples.first() else {
+            let _ = writeln!(sides.notes, "  note: {}: new program, no baseline", rec.program);
             continue;
+        };
+        let mut columns: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        for (key, value) in samples.iter().flat_map(|s| metrics(s)) {
+            columns.entry(key).or_default().push(value);
         }
-        walls.sort_unstable();
-        let median = walls[walls.len() / 2];
-        let gate = median as f64 * opts.ratio + opts.slack_us as f64;
-        let ratio = if median == 0 {
-            0.0
-        } else {
-            rec.wall_us as f64 / median as f64
+        let medians = columns.into_iter().map(|(key, mut values)| {
+            values.sort_by(f64::total_cmp);
+            (key, values[values.len() / 2])
+        });
+        let summary = |r: &RunRecord, metrics| Summary {
+            verdict: r.verdict.clone(),
+            ok: Some(r.ok),
+            metrics,
         };
-        let flipped = last_verdict.is_some_and(|v| v != rec.verdict);
-        let status = if flipped {
-            flips.push(rec.program.clone());
-            format!(
-                "VERDICT FLIP ({} -> {})",
-                last_verdict.unwrap_or("?"),
-                rec.verdict
-            )
-        } else if rec.wall_us as f64 > gate {
-            breaches.push(rec.program.clone());
-            "BREACH".to_string()
-        } else {
-            "ok".to_string()
-        };
-        let _ = writeln!(
-            text,
-            "{:<14} {:>10} {:>10} {:>7.2}x  {status}",
-            rec.program,
-            ms(median),
-            ms(rec.wall_us),
-            ratio
-        );
+        sides.old.insert(rec.program.clone(), summary(last, medians.collect()));
+        sides.new.insert(rec.program.clone(), summary(rec, metrics(rec)));
     }
-    let _ = writeln!(
-        text,
-        "regress: {} breach(es), {} flip(s)",
-        breaches.len(),
-        flips.len()
-    );
-    RegressReport {
-        text,
-        breaches,
-        flips,
-        incompatible: None,
-    }
+    Ok(sides)
 }
 
 /// Renders per-program history. Without a filter: one row per program with
@@ -283,6 +222,7 @@ pub fn render_history(records: &[RunRecord], filter: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homc_metrics::diff::{bench_diff, parse_threshold, trace_diff, DiffOptions};
 
     fn rec(run: u64, program: &str, wall_us: u64, verdict: &str) -> RunRecord {
         RunRecord {
@@ -321,7 +261,8 @@ mod tests {
         ];
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 1, "{}", report.text);
-        assert_eq!(report.breaches, vec!["sum".to_string()]);
+        assert_eq!(report.breaches, 1);
+        assert!(report.text.contains("sum wall_us: 1000000 -> 2000000"), "{}", report.text);
     }
 
     #[test]
@@ -332,7 +273,8 @@ mod tests {
         ];
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 2, "{}", report.text);
-        assert_eq!(report.flips, vec!["sum".to_string()]);
+        assert_eq!(report.flips, 1);
+        assert!(report.text.contains("sum: VERDICT FLIP safe -> unsafe"), "{}", report.text);
     }
 
     #[test]
@@ -377,5 +319,152 @@ mod tests {
         let filtered = render_history(&records, Some("sum"));
         assert!(filtered.contains("1.2"), "{filtered}");
         assert!(!filtered.contains("mc91"), "{filtered}");
+    }
+
+    #[test]
+    fn baseline_runs_are_of_the_newest_runs_kind() {
+        // Suite records time l-zipmap's whole run; a table1 record's wall
+        // time is the verifier-internal total, evidence export included.
+        let run_of = |run, kind: &str, wall_us| RunRecord {
+            kind: kind.to_string(),
+            ..rec(run, "l-zipmap", wall_us, "safe")
+        };
+        let mut records = vec![
+            run_of(1, "suite", 201_300),
+            run_of(2, "suite", 201_300),
+            run_of(3, "table1", 641_800),
+        ];
+        let report = regress(&records, &TrendOptions::default());
+        assert_eq!(report.exit_code(), 0, "{}", report.text);
+        assert!(report.text.contains("insufficient history"), "{}", report.text);
+        // A faster second table1 run is measured against the first only.
+        records.push(run_of(4, "table1", 601_000));
+        let report = regress(&records, &TrendOptions::default());
+        assert_eq!(report.exit_code(), 0, "{}", report.text);
+        assert!(
+            report.text.contains("l-zipmap wall_us: 641800 -> 601000"),
+            "{}",
+            report.text
+        );
+    }
+
+    #[test]
+    fn new_programs_are_noted_and_missing_ones_skipped() {
+        let records = vec![
+            rec(1, "sum", 1_000, "safe"),
+            rec(1, "mc91", 1_000, "safe"),
+            rec(2, "sum", 1_000, "safe"),
+            rec(2, "max", 9_000_000, "unsafe"),
+        ];
+        let report = regress(&records, &TrendOptions::default());
+        assert_eq!(report.exit_code(), 0, "{}", report.text);
+        assert!(report.text.contains("max: new program"), "{}", report.text);
+        assert!(!report.text.contains("mc91"), "{}", report.text);
+    }
+
+    #[test]
+    fn differing_unknown_reasons_are_not_a_flip() {
+        let unknown = |phase: &str| {
+            format!(
+                "unknown (budget exhausted in {phase}: injected fault \
+                 (planned fault at {phase} checkpoint 1))"
+            )
+        };
+        let records = vec![
+            rec(1, "sum", 700, &unknown("abs")),
+            rec(2, "sum", 1_000, &unknown("mc")),
+        ];
+        let report = regress(&records, &TrendOptions::default());
+        assert_eq!(report.exit_code(), 0, "{}", report.text);
+        assert_eq!(report.flips, 0);
+        assert!(report.text.contains("sum: verdict change unknown"), "{}", report.text);
+    }
+
+    #[test]
+    fn failed_evidence_check_is_a_flip() {
+        // The verdict kind stays `safe`, but batch fails the job: ok drops.
+        let failed = rec(2, "sum", 1_000, "safe (evidence check FAILED)");
+        assert!(!failed.ok);
+        let report = regress(&[rec(1, "sum", 1_000, "safe"), failed], &TrendOptions::default());
+        assert_eq!(report.exit_code(), 2, "{}", report.text);
+        assert_eq!(report.flips, 1);
+        assert!(
+            report.text.contains("sum: VERDICT FLIP safe -> safe (evidence check FAILED)"),
+            "{}",
+            report.text
+        );
+    }
+
+    #[test]
+    fn threshold_rules_win_over_the_wall_rule() {
+        let records = vec![rec(1, "sum", 1_000_000, "safe"), rec(2, "sum", 2_000_000, "safe")];
+        let loose = TrendOptions {
+            thresholds: vec![parse_threshold("wall_us=3.0").expect("parses")],
+            ..TrendOptions::default()
+        };
+        assert_eq!(regress(&records, &loose).exit_code(), 0);
+        let pinned = TrendOptions {
+            thresholds: vec![parse_threshold("sum.total_us=1.5").expect("parses")],
+            ..loose
+        };
+        assert_eq!(regress(&records, &pinned).exit_code(), 1);
+    }
+
+    /// One contract for the three gate commands: the same scenario gives
+    /// the same exit code and the same closing line from each of them.
+    #[test]
+    fn the_three_gate_commands_share_one_contract() {
+        let gate = DiffOptions {
+            thresholds: Vec::new(),
+            gate: true,
+        };
+        let trace = |verdict: &str, smt_queries: u64| {
+            format!(
+                "{{\"ts\":0,\"ev\":\"run_start\",\"name\":\"p1\",\"clock\":\"logical\"}}\n\
+                 {{\"ts\":1,\"ev\":\"iter\",\"iter\":0,\"smt_queries\":{smt_queries}}}\n\
+                 {{\"ts\":2,\"ev\":\"verdict\",\"verdict\":\"{verdict}\",\"cycles\":1}}\n"
+            )
+        };
+        let bench = |verdict: &str, total_s: f64| {
+            format!(
+                "{{\"meta\": {{\"schema\": 6, \"suite\": \"table1\", \"clock\": \"wall\"}}, \
+                 \"programs\": [{{\"name\": \"p1\", \"verdict\": \"{verdict}\", \
+                 \"verdict_ok\": {}, \"total_s\": {total_s:.4}}}]}}",
+                verdict == "safe"
+            )
+        };
+        let ledger = |verdict: &str, wall_us: u64| {
+            let mut newest = rec(2, "p1", wall_us, verdict);
+            newest.total_us = 1_000_000;
+            vec![rec(1, "p1", 1_000_000, "safe"), newest]
+        };
+        // Clean, over threshold, and flip plus breach: the new side's
+        // verdict and its slowdown, then the exit code and closing line.
+        let cases = [
+            ("safe", 1, 0, "ok, no differences"),
+            ("safe", 10, 1, "FAILED, 1 change(s), 1 over threshold, 0 verdict flip(s)"),
+            ("unsafe", 10, 2, "FAILED, 2 change(s), 1 over threshold, 1 verdict flip(s)"),
+        ];
+        for (verdict, factor, code, closing) in cases {
+            let reports = [
+                (
+                    "trace-diff",
+                    trace_diff(&trace("safe", 100), &trace(verdict, 100 * factor), &gate),
+                ),
+                (
+                    "bench-diff",
+                    bench_diff(&bench("safe", 0.5), &bench(verdict, 0.5 * factor as f64), &gate),
+                ),
+                (
+                    "regress",
+                    regress(&ledger(verdict, 1_000_000 * factor), &TrendOptions::default()),
+                ),
+            ];
+            for (tool, report) in reports {
+                assert_eq!(report.exit_code(), code, "{tool}: {}", report.text);
+                let last = report.text.lines().last().unwrap_or("");
+                assert_eq!(last, format!("{tool}: {closing}"), "{}", report.text);
+            }
+        }
     }
 }

@@ -176,12 +176,16 @@ run cargo run --release --offline --bin homc -- explain --suite sum-e >/dev/null
 # append checksummed records to a scratch ledger; `homc history` must
 # render a per-program trend over both runs; `homc regress` must gate the
 # second run cleanly against the first (exit 0 — two steady runs of the
-# same build cannot breach a 1.5x median gate with 100 ms slack). The
+# same build cannot breach a 1.5x median gate with 100 ms slack), and
+# passing that default rule explicitly as `--threshold wall_us=1.5:100000`
+# must print the same report, since both go through one rule parser. The
 # progress stream written along the way must be schema-valid and replay
 # through `homc top --snapshot`.
 LEDGER_DIR=target/ledger-smoke
 LEDGER_PROGRESS=target/ledger-progress.jsonl
 LEDGER_HISTORY=target/ledger-history.txt
+LEDGER_REGRESS=target/ledger-regress.txt
+LEDGER_REGRESS_RULE=target/ledger-regress-rule.txt
 rm -rf "$LEDGER_DIR"
 run cargo run --release --offline --bin homc -- batch --workers 2 \
     --ledger "$LEDGER_DIR" --progress "$LEDGER_PROGRESS" sum max mc91
@@ -194,7 +198,15 @@ if ! grep -q '3 program(s) over 2 run(s)' "$LEDGER_HISTORY"; then
     echo "tier1: ledger-smoke: history did not see both runs" >&2
     exit 1
 fi
-run cargo run --release --offline --bin homc -- regress "$LEDGER_DIR"
+run cargo run --release --offline --bin homc -- regress "$LEDGER_DIR" | tee "$LEDGER_REGRESS"
+run cargo run --release --offline --bin homc -- regress "$LEDGER_DIR" \
+    --threshold wall_us=1.5:100000 | tee "$LEDGER_REGRESS_RULE"
+# Line 1 of each file is run()'s echo of the command, which differs.
+if ! cmp -s <(sed 1d "$LEDGER_REGRESS") <(sed 1d "$LEDGER_REGRESS_RULE"); then
+    echo "tier1: ledger-smoke: regress with the default rule spelled out printed a different report:" >&2
+    diff <(sed 1d "$LEDGER_REGRESS") <(sed 1d "$LEDGER_REGRESS_RULE") >&2 || true
+    exit 1
+fi
 
 # Benchmark smoke: the repository benchmark (`homcbench/`, a package of its
 # own) calls the store API directly, so it is built here, and the two
