@@ -1,4 +1,6 @@
 //! Batch verification: many programs through the `homc-serve` job pool.
+//! It is the only way the `homc` CLI runs programs: a file or suite run is
+//! a batch with one worker.
 //!
 //! Each job runs under its own budget scope (deadline, fuel, cooperative
 //! [`CancelToken`]) against a **private** query cache seeded from the shared
@@ -16,7 +18,7 @@
 //! (fresh caches, no disk dir), which the batch degradation test asserts.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +108,8 @@ pub struct BatchOptions {
     pub disk_fault: Option<DiskFault>,
     /// Deterministic per-job faults.
     pub job_faults: Vec<JobFault>,
-    /// When set, each job writes its trace to `<dir>/<name>.jsonl`.
+    /// When set, each job writes its trace to `<dir>/<name>.jsonl`; the
+    /// directory is created on demand.
     pub trace_dir: Option<PathBuf>,
     /// Capture each job's trace in memory and return it in the report
     /// (ignored when `trace_dir` is set). Used by the degradation tests.
@@ -119,7 +122,9 @@ pub struct BatchOptions {
     /// so job traces are byte-identical with progress on or off.
     pub progress: Tracer,
     /// Base verifier options cloned for every job. The driver overrides
-    /// `cache`, `cancel`, `tracer`, `progress` and `job`; `fuel` is
+    /// `cache`, `cancel`, `progress`, `job`, `artifacts` and `evidence`,
+    /// and `tracer` under `trace_dir` or `capture_traces` (otherwise every
+    /// job shares this tracer, which suits one worker); `fuel` is
     /// overridden for jobs under an `Exhaust` fault.
     pub verify: VerifierOptions,
 }
@@ -182,6 +187,10 @@ pub struct JobReport {
     pub wall: Duration,
     /// Attempts actually started.
     pub attempts: u32,
+    /// Program size `S` of the paper's Table 1 (0 without an outcome).
+    pub size: usize,
+    /// Program order `O` of the paper's Table 1 (0 without an outcome).
+    pub order: usize,
     /// Detail of the retry trigger, when the job was retried.
     pub retry_detail: Option<String>,
     /// Effort counters, when verification produced an outcome at all.
@@ -221,10 +230,30 @@ struct Settled {
     status: JobStatus,
     verdict: String,
     wall: Duration,
+    size: usize,
+    order: usize,
     stats: Option<VerifyStats>,
     evidence_digest: u64,
     check: Option<bool>,
     trace: Option<String>,
+}
+
+impl Settled {
+    /// A settlement without a verification outcome: a hard error, a
+    /// trapped panic, a job cancelled before it started.
+    fn without_outcome(status: JobStatus, verdict: String, wall: Duration) -> Settled {
+        Settled {
+            status,
+            verdict,
+            wall,
+            size: 0,
+            order: 0,
+            stats: None,
+            evidence_digest: 0,
+            check: None,
+            trace: None,
+        }
+    }
 }
 
 fn tally(verdict: &Verdict, expected: Option<Expected>) -> JobStatus {
@@ -259,6 +288,12 @@ fn trace_file_name(name: &str) -> String {
 /// unwritable trace dir) detected *before* any job starts; once the pool is
 /// running, every failure mode degrades to a per-job report entry.
 pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchReport> {
+    let named = |path: &Path, e: io::Error| {
+        io::Error::new(e.kind(), format!("cannot create {}: {e}", path.display()))
+    };
+    if let Some(dir) = &opts.trace_dir {
+        std::fs::create_dir_all(dir).map_err(|e| named(dir, e))?;
+    }
     let progress = &opts.progress;
     let batch_started = Instant::now();
     progress.emit("batch_start", |e| {
@@ -322,11 +357,15 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
             vopts.fuel = Some(1);
         }
         let tracer = match &opts.trace_dir {
-            Some(dir) => Tracer::to_file(&dir.join(trace_file_name(&job.name)), opts.logical)?,
+            Some(dir) => {
+                let path = dir.join(trace_file_name(&job.name));
+                Tracer::to_file(&path, opts.logical).map_err(|e| named(&path, e))?
+            }
             None if opts.capture_traces => Tracer::memory(opts.logical),
-            None => Tracer::disabled(),
+            None => opts.verify.tracer.clone(),
         };
         vopts.tracer = tracer.clone();
+        let capture = opts.capture_traces;
 
         let name = job.name.clone();
         let source = job.source.clone();
@@ -348,11 +387,20 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
             let t = Instant::now();
             let result = verify(&source, &vopts);
             let wall = t.elapsed();
+            if let Err(e) = &result {
+                tracer.emit("fault", |ev| {
+                    ev.str("phase", "frontend")
+                        .str("kind", "error")
+                        .str("detail", &e.to_string());
+                });
+            }
             tracer.emit("run_end", |e| {
                 e.num("dur_us", tracer.dur_us(t));
             });
             tracer.flush();
-            let trace = tracer.snapshot();
+            // Only a per-job memory sink is snapshot: a tracer shared by
+            // every job would be copied once per job.
+            let trace = if capture { tracer.snapshot() } else { None };
             match result {
                 Ok(out) => {
                     let mut status = tally(&out.verdict, expected);
@@ -379,6 +427,8 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                         status,
                         verdict,
                         wall,
+                        size: out.size,
+                        order: out.order,
                         evidence_digest: out.stats.evidence_digest,
                         check,
                         stats: Some(out.stats),
@@ -403,13 +453,8 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                     Attempt::Done(settled)
                 }
                 Err(e) => Attempt::Done(Settled {
-                    status: JobStatus::Failed,
-                    verdict: format!("error: {e}"),
-                    wall,
-                    stats: None,
-                    evidence_digest: 0,
-                    check: None,
                     trace,
+                    ..Settled::without_outcome(JobStatus::Failed, format!("error: {e}"), wall)
                 }),
             }
         });
@@ -431,43 +476,32 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         ..BatchReport::default()
     };
     for (job, res) in jobs.iter().zip(results) {
-        let entry = match res.outcome {
-            JobOutcome::Done(s) => JobReport {
-                name: job.name.clone(),
-                status: s.status,
-                verdict: s.verdict,
-                wall: s.wall,
-                attempts: res.attempts,
-                retry_detail: res.retry_detail,
-                stats: s.stats,
-                evidence_digest: s.evidence_digest,
-                check: s.check,
-                trace: s.trace,
-            },
-            JobOutcome::Panicked { detail } => JobReport {
-                name: job.name.clone(),
-                status: JobStatus::Unknown,
-                verdict: format!("unknown ({})", UnknownReason::InternalFault(detail.clone())),
-                wall: Duration::ZERO,
-                attempts: res.attempts,
-                retry_detail: res.retry_detail,
-                stats: None,
-                evidence_digest: 0,
-                check: None,
-                trace: None,
-            },
-            JobOutcome::Cancelled => JobReport {
-                name: job.name.clone(),
-                status: JobStatus::Unknown,
-                verdict: "unknown (cancelled before start)".to_string(),
-                wall: Duration::ZERO,
-                attempts: res.attempts,
-                retry_detail: res.retry_detail,
-                stats: None,
-                evidence_digest: 0,
-                check: None,
-                trace: None,
-            },
+        let s = match res.outcome {
+            JobOutcome::Done(s) => s,
+            JobOutcome::Panicked { detail } => Settled::without_outcome(
+                JobStatus::Unknown,
+                format!("unknown ({})", UnknownReason::InternalFault(detail)),
+                Duration::ZERO,
+            ),
+            JobOutcome::Cancelled => Settled::without_outcome(
+                JobStatus::Unknown,
+                "unknown (cancelled before start)".to_string(),
+                Duration::ZERO,
+            ),
+        };
+        let entry = JobReport {
+            name: job.name.clone(),
+            status: s.status,
+            verdict: s.verdict,
+            wall: s.wall,
+            attempts: res.attempts,
+            retry_detail: res.retry_detail,
+            size: s.size,
+            order: s.order,
+            stats: s.stats,
+            evidence_digest: s.evidence_digest,
+            check: s.check,
+            trace: s.trace,
         };
         match entry.status {
             JobStatus::Passed => report.passed += 1,

@@ -1,109 +1,37 @@
-//! The `homc` command-line verifier.
+//! The `homc` command-line verifier. `USAGE` below lists every command and
+//! every option.
 //!
-//! ```text
-//! homc [options] <file.ml>       verify a source file
-//! homc [options] --suite [name]  run the paper's Table 1 suite (or one program)
-//! homc batch [batch-options] [program|file.ml ...]
-//!                                   run many jobs through the work-stealing
-//!                                   pool, each isolated under its own budget;
-//!                                   failed/hung jobs degrade to `unknown`,
-//!                                   never a process abort. With --cache-dir,
-//!                                   SMT query results persist across runs in
-//!                                   a versioned, checksummed segment store.
-//! homc profile (<file.ml> | --suite [name]) [-o <out.folded>]
-//!                                   self-profile: verify under a wall-clock
-//!                                   tracer, fold the spans into
-//!                                   flamegraph.pl-compatible stacks
-//! homc trace-report <file.jsonl>    render a trace as a per-iteration timeline
-//! homc trace-validate <file.jsonl>  check every line against the event schema
-//! homc trace-diff <old.jsonl> <new.jsonl> [--threshold n=r[:s]]... [--gate]
-//! homc bench-diff <old.json> <new.json>   [--threshold n=r[:s]]... [--gate]
-//!                                   compare two runs; exit 1 on a threshold
-//!                                   breach, 2 on a verdict flip, 3 when the
-//!                                   inputs are incomparable (the exit codes
-//!                                   of `regress` too)
-//! homc top <progress.jsonl> [--snapshot] [--interval <secs>]
-//!                                   tail a --progress stream and redraw a
-//!                                   live fleet summary (worker state, queue
-//!                                   depth, per-job phase); --snapshot renders
-//!                                   the current state once, deterministically
-//! homc history <ledger-dir> [program]
-//!                                   per-program latency/verdict trends and
-//!                                   p50/p90 summaries from the run ledger
-//! homc regress <ledger-dir> [--window <n>] [--threshold n=r[:s]]...
-//!                                   gate the newest ledger run against the
-//!                                   median of the last <n> (default 5) runs
-//!                                   of its kind; wall_us=1.5:100000 always
-//!                                   applies
-//! homc check (<file.ml> | --suite [program]) --evidence-dir <dir>
-//!                                   independently re-establish recorded
-//!                                   verdicts from exported evidence: safe
-//!                                   certificates are proof-checked and
-//!                                   their invariants re-closed, unsafe
-//!                                   counterexamples replayed through the
-//!                                   interpreter; no CEGAR, no SMT search
-//! homc explain (<file.ml> | --suite <program>)
-//!                                   verify one program and narrate the
-//!                                   verdict: certificate summary, per-
-//!                                   iteration predicate provenance, dead-
-//!                                   predicate census, heaviest refuted
-//!                                   queries (byte-deterministic output)
+//! Three commands run programs, and they are one driver: `homc [options]
+//! <target>...`, `homc batch` and `homc profile` parse the same run options,
+//! resolve their targets to suite programs or source files, verify them
+//! through [`homc::run_batch`] (each job under its own budget; a panicking
+//! or exhausted job degrades to `unknown`, never a process abort) and print
+//! one report. They differ only in defaults: `batch` runs two workers, and
+//! the whole suite when it is given no target; `profile` runs one worker
+//! under a wall-clock trace, then prints the span tree and writes
+//! flamegraph-compatible folded stacks.
 //!
-//! options:
-//!   --timeout <secs>      per-program wall-clock deadline (fractions allowed)
-//!   --inject <phase:n[:kind]>  deterministically fail the n-th checkpoint of a
-//!                         phase (abs|mc|feas|interp|smt); kind is error|panic
-//!   --stats               print per-program effort counters (SMT queries,
-//!                         query-cache hits/misses, worklist pops, rescans
-//!                         avoided), peak heap bytes per phase, and the
-//!                         metrics registry's histograms under each line
-//!   --trace <file.jsonl>  write one JSON event per line: phase spans, one
-//!                         record per CEGAR iteration, SMT solves, faults
-//!   --trace-logical <file.jsonl>  same, under a logical clock (sequence
-//!                         numbers instead of timestamps, durations zeroed):
-//!                         byte-identical across runs and machines
-//!   --progress <file.jsonl>  stream live fleet telemetry (queue depth, worker
-//!                         state, per-job CEGAR phase) to a second sink that
-//!                         `homc top` can tail; job traces are byte-identical
-//!                         with progress on or off
-//!   --ledger <dir>        append one checksummed record per program (verdict,
-//!                         per-phase latencies, peak heap, counters, trace
-//!                         digest) to the persistent run ledger that `homc
-//!                         history` and `homc regress` read
-//!   --metrics-out <file>  dump the metrics registry in Prometheus text
-//!                         exposition format after the run
-//!   --artifacts-dir <dir> persist each program's winning predicate
-//!                         environment, per-definition abstractions, and
-//!                         interpolants; a re-run after an edit diffs the
-//!                         per-definition manifest and re-verifies only the
-//!                         changed dependency cones (seeding is candidate-
-//!                         only, so it can speed a run up but never change
-//!                         its verdict)
-//!   --evidence-dir <dir>  export a verdict-evidence certificate per decisive
-//!                         program: safe runs record the final predicate
-//!                         environment, the saturated invariant, and one
-//!                         refutation proof per UNSAT query it depends on;
-//!                         unsafe runs record the replayable counterexample.
-//!                         `homc check` re-establishes the verdicts from the
-//!                         directory alone
-//! ```
+//! The other commands read what runs leave behind: traces (`trace-report`,
+//! `trace-validate`, `trace-diff`), `table1 --json` baselines
+//! (`bench-diff`), progress streams (`top`), the run ledger (`history`,
+//! `regress`) and verdict evidence (`check`, `explain`).
 //!
-//! Every program reports exactly one of `safe`, `unsafe`, or `unknown`; the
-//! suite ends with a `passed/failed/unknown` tally and the exit code is
+//! Every program reports exactly one of `safe`, `unsafe`, or `unknown`; a
+//! run ends with a `passed/failed/unknown` tally and the exit code is
 //! non-zero iff some program *failed* (wrong verdict or hard error) —
 //! `unknown` under a tight budget is a reported outcome, not a failure.
 
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use homc::{
     bench_diff, check_evidence, fold_trace, ledger_record, parse_threshold, progress_complete,
     regress, render_batch_json, render_explain, render_history, render_report, render_top,
-    run_batch, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify,
-    ArtifactConfig, BatchJob, BatchOptions, Counts, DiffOptions, DiskFault, EvidenceConfig,
-    EvidenceStore, Expected, Fault, FaultPlan, JobFault, JobStatus, Ledger, Metrics, RunRecord,
-    Surface, Tracer, TrendOptions, Verdict, VerifierOptions, VerifyStats,
+    run_batch, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify, BatchJob,
+    BatchOptions, BatchReport, Counts, DiffOptions, EvidenceConfig, EvidenceStore, Fault,
+    JobStatus, Ledger, Metrics, RunRecord, Surface, Tracer, TrendOptions, Verdict, VerifierOptions,
 };
 
 // The binary (not the library) installs the counting allocator: tests and
@@ -113,7 +41,7 @@ use homc::{
 #[global_allocator]
 static COUNTING_ALLOC: homc_metrics::mem::CountingAlloc = homc_metrics::mem::CountingAlloc::new();
 
-/// Indent of the `--stats` lines under a program's line (past its name).
+/// Indent of the `--stats` lines under a job's line (past its name).
 const STATS_INDENT: &str = "             ";
 
 fn fmt_d(d: Duration) -> String {
@@ -124,198 +52,6 @@ fn fmt_d(d: Duration) -> String {
 /// not panic on the broken pipe).
 fn say(line: std::fmt::Arguments) {
     let _ = writeln!(std::io::stdout(), "{line}");
-}
-
-/// How one program's run is tallied.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RunStatus {
-    /// The verdict matched the expectation (or any decisive verdict, when
-    /// there is no expectation).
-    Passed,
-    /// Wrong verdict or a hard error.
-    Failed,
-    /// The verifier gave up (budget, fault, inconclusive solver).
-    Unknown,
-}
-
-/// What one program's run contributes to the suite tally.
-struct RunReport {
-    status: RunStatus,
-    /// The verdict as printed (`safe`, `unsafe`, `unknown (...)`, or the
-    /// hard error text) — what the ledger record carries.
-    verdict: String,
-    /// Wall-clock time for the whole run, including the front end (the
-    /// per-phase `total` in [`VerifyStats`] covers only the CEGAR loop).
-    wall: Duration,
-    /// Effort counters, when verification produced an outcome at all.
-    stats: Option<VerifyStats>,
-}
-
-fn run_one(
-    name: &str,
-    source: &str,
-    expected: Option<Expected>,
-    opts: &VerifierOptions,
-    show_stats: bool,
-) -> RunReport {
-    let tracer = &opts.tracer;
-    tracer.emit("run_start", |e| {
-        e.str("name", name).str(
-            "clock",
-            if tracer.is_logical() {
-                "logical"
-            } else {
-                "wall"
-            },
-        );
-    });
-    // The registry accumulates across the suite; the per-program report is
-    // the delta against this pre-run snapshot.
-    let metrics_before = opts.metrics.enabled().then(|| opts.metrics.snapshot());
-    let t = Instant::now();
-    let result = verify(source, opts);
-    let wall = t.elapsed();
-    let report = match result {
-        Ok(out) => {
-            let v = match &out.verdict {
-                Verdict::Safe => "safe".to_string(),
-                Verdict::Unsafe { .. } => "unsafe".to_string(),
-                Verdict::Unknown { reason } => format!("unknown ({reason})"),
-            };
-            let status = match (&out.verdict, expected) {
-                (Verdict::Unknown { .. }, _) => RunStatus::Unknown,
-                (_, None) => RunStatus::Passed,
-                (_, Some(Expected::Safe)) if out.verdict.is_safe() => RunStatus::Passed,
-                (_, Some(Expected::Unsafe)) if out.verdict.is_unsafe() => RunStatus::Passed,
-                (_, Some(Expected::Diverges)) if !out.verdict.is_unsafe() => RunStatus::Passed,
-                _ => RunStatus::Failed,
-            };
-            say(format_args!(
-                "{name:12} S={:4} O={} C={:2}  abst={} mc={} cegar={} total={} wall={}  -> {v}{}",
-                out.size,
-                out.order,
-                out.stats.cycles,
-                fmt_d(out.stats.abst),
-                fmt_d(out.stats.mc),
-                fmt_d(out.stats.cegar),
-                fmt_d(out.stats.total),
-                fmt_d(wall),
-                if status == RunStatus::Failed {
-                    "  ** UNEXPECTED **"
-                } else {
-                    ""
-                },
-            ));
-            // An `unknown` run is precisely the one whose effort is worth
-            // inspecting (what was it doing when the budget hit?), so its
-            // partial counters are surfaced even without --stats.
-            if show_stats || status == RunStatus::Unknown {
-                let counts = out.stats.counts().render(Surface::Stats, STATS_INDENT);
-                say(format_args!("{}", counts.trim_end()));
-                if out.stats.evidence_digest != 0 {
-                    say(format_args!(
-                        "{:12} evidence_digest={:016x}",
-                        "", out.stats.evidence_digest,
-                    ));
-                }
-            }
-            if show_stats && out.stats.peak_bytes > 0 {
-                say(format_args!(
-                    "{:12} peak_bytes={} (abs={} mc={} feas={} interp={})",
-                    "",
-                    out.stats.peak_bytes,
-                    out.stats.peak_abs_bytes,
-                    out.stats.peak_mc_bytes,
-                    out.stats.peak_feas_bytes,
-                    out.stats.peak_interp_bytes,
-                ));
-            }
-            if show_stats {
-                if let Some(before) = &metrics_before {
-                    let delta = opts.metrics.snapshot().delta(before).registry_only();
-                    let rendered = delta.render(STATS_INDENT);
-                    if !rendered.is_empty() {
-                        say(format_args!("{}", rendered.trim_end()));
-                    }
-                }
-            }
-            RunReport {
-                status,
-                verdict: v,
-                wall,
-                stats: Some(out.stats),
-            }
-        }
-        Err(e) => {
-            eprintln!("{name}: error: {e}");
-            tracer.emit("fault", |ev| {
-                ev.str("phase", "frontend")
-                    .str("kind", "error")
-                    .str("detail", &e.to_string());
-            });
-            RunReport {
-                status: RunStatus::Failed,
-                verdict: format!("error: {e}"),
-                wall,
-                stats: None,
-            }
-        }
-    };
-    tracer.emit("run_end", |e| {
-        e.num("dur_us", tracer.dur_us(t));
-    });
-    tracer.flush();
-    report
-}
-
-/// Emits the `batch_job` settlement event for one program to the progress
-/// sink. The suite runner is a fleet of one worker, but it speaks the same
-/// progress dialect as `homc batch`, so `homc top` reads either.
-fn emit_settlement(progress: &Tracer, job: u64, name: &str, report: &RunReport) {
-    progress.emit("batch_job", |e| {
-        e.num("job", job)
-            .str("name", name)
-            .str(
-                "status",
-                match report.status {
-                    RunStatus::Passed => "passed",
-                    RunStatus::Failed => "failed",
-                    RunStatus::Unknown => "unknown",
-                },
-            )
-            .str("verdict", &report.verdict)
-            .num(
-                "wall_us",
-                if progress.is_logical() {
-                    0
-                } else {
-                    report.wall.as_micros() as u64
-                },
-            )
-            .num("attempts", 1)
-            .num(
-                "cache_hits",
-                report.stats.as_ref().map_or(0, |s| s.cache_hits),
-            )
-            .num(
-                "disk_hits",
-                report.stats.as_ref().map_or(0, |s| s.disk_hits),
-            );
-    });
-}
-
-struct Cli {
-    timeout: Option<Duration>,
-    faults: FaultPlan,
-    suite: bool,
-    stats: bool,
-    trace: Option<(String, bool)>,
-    progress: Option<String>,
-    ledger: Option<String>,
-    metrics_out: Option<String>,
-    artifacts_dir: Option<String>,
-    evidence_dir: Option<String>,
-    target: Option<String>,
 }
 
 /// Every subcommand `main` dispatches on. The usage text and the dispatch
@@ -335,112 +71,56 @@ const SUBCOMMANDS: &[&str] = &[
     "explain",
 ];
 
-const USAGE: &str = "\
-usage: homc [--timeout <secs>] [--inject <phase:n[:kind]>] [--stats] \
-[--trace <out.jsonl> | --trace-logical <out.jsonl>]\n\
-\x20           [--progress <out.jsonl>] [--ledger <dir>] [--metrics-out <file>] \
-[--artifacts-dir <dir>] [--evidence-dir <dir>] (<file.ml> | --suite [program])\n\
-\x20      homc batch [--workers <n>] [--cache-dir <dir>] [--artifacts-dir <dir>] \
-[--evidence-dir <dir>] [--trace-dir <dir>] [--logical]\n\
-\x20                 [--timeout <secs>] [--watchdog <secs>] [--stats] [--json]\n\
-\x20                 [--progress <out.jsonl>] [--ledger <dir>] [--metrics-out <file>]\n\
-\x20                 [--inject-job <idx:panic|exhaust>]\n\
-\x20                 [--inject-disk <torn:b|trunc:r|flipsum:r|flip:o>] [program|file ...]\n\
-\x20      homc profile (<file.ml> | --suite [program]) [-o <out.folded>]\n\
-\x20      homc trace-report <file.jsonl>\n\
-\x20      homc trace-validate <file.jsonl>\n\
-\x20      homc trace-diff <old.jsonl> <new.jsonl> [--threshold <n=r[:s]>]... [--gate]\n\
-\x20      homc bench-diff <old.json> <new.json> [--threshold <n=r[:s]>]... [--gate]\n\
-\x20      homc top <progress.jsonl> [--snapshot] [--interval <secs>]\n\
-\x20      homc history <ledger-dir> [program]\n\
-\x20      homc regress <ledger-dir> [--window <n>] [--threshold <n=r[:s]>]...\n\
-\x20      homc check (<file.ml> | --suite [program]) --evidence-dir <dir>\n\
-\x20      homc explain (<file.ml> | --suite <program>) [--evidence-dir <dir>] \
-[--trace-logical <out.jsonl>]";
+const USAGE: &str = "usage: homc [run-options] (<file.ml|program>... | --suite [program...])
+       homc batch [run-options] [<file.ml|program>...]
+       homc profile [run-options] (<file.ml|program>... | --suite [program...]) [-o <out.folded>]
+       homc trace-report <file.jsonl>
+       homc trace-validate <file.jsonl>
+       homc trace-diff <old.jsonl> <new.jsonl> [--threshold <n=r[:s]>]... [--gate]
+       homc bench-diff <old.json> <new.json> [--threshold <n=r[:s]>]... [--gate]
+       homc top <progress.jsonl> [--snapshot] [--interval <secs>]
+       homc history <ledger-dir> [program]
+       homc regress <ledger-dir> [--window <n>] [--threshold <n=r[:s]>]...
+       homc check (<file.ml|program>... | --suite [program...]) --evidence-dir <dir>
+       homc explain (<file.ml|program> | --suite <program>) [--evidence-dir <dir>] \
+[--trace-logical <out.jsonl>]
+run options (a target is a suite program name or a source file; batch alone runs the
+whole suite without one):
+  --suite                    targets are suite program names; none means the whole suite
+  --timeout <secs>           per-program wall-clock deadline (fractions allowed)
+  --inject <phase:n[:kind]>  fail the n-th checkpoint of abs|mc|feas|interp|smt (error|panic)
+  --inject-job <idx:panic|exhaust>  fault one job of the run
+  --inject-disk <torn:b|trunc:r|flipsum:r|flip:o>  corrupt the published cache segment
+  --workers <n>              pool workers (default 1, 2 under batch; profile takes 1)
+  --watchdog <secs>          cancel any single attempt running longer
+  --stats                    per-job counters and peak heap, run totals, metrics registry
+  --json                     print the report as one schema-versioned JSON document
+  --trace <out.jsonl>        one JSONL event trace of the whole run (one worker)
+  --trace-logical <out.jsonl>  the same under a logical clock: byte-identical across runs
+  --trace-dir <dir>          one JSONL trace per job, <dir>/<name>.jsonl
+  --logical                  logical clock for every trace, progress and metrics sink
+  --progress <out.jsonl>     live fleet telemetry that the top command tails
+  --ledger <dir>             append one record per program to the run ledger
+  --metrics-out <file>       dump the metrics registry in Prometheus text format
+  --cache-dir <dir>          persist SMT query results across runs
+  --artifacts-dir <dir>      persist abstractions; a re-run re-verifies only edited cones
+  --evidence-dir <dir>       export and self-check a certificate per decided program";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        timeout: None,
-        faults: FaultPlan::none(),
-        suite: false,
-        stats: false,
-        trace: None,
-        progress: None,
-        ledger: None,
-        metrics_out: None,
-        artifacts_dir: None,
-        evidence_dir: None,
-        target: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                let v = args.get(i + 1).ok_or("--timeout needs a value")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --timeout value {v:?}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--timeout must be positive, got {v:?}"));
-                }
-                cli.timeout = Some(Duration::from_secs_f64(secs));
-                i += 2;
-            }
-            "--inject" => {
-                let v = args.get(i + 1).ok_or("--inject needs a value")?;
-                let fault: Fault = v.parse().map_err(|e| format!("{e}"))?;
-                cli.faults.push(fault);
-                i += 2;
-            }
-            "--suite" => {
-                cli.suite = true;
-                i += 1;
-            }
-            "--stats" => {
-                cli.stats = true;
-                i += 1;
-            }
-            flag @ ("--trace" | "--trace-logical") => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a path"))?;
-                if cli.trace.is_some() {
-                    return Err("at most one of --trace/--trace-logical".to_string());
-                }
-                cli.trace = Some((v.clone(), flag == "--trace-logical"));
-                i += 2;
-            }
-            flag @ ("--progress" | "--ledger" | "--metrics-out" | "--artifacts-dir"
-            | "--evidence-dir") => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a path"))?;
-                let slot = match flag {
-                    "--progress" => &mut cli.progress,
-                    "--ledger" => &mut cli.ledger,
-                    "--artifacts-dir" => &mut cli.artifacts_dir,
-                    "--evidence-dir" => &mut cli.evidence_dir,
-                    _ => &mut cli.metrics_out,
-                };
-                *slot = Some(v.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            other => {
-                if cli.target.is_some() {
-                    return Err(format!("unexpected extra argument {other:?}"));
-                }
-                cli.target = Some(other.to_string());
-                i += 1;
-            }
-        }
+/// A positive number of seconds, as `--timeout`, `--watchdog` and
+/// `--interval` take.
+fn seconds(flag: &str, v: &str) -> Result<Duration, String> {
+    let secs: f64 = v
+        .parse()
+        .map_err(|_| format!("invalid {flag} value {v:?}"))?;
+    if !secs.is_finite() || secs <= 0.0 {
+        return Err(format!("{flag} must be positive, got {v:?}"));
     }
-    Ok(cli)
+    Ok(Duration::from_secs_f64(secs))
 }
 
 /// `homc trace-validate <file.jsonl>`: every line must parse and satisfy the
@@ -557,108 +237,6 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
     ExitCode::from(report.exit_code())
 }
 
-/// `homc profile`: verify under an in-memory wall-clock tracer, fold the
-/// span events into flamegraph-compatible stacks, and verify telescoping.
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let mut out_path: Option<String> = None;
-    let mut suite_mode = false;
-    let mut target: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: -o needs a path");
-                    return usage();
-                };
-                out_path = Some(v.clone());
-                i += 2;
-            }
-            "--suite" => {
-                suite_mode = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown profile flag {flag}");
-                return usage();
-            }
-            other => {
-                if target.is_some() {
-                    eprintln!("homc: unexpected extra argument {other:?}");
-                    return usage();
-                }
-                target = Some(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    // Wall clock (the profiler needs real durations), one abstraction
-    // thread (clean span nesting), events buffered in memory.
-    let tracer = Tracer::memory(false);
-    let mut opts = VerifierOptions {
-        tracer: tracer.clone(),
-        ..VerifierOptions::default()
-    };
-    opts.abs.threads = 1;
-    if suite_mode {
-        let filter = target;
-        let mut matched = false;
-        for p in suite::SUITE {
-            if let Some(f) = &filter {
-                if p.name != f {
-                    continue;
-                }
-            }
-            matched = true;
-            run_one(p.name, p.source, Some(p.expected), &opts, false);
-        }
-        if !matched {
-            eprintln!(
-                "homc: no suite program named {:?}",
-                filter.as_deref().unwrap_or("")
-            );
-            return ExitCode::FAILURE;
-        }
-    } else {
-        let Some(path) = target else {
-            return usage();
-        };
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("homc: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if run_one(&path, &src, None, &opts, false).status == RunStatus::Failed {
-            return ExitCode::FAILURE;
-        }
-    }
-    let trace_text = tracer.snapshot().unwrap_or_default();
-    let profile = fold_trace(&trace_text);
-    say(format_args!("{}", profile.render_tree().trim_end()));
-    if let Err(e) = profile.check_telescoping() {
-        eprintln!("homc: profile: {e}");
-        return ExitCode::FAILURE;
-    }
-    let folded = profile.folded();
-    if let Err(e) = validate_folded(&folded) {
-        eprintln!("homc: profile: malformed folded output: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(out) = out_path {
-        if let Err(e) = std::fs::write(&out, &folded) {
-            eprintln!("homc: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        say(format_args!(
-            "wrote {} folded stack(s) to {out}",
-            folded.lines().count()
-        ));
-    }
-    ExitCode::SUCCESS
-}
-
 /// Writes the metrics registry in Prometheus text exposition format.
 /// Best-effort by design: a failed dump warns on stderr but never changes
 /// the exit code of the run that produced it.
@@ -724,10 +302,10 @@ fn cmd_top(args: &[String]) -> ExitCode {
                     eprintln!("homc: --interval needs a value");
                     return usage();
                 };
-                match v.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => interval = Duration::from_secs_f64(s),
-                    _ => {
-                        eprintln!("homc: --interval must be positive seconds, got {v:?}");
+                match seconds("--interval", v) {
+                    Ok(d) => interval = d,
+                    Err(e) => {
+                        eprintln!("homc: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -794,36 +372,6 @@ fn cmd_history(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Shared target resolution for `check`/`explain`: suite names (all of the
-/// suite, or one filtered program) or a readable source file. Each entry is
-/// `(key, source)` where the key matches what a verifying run with
-/// `--evidence-dir` published under.
-fn resolve_targets(
-    suite_mode: bool,
-    target: Option<&str>,
-) -> Result<Vec<(String, String)>, String> {
-    if suite_mode {
-        let picked: Vec<(String, String)> = suite::SUITE
-            .iter()
-            .filter(|p| target.is_none_or(|f| p.name == f))
-            .map(|p| (p.name.to_string(), p.source.to_string()))
-            .collect();
-        if picked.is_empty() {
-            return Err(format!(
-                "no suite program named {:?}",
-                target.unwrap_or("")
-            ));
-        }
-        Ok(picked)
-    } else {
-        let Some(path) = target else {
-            return Err("check/explain need a source file or --suite".to_string());
-        };
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Ok(vec![(path.to_string(), src)])
-    }
-}
-
 /// `homc check`: re-establish verdicts from exported evidence, without the
 /// CEGAR/SMT search path. Every certificate is validated independently —
 /// proofs re-verified by arithmetic, the invariant re-closed, unsafe
@@ -834,7 +382,7 @@ fn resolve_targets(
 fn cmd_check(args: &[String]) -> ExitCode {
     let mut evidence_dir: Option<String> = None;
     let mut suite_mode = false;
-    let mut target: Option<String> = None;
+    let mut targets: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -855,11 +403,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 return usage();
             }
             other => {
-                if target.is_some() {
-                    eprintln!("homc: unexpected extra argument {other:?}");
-                    return usage();
-                }
-                target = Some(other.to_string());
+                targets.push(other.to_string());
                 i += 1;
             }
         }
@@ -868,8 +412,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
         eprintln!("homc: check needs --evidence-dir <dir>");
         return usage();
     };
-    let targets = match resolve_targets(suite_mode, target.as_deref()) {
-        Ok(t) => t,
+    if !suite_mode && targets.is_empty() {
+        eprintln!("homc: check needs a source file, a program or --suite");
+        return usage();
+    }
+    let jobs = match resolve_jobs(suite_mode, &targets) {
+        Ok(jobs) => jobs,
         Err(e) => {
             eprintln!("homc: {e}");
             return ExitCode::FAILURE;
@@ -877,10 +425,13 @@ fn cmd_check(args: &[String]) -> ExitCode {
     };
     // A full-suite sweep may legitimately skip evidence-less programs; an
     // explicitly named target may not.
-    let explicit = !suite_mode || target.is_some();
+    let explicit = !targets.is_empty();
     let store = EvidenceStore::new(dir.as_str());
     let (mut passed, mut failed, mut missing) = (0usize, 0usize, 0usize);
-    for (key, src) in &targets {
+    for BatchJob {
+        name: key, source, ..
+    } in &jobs
+    {
         let t = Instant::now();
         let line = match store.load(key) {
             Err(e) => {
@@ -896,7 +447,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     missing += 1;
                     "no evidence".to_string()
                 }
-                Some(ev) => match check_evidence(src, &ev, &Metrics::disabled()) {
+                Some(ev) => match check_evidence(source, &ev, &Metrics::disabled()) {
                     Ok(rep) if rep.claimed == "safe" => {
                         passed += 1;
                         format!(
@@ -944,7 +495,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 fn cmd_explain(args: &[String]) -> ExitCode {
     let mut evidence_dir: Option<String> = None;
     let mut suite_mode = false;
-    let mut target: Option<String> = None;
+    let mut targets: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -970,30 +521,27 @@ fn cmd_explain(args: &[String]) -> ExitCode {
                 return usage();
             }
             other => {
-                if target.is_some() {
-                    eprintln!("homc: unexpected extra argument {other:?}");
-                    return usage();
-                }
-                target = Some(other.to_string());
+                targets.push(other.to_string());
                 i += 1;
             }
         }
     }
-    if suite_mode && target.is_none() {
-        eprintln!("homc: explain --suite needs one program name");
+    if targets.len() != 1 {
+        eprintln!("homc: explain needs one source file or program");
         return usage();
     }
-    let mut targets = match resolve_targets(suite_mode, target.as_deref()) {
-        Ok(t) => t,
+    let BatchJob {
+        name: key, source, ..
+    } = match resolve_jobs(suite_mode, &targets) {
+        Ok(mut jobs) => jobs.remove(0),
         Err(e) => {
             eprintln!("homc: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let (key, source) = targets.remove(0);
     let tracer = match &trace_out {
         None => Tracer::disabled(),
-        Some(path) => match Tracer::to_file(std::path::Path::new(path), true) {
+        Some(path) => match Tracer::to_file(Path::new(path), true) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("homc: cannot open trace file {path}: {e}");
@@ -1035,278 +583,212 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     }
 }
 
-/// `homc batch`: the crash-safe fleet runner. Every job gets exactly one
-/// report line; the exit code reflects only *failed* (wrong-verdict) jobs.
-fn cmd_batch(args: &[String]) -> ExitCode {
-    let mut opts = BatchOptions::default();
-    let mut targets: Vec<String> = Vec::new();
-    let mut stats_on = false;
-    let mut json = false;
-    let mut progress_path: Option<String> = None;
-    let mut ledger_dir: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let need = |flag: &str| format!("homc: {flag} needs a value");
-        match args[i].as_str() {
-            "--workers" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--workers"));
-                    return usage();
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.workers = n,
-                    _ => {
-                        eprintln!("homc: --workers must be a positive integer, got {v:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
-            "--cache-dir" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--cache-dir"));
-                    return usage();
-                };
-                opts.cache_dir = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--artifacts-dir" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--artifacts-dir"));
-                    return usage();
-                };
-                opts.artifacts_dir = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--trace-dir" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--trace-dir"));
-                    return usage();
-                };
-                opts.trace_dir = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--evidence-dir" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--evidence-dir"));
-                    return usage();
-                };
-                opts.evidence_dir = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--logical" => {
-                opts.logical = true;
-                i += 1;
-            }
-            flag @ ("--timeout" | "--watchdog") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need(flag));
-                    return usage();
-                };
-                let secs: f64 = match v.parse() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        eprintln!("homc: invalid {flag} value {v:?}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if !secs.is_finite() || secs <= 0.0 {
-                    eprintln!("homc: {flag} must be positive, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-                let d = Duration::from_secs_f64(secs);
-                if flag == "--timeout" {
-                    opts.verify.timeout = Some(d);
-                } else {
-                    opts.watchdog = Some(d);
-                }
-                i += 2;
-            }
-            "--inject-job" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--inject-job"));
-                    return usage();
-                };
-                match v.parse::<JobFault>() {
-                    Ok(f) => opts.job_faults.push(f),
-                    Err(e) => {
-                        eprintln!("homc: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
-            "--inject-disk" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need("--inject-disk"));
-                    return usage();
-                };
-                match v.parse::<DiskFault>() {
-                    Ok(f) => opts.disk_fault = Some(f),
-                    Err(e) => {
-                        eprintln!("homc: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
-            "--stats" => {
-                stats_on = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            flag @ ("--progress" | "--ledger" | "--metrics-out") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{}", need(flag));
-                    return usage();
-                };
-                let slot = match flag {
-                    "--progress" => &mut progress_path,
-                    "--ledger" => &mut ledger_dir,
-                    _ => &mut metrics_out,
-                };
-                *slot = Some(v.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown batch flag {flag}");
-                return usage();
-            }
-            other => {
-                targets.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    // No targets: the whole Table 1 suite. Otherwise each target is a suite
-    // program name or a source file path.
-    let mut jobs: Vec<BatchJob> = Vec::new();
+/// The jobs that targets name. With `--suite` each target is a suite
+/// program name; otherwise each is a suite program name or a readable
+/// source file, keyed by its path. No target means the whole suite.
+fn resolve_jobs(suite_mode: bool, targets: &[String]) -> Result<Vec<BatchJob>, String> {
+    let program = |p: &suite::SuiteProgram| BatchJob {
+        name: p.name.to_string(),
+        source: p.source.to_string(),
+        expected: Some(p.expected),
+    };
     if targets.is_empty() {
-        for p in suite::SUITE {
-            jobs.push(BatchJob {
-                name: p.name.to_string(),
-                source: p.source.to_string(),
-                expected: Some(p.expected),
-            });
-        }
-    } else {
-        for t in &targets {
-            if let Some(p) = suite::find(t) {
-                jobs.push(BatchJob {
-                    name: p.name.to_string(),
-                    source: p.source.to_string(),
-                    expected: Some(p.expected),
-                });
-            } else {
-                match std::fs::read_to_string(t) {
-                    Ok(src) => jobs.push(BatchJob {
-                        name: t.clone(),
-                        source: src,
-                        expected: None,
-                    }),
-                    Err(e) => {
-                        eprintln!(
-                            "homc: {t:?} is neither a suite program nor a readable file: {e}"
-                        );
-                        return ExitCode::FAILURE;
-                    }
+        return Ok(suite::SUITE.iter().map(program).collect());
+    }
+    targets
+        .iter()
+        .map(|t| match suite::find(t) {
+            Some(p) => Ok(program(p)),
+            None if suite_mode => Err(format!("no suite program named {t:?}")),
+            None => std::fs::read_to_string(t)
+                .map(|source| BatchJob {
+                    name: t.clone(),
+                    source,
+                    expected: None,
+                })
+                .map_err(|e| format!("{t:?} is neither a suite program nor a readable file: {e}")),
+        })
+        .collect()
+}
+
+/// A command that runs programs. All three take the same run options and
+/// differ only in defaults and in what follows the report.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RunCmd {
+    /// `homc [options] <target>...`: needs a target or `--suite`.
+    Plain,
+    /// `homc batch`: two workers by default; no target runs the suite.
+    Batch,
+    /// `homc profile`: one worker under its own wall-clock trace, folded
+    /// into a span tree and flamegraph stacks after the report.
+    Profile,
+}
+
+/// A parsed run command line.
+struct RunArgs {
+    /// Pool, store and verifier options, as [`run_batch`] takes them.
+    batch: BatchOptions,
+    suite: bool,
+    targets: Vec<String>,
+    stats: bool,
+    json: bool,
+    /// `--trace`/`--trace-logical`: one trace file that every job writes.
+    trace: Option<String>,
+    progress: Option<String>,
+    ledger: Option<String>,
+    metrics_out: Option<String>,
+    /// Profile's `-o`: where the folded stacks go.
+    out: Option<String>,
+}
+
+/// The one run-option parser. Flags are order-insensitive: sinks are
+/// opened only once the whole command line (notably `--logical`) is known.
+fn parse_run(cmd: RunCmd, args: &[String]) -> Result<RunArgs, String> {
+    let mut run = RunArgs {
+        batch: BatchOptions {
+            workers: if cmd == RunCmd::Batch { 2 } else { 1 },
+            ..BatchOptions::default()
+        },
+        suite: false,
+        targets: Vec::new(),
+        stats: false,
+        json: false,
+        trace: None,
+        progress: None,
+        ledger: None,
+        metrics_out: None,
+        out: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let opts = &mut run.batch;
+        match flag {
+            "--suite" => run.suite = true,
+            "--stats" => run.stats = true,
+            "--json" => run.json = true,
+            "--logical" => opts.logical = true,
+            "--timeout" => opts.verify.timeout = Some(seconds(flag, value()?)?),
+            "--watchdog" => opts.watchdog = Some(seconds(flag, value()?)?),
+            "--workers" => {
+                let v = value()?;
+                opts.workers =
+                    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        format!("--workers must be a positive integer, got {v:?}")
+                    })?;
+            }
+            "--inject" => {
+                let fault: Fault = value()?.parse().map_err(|e| format!("{e}"))?;
+                opts.verify.faults.push(fault);
+            }
+            "--inject-job" => opts.job_faults.push(value()?.parse()?),
+            "--inject-disk" => opts.disk_fault = Some(value()?.parse()?),
+            "--trace" | "--trace-logical" => {
+                if run.trace.is_some() {
+                    return Err("at most one of --trace/--trace-logical".to_string());
                 }
+                run.trace = Some(value()?.clone());
+                opts.logical |= flag == "--trace-logical";
             }
+            "--trace-dir" => opts.trace_dir = Some(value()?.into()),
+            "--cache-dir" => opts.cache_dir = Some(value()?.into()),
+            "--artifacts-dir" => opts.artifacts_dir = Some(value()?.into()),
+            "--evidence-dir" => opts.evidence_dir = Some(value()?.into()),
+            "--progress" => run.progress = Some(value()?.clone()),
+            "--ledger" => run.ledger = Some(value()?.clone()),
+            "--metrics-out" => run.metrics_out = Some(value()?.clone()),
+            "-o" if cmd == RunCmd::Profile => run.out = Some(value()?.clone()),
+            _ if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => run.targets.push(arg.clone()),
         }
     }
-    // Flags are order-insensitive: metrics and progress sinks are built
-    // only after the whole command line (notably --logical) is parsed.
-    if stats_on || metrics_out.is_some() {
-        opts.verify.metrics = Metrics::new(opts.logical);
+    let opts = &run.batch;
+    if cmd == RunCmd::Profile {
+        if run.trace.is_some() || opts.trace_dir.is_some() || opts.logical {
+            return Err("profile records its own wall-clock trace: --trace, \
+                        --trace-logical, --trace-dir and --logical do not apply"
+                .to_string());
+        }
+        if opts.workers != 1 {
+            return Err("profile runs one worker".to_string());
+        }
     }
-    if let Some(p) = &progress_path {
-        opts.progress = match Tracer::to_file(std::path::Path::new(p), opts.logical) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("homc: cannot open progress file {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if run.trace.is_some() && (opts.trace_dir.is_some() || opts.workers > 1) {
+        return Err(
+            "--trace and --trace-logical write one file for one worker; \
+             use --trace-dir <dir> for a file per job"
+                .to_string(),
+        );
     }
-    let report = match run_batch(jobs, &opts) {
-        Ok(r) => r,
+    if cmd != RunCmd::Batch && !run.suite && run.targets.is_empty() {
+        return Err("a source file, a program or --suite is needed".to_string());
+    }
+    Ok(run)
+}
+
+/// `homc`, `homc batch` and `homc profile`: parse, run every job through
+/// [`run_batch`], print the one report. Exit is non-zero iff a job failed
+/// (or a profile does not telescope).
+fn cmd_run(cmd: RunCmd, args: &[String]) -> ExitCode {
+    let run = match parse_run(cmd, args) {
+        Ok(run) => run,
         Err(e) => {
-            eprintln!("homc: batch: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("homc: {e}");
+            return usage();
         }
     };
-    if json {
+    execute(cmd, run).unwrap_or_else(|e| {
+        eprintln!("homc: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Resolves the targets, opens the sinks, runs the jobs and reports them.
+fn execute(cmd: RunCmd, run: RunArgs) -> Result<ExitCode, String> {
+    let jobs = resolve_jobs(run.suite, &run.targets)?;
+    let mut opts = run.batch;
+    let logical = opts.logical;
+    let open = |path: &str, what: &str| {
+        Tracer::to_file(Path::new(path), logical)
+            .map_err(|e| format!("cannot open {what} file {path}: {e}"))
+    };
+    // The progress sink is separate from the job tracers by construction:
+    // that separation keeps logical job traces byte-identical with progress
+    // on or off.
+    if let Some(path) = &run.progress {
+        opts.progress = open(path, "progress")?;
+    }
+    if let Some(path) = &run.trace {
+        opts.verify.tracer = open(path, "trace")?;
+    }
+    if cmd == RunCmd::Profile {
+        // Wall clock (the profiler needs real durations), one abstraction
+        // thread (clean span nesting), events buffered in memory.
+        opts.verify.tracer = Tracer::memory(false);
+        opts.verify.abs.threads = 1;
+    }
+    // The registry exists only when --stats or --metrics-out renders it;
+    // under a logical clock it zeroes durations so the run stays
+    // reproducible.
+    if run.stats || run.metrics_out.is_some() {
+        opts.verify.metrics = Metrics::new(logical);
+    }
+    let report = run_batch(jobs, &opts).map_err(|e| e.to_string())?;
+    if run.json {
         // Machine mode: stdout carries exactly one JSON document.
-        print!("{}", render_batch_json(&report, opts.workers, opts.logical));
+        print!("{}", render_batch_json(&report, opts.workers, logical));
         let _ = std::io::stdout().flush();
     } else {
-        for j in &report.jobs {
-            let retried = if j.attempts > 1 {
-                format!(
-                    "  (attempts={}{})",
-                    j.attempts,
-                    match &j.retry_detail {
-                        Some(d) => format!(", retried after {d}"),
-                        None => String::new(),
-                    }
-                )
-            } else {
-                String::new()
-            };
-            let evidence = match j.check {
-                Some(true) => "  evidence=ok",
-                Some(false) => "  evidence=FAIL",
-                None => "",
-            };
-            say(format_args!(
-                "{:12} wall={} -> {}{}{}{}",
-                j.name,
-                fmt_d(j.wall),
-                j.verdict,
-                if j.status == JobStatus::Failed {
-                    "  ** UNEXPECTED **"
-                } else {
-                    ""
-                },
-                evidence,
-                retried,
-            ));
-        }
-        say(format_args!(
-            "passed {}, failed {}, unknown {}  ({} jobs, {} workers)",
-            report.passed,
-            report.failed,
-            report.unknown,
-            report.jobs.len(),
-            opts.workers,
-        ));
-        if let Some(load) = &report.load {
-            say(format_args!(
-                "cache load: {load}  disk hits {}",
-                report.disk_hits
-            ));
-        }
-        if let Some(p) = &report.publish {
-            say(format_args!(
-                "cache publish: {} record(s), {} bytes -> {}",
-                p.records,
-                p.bytes,
-                p.path.display()
-            ));
-        }
-        if stats_on {
-            let rendered = opts.verify.metrics.snapshot().render("  ");
-            if !rendered.is_empty() {
-                say(format_args!("{}", rendered.trim_end()));
-            }
-        }
+        print_report(&report, &opts, run.stats);
     }
-    if let Some(dir) = &ledger_dir {
-        let records: Vec<RunRecord> = report
+    if let Some(dir) = &run.ledger {
+        let kind = match cmd {
+            RunCmd::Batch => "batch",
+            _ if run.suite => "suite",
+            _ => "file",
+        };
+        let records = report
             .jobs
             .iter()
             .map(|j| {
@@ -1325,274 +807,171 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                 r
             })
             .collect();
-        append_ledger(dir, "batch", records);
+        append_ledger(dir, kind, records);
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &run.metrics_out {
         write_metrics_out(path, &opts.verify.metrics);
     }
-    if report.failed == 0 {
+    if cmd == RunCmd::Profile {
+        report_profile(&opts.verify.tracer, run.out.as_deref())?;
+    }
+    Ok(if report.failed == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+/// The one report of a run: a line per job, each followed by its `--stats`
+/// block, then the tally, the disk-cache lines and, under `--stats`, the
+/// run's totals and the metrics registry.
+fn print_report(report: &BatchReport, opts: &BatchOptions, stats: bool) {
+    let mut totals = Counts::default();
+    for j in &report.jobs {
+        let retried = match &j.retry_detail {
+            _ if j.attempts <= 1 => String::new(),
+            Some(d) => format!("  (attempts={}, retried after {d})", j.attempts),
+            None => format!("  (attempts={})", j.attempts),
+        };
+        let evidence = match j.check {
+            Some(true) => "  evidence=ok",
+            Some(false) => "  evidence=FAIL",
+            None => "",
+        };
+        say(format_args!(
+            "{:12} wall={} -> {}{}{evidence}{retried}",
+            j.name,
+            fmt_d(j.wall),
+            j.verdict,
+            if j.status == JobStatus::Failed {
+                "  ** UNEXPECTED **"
+            } else {
+                ""
+            },
+        ));
+        let Some(s) = &j.stats else {
+            continue;
+        };
+        let counts = s.counts();
+        totals.merge(&counts);
+        // An `unknown` run is precisely the one whose effort is worth
+        // inspecting (what was it doing when the budget hit?), so its
+        // partial counters are surfaced even without --stats.
+        if !stats && j.status != JobStatus::Unknown {
+            continue;
+        }
+        // The paper's Table 1 columns: size, order, CEGAR cycles, phases.
+        say(format_args!(
+            "{STATS_INDENT}S={:4} O={} C={:2}  abst={} mc={} cegar={} total={}",
+            j.size,
+            j.order,
+            s.cycles,
+            fmt_d(s.abst),
+            fmt_d(s.mc),
+            fmt_d(s.cegar),
+            fmt_d(s.total),
+        ));
+        let rendered = counts.render(Surface::Stats, STATS_INDENT);
+        say(format_args!("{}", rendered.trim_end()));
+        if j.evidence_digest != 0 {
+            say(format_args!(
+                "{STATS_INDENT}evidence_digest={:016x}",
+                j.evidence_digest
+            ));
+        }
+        if stats && s.peak_bytes > 0 {
+            say(format_args!(
+                "{STATS_INDENT}peak_bytes={} (abs={} mc={} feas={} interp={})",
+                s.peak_bytes,
+                s.peak_abs_bytes,
+                s.peak_mc_bytes,
+                s.peak_feas_bytes,
+                s.peak_interp_bytes,
+            ));
+        }
     }
+    say(format_args!(
+        "passed {}, failed {}, unknown {}  ({} jobs, {} workers)",
+        report.passed,
+        report.failed,
+        report.unknown,
+        report.jobs.len(),
+        opts.workers,
+    ));
+    if let Some(load) = &report.load {
+        say(format_args!(
+            "cache load: {load}  disk hits {}",
+            report.disk_hits
+        ));
+    }
+    if let Some(p) = &report.publish {
+        say(format_args!(
+            "cache publish: {} record(s), {} bytes -> {}",
+            p.records,
+            p.bytes,
+            p.path.display()
+        ));
+    }
+    if stats {
+        say(format_args!(
+            "totals:\n{}",
+            totals.render(Surface::Stats, "  ").trim_end()
+        ));
+        // Jobs share one registry, so it prints once per run; its run
+        // counters are the totals above.
+        let registry = opts.verify.metrics.snapshot().registry_only().render("  ");
+        if !registry.is_empty() {
+            say(format_args!("{}", registry.trim_end()));
+        }
+    }
+}
+
+/// Folds a profile run's wall-clock trace into a span tree (printed) and
+/// folded stacks (written to `out`), failing unless children telescope
+/// into their parents.
+fn report_profile(trace: &Tracer, out: Option<&str>) -> Result<(), String> {
+    let profile = fold_trace(&trace.snapshot().unwrap_or_default());
+    say(format_args!("{}", profile.render_tree().trim_end()));
+    profile
+        .check_telescoping()
+        .map_err(|e| format!("profile: {e}"))?;
+    let folded = profile.folded();
+    validate_folded(&folded).map_err(|e| format!("profile: malformed folded output: {e}"))?;
+    if let Some(out) = out {
+        std::fs::write(out, &folded).map_err(|e| format!("cannot write {out}: {e}"))?;
+        say(format_args!(
+            "wrote {} folded stack(s) to {out}",
+            folded.lines().count()
+        ));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(first) = args.first() else {
         return usage();
-    }
-    match args[0].as_str() {
-        "trace-validate" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            return cmd_trace_validate(path);
-        }
-        "trace-report" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            return cmd_trace_report(path);
-        }
-        kind @ ("trace-diff" | "bench-diff" | "regress") => {
-            return cmd_diff(kind, &args[1..]);
-        }
-        "profile" => {
-            return cmd_profile(&args[1..]);
-        }
-        "batch" => {
-            return cmd_batch(&args[1..]);
-        }
-        "top" => {
-            return cmd_top(&args[1..]);
-        }
-        "history" => {
-            return cmd_history(&args[1..]);
-        }
-        "check" => {
-            return cmd_check(&args[1..]);
-        }
-        "explain" => {
-            return cmd_explain(&args[1..]);
-        }
-        _ => {}
-    }
-    debug_assert!(
-        !SUBCOMMANDS.contains(&args[0].as_str()),
-        "subcommand {:?} listed but not dispatched",
-        args[0]
-    );
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("homc: {e}");
-            return usage();
-        }
     };
-    let tracer = match &cli.trace {
-        None => Tracer::disabled(),
-        Some((path, logical)) => match Tracer::to_file(std::path::Path::new(path), *logical) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("homc: cannot open trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let rest = &args[1..];
+    match first.as_str() {
+        cmd @ ("trace-validate" | "trace-report") => match rest.first() {
+            Some(path) if cmd == "trace-validate" => cmd_trace_validate(path),
+            Some(path) => cmd_trace_report(path),
+            None => usage(),
         },
-    };
-    // The progress sink is separate from the job tracer by construction:
-    // that separation is what keeps --trace-logical streams byte-identical
-    // with progress on or off. It inherits the job tracer's clock so a
-    // logical run stays deterministic end to end.
-    let progress = match &cli.progress {
-        None => Tracer::disabled(),
-        Some(path) => match Tracer::to_file(std::path::Path::new(path), tracer.is_logical()) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("homc: cannot open progress file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    // The budget (deadline + fault plan) is per program: each run_one call
-    // builds a fresh Budget from these options. The metrics registry only
-    // exists when --stats or --metrics-out will render it; under a logical
-    // tracer it zeroes durations so the run stays reproducible.
-    let metrics = if cli.stats || cli.metrics_out.is_some() {
-        Metrics::new(tracer.is_logical())
-    } else {
-        Metrics::disabled()
-    };
-    let opts = VerifierOptions {
-        timeout: cli.timeout,
-        faults: cli.faults.clone(),
-        tracer: tracer.clone(),
-        metrics,
-        progress: progress.clone(),
-        ..VerifierOptions::default()
-    };
-
-    if cli.suite {
-        let filter = cli.target;
-        let programs: Vec<_> = suite::SUITE
-            .iter()
-            .filter(|p| filter.as_deref().is_none_or(|f| p.name == f))
-            .collect();
-        if programs.is_empty() {
-            eprintln!(
-                "homc: no suite program named {:?}",
-                filter.as_deref().unwrap_or("")
+        kind @ ("trace-diff" | "bench-diff" | "regress") => cmd_diff(kind, rest),
+        "batch" => cmd_run(RunCmd::Batch, rest),
+        "profile" => cmd_run(RunCmd::Profile, rest),
+        "top" => cmd_top(rest),
+        "history" => cmd_history(rest),
+        "check" => cmd_check(rest),
+        "explain" => cmd_explain(rest),
+        other => {
+            debug_assert!(
+                !SUBCOMMANDS.contains(&other),
+                "subcommand {other:?} listed but not dispatched"
             );
-            return ExitCode::FAILURE;
-        }
-        // The suite is a fleet of one worker: frame it like a batch so the
-        // progress stream replays in `homc top`.
-        progress.emit("batch_start", |e| {
-            e.num("jobs", programs.len() as u64).num("workers", 1).str(
-                "clock",
-                if progress.is_logical() {
-                    "logical"
-                } else {
-                    "wall"
-                },
-            );
-        });
-        for (i, p) in programs.iter().enumerate() {
-            progress.emit("job_queued", |e| {
-                e.num("job", i as u64).str("name", p.name);
-            });
-        }
-        let suite_start = Instant::now();
-        let (mut passed, mut failed, mut unknown) = (0usize, 0usize, 0usize);
-        let mut wall = Duration::ZERO;
-        let mut totals = Counts::default();
-        let mut ledger_records: Vec<RunRecord> = Vec::new();
-        for (i, p) in programs.iter().enumerate() {
-            let mut per = opts.clone();
-            per.job = i as u64;
-            per.artifacts = cli.artifacts_dir.as_ref().map(|dir| ArtifactConfig {
-                dir: dir.into(),
-                key: p.name.to_string(),
-            });
-            per.evidence = cli.evidence_dir.as_ref().map(|dir| EvidenceConfig {
-                dir: Some(dir.into()),
-                key: p.name.to_string(),
-                source_hash: stable_hash64(p.source),
-            });
-            let report = run_one(p.name, p.source, Some(p.expected), &per, cli.stats);
-            emit_settlement(&progress, i as u64, p.name, &report);
-            match report.status {
-                RunStatus::Passed => passed += 1,
-                RunStatus::Failed => failed += 1,
-                RunStatus::Unknown => unknown += 1,
-            }
-            wall += report.wall;
-            if cli.ledger.is_some() {
-                ledger_records.push(ledger_record(
-                    p.name,
-                    &report.verdict,
-                    report.status == RunStatus::Passed,
-                    report.wall.as_micros() as u64,
-                    report.stats.as_ref(),
-                    None,
-                ));
-            }
-            if let Some(s) = &report.stats {
-                totals.merge(&s.counts());
-            }
-        }
-        progress.emit("batch_end", |e| {
-            e.num("passed", passed as u64)
-                .num("failed", failed as u64)
-                .num("unknown", unknown as u64)
-                .num("dur_us", progress.dur_us(suite_start));
-        });
-        progress.flush();
-        say(format_args!(
-            "passed {passed}, failed {failed}, unknown {unknown}  wall={}",
-            fmt_d(wall)
-        ));
-        say(format_args!(
-            "suite totals:\n{}",
-            totals.render(Surface::Stats, "  ").trim_end()
-        ));
-        if let Some(dir) = &cli.ledger {
-            append_ledger(dir, "suite", ledger_records);
-        }
-        if let Some(path) = &cli.metrics_out {
-            write_metrics_out(path, &opts.metrics);
-        }
-        if failed == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
-    } else {
-        let Some(path) = cli.target else {
-            return usage();
-        };
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("homc: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        progress.emit("batch_start", |e| {
-            e.num("jobs", 1).num("workers", 1).str(
-                "clock",
-                if progress.is_logical() {
-                    "logical"
-                } else {
-                    "wall"
-                },
-            );
-        });
-        progress.emit("job_queued", |e| {
-            e.num("job", 0).str("name", &path);
-        });
-        // A file is keyed by its path: re-running `homc <file>` after an
-        // edit is exactly the warm diff-and-seed scenario.
-        let mut opts = opts;
-        opts.artifacts = cli.artifacts_dir.as_ref().map(|dir| ArtifactConfig {
-            dir: dir.into(),
-            key: path.clone(),
-        });
-        opts.evidence = cli.evidence_dir.as_ref().map(|dir| EvidenceConfig {
-            dir: Some(dir.into()),
-            key: path.clone(),
-            source_hash: stable_hash64(&src),
-        });
-        let t = Instant::now();
-        let report = run_one(&path, &src, None, &opts, cli.stats);
-        emit_settlement(&progress, 0, &path, &report);
-        progress.emit("batch_end", |e| {
-            e.num("passed", u64::from(report.status == RunStatus::Passed))
-                .num("failed", u64::from(report.status == RunStatus::Failed))
-                .num("unknown", u64::from(report.status == RunStatus::Unknown))
-                .num("dur_us", progress.dur_us(t));
-        });
-        progress.flush();
-        if let Some(dir) = &cli.ledger {
-            append_ledger(
-                dir,
-                "file",
-                vec![ledger_record(
-                    &path,
-                    &report.verdict,
-                    report.status == RunStatus::Passed,
-                    report.wall.as_micros() as u64,
-                    report.stats.as_ref(),
-                    None,
-                )],
-            );
-        }
-        if let Some(p) = &cli.metrics_out {
-            write_metrics_out(p, &opts.metrics);
-        }
-        match report.status {
-            RunStatus::Failed => ExitCode::FAILURE,
-            RunStatus::Passed | RunStatus::Unknown => ExitCode::SUCCESS,
+            cmd_run(RunCmd::Plain, &args)
         }
     }
 }
@@ -1646,21 +1025,27 @@ mod usage_audit {
         }
     }
 
-    /// The cross-run artifact flag must be advertised for both modes that
-    /// accept it (main and `batch`) and actually parsed by the main mode.
+    /// The cross-run artifact flag must be advertised in the run options
+    /// and actually parsed by the run parser.
     #[test]
     fn artifacts_dir_flag_is_advertised_and_parsed() {
         assert!(
-            USAGE.matches("--artifacts-dir").count() >= 2,
-            "--artifacts-dir must appear in both the main and batch usage lines"
+            USAGE.contains("--artifacts-dir <dir>"),
+            "--artifacts-dir must appear in the run options"
         );
-        let cli = super::parse_args(&[
-            "--artifacts-dir".to_string(),
-            "store".to_string(),
-            "prog.ml".to_string(),
-        ])
+        let run = super::parse_run(
+            super::RunCmd::Plain,
+            &[
+                "--artifacts-dir".to_string(),
+                "store".to_string(),
+                "prog.ml".to_string(),
+            ],
+        )
         .expect("parses");
-        assert_eq!(cli.artifacts_dir.as_deref(), Some("store"));
-        assert_eq!(cli.target.as_deref(), Some("prog.ml"));
+        assert_eq!(
+            run.batch.artifacts_dir.as_deref(),
+            Some(std::path::Path::new("store"))
+        );
+        assert_eq!(run.targets, ["prog.ml"]);
     }
 }

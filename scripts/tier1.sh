@@ -75,6 +75,23 @@ run cargo run --release --offline --bin homc -- batch --workers 4 \
 run cargo run --release --offline --bin homc -- batch --workers 4 \
     --cache-dir "$BATCH_CACHE" "${BATCH_PROGRAMS[@]}" | tee "$BATCH_WARM"
 verdicts() { sed -n 's/^\([a-zA-Z0-9_-]*\) *wall=[0-9.]* -> \(.*\)$/\1 \2/p' "$1"; }
+# If the job-line format drifted, every extraction would come back empty
+# and the comparisons below would pass vacuously: the cold run must yield
+# one verdict per program.
+COLD_VERDICTS=$(verdicts "$BATCH_COLD" | wc -l)
+if [ "$COLD_VERDICTS" -lt "${#BATCH_PROGRAMS[@]}" ]; then
+    echo "tier1: batch-smoke: cold run reported $COLD_VERDICTS verdict line(s) for ${#BATCH_PROGRAMS[@]} program(s)" >&2
+    exit 1
+fi
+# `homc --suite` goes through the same driver as `homc batch`, so it must
+# print the same job lines with the same verdicts.
+BATCH_SUITE=target/batch-suite.txt
+run cargo run --release --offline --bin homc -- --suite "${BATCH_PROGRAMS[@]}" | tee "$BATCH_SUITE"
+if ! cmp -s <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_SUITE"); then
+    echo "tier1: batch-smoke: homc --suite and homc batch disagree on verdicts:" >&2
+    diff <(verdicts "$BATCH_COLD") <(verdicts "$BATCH_SUITE") >&2 || true
+    exit 1
+fi
 HITS=$(sed -n 's/.*disk hits \([0-9]*\).*/\1/p' "$BATCH_WARM")
 if [ "${HITS:-0}" -eq 0 ]; then
     echo "tier1: batch-smoke: warm rerun reported no disk-cache hits" >&2
