@@ -31,7 +31,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use homc_budget::{Budget, BudgetError, Phase};
@@ -71,11 +70,9 @@ pub struct AbsOptions {
     /// paper's bound on predicates considered when computing abstract
     /// transitions, §6).
     pub max_context_atoms: usize,
-    /// Worker threads for abstracting top-level definitions concurrently.
-    /// `1` forces the sequential path; the default is the machine's
-    /// available parallelism. Output is identical at every thread count:
-    /// fresh names are namespaced per definition and results are collected
-    /// in definition order.
+    /// Unused: abstraction runs on the calling thread. Kept, defaulting to
+    /// `1`, only because the repository benchmark prints it; it goes with
+    /// the benchmark's next change.
     pub threads: usize,
     /// Feasible-combination enumeration strategy (see [`EnumMode`]).
     pub enum_mode: EnumMode,
@@ -85,9 +82,7 @@ impl Default for AbsOptions {
     fn default() -> AbsOptions {
         AbsOptions {
             max_context_atoms: 7,
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            threads: 1,
             enum_mode: EnumMode::ModelGuided,
         }
     }
@@ -165,19 +160,7 @@ pub fn abstract_program(
     env: &AbsEnv,
     opts: &AbsOptions,
 ) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_budgeted(program, env, opts, None)
-}
-
-/// [`abstract_program`] under a shared [`Budget`]: one [`Phase::Abs`]
-/// checkpoint per abstracted definition and per expression node, and every
-/// internal SMT query checkpoints `Phase::Smt`.
-pub fn abstract_program_budgeted(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_cached(program, env, opts, budget, None)
+    abstract_program_cached(program, env, opts, None, None)
 }
 
 /// What one definition task produces: its coercion wrappers followed by the
@@ -186,10 +169,11 @@ pub(crate) type DefResult = Result<(Vec<BDef>, AbsStats), AbsError>;
 
 /// Runs one abstraction task: definition `ns` for `ns < defs.len()`, the
 /// closed entry wrapper for `ns == defs.len()`. This is the unit both the
-/// eager fan-out ([`abstract_program_metered`]) and the incremental path
-/// (`abstract_program_incremental`) schedule; `ns` doubles as the
-/// fresh-name namespace, so a task's output depends only on the (immutable)
-/// program, environment, and options — never on which other tasks ran.
+/// eager path ([`abstract_program_metered`]) and the incremental path
+/// (`abstract_program_incremental`) run; `ns` doubles as the fresh-name
+/// namespace, so a task's output depends only on the (immutable) program,
+/// environment, and options — never on which other tasks ran. That is what
+/// lets the transition memo reuse a definition's output verbatim.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn abstract_task(
     program: &Program,
@@ -225,18 +209,11 @@ pub(crate) fn abstract_task(
     Ok((a.out, a.stats))
 }
 
-/// [`abstract_program_budgeted`] with an optional shared SMT [`QueryCache`]
-/// (hits collapse repeated entailments across definitions *and* across CEGAR
-/// iterations).
-///
-/// Top-level definitions are independent abstraction tasks — each reads only
-/// the (immutable) program, environment, and options — so they run on
-/// `opts.threads` scoped workers. Determinism: fresh names are namespaced by
-/// definition index (the sequential path uses the identical scheme), results
-/// are stitched in definition order, and on multiple failures the lowest
-/// definition index wins — so output and errors are byte-for-byte the same
-/// at any thread count. Runs with an `--inject` fault plan fall back to the
-/// sequential schedule, keeping checkpoint indices reproducible.
+/// [`abstract_program`] under a shared [`Budget`] and with an optional
+/// shared SMT [`QueryCache`]. The budget takes one [`Phase::Abs`]
+/// checkpoint per abstracted definition and per expression node, and every
+/// internal SMT query checkpoints `Phase::Smt`; cache hits collapse repeated
+/// entailments across definitions *and* across CEGAR iterations.
 pub fn abstract_program_cached(
     program: &Program,
     env: &AbsEnv,
@@ -244,31 +221,26 @@ pub fn abstract_program_cached(
     budget: Option<Arc<Budget>>,
     cache: Option<Arc<QueryCache>>,
 ) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_traced(program, env, opts, budget, cache, &Tracer::disabled())
+    abstract_program_metered(
+        program,
+        env,
+        opts,
+        budget,
+        cache,
+        &Tracer::disabled(),
+        &Metrics::disabled(),
+    )
 }
 
-/// [`abstract_program_cached`] with a trace sink: each definition task emits
-/// one `abs_def` event (definition name, SMT queries spent, wall time) and
-/// its internal entailment queries flow to the solver-level `smt` events.
-/// Worker threads share the sink — events interleave per line, and a
-/// disabled tracer costs nothing. Tracing never alters the schedule or the
-/// output: the byte-identical-at-any-thread-count guarantee is unchanged.
-pub fn abstract_program_traced(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-    tracer: &Tracer,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_metered(program, env, opts, budget, cache, tracer, &Metrics::disabled())
-}
-
-/// [`abstract_program_traced`] with a metrics registry: each definition task
-/// bumps [`Counter::AbsDefs`] and records its latency in [`Hist::AbsDefUs`];
-/// its internal entailment queries land in the solver-level SMT counters.
-/// Like the tracer, the registry is shared across worker threads and is
-/// purely observational — it never alters the schedule or the output.
+/// [`abstract_program_cached`] with a trace sink and a metrics registry.
+/// Each definition task emits one `abs_def` event (definition name, SMT
+/// queries spent, wall time), bumps [`Counter::AbsDefs`] and records its
+/// latency in [`Hist::AbsDefUs`]; its internal entailment queries reach the
+/// solver-level `smt` events and counters. Both sinks are purely
+/// observational and cost nothing when disabled.
+///
+/// Definitions are abstracted in order, then the entry wrapper; the first
+/// failing definition's error is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn abstract_program_metered(
     program: &Program,
@@ -280,50 +252,10 @@ pub fn abstract_program_metered(
     metrics: &Metrics,
 ) -> Result<(BProgram, AbsStats), AbsError> {
     let n = program.defs.len();
-    let threads = opts.threads.clamp(1, n.max(1));
-    let sequential =
-        threads <= 1 || n < 2 || budget.as_deref().is_some_and(Budget::has_faults);
-
     let task = |ns: usize| -> DefResult {
         abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
     };
-
-    let slots: Vec<DefResult> = if sequential {
-        (0..n).map(&task).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, DefResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, task(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut slots: Vec<DefResult> = (0..n)
-            .map(|_| Err(AbsError::invalid("definition task never ran")))
-            .collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = r;
-        }
-        slots
-    };
+    let slots: Vec<DefResult> = (0..n).map(&task).collect();
 
     let mut out = Vec::new();
     let mut stats = AbsStats::default();
@@ -333,7 +265,7 @@ pub fn abstract_program_metered(
         stats.absorb(&s);
     }
 
-    // The entry wrapper runs after the fan-out, in its own name namespace.
+    // The entry wrapper runs last, in its own name namespace.
     let (entry_defs, entry_stats) = task(n)?;
     stats.absorb(&entry_stats);
     out.extend(entry_defs);
@@ -350,7 +282,7 @@ pub fn abstract_program_metered(
 /// Abstraction with every satisfiability query answered by `oracle` instead
 /// of the solver — the evidence layer's record/replay hook.
 ///
-/// The run is forced sequential and [`EnumMode::Exhaustive`] (whose queries
+/// The run is forced to [`EnumMode::Exhaustive`] (whose queries
 /// all route through the oracle; model-guided mode would consult the solver
 /// directly for models). Both modes produce the identical cube set, so the
 /// resulting program is the same function of `(program, env, answers)` that
@@ -363,7 +295,6 @@ pub fn abstract_program_with_oracle(
     oracle: &SatOracleDyn<'_>,
 ) -> Result<(BProgram, AbsStats), AbsError> {
     let opts = AbsOptions {
-        threads: 1,
         enum_mode: EnumMode::Exhaustive,
         ..opts.clone()
     };
@@ -427,9 +358,8 @@ struct Abstractor<'a> {
     /// task. A stored model that evaluates a later prefix query to `true`
     /// witnesses its satisfiability without a solver call; abstraction
     /// queries within one definition share most of their context, so hits
-    /// are common. Per-task (never shared across threads) and consulted in
-    /// deterministic order, so skips are identical across thread counts and
-    /// cache states. Bounded by [`MODEL_POOL_CAP`].
+    /// are common. Per-task and consulted in deterministic order, so skips
+    /// are identical across cache states. Bounded by [`MODEL_POOL_CAP`].
     model_pool: Vec<Model>,
     /// When set, every [`Abstractor::query_sat`] consults this instead of
     /// the solver (the evidence layer's record/replay hook). Only meaningful
@@ -1342,7 +1272,7 @@ impl<'a> Abstractor<'a> {
     /// are never covered (no model exists to cover them), so they issue the
     /// identical query and descend in both modes. The emitted cube set —
     /// and therefore the abstract program — is byte-identical regardless of
-    /// mode, thread count, or query-cache warmth.
+    /// mode or query-cache warmth.
     fn enum_model_guided(
         &mut self,
         base: &Formula,

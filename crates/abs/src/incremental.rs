@@ -27,7 +27,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use homc_budget::Budget;
@@ -37,9 +36,7 @@ use homc_metrics::Metrics;
 use homc_smt::{QueryCache, Var};
 use homc_trace::{stable_hash64, Tracer};
 
-use crate::abstract_prog::{
-    abstract_task, AbsError, AbsOptions, AbsStats, DefResult,
-};
+use crate::abstract_prog::{abstract_task, AbsError, AbsOptions, AbsStats, DefResult};
 use crate::types::AbsEnv;
 
 /// The environment slice one abstraction task reads: the functions whose
@@ -277,10 +274,10 @@ fn cone_fingerprint(env: &AbsEnv, cone: &ConeRefs) -> u64 {
 /// [`crate::abstract_program_metered`] with a cross-iteration
 /// [`TransitionMemo`]: tasks whose cone fingerprint is unchanged since
 /// their memoized build are reused verbatim; only the rest are
-/// re-abstracted (in parallel when more than one, namespaced by original
-/// definition index, so output stays byte-identical to the eager path at
-/// any thread count). Successes are memoized even when another task fails,
-/// so a budget-exhausted iteration still warms the memo for its retry.
+/// re-abstracted, namespaced by original definition index, so output stays
+/// byte-identical to the eager path. Successes are memoized even when
+/// another task fails, so a budget-exhausted iteration still warms the memo
+/// for its retry.
 #[allow(clippy::too_many_arguments)]
 pub fn abstract_program_incremental(
     program: &Program,
@@ -321,47 +318,11 @@ pub fn abstract_program_incremental(
     let task = |ns: usize| -> DefResult {
         abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
     };
-    let threads = opts.threads.clamp(1, rebuild.len().max(1));
-    let sequential = threads <= 1
-        || rebuild.len() < 2
-        || budget.as_deref().is_some_and(Budget::has_faults);
-    let results: Vec<(usize, DefResult)> = if sequential {
-        rebuild.iter().map(|&i| (i, task(i))).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, DefResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= rebuild.len() {
-                                break;
-                            }
-                            local.push((rebuild[k], task(rebuild[k])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut flat: Vec<(usize, DefResult)> = per_worker.into_iter().flatten().collect();
-        flat.sort_by_key(|(i, _)| *i);
-        flat
-    };
+    let results: Vec<(usize, DefResult)> = rebuild.iter().map(|&i| (i, task(i))).collect();
 
     // Memoize every success first (a partially failed iteration still warms
-    // the memo), then propagate the lowest-index error — the same error the
-    // sequential schedule would surface.
-    let mut first_err: Option<(usize, AbsError)> = None;
+    // the memo), then propagate the first error in definition order.
+    let mut first_err: Option<AbsError> = None;
     for (i, r) in results {
         match r {
             Ok((defs, s)) => {
@@ -373,13 +334,11 @@ pub fn abstract_program_incremental(
                 });
             }
             Err(e) => {
-                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_err = Some((i, e));
-                }
+                first_err.get_or_insert(e);
             }
         }
     }
-    if let Some((_, e)) = first_err {
+    if let Some(e) = first_err {
         return Err(e);
     }
 

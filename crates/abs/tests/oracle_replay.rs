@@ -57,7 +57,6 @@ fn recorded_unsat_set_replays_byte_identically() {
     for src in PROGRAMS {
         let (compiled, env) = env_for(src);
         let opts = AbsOptions {
-            threads: 1,
             enum_mode: EnumMode::Exhaustive,
             ..AbsOptions::default()
         };

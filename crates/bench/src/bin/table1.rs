@@ -5,7 +5,7 @@
 //! ```
 //!
 //! With `--json <path>` the run also writes a machine-readable baseline:
-//! a `meta` header (schema version, suite name, thread count, clock mode —
+//! a `meta` header (schema version, suite name, program count, clock mode —
 //! `homc bench-diff` refuses to compare baselines whose strict meta fields
 //! disagree), then one object per program (wall time, per-phase times,
 //! cycles, the hot-path effort counters, and per-phase peak heap bytes)

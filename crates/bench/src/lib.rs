@@ -75,7 +75,7 @@ fn counter_columns(counts: &Counts) -> String {
 }
 
 /// Renders rows as the `table1 --json` baseline document: a `meta` header
-/// (schema version, suite name, thread count, clock mode), one object per
+/// (schema version, suite name, program count, clock mode), one object per
 /// program (verdict, cycles, per-phase times, the [`Surface::Table1`]
 /// counters, per-phase peak heap bytes, the warm, incremental and check
 /// reruns) and the suite totals.
@@ -90,9 +90,8 @@ pub fn baseline_json(rows: &[Row]) -> String {
     let _ = writeln!(
         body,
         "  \"meta\": {{\"schema\": {SCHEMA}, \"suite\": \"table1\", \"programs\": {}, \
-         \"threads\": {}, \"clock\": \"wall\"}},",
+         \"clock\": \"wall\"}},",
         rows.len(),
-        VerifierOptions::default().abs.threads,
     );
     body.push_str("  \"programs\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -228,11 +228,6 @@ impl FaultPlan {
         self.faults.push(fault);
     }
 
-    /// `true` when the plan has no injections.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// The fault (if any) scheduled for checkpoint number `count` of `phase`.
     fn fires(&self, phase: Phase, count: u64) -> Option<&Fault> {
         self.faults
@@ -384,14 +379,6 @@ impl Budget {
     pub fn unlimited() -> &'static Budget {
         static UNLIMITED: OnceLock<Budget> = OnceLock::new();
         UNLIMITED.get_or_init(Budget::default)
-    }
-
-    /// `true` when this budget carries a fault-injection plan. Phases that
-    /// would reorder checkpoint interleavings (e.g. parallel abstraction)
-    /// consult this to fall back to a sequential schedule, keeping `--inject`
-    /// indices deterministic.
-    pub fn has_faults(&self) -> bool {
-        !self.plan.is_empty()
     }
 
     /// The wall-clock deadline, if any.

@@ -13,7 +13,7 @@
 //! * [`slice`] — cone-of-influence slicing of path conditions, the first
 //!   layer of the refinement fast path (shared-certificate sequence
 //!   interpolants over the contradiction cone, solved per independent
-//!   component — in parallel when determinism allows).
+//!   component).
 //!
 //! The CEGAR *loop* itself (Figure 1) lives in the `homc` crate, which ties
 //! this crate to `homc-abs` (Step 1) and `homc-hbp` (Step 2).
@@ -30,10 +30,8 @@ pub mod slice;
 pub use enumerate::gen_p;
 pub use seed::seed_env;
 pub use refine::{
-    check_feasibility, discover_predicates, discover_predicates_budgeted,
-    discover_predicates_cached, discover_predicates_metered, discover_predicates_traced,
-    fastpath_sequence, refine_env,
-    refine_env_budgeted, refine_env_traced, Feasibility, PredProvenance, PredSource, RefineError,
+    check_feasibility, discover_predicates, discover_predicates_metered, fastpath_sequence,
+    refine_env, refine_env_traced, Feasibility, PredProvenance, PredSource, RefineError,
     RefineOptions, Refinement,
 };
 pub use shp::{

@@ -229,55 +229,29 @@ pub fn discover_predicates(
     trace: &Trace,
     opts: &RefineOptions,
 ) -> Result<Refinement, RefineError> {
-    discover_predicates_budgeted(program, trace, opts, Budget::unlimited())
+    discover_predicates_metered(
+        program,
+        trace,
+        opts,
+        Budget::unlimited(),
+        None,
+        &Tracer::disabled(),
+        &Metrics::disabled(),
+    )
 }
 
-/// [`discover_predicates`] under a shared [`Budget`]: each cut point's
-/// interpolation is an `interp` checkpoint, and budget exhaustion inside
-/// the interpolation engine itself propagates out instead of being treated
-/// as an ordinary "no interpolant" failure.
-pub fn discover_predicates_budgeted(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_cached(program, trace, opts, budget, None)
-}
-
-/// [`discover_predicates_budgeted`] with an optional shared [`QueryCache`]:
-/// adjacent cut points interpolate against largely overlapping cube sets, so
-/// the cube-level memoization inside the interpolation engine collapses the
-/// repeated work — within one refinement and across CEGAR iterations.
-pub fn discover_predicates_cached(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-    cache: Option<&QueryCache>,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_traced(program, trace, opts, budget, cache, &Tracer::disabled())
-}
-
-/// [`discover_predicates_cached`] with an attached [`Tracer`]: each cut
-/// point that solves to a non-trivial interpolant emits an `interp_cut`
-/// event carrying the cut index and the interpolant's formula size. With a
-/// disabled tracer this is exactly `discover_predicates_cached`.
-pub fn discover_predicates_traced(
-    program: &Program,
-    trace: &Trace,
-    opts: &RefineOptions,
-    budget: &Budget,
-    cache: Option<&QueryCache>,
-    tracer: &Tracer,
-) -> Result<Refinement, RefineError> {
-    discover_predicates_metered(program, trace, opts, budget, cache, tracer, &Metrics::disabled())
-}
-
-/// [`discover_predicates_traced`] with a metrics registry: every solved
-/// non-trivial cut bumps [`Counter::InterpCuts`] and records the
-/// interpolant's formula size in [`Hist::InterpSize`]. With a disabled
-/// registry this is exactly `discover_predicates_traced`.
+/// [`discover_predicates`] under a shared [`Budget`], with an optional shared
+/// [`QueryCache`], a [`Tracer`] and a metrics registry.
+///
+/// - Each cut point's interpolation is an `interp` checkpoint, and budget
+///   exhaustion inside the interpolation engine propagates out instead of
+///   being treated as an ordinary "no interpolant" failure.
+/// - Adjacent cut points interpolate against largely overlapping cube sets,
+///   so the cube-level memoization inside the interpolation engine collapses
+///   the repeated work, within one refinement and across CEGAR iterations.
+/// - Each cut point that solves to a non-trivial interpolant emits an
+///   `interp_cut` event (cut index, formula size), bumps
+///   [`Counter::InterpCuts`] and records the size in [`Hist::InterpSize`].
 #[allow(clippy::too_many_arguments)]
 pub fn discover_predicates_metered(
     program: &Program,
@@ -359,13 +333,11 @@ pub fn discover_predicates_metered(
     // Fast path: slice the path condition into variable-connected
     // components, screen for the contradiction cone, and read every crossed
     // cut's interpolant off one shared Farkas certificate per refuting
-    // component (solved in parallel when determinism allows). Structural
-    // bailouts fall back to the per-cut engine below.
-    let parallel_ok = !budget.has_faults() && !tracer.is_logical();
+    // component. Structural bailouts fall back to the per-cut engine below.
     let fast = if cuts.is_empty() {
         None
     } else {
-        fast_path(trace, &cuts, budget, cache, parallel_ok, &mut out)?
+        fast_path(trace, &cuts, budget, cache, &mut out)?
     };
 
     if let Some(solutions) = &fast {
@@ -545,24 +517,18 @@ fn build_parts(events: &[Event], cuts: &[usize], group: &[usize]) -> Vec<Formula
 }
 
 /// The refinement fast path: cone-of-influence slicing + shared-certificate
-/// sequence interpolants + parallel independent components.
+/// sequence interpolants, one group per independent refuting component.
 ///
 /// Returns one solution per cut on success (`true`/`false` for cuts no
 /// refuting component crosses — counted as `cuts_sliced`; certificate-derived
 /// interpolants for crossed cuts — counted as `cert_reuse_hits`). `None`
 /// routes the caller to the per-cut engine: no component survives sequence
 /// interpolation, or the whole condition is outside the cube fragment.
-///
-/// Determinism: groups are solved independently and stitched back by index,
-/// so the parallel and sequential schedules produce identical refinements;
-/// callers force `parallel_ok = false` under `--trace-logical` and fault
-/// plans, where checkpoint *order* must also be reproducible.
 fn fast_path(
     trace: &Trace,
     cuts: &[usize],
     budget: &Budget,
     cache: Option<&QueryCache>,
-    parallel_ok: bool,
     out: &mut Refinement,
 ) -> Result<Option<Vec<Formula>>, RefineError> {
     let events = &trace.events;
@@ -594,22 +560,10 @@ fn fast_path(
     budget
         .checkpoint(Phase::Interp)
         .map_err(RefineError::Exhausted)?;
-    let results: Vec<Result<Vec<Formula>, InterpError>> = if parallel_ok && jobs.len() >= 2 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .iter()
-                .map(|parts| s.spawn(move || interpolate_sequence(parts, opts, budget, cache)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("interpolation worker panicked"))
-                .collect()
-        })
-    } else {
-        jobs.iter()
-            .map(|parts| interpolate_sequence(parts, opts, budget, cache))
-            .collect()
-    };
+    let results: Vec<Result<Vec<Formula>, InterpError>> = jobs
+        .iter()
+        .map(|parts| interpolate_sequence(parts, opts, budget, cache))
+        .collect();
 
     // Stitch by index: each surviving group contributes its cut family; a
     // group that fails structurally is dropped (a refuting component's
@@ -668,15 +622,7 @@ pub fn fastpath_sequence(trace: &Trace) -> Option<(Vec<Formula>, Vec<Formula>)> 
         return None;
     }
     let mut scratch = Refinement::default();
-    let solutions = fast_path(
-        trace,
-        &cuts,
-        Budget::unlimited(),
-        None,
-        false,
-        &mut scratch,
-    )
-    .ok()??;
+    let solutions = fast_path(trace, &cuts, Budget::unlimited(), None, &mut scratch).ok()??;
     let all: Vec<usize> = (0..trace.events.len()).collect();
     let parts = build_parts(&trace.events, &cuts, &all);
     Some((parts, solutions))
@@ -984,29 +930,25 @@ pub fn refine_env(
     solver: &SmtSolver,
     opts: &RefineOptions,
 ) -> Result<(Feasibility, bool), RefineError> {
-    refine_env_budgeted(program, trace, env, solver, opts, Budget::unlimited())
-}
-
-/// [`refine_env`] under a shared [`Budget`]. A budget-exhausted feasibility
-/// check returns early — the caller decides whether to retry or give up.
-pub fn refine_env_budgeted(
-    program: &Program,
-    trace: &Trace,
-    env: &mut AbsEnv,
-    solver: &SmtSolver,
-    opts: &RefineOptions,
-    budget: &Budget,
-) -> Result<(Feasibility, bool), RefineError> {
-    let (feas, changed, _) =
-        refine_env_traced(program, trace, env, solver, opts, budget, &Tracer::disabled())?;
+    let (feas, changed, _) = refine_env_traced(
+        program,
+        trace,
+        env,
+        solver,
+        opts,
+        Budget::unlimited(),
+        &Tracer::disabled(),
+    )?;
     Ok((feas, changed))
 }
 
-/// [`refine_env_budgeted`] with an attached [`Tracer`], additionally
-/// returning the [`Refinement`] itself so callers can report what was
-/// discovered (interpolated/seeded counts, higher-order updates, largest
-/// interpolant). The returned refinement is empty when the path was
-/// feasible or the budget preempted the feasibility check.
+/// [`refine_env`] under a shared [`Budget`] and with an attached [`Tracer`],
+/// additionally returning the [`Refinement`] itself so callers can report
+/// what was discovered (interpolated/seeded counts, higher-order updates,
+/// largest interpolant). A budget-exhausted feasibility check returns early
+/// — the caller decides whether to retry or give up. The returned
+/// refinement is empty when the path was feasible or the budget preempted
+/// the feasibility check.
 pub fn refine_env_traced(
     program: &Program,
     trace: &Trace,

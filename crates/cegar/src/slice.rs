@@ -11,7 +11,7 @@
 //! check. For refinement this means interpolation only has to look at the
 //! cone: every cut point no refuting component crosses gets a trivial
 //! interpolant for free (the `cuts_sliced` counter), and when several
-//! components refute independently they can be solved in parallel.
+//! components refute independently each is interpolated on its own.
 
 use homc_budget::{Budget, BudgetError, Phase};
 use homc_smt::{

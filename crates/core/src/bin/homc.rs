@@ -763,10 +763,9 @@ fn execute(cmd: RunCmd, run: RunArgs) -> Result<ExitCode, String> {
         opts.verify.tracer = open(path, "trace")?;
     }
     if cmd == RunCmd::Profile {
-        // Wall clock (the profiler needs real durations), one abstraction
-        // thread (clean span nesting), events buffered in memory.
+        // Wall clock (the profiler needs real durations), events buffered
+        // in memory.
         opts.verify.tracer = Tracer::memory(false);
-        opts.verify.abs.threads = 1;
     }
     // The registry exists only when --stats or --metrics-out renders it;
     // under a logical clock it zeroes durations so the run stays

@@ -110,44 +110,9 @@ fn check_safe(
     se: &SafeEvidence,
 ) -> Result<EvidenceCheck, String> {
     // Step 1: every stored proof must verify against its stored query.
-    // The verifications are independent pure functions, so they fan out
-    // over a work-stealing thread scope (the abstraction layer's pattern);
-    // the DNF recomputation inside `verify_unsat` dominates check time on
-    // proof-heavy certificates.
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .clamp(1, se.proofs.len().max(1));
-    let first_bad = std::sync::atomic::AtomicUsize::new(usize::MAX);
-    if threads <= 1 || se.proofs.len() < 2 {
-        for (i, (f, proof)) in se.proofs.iter().enumerate() {
-            if !verify_unsat(f, proof) {
-                return Err(format!("refutation proof {i} does not verify: {f}"));
-            }
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= se.proofs.len() {
-                        break;
-                    }
-                    let (f, proof) = &se.proofs[i];
-                    if !verify_unsat(f, proof) {
-                        first_bad.fetch_min(i, std::sync::atomic::Ordering::Relaxed);
-                        break;
-                    }
-                });
-            }
-        });
-        let bad = first_bad.load(std::sync::atomic::Ordering::Relaxed);
-        if bad != usize::MAX {
-            return Err(format!(
-                "refutation proof {bad} does not verify: {}",
-                se.proofs[bad].0
-            ));
+    for (i, (f, proof)) in se.proofs.iter().enumerate() {
+        if !verify_unsat(f, proof) {
+            return Err(format!("refutation proof {i} does not verify: {f}"));
         }
     }
     let unsat: HashSet<Formula> = se.proofs.iter().map(|(f, _)| f.canon()).collect();

@@ -113,10 +113,9 @@ pub struct VerifierOptions {
     pub faults: FaultPlan,
     /// Structured-trace sink. The default ([`Tracer::disabled`]) is a no-op
     /// handle: no events are formatted, no timestamps taken. When enabled,
-    /// every pipeline phase emits span/iteration/fault events; when the
-    /// tracer runs a *logical* clock, abstraction is forced sequential
-    /// (`threads = 1`) so the event stream is byte-deterministic — output
-    /// is identical at every thread count, so this cannot change verdicts.
+    /// every pipeline phase emits span/iteration/fault events; under a
+    /// *logical* clock the event stream is byte-deterministic, because a
+    /// job runs on one thread.
     pub tracer: Tracer,
     /// Metrics registry. The default ([`Metrics::disabled`]) is a no-op
     /// handle, like the tracer. When enabled, the pipeline records typed
@@ -579,8 +578,8 @@ pub fn verify_compiled(
     let budget = Arc::new(budget);
     // One query cache for the whole run: abstraction entailments recur
     // across CEGAR iterations, and interpolation cubes recur across cut
-    // points, so the cache is shared by every solver (including the
-    // parallel abstraction workers) and never reset between iterations.
+    // points, so the cache is shared by every solver and never reset
+    // between iterations.
     // The batch driver passes a pre-seeded cache; counters are reported as
     // deltas over its starting snapshot.
     let cache = opts
@@ -601,12 +600,6 @@ pub fn verify_compiled(
     let mut env = AbsEnv::initial(&compiled.cps);
     let mut check_limits = opts.check;
     let mut trace_fuel = opts.trace_fuel;
-    // Under a logical clock the trace must be byte-deterministic, so force
-    // the (output-identical) sequential abstraction path.
-    let mut abs_opts = opts.abs.clone();
-    if tracer.is_logical() {
-        abs_opts.threads = 1;
-    }
     // The per-definition transition memo survives the whole run, including
     // escalation retries: entries are keyed by cone fingerprint, so they
     // stay valid across attempts (the program and name scheme never change
@@ -698,7 +691,6 @@ pub fn verify_compiled(
                 run_iteration(
                     compiled,
                     opts,
-                    &abs_opts,
                     check_limits,
                     trace_fuel,
                     iteration,
@@ -811,7 +803,7 @@ pub fn verify_compiled(
                     }
                     Ok(sat)
                 };
-                abstract_program_with_oracle(&compiled.cps, &env, &abs_opts, &record).ok()?;
+                abstract_program_with_oracle(&compiled.cps, &env, &opts.abs, &record).ok()?;
                 let mut proved = Vec::new();
                 let mut unproved = 0u64;
                 for (f, proof) in proofs.into_inner() {
@@ -915,7 +907,6 @@ pub fn verify_compiled(
 fn run_iteration(
     compiled: &Compiled,
     opts: &VerifierOptions,
-    abs_opts: &AbsOptions,
     check_limits: CheckLimits,
     trace_fuel: u64,
     iteration: usize,
@@ -948,7 +939,7 @@ fn run_iteration(
         });
     };
 
-    // Step 1: predicate abstraction (workers share the run-wide cache).
+    // Step 1: predicate abstraction (against the run-wide cache).
     // Each step runs under a memory-accounting phase tag so the counting
     // allocator (when installed) attributes watermarks per phase.
     pstart("abs");
@@ -958,7 +949,7 @@ fn run_iteration(
         abstract_program_incremental(
             &compiled.cps,
             env,
-            abs_opts,
+            &opts.abs,
             Some(budget.clone()),
             solver.cache().cloned(),
             tracer,
@@ -969,7 +960,7 @@ fn run_iteration(
         abstract_program_metered(
             &compiled.cps,
             env,
-            abs_opts,
+            &opts.abs,
             Some(budget.clone()),
             solver.cache().cloned(),
             tracer,

@@ -515,9 +515,7 @@ fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, Summary>, String>
     Ok(out)
 }
 
-/// Keys on which a `meta` disagreement makes two baselines incomparable
-/// (`threads` differences are reported but tolerated: the suite is
-/// verdict-deterministic across thread counts).
+/// Keys on which a `meta` disagreement makes two baselines incomparable.
 const META_STRICT: &[&str] = &["schema", "suite", "clock"];
 
 /// Diffs two table1 `--json` baselines (`homc bench-diff`).
@@ -544,15 +542,6 @@ fn bench_sides(old: &str, new: &str) -> Result<Sides, String> {
                         nv.as_deref().unwrap_or("<absent>"),
                     ));
                 }
-            }
-            let (ot, nt) = (get(&om, "threads"), get(&nm, "threads"));
-            if ot != nt {
-                let _ = writeln!(
-                    notes,
-                    "  note: thread counts differ ({} vs {})",
-                    ot.as_deref().unwrap_or("<absent>"),
-                    nt.as_deref().unwrap_or("<absent>"),
-                );
             }
         }
         (None, None) => notes.push_str("  note: no meta headers (pre-schema baselines)\n"),

@@ -17,8 +17,9 @@
 //!   lowers `live` for everyone) — per-phase numbers are watermarks, not
 //!   balances, so they never go negative and always telescope under the
 //!   global peak.
-//! * Worker threads spawned inside a phase carry no tag; their allocations
-//!   still count toward the global numbers.
+//! * A job runs on one thread, so a phase's tag covers every allocation
+//!   the phase makes. Allocations on other threads (other jobs of a batch,
+//!   untagged code) count toward the global numbers only.
 //! * [`window_reset`]/[`window_peak`] give the CEGAR loop a per-iteration
 //!   watermark for the `peak_bytes` field of `iter` trace records.
 

@@ -28,9 +28,9 @@
 //! exactly one query category (see the counter taxonomy in `DESIGN.md`).
 //!
 //! The cache is interior-mutable (`Mutex` + atomics) so one `Arc<QueryCache>`
-//! can be shared by every solver of a run, including the per-worker solvers
-//! of parallel predicate abstraction and the per-component workers of
-//! parallel cut interpolation. Budget preemptions
+//! can be shared by every solver of a run (abstraction, feasibility and
+//! interpolation) and moved into a batch worker thread with its job. Budget
+//! preemptions
 //! ([`SatResult::Exhausted`](crate::SatResult::Exhausted)) are never cached:
 //! a result that depends on the clock must not masquerade as a semantic one.
 

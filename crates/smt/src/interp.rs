@@ -73,22 +73,13 @@ pub fn interpolate_with(
     b: &Formula,
     opts: InterpOptions,
 ) -> Result<Formula, InterpError> {
-    interpolate_budgeted(a, b, opts, Budget::unlimited())
+    interpolate_budgeted_cached(a, b, opts, Budget::unlimited(), None)
 }
 
-/// [`interpolate_with`] under a shared [`Budget`]: one [`Phase::Smt`]
-/// checkpoint per cube pair, so even degenerate DNFs cannot overrun a
-/// deadline by more than one pairwise interpolation.
-pub fn interpolate_budgeted(
-    a: &Formula,
-    b: &Formula,
-    opts: InterpOptions,
-    budget: &Budget,
-) -> Result<Formula, InterpError> {
-    interpolate_budgeted_cached(a, b, opts, budget, None)
-}
-
-/// [`interpolate_budgeted`] with an optional shared [`QueryCache`].
+/// [`interpolate_with`] under a shared [`Budget`] and with an optional shared
+/// [`QueryCache`]. The budget takes one [`Phase::Smt`] checkpoint per cube
+/// pair, so even degenerate DNFs cannot overrun a deadline by more than one
+/// pairwise interpolation.
 ///
 /// CEGAR interpolates against the same trace prefixes repeatedly (the
 /// inductive and raw A-side attempts of adjacent cut points share most of

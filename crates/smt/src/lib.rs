@@ -55,9 +55,8 @@ pub use fm::{
 pub use formula::{DnfIndexed, Formula, Literal};
 pub use homc_budget::{Budget, BudgetError, CancelToken, FaultKind, FaultPlan, LimitKind, Phase};
 pub use interp::{
-    cube_consistency, cube_literals, interpolate, interpolate_budgeted,
-    interpolate_budgeted_cached, interpolate_sequence, interpolate_with, is_interpolant,
-    InterpError, InterpOptions,
+    cube_consistency, cube_literals, interpolate, interpolate_budgeted_cached,
+    interpolate_sequence, interpolate_with, is_interpolant, InterpError, InterpOptions,
 };
 pub use linexpr::{Atom, LinExpr, Rel, Var};
 pub use proof::{

@@ -15,8 +15,8 @@
 //!   allocation happens on the hot path.
 //! * **Thread-aware.** The sink is a mutex around an ordinary writer; each
 //!   event is formatted off-lock into its own buffer and written as one
-//!   atomic line, so events from the parallel abstraction workers interleave
-//!   per line, never mid-line.
+//!   atomic line, so events from concurrent batch jobs sharing a sink
+//!   interleave per line, never mid-line.
 //! * **Deterministic option.** In *logical-clock* mode `ts` is a global
 //!   sequence number and every duration field is forced to `0`, so a trace
 //!   of a deterministic run is byte-for-byte reproducible (the golden-trace

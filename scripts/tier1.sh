@@ -15,6 +15,18 @@ run() {
     timeout --signal=KILL "$STAGE_CAP" "$@"
 }
 
+# One thread per job: the batch pool is the only code that starts threads,
+# and each job runs its whole CEGAR loop on the worker it was given. A
+# `thread::scope` or `thread::spawn` anywhere else under crates/*/src
+# fails the stage, naming the files.
+echo "==> one-thread-per-job"
+THREAD_SITES=$(grep -rlE 'thread::(scope|spawn)' crates/*/src | grep -vx 'crates/serve/src/pool.rs' | sort || true)
+if [ -n "$THREAD_SITES" ]; then
+    echo "tier1: one-thread-per-job: threads started outside crates/serve/src/pool.rs in:" >&2
+    echo "$THREAD_SITES" >&2
+    exit 1
+fi
+
 run cargo build --release "${CARGO_FLAGS[@]}"
 
 if command -v cargo-clippy >/dev/null 2>&1; then

@@ -13,12 +13,11 @@ use homc::{
 /// metrics handle and returns `(verdict, trace)`.
 fn logical_run(src: &str, metrics: Metrics) -> (homc::Verdict, String) {
     let tracer = Tracer::memory(true);
-    let mut opts = VerifierOptions {
+    let opts = VerifierOptions {
         tracer: tracer.clone(),
         metrics,
         ..VerifierOptions::default()
     };
-    opts.abs.threads = 1;
     let out = verify(src, &opts).expect("no hard error");
     (out.verdict, tracer.snapshot().expect("memory sink"))
 }

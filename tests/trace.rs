@@ -52,20 +52,16 @@ fn logical_trace_is_byte_deterministic() {
 }
 
 /// Tracing must be an observer: same verdicts, same effort counters,
-/// whether or not a tracer is attached. Both runs force `threads = 1` —
-/// with parallel abstraction two workers can race to solve the same cached
-/// query, so cache hit/miss totals are only comparable sequentially.
+/// whether or not a tracer is attached.
 #[test]
 fn tracing_on_off_differential_across_suite() {
     for p in suite::SUITE {
-        let mut opts_off = VerifierOptions::default();
-        opts_off.abs.threads = 1;
+        let opts_off = VerifierOptions::default();
         let tracer = Tracer::memory(false);
-        let mut opts_on = VerifierOptions {
+        let opts_on = VerifierOptions {
             tracer: tracer.clone(),
             ..VerifierOptions::default()
         };
-        opts_on.abs.threads = 1;
 
         let off = verify(p.source, &opts_off).expect("no hard error");
         let on = verify(p.source, &opts_on).expect("no hard error");
