@@ -13,11 +13,12 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 use homc::{
-    check_evidence, escape_json, parse_json, stable_hash64, suite::SuiteProgram, verify,
+    check_evidence, escape_json, parse_json, shown, stable_hash64, suite::SuiteProgram, verify,
     ArtifactConfig, Counts, DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache,
-    Surface, Tracer, Verdict, VerifierOptions, VerifyOutcome,
+    Surface, Tracer, Verdict, VerifierOptions, VerifyOutcome, VerifyStats, LOOP, TIMED,
 };
 
 /// One row of the regenerated Table 1.
@@ -43,13 +44,13 @@ pub struct Row {
     pub warm_total_s: f64,
     /// Lookups the warm rerun answered from disk-seeded entries.
     pub warm_disk_hits: u64,
-    /// CEGAR-loop seconds of the *edit-resubmit* incremental rerun: a
-    /// seeding pass publishes the program's abstraction artifact to a
-    /// temporary store, one integer literal of the source is wrapped as
-    /// `(0 + k)` (semantics preserved, one definition's manifest cone
-    /// perturbed), and the edited program is verified against the store
-    /// with a fresh query cache. `0.0` when the rerun could not be
-    /// measured.
+    /// `total` seconds of the *edit-resubmit* incremental rerun (artifact
+    /// load and seeding, the loop, the publish): a seeding pass publishes
+    /// the program's abstraction artifact to a temporary store, one
+    /// integer literal of the source is wrapped as `(0 + k)` (semantics
+    /// preserved, one definition's manifest cone perturbed), and the edited
+    /// program is verified against the store with a fresh query cache.
+    /// `0.0` when the rerun could not be measured.
     pub incr_total_s: f64,
     /// Seconds the independent checker spent re-establishing the cold
     /// run's verdict from its exported evidence certificate. `0.0` when
@@ -62,8 +63,10 @@ pub struct Row {
 /// documents whose schema (or suite, or clock mode) disagrees. Schema 5
 /// added the cross-run incremental column (`incr_total_s` per row,
 /// `incr_wall_s` in the totals); schema 6 added the evidence-checker
-/// column (`check_s` per row, `check_wall_s` in the totals).
-const SCHEMA: u64 = 6;
+/// column (`check_s` per row, `check_wall_s` in the totals); schema 7 took
+/// the phase columns from the phase table, which added the evidence-export
+/// column (`evidence_s`) and its peak (`peak_evidence_bytes`) to each row.
+const SCHEMA: u64 = 7;
 
 /// The [`Surface::Table1`] counter columns, as `"name": value, ` pairs.
 fn counter_columns(counts: &Counts) -> String {
@@ -76,9 +79,9 @@ fn counter_columns(counts: &Counts) -> String {
 
 /// Renders rows as the `table1 --json` baseline document: a `meta` header
 /// (schema version, suite name, program count, clock mode), one object per
-/// program (verdict, cycles, per-phase times, the [`Surface::Table1`]
-/// counters, per-phase peak heap bytes, the warm, incremental and check
-/// reruns) and the suite totals.
+/// program (verdict, cycles, the [`Surface::Table1`] phase columns and
+/// counters, peak heap bytes, the warm, incremental and check reruns) and
+/// the suite totals.
 pub fn baseline_json(rows: &[Row]) -> String {
     let mut total = 0.0f64;
     let mut totals = Counts::default();
@@ -109,31 +112,29 @@ pub fn baseline_json(rows: &[Row]) -> String {
         disk_hits += r.warm_disk_hits;
         incr_total += r.incr_total_s;
         check_total += r.check_s;
+        // The phase columns: each column's seconds, then each phase's peak.
+        let mut phases = String::new();
+        for (col, d) in s.time.columns(shown(Surface::Table1)) {
+            let _ = write!(phases, "\"{col}_s\": {:.4}, ", d.as_secs_f64());
+        }
+        for p in shown(Surface::Table1) {
+            let _ = write!(phases, "\"peak_{}_bytes\": {}, ", p.name(), s.peak[p]);
+        }
         let _ = writeln!(
             body,
             "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \"cycles\": {}, \
-             \"iterations\": {}, \"peak_hbp\": {}, \
-             \"abst_s\": {:.4}, \"mc_s\": {:.4}, \"cegar_s\": {:.4}, \"total_s\": {:.4}, \
-             {}\"peak_bytes\": {}, \"peak_abs_bytes\": {}, \"peak_mc_bytes\": {}, \
-             \"peak_feas_bytes\": {}, \"peak_interp_bytes\": {}, \
-             \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \"incr_total_s\": {:.4}, \
-             \"check_s\": {:.4}}}{}",
+             \"iterations\": {}, \"peak_hbp\": {}, {phases}\"total_s\": {:.4}, \
+             {}\"peak_bytes\": {}, \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \
+             \"incr_total_s\": {:.4}, \"check_s\": {:.4}}}{}",
             escape_json(r.name),
             escape_json(verdict),
             r.verdict_ok,
             s.cycles,
             r.iterations,
             r.peak_hbp,
-            s.abst.as_secs_f64(),
-            s.mc.as_secs_f64(),
-            s.cegar.as_secs_f64(),
             s.total.as_secs_f64(),
             counter_columns(&counts),
             s.peak_bytes,
-            s.peak_abs_bytes,
-            s.peak_mc_bytes,
-            s.peak_feas_bytes,
-            s.peak_interp_bytes,
             r.warm_total_s,
             r.warm_disk_hits,
             r.incr_total_s,
@@ -184,18 +185,20 @@ pub fn run_program(p: &SuiteProgram) -> Row {
         }),
         ..VerifierOptions::default()
     };
-    let outcome = verify(p.source, &opts).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+    let mut outcome = verify(p.source, &opts).unwrap_or_else(|e| panic!("{}: {e}", p.name));
     let mut verdict_ok = match p.expected {
         Expected::Safe => outcome.verdict.is_safe(),
         Expected::Unsafe => outcome.verdict.is_unsafe(),
         Expected::Diverges => !outcome.verdict.is_unsafe(),
     };
     // The independent checker must re-establish every decisive verdict
-    // from the exported certificate alone; a rejection fails the row.
-    let check_s = match &outcome.evidence {
+    // from the exported certificate alone; a rejection fails the row. The
+    // row keeps no certificate, so a later row's peak heap does not count
+    // it.
+    let check_s = match outcome.evidence.take() {
         Some(ev) => {
             let t = std::time::Instant::now();
-            let ok = check_evidence(p.source, ev, &Metrics::disabled()).is_ok();
+            let ok = check_evidence(p.source, &ev, &Metrics::disabled()).is_ok();
             verdict_ok = verdict_ok && ok;
             t.elapsed().as_secs_f64()
         }
@@ -259,7 +262,7 @@ pub fn edit_one_literal(src: &str) -> Option<String> {
 /// pass verifies `p` with a temporary artifact store (publishing its
 /// manifest, predicate environment, per-definition abstractions, and
 /// interpolants), then the single-literal edit of the source is verified
-/// against that store. Returns the edited run's CEGAR-loop seconds and
+/// against that store. Returns the edited run's `total` seconds and
 /// whether its verdict kind matches `cold` (`(0.0, true)` if the
 /// measurement could not be set up — the cold row is still valid then).
 fn incr_rerun(p: &SuiteProgram, cold: &Verdict) -> (f64, bool) {
@@ -337,7 +340,15 @@ fn warm_rerun(p: &SuiteProgram, cold_cache: &QueryCache) -> (f64, u64) {
     }
 }
 
-/// Formats a row in the paper's column layout.
+/// A run's `total` as the paper times it: without the phases around the
+/// CEGAR loop (certificate export, artifact I/O).
+pub fn paper_total(s: &VerifyStats) -> Duration {
+    let around = TIMED.into_iter().filter(|p| !LOOP.contains(p));
+    around.fold(s.total, |t, p| t.saturating_sub(s.time[p]))
+}
+
+/// Formats a row in the paper's column layout: the Table 1 columns of the
+/// CEGAR loop's phases, then the [`paper_total`].
 pub fn format_row(r: &Row) -> String {
     let v = match &r.outcome.verdict {
         Verdict::Safe => "safe",
@@ -349,17 +360,21 @@ pub fn format_row(r: &Row) -> String {
     } else {
         r.paper_cycles.to_string()
     };
+    let s = &r.outcome.stats;
+    let columns: String = s
+        .time
+        .columns(LOOP)
+        .into_iter()
+        .map(|(_, d)| format!("{:6.2} ", d.as_secs_f64()))
+        .collect();
     format!(
-        "{:12} {:4} {:2} {:>4} ({:>2})  {:6.2} {:6.2} {:6.2} {:6.2}   {}{}",
+        "{:12} {:4} {:2} {:>4} ({:>2})  {columns}{:6.2}   {}{}",
         r.name,
         r.outcome.size,
         r.outcome.order,
-        r.outcome.stats.cycles,
+        s.cycles,
         paper_c,
-        r.outcome.stats.abst.as_secs_f64(),
-        r.outcome.stats.mc.as_secs_f64(),
-        r.outcome.stats.cegar.as_secs_f64(),
-        r.outcome.stats.total.as_secs_f64(),
+        paper_total(s).as_secs_f64(),
         v,
         if r.verdict_ok { "" } else { "  ** MISMATCH **" },
     )

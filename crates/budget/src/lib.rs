@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::ops::{AddAssign, Index, IndexMut};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,46 +37,101 @@ use std::time::{Duration, Instant};
 /// How often (in checkpoints) the wall clock is consulted.
 pub const DEADLINE_STRIDE: u64 = 64;
 
-/// The pipeline phase issuing a checkpoint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Phase {
-    /// Predicate abstraction (Step 1).
-    Abs,
-    /// Higher-order model checking (Step 2).
-    Mc,
-    /// Feasibility replay / trace construction (Step 3).
-    Feas,
-    /// Predicate discovery by interpolation (Step 4).
-    Interp,
-    /// The SMT substrate (sat / entailment queries issued by any phase).
-    Smt,
+/// The phase table: every phase of a verification run, declared once.
+///
+/// `cegar` rows are the steps of the CEGAR loop: budget checkpoints name
+/// them (so `--inject` can target them) and the verifier's phase guard
+/// times them. The `nested` row is the SMT substrate, checkpointed inside
+/// the other phases and never timed on its own. `around` rows are timed
+/// outside the loop and take no checkpoint. A row gives the [`Phase`]
+/// variant and name, the paper's Table 1 column its time adds into
+/// (`abst`, `mc`, `cegar`, or one of its own), the [`Surface`]s that show
+/// that column and the phase's peak heap, and the help text. A timed phase
+/// is also a trace phase (`span`, `job_phase`, `trace-report`) and a
+/// memory-accounting tag. The rows go to the macro named `$then`; this
+/// crate expands them into [`Phase`] and the phase lists.
+#[macro_export]
+macro_rules! phase_table {
+    ($then:ident) => {
+        $then! {
+            cegar {
+                Abs abs => abst [Stats, Ledger, Table1] "Predicate abstraction (Step 1)";
+                Mc mc => mc [Stats, Ledger, Table1] "Higher-order model checking (Step 2)";
+                Feas feas => cegar [Stats, Ledger, Table1]
+                    "Feasibility replay of the abstract error path (Step 3)";
+                Interp interp => cegar [Stats, Ledger, Table1]
+                    "Feasibility verdict and predicate discovery by interpolation (Step 4)";
+            }
+            nested {
+                Smt smt => smt [] "The SMT substrate, queried by every other phase";
+            }
+            around {
+                Evidence evidence => evidence [Stats, Table1]
+                    "Certificate export after a decisive verdict (--evidence-dir)";
+                Artifact artifact => artifact [Stats]
+                    "Artifact load and seeding before the loop, publish after it (--artifacts-dir)";
+            }
+        }
+    };
 }
 
-/// All phases, in pipeline order.
-pub const PHASES: [Phase; 5] = [Phase::Abs, Phase::Mc, Phase::Feas, Phase::Interp, Phase::Smt];
-
-impl Phase {
-    fn index(self) -> usize {
-        match self {
-            Phase::Abs => 0,
-            Phase::Mc => 1,
-            Phase::Feas => 2,
-            Phase::Interp => 3,
-            Phase::Smt => 4,
+/// Declares [`Phase`] and the phase lists from the rows of [`phase_table!`].
+macro_rules! define_phases {
+    (@lists cegar { $($c:ident $cn:ident)* } nested { $($n:ident $nn:ident)* }
+        around { $($a:ident $an:ident)* }) => {
+        /// The CEGAR loop's phases (the `cegar` rows), which the paper's
+        /// Table 1 times.
+        pub const LOOP: [Phase; [$(stringify!($c)),*].len()] = [$(Phase::$c),*];
+        /// The phases a checkpoint names (the `cegar` and `nested` rows),
+        /// in pipeline order: the `--inject` targets.
+        pub const PHASES: [Phase; [$(stringify!($c)),* $(, stringify!($n))*].len()] =
+            [$(Phase::$c),* $(, Phase::$n)*];
+        /// The timed phases (the `cegar` and `around` rows), in table order.
+        pub const TIMED: [Phase; TIMED_NAMES.len()] = [$(Phase::$c),* $(, Phase::$a)*];
+        /// The names of [`TIMED`], in the same order.
+        pub const TIMED_NAMES: [&str; [$(stringify!($c)),* $(, stringify!($a))*].len()] =
+            [$(stringify!($cn)),* $(, stringify!($an))*];
+    };
+    ($($group:ident { $( $v:ident $name:ident => $col:ident [$($surface:ident),*]
+        $help:literal; )* })*) => {
+        /// A phase of a verification run, one variant per row of
+        /// [`phase_table!`].
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+        pub enum Phase {
+            $($( #[doc = $help] $v, )*)*
         }
-    }
 
-    /// The CLI / config name of the phase.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Abs => "abs",
-            Phase::Mc => "mc",
-            Phase::Feas => "feas",
-            Phase::Interp => "interp",
-            Phase::Smt => "smt",
+        impl Phase {
+            /// The number of phases.
+            pub const COUNT: usize = [$($(stringify!($v)),*),*].len();
+
+            /// The stable name: the `--inject` spelling and the trace phase.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($( Phase::$v => stringify!($name), )*)*
+                }
+            }
+
+            /// The paper's Table 1 column this phase's time adds into.
+            pub fn column(self) -> &'static str {
+                match self {
+                    $($( Phase::$v => stringify!($col), )*)*
+                }
+            }
+
+            /// `true` when `surface` shows this phase's column and peak.
+            pub fn shows(self, surface: Surface) -> bool {
+                match self {
+                    $($( Phase::$v => [$(Surface::$surface),*].contains(&surface), )*)*
+                }
+            }
         }
-    }
+
+        define_phases!(@lists $($group { $($v $name)* })*);
+    };
 }
+
+phase_table!(define_phases);
 
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -86,17 +142,77 @@ impl fmt::Display for Phase {
 impl FromStr for Phase {
     type Err = String;
 
+    /// Parses the name of one of [`PHASES`].
     fn from_str(s: &str) -> Result<Phase, String> {
-        match s {
-            "abs" => Ok(Phase::Abs),
-            "mc" => Ok(Phase::Mc),
-            "feas" => Ok(Phase::Feas),
-            "interp" => Ok(Phase::Interp),
-            "smt" => Ok(Phase::Smt),
-            other => Err(format!(
-                "unknown phase {other:?} (expected abs, mc, feas, interp or smt)"
-            )),
+        PHASES.into_iter().find(|p| p.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = PHASES.iter().map(|p| p.name()).collect();
+            format!("unknown phase {s:?} (expected one of {})", names.join(", "))
+        })
+    }
+}
+
+/// A place besides the metrics registry that shows counters and phases;
+/// the rows of both tables name theirs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Surface {
+    /// `homc --stats`: a counter's value; a phase's column and peak.
+    Stats,
+    /// The run-ledger record: a counter's value; a phase's `<column>_us`.
+    Ledger,
+    /// The `iter` trace record (counters only).
+    Iter,
+    /// `table1 --json`: a counter's row and totals columns; a phase's
+    /// `<column>_s` and `peak_<phase>_bytes` row keys.
+    Table1,
+}
+
+/// The timed phases `surface` shows, in table order.
+pub fn shown(surface: Surface) -> impl Iterator<Item = Phase> {
+    TIMED.into_iter().filter(move |p| p.shows(surface))
+}
+
+/// The Table 1 columns `phases` add into, in order, each once.
+pub fn columns(phases: impl IntoIterator<Item = Phase>) -> Vec<&'static str> {
+    let mut out = Vec::new();
+    for p in phases {
+        if !out.contains(&p.column()) {
+            out.push(p.column());
         }
+    }
+    out
+}
+
+/// One value per phase, indexed by [`Phase`]: a run's time or peak heap in
+/// each phase.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PerPhase<T>([T; Phase::COUNT]);
+
+impl<T> Index<Phase> for PerPhase<T> {
+    type Output = T;
+
+    fn index(&self, phase: Phase) -> &T {
+        &self.0[phase as usize]
+    }
+}
+
+impl<T> IndexMut<Phase> for PerPhase<T> {
+    fn index_mut(&mut self, phase: Phase) -> &mut T {
+        &mut self.0[phase as usize]
+    }
+}
+
+impl<T: Copy + AddAssign> PerPhase<T> {
+    /// The Table 1 columns `phases` add into, in order, each with the sum
+    /// of its phases' values.
+    pub fn columns(&self, phases: impl IntoIterator<Item = Phase>) -> Vec<(&'static str, T)> {
+        let mut out: Vec<(&'static str, T)> = Vec::new();
+        for p in phases {
+            match out.iter_mut().find(|(c, _)| *c == p.column()) {
+                Some((_, sum)) => *sum += self[p],
+                None => out.push((p.column(), self[p])),
+            }
+        }
+        out
     }
 }
 
@@ -324,7 +440,7 @@ pub struct Budget {
     plan: FaultPlan,
     cancel: Option<CancelToken>,
     fuel_used: AtomicU64,
-    counters: [AtomicU64; 5],
+    counters: [AtomicU64; Phase::COUNT],
 }
 
 impl fmt::Debug for Budget {
@@ -393,7 +509,7 @@ impl Budget {
 
     /// Checkpoints passed so far in `phase`.
     pub fn checkpoints(&self, phase: Phase) -> u64 {
-        self.counters[phase.index()].load(Ordering::Relaxed)
+        self.counters[phase as usize].load(Ordering::Relaxed)
     }
 
     /// `true` once the deadline has passed (always `false` without one).
@@ -411,7 +527,7 @@ impl Budget {
     /// fault panics instead — callers are expected to be wrapped in the
     /// verifier's `catch_unwind` boundary.
     pub fn checkpoint(&self, phase: Phase) -> Result<(), BudgetError> {
-        let count = self.counters[phase.index()].fetch_add(1, Ordering::Relaxed) + 1;
+        let count = self.counters[phase as usize].fetch_add(1, Ordering::Relaxed) + 1;
         let fuel = self.fuel_used.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
@@ -573,6 +689,18 @@ mod tests {
         token.cancel();
         assert!(b1.checkpoint(Phase::Mc).is_err());
         assert!(b2.checkpoint(Phase::Mc).is_err());
+    }
+
+    #[test]
+    fn columns_sum_their_phases_in_table_order() {
+        let mut t = PerPhase::<u64>::default();
+        t[Phase::Abs] = 1;
+        t[Phase::Feas] = 2;
+        t[Phase::Interp] = 3;
+        t[Phase::Evidence] = 4;
+        assert_eq!(t.columns(LOOP), [("abst", 1), ("mc", 0), ("cegar", 5)]);
+        assert_eq!(columns(shown(Surface::Ledger)), ["abst", "mc", "cegar"]);
+        assert_eq!(columns(shown(Surface::Stats)).last(), Some(&"artifact"));
     }
 
     #[test]

@@ -328,15 +328,16 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         None => (Arc::new(Vec::new()), None),
     };
 
-    // Per-job private caches, kept out here so the new entries can be
-    // unioned and published after the fleet drains.
-    let mut caches: Vec<Arc<QueryCache>> = Vec::with_capacity(jobs.len());
+    // With a cache dir, each job's freshly solved queries move into one
+    // union as its attempt ends, and the union is published after the fleet
+    // drains. A job's private cache goes when the job settles, so no job's
+    // memory (or `peak_bytes`) carries an earlier job's cache.
+    let union = disk.as_ref().map(|_| Arc::new(QueryCache::new()));
     let mut pool_jobs: Vec<Job<Settled>> = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         let cancel = CancelToken::new();
         let cache = Arc::new(QueryCache::new());
         seed_cache(&cache, &records);
-        caches.push(cache.clone());
 
         let fault = opts.job_faults.iter().find(|f| f.job == i).map(|f| f.kind);
         let mut vopts = opts.verify.clone();
@@ -370,6 +371,7 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         let name = job.name.clone();
         let source = job.source.clone();
         let expected = job.expected;
+        let union = union.clone();
         let run = Box::new(move |_attempt: u32| -> Attempt<Settled> {
             if fault == Some(JobFaultKind::Panic) {
                 panic!("injected fault: batch job body");
@@ -387,6 +389,16 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
             let t = Instant::now();
             let result = verify(&source, &vopts);
             let wall = t.elapsed();
+            if let (Some(union), Some(cache)) = (&union, &vopts.cache) {
+                // `export_new_*` never returns a disk-seeded key, so only
+                // entries missing from disk reach the union.
+                for (k, v) in cache.export_new_check() {
+                    union.store_check(k, v);
+                }
+                for (k, v) in cache.export_new_cubes() {
+                    union.store_cube(k, v);
+                }
+            }
             if let Err(e) = &result {
                 tracer.emit("fault", |ev| {
                     ev.str("phase", "frontend")
@@ -549,20 +561,9 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
     progress.flush();
 
     // Publish the union of every job's freshly solved queries as one new
-    // segment. Every job cache was seeded from the same disk records, and
-    // `export_new_*` never returns a seeded key, so only entries missing
-    // from disk are written.
-    if let Some(d) = &disk {
-        let union = QueryCache::new();
-        for cache in &caches {
-            for (k, v) in cache.export_new_check() {
-                union.store_check(k, v);
-            }
-            for (k, v) in cache.export_new_cubes() {
-                union.store_cube(k, v);
-            }
-        }
-        report.publish = d.publish(&union)?;
+    // segment.
+    if let (Some(d), Some(union)) = (&disk, &union) {
+        report.publish = d.publish(union)?;
     }
     Ok(report)
 }

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use homc::{
     bench_diff, check_evidence, fold_trace, ledger_record, parse_threshold, progress_complete,
     regress, render_batch_json, render_explain, render_history, render_report, render_top,
-    run_batch, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify, BatchJob,
-    BatchOptions, BatchReport, Counts, DiffOptions, EvidenceConfig, EvidenceStore, Fault,
+    run_batch, shown, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify,
+    BatchJob, BatchOptions, BatchReport, Counts, DiffOptions, EvidenceConfig, EvidenceStore, Fault,
     JobStatus, Ledger, Metrics, RunRecord, Surface, Tracer, TrendOptions, Verdict, VerifierOptions,
 };
 
@@ -860,14 +860,18 @@ fn print_report(report: &BatchReport, opts: &BatchOptions, stats: bool) {
             continue;
         }
         // The paper's Table 1 columns: size, order, CEGAR cycles, phases.
+        let columns: Vec<String> = s
+            .time
+            .columns(shown(Surface::Stats))
+            .into_iter()
+            .map(|(c, d)| format!("{c}={}", fmt_d(d)))
+            .collect();
         say(format_args!(
-            "{STATS_INDENT}S={:4} O={} C={:2}  abst={} mc={} cegar={} total={}",
+            "{STATS_INDENT}S={:4} O={} C={:2}  {} total={}",
             j.size,
             j.order,
             s.cycles,
-            fmt_d(s.abst),
-            fmt_d(s.mc),
-            fmt_d(s.cegar),
+            columns.join(" "),
             fmt_d(s.total),
         ));
         let rendered = counts.render(Surface::Stats, STATS_INDENT);
@@ -879,13 +883,13 @@ fn print_report(report: &BatchReport, opts: &BatchOptions, stats: bool) {
             ));
         }
         if stats && s.peak_bytes > 0 {
+            let peaks: Vec<String> = shown(Surface::Stats)
+                .map(|p| format!("{}={}", p.name(), s.peak[p]))
+                .collect();
             say(format_args!(
-                "{STATS_INDENT}peak_bytes={} (abs={} mc={} feas={} interp={})",
+                "{STATS_INDENT}peak_bytes={} ({})",
                 s.peak_bytes,
-                s.peak_abs_bytes,
-                s.peak_mc_bytes,
-                s.peak_feas_bytes,
-                s.peak_interp_bytes,
+                peaks.join(" ")
             ));
         }
     }

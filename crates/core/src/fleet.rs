@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_budget::shown;
 use homc_metrics::Surface;
 use homc_serve::RunRecord;
 use homc_trace::{parse_json, stable_hash64, JsonValue};
@@ -235,9 +236,8 @@ pub fn ledger_record(
         ..RunRecord::default()
     };
     if let Some(s) = stats {
-        r.abst_us = s.abst.as_micros() as u64;
-        r.mc_us = s.mc.as_micros() as u64;
-        r.cegar_us = s.cegar.as_micros() as u64;
+        let columns = s.time.columns(shown(Surface::Ledger)).into_iter();
+        r.phase_us = columns.map(|(c, d)| (c, d.as_micros() as u64)).collect();
         r.total_us = s.total.as_micros() as u64;
         r.peak_bytes = s.peak_bytes;
         r.counters = stats_counters(s);

@@ -55,7 +55,8 @@ pub use batch::{
 };
 pub use fleet::{ledger_record, progress_complete, render_top, stats_counters};
 pub use homc_budget::{
-    Budget, BudgetError, Fault, FaultKind, FaultPlan, FaultSpecError, LimitKind, Phase,
+    columns, shown, Budget, BudgetError, Fault, FaultKind, FaultPlan, FaultSpecError, LimitKind,
+    PerPhase, Phase, LOOP, TIMED,
 };
 pub use homc_metrics::{
     diff::{bench_diff, parse_threshold, trace_diff, DiffOptions, DiffReport, Threshold},

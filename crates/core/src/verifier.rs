@@ -35,6 +35,7 @@ use homc_abs::{
     abstract_program_incremental, abstract_program_metered, abstract_program_with_oracle, AbsEnv,
     AbsError, AbsOptions, AbsStats, AbsTy, TransitionMemo,
 };
+use homc_budget::{PerPhase, TIMED};
 use homc_cegar::{
     build_trace_budgeted, refine_env_traced, seed_env, Feasibility, RefineError, RefineOptions,
     Refinement, TraceEnd, TraceError,
@@ -284,13 +285,12 @@ macro_rules! verify_stats {
         pub struct VerifyStats {
             /// CEGAR cycles (the paper's column C).
             pub cycles: usize,
-            /// Time computing abstract programs (column `abst`).
-            pub abst: Duration,
-            /// Time model-checking boolean programs (column `mc`).
-            pub mc: Duration,
-            /// Time in feasibility checking + predicate discovery (`cegar`).
-            pub cegar: Duration,
-            /// Total wall-clock time (column `total`).
+            /// Time in each timed phase of the phase table
+            /// ([`homc_budget::phase_table!`]); the paper's `abst`, `mc` and
+            /// `cegar` columns are sums of these ([`PerPhase::columns`]).
+            pub time: PerPhase<Duration>,
+            /// Total wall-clock time (column `total`): every phase plus the
+            /// bookkeeping between them.
             pub total: Duration,
             /// Total predicates in the final abstraction-type environment.
             pub predicates: usize,
@@ -298,18 +298,12 @@ macro_rules! verify_stats {
             pub final_hbp_size: usize,
             /// Full-loop restarts after a retryable budget exhaustion.
             pub retries: usize,
-            /// Peak live heap bytes over the run. The `peak_*` fields read
-            /// the counting allocator and are 0 when none is installed (the
+            /// Peak live heap bytes over the run. The peaks read the
+            /// counting allocator and are 0 when none is installed (the
             /// `homc` and `table1` binaries install it; tests do not).
             pub peak_bytes: u64,
-            /// Peak live heap bytes while the abstraction phase allocated.
-            pub peak_abs_bytes: u64,
-            /// Peak live heap bytes while the model checker allocated.
-            pub peak_mc_bytes: u64,
-            /// Peak live heap bytes while feasibility replay allocated.
-            pub peak_feas_bytes: u64,
-            /// Peak live heap bytes while interpolation allocated.
-            pub peak_interp_bytes: u64,
+            /// Peak live heap bytes while each timed phase allocated.
+            pub peak: PerPhase<u64>,
             /// FNV-1a digest of the exported evidence (0 when evidence was
             /// not requested or the verdict was not decisive).
             pub evidence_digest: u64,
@@ -605,59 +599,60 @@ pub fn verify_compiled(
     // stay valid across attempts (the program and name scheme never change
     // within a run).
     let mut memo = TransitionMemo::new();
-    // Cross-run warm start: load the prior artifact for this key (if any),
-    // diff per-definition manifests, and seed the predicate environment,
-    // transition memo, and interpolant cache for the unchanged dependency
-    // cones. A corrupt artifact is quarantined by the store and the run
-    // degrades to a cold start — seeding can speed the run up but never
-    // change its verdict (see DESIGN.md §"Cross-run incremental
-    // verification" for the soundness argument).
-    let manifest = opts.artifacts.as_ref().map(|_| Manifest::of(&compiled.cps));
-    // The seeding counters are credited to the first iteration's record.
-    // The stores are left without the registry: the run counter
-    // `artifact_quarantine` reaches it when the run ends.
+    // Cross-run warm start, the first half of the `artifact` phase: load
+    // the prior artifact for this key (if any), diff per-definition
+    // manifests, and seed the predicate environment, transition memo, and
+    // interpolant cache for the unchanged dependency cones. A corrupt
+    // artifact is quarantined by the store and the run degrades to a cold
+    // start — seeding can speed the run up but never change its verdict
+    // (see DESIGN.md §"Cross-run incremental verification" for the
+    // soundness argument). The seeding counters are credited to the first
+    // iteration's record. The stores are left without the registry: the
+    // run counter `artifact_quarantine` reaches it when the run ends.
     let mut seeded = Counts::default();
     let mut run = Counts::default();
-    let mut store = None;
     let mut prior_interp = Vec::new();
-    if let (Some(cfg), Some(manifest)) = (&opts.artifacts, &manifest) {
-        let s = ArtifactStore::new(&cfg.dir);
-        if let Ok(load) = s.load(&cfg.key) {
-            seeded.add(Counter::ArtifactQuarantine, u64::from(load.quarantined));
-            if let Some(prior) = load.artifact {
-                let unchanged = prior.manifest.unchanged_defs(manifest);
-                let preds = seed_env(&mut env, &prior.env, &compiled.cps, &unchanged);
-                seeded.add(Counter::ReverifyPredsSeeded, preds as u64);
-                // Memo replay only helps the incremental abstraction path;
-                // the oracle path rebuilds everything regardless.
-                if opts.incremental_abs {
-                    let ndefs = compiled.cps.defs.len();
-                    let main_unchanged = unchanged.contains(&compiled.cps.main);
-                    for entry in prior.memo {
-                        let replay = if entry.index < ndefs {
-                            unchanged.contains(&entry.name)
-                        } else {
-                            // The entry wrapper's cone is {main}.
-                            main_unchanged
-                        };
-                        if replay && memo.seed_entry(&compiled.cps, entry) {
-                            seeded.add(Counter::ReverifyDefsSkipped, 1);
+    let artifact = opts.artifacts.as_ref().map(|cfg| {
+        timed(opts, &mut stats.time, Phase::Artifact, 0, || {
+            let manifest = Manifest::of(&compiled.cps);
+            let store = ArtifactStore::new(&cfg.dir);
+            // An unreadable store directory cold-starts silently; the
+            // publish at the end of the run surfaces persistent I/O problems.
+            if let Ok(load) = store.load(&cfg.key) {
+                seeded.add(Counter::ArtifactQuarantine, u64::from(load.quarantined));
+                if let Some(prior) = load.artifact {
+                    let unchanged = prior.manifest.unchanged_defs(&manifest);
+                    let preds = seed_env(&mut env, &prior.env, &compiled.cps, &unchanged);
+                    seeded.add(Counter::ReverifyPredsSeeded, preds as u64);
+                    // Memo replay only helps the incremental abstraction
+                    // path; the oracle path rebuilds everything regardless.
+                    if opts.incremental_abs {
+                        let ndefs = compiled.cps.defs.len();
+                        let main_unchanged = unchanged.contains(&compiled.cps.main);
+                        for entry in prior.memo {
+                            let replay = if entry.index < ndefs {
+                                unchanged.contains(&entry.name)
+                            } else {
+                                // The entry wrapper's cone is {main}.
+                                main_unchanged
+                            };
+                            if replay && memo.seed_entry(&compiled.cps, entry) {
+                                seeded.add(Counter::ReverifyDefsSkipped, 1);
+                            }
                         }
                     }
-                }
-                // Seeded interpolants are full-key cache entries: they can
-                // only be *found* by re-posing the identical query, so they
-                // are safe for any edit.
-                for (k, v) in prior.interp {
-                    cache.store_interp_seeded(k.clone(), v.clone());
-                    prior_interp.push((k, v));
+                    // Seeded interpolants are full-key cache entries: they
+                    // can only be *found* by re-posing the identical query,
+                    // so they are safe for any edit.
+                    for (k, v) in prior.interp {
+                        cache.store_interp_seeded(k.clone(), v.clone());
+                        prior_interp.push((k, v));
+                    }
                 }
             }
-        }
-        // An unreadable store directory cold-starts silently; the publish
-        // at the end of the run surfaces persistent I/O problems.
-        store = Some(s);
-    }
+            (store, manifest)
+        })
+    });
     // Evidence accumulators, filled where the facts are produced: predicate
     // provenance as refinement installs predicates, and — at a Safe verdict
     // — the model checker's saturated invariant. The export pass after the
@@ -715,6 +710,8 @@ pub fn verify_compiled(
                 emit_injected_fault(&tracer, &outcome);
                 let tag = outcome_tag(&outcome);
                 let by_fun = preds_by_binding(&env);
+                // Read before the event is stamped, like a phase's span.
+                let dur_us = tracer.dur_us(iter_start);
                 tracer.emit("iter", |e| {
                     e.num("iter", iteration as u64)
                         .str("outcome", tag)
@@ -731,7 +728,7 @@ pub fn verify_compiled(
                         .num("new_ho", rec.new_ho as u64)
                         .num("interp_size_max", rec.interp_size_max as u64)
                         .num("fuel", budget.fuel_used() - fuel0)
-                        .num("dur_us", tracer.dur_us(iter_start));
+                        .num("dur_us", dur_us);
                     for (c, v) in rec.counts.on(Surface::Iter) {
                         e.num(c.name(), v);
                     }
@@ -773,85 +770,110 @@ pub fn verify_compiled(
         }
     }
 
-    // Verdict-evidence export. For Safe, re-derive the boolean program from
-    // the winning environment under a *recording* oracle: every UNSAT
-    // answer gets a self-contained DNF refutation proof, deduplicated by
-    // canonical formula. The replay solver shares the run's query cache —
-    // so this is mostly cache hits — but carries no budget: a deadline
-    // expiring just after the verdict must not be able to truncate the
-    // proof table. Evidence can fail to materialize; it can never change
+    // The phases after the loop are stamped with its last iteration.
+    let last = stats.cycles.saturating_sub(1);
+    // Verdict-evidence export, the `evidence` phase. For Safe, re-derive
+    // the boolean program from the winning environment under a *recording*
+    // oracle: every UNSAT answer gets a self-contained DNF refutation proof,
+    // deduplicated by canonical formula. The replay solver shares the run's
+    // query cache — so this is mostly cache hits — but carries no budget: a
+    // deadline expiring just after the verdict must not be able to truncate
+    // the proof table. Evidence can fail to materialize; it can never change
     // the verdict.
-    let mut evidence: Option<Evidence> = None;
-    if let Some(cfg) = &opts.evidence {
-        let ev_verdict = match &verdict {
-            Verdict::Safe => safe_inv.take().and_then(|inv| {
-                // Fresh unlimited budget: the cache demands a checkpoint
-                // before every guarded lookup, and the run's own budget
-                // must not be able to truncate the proof table.
-                let ebudget = Arc::new(Budget::new(None, None, FaultPlan::none()));
-                let esolver = SmtSolver::with_budget(ebudget).with_cache(cache.clone());
-                let proofs: RefCell<BTreeMap<Formula, Option<UnsatProof>>> =
-                    RefCell::new(BTreeMap::new());
-                let record = |f: &Formula| -> Result<bool, AbsError> {
-                    let sat = esolver.maybe_sat(f);
-                    if !sat {
-                        let canon = f.canon();
-                        proofs
-                            .borrow_mut()
-                            .entry(canon.clone())
-                            .or_insert_with(|| prove_unsat(&canon));
+    let cycles = stats.cycles as u64;
+    let digest = &mut stats.evidence_digest;
+    let evidence = opts.evidence.as_ref().and_then(|cfg| {
+        timed(opts, &mut stats.time, Phase::Evidence, last, || {
+            let ev_verdict = match &verdict {
+                Verdict::Safe => safe_inv.take().and_then(|inv| {
+                    // Fresh unlimited budget: the cache demands a checkpoint
+                    // before every guarded lookup, and the run's own budget
+                    // must not be able to truncate the proof table.
+                    let ebudget = Arc::new(Budget::new(None, None, FaultPlan::none()));
+                    let esolver = SmtSolver::with_budget(ebudget).with_cache(cache.clone());
+                    let proofs: RefCell<BTreeMap<Formula, Option<UnsatProof>>> =
+                        RefCell::new(BTreeMap::new());
+                    let record = |f: &Formula| -> Result<bool, AbsError> {
+                        let sat = esolver.maybe_sat(f);
+                        if !sat {
+                            let canon = f.canon();
+                            proofs
+                                .borrow_mut()
+                                .entry(canon.clone())
+                                .or_insert_with(|| prove_unsat(&canon));
+                        }
+                        Ok(sat)
+                    };
+                    abstract_program_with_oracle(&compiled.cps, &env, &opts.abs, &record).ok()?;
+                    let mut proved = Vec::new();
+                    let mut unproved = 0u64;
+                    for (f, proof) in proofs.into_inner() {
+                        match proof {
+                            Some(p) => proved.push((f, p)),
+                            None => unproved += 1,
+                        }
                     }
-                    Ok(sat)
-                };
-                abstract_program_with_oracle(&compiled.cps, &env, &opts.abs, &record).ok()?;
-                let mut proved = Vec::new();
-                let mut unproved = 0u64;
-                for (f, proof) in proofs.into_inner() {
-                    match proof {
-                        Some(p) => proved.push((f, p)),
-                        None => unproved += 1,
-                    }
-                }
-                Some(EvidenceVerdict::Safe(Box::new(SafeEvidence {
-                    env: env.clone(),
-                    gamma: inv.gamma,
-                    base_flow: inv.base_flow,
-                    proofs: proved,
-                    unproved,
-                })))
-            }),
-            Verdict::Unsafe { witness, path } => Some(EvidenceVerdict::Unsafe {
-                witness: witness.clone(),
-                path: path.clone(),
-            }),
-            Verdict::Unknown { .. } => None,
-        };
-        if let Some(ev_verdict) = ev_verdict {
+                    Some(EvidenceVerdict::Safe(Box::new(SafeEvidence {
+                        env: env.clone(),
+                        gamma: inv.gamma,
+                        base_flow: inv.base_flow,
+                        proofs: proved,
+                        unproved,
+                    })))
+                }),
+                Verdict::Unsafe { witness, path } => Some(EvidenceVerdict::Unsafe {
+                    witness: witness.clone(),
+                    path: path.clone(),
+                }),
+                Verdict::Unknown { .. } => None,
+            };
             let ev = Evidence {
                 program: cfg.key.clone(),
                 source_hash: cfg.source_hash,
-                iterations: stats.cycles as u64,
+                iterations: cycles,
                 provenance: std::mem::take(&mut provenance),
-                verdict: ev_verdict,
+                verdict: ev_verdict?,
             };
-            stats.evidence_digest = ev.digest();
             metrics.incr(Counter::EvidenceEmitted);
-            if let Some(dir) = &cfg.dir {
-                // Publish failures are non-fatal: the evidence still rides
-                // on the outcome, and the verdict stands either way.
-                let estore = EvidenceStore::new(dir);
-                let _ = estore.publish(&cfg.key, &ev);
-            }
-            evidence = Some(ev);
+            // Publish failures are non-fatal: the evidence still rides on
+            // the outcome, and the verdict stands either way. A publish
+            // returns the digest of the bytes it rendered.
+            let published = cfg
+                .dir
+                .as_ref()
+                .and_then(|dir| EvidenceStore::new(dir).publish(&cfg.key, &ev).ok());
+            *digest = published.map_or_else(|| ev.digest(), |(_, d)| d);
+            Some(ev)
+        })
+    });
+    // Publish the artifact for the *next* run, the second half of the
+    // `artifact` phase, but only on a decisive verdict: an `Unknown`
+    // environment is mid-refinement noise, and persisting it could keep a
+    // bad seed alive across edits. Seeded interpolants are republished
+    // together with the ones this run discovered (the two sets are disjoint
+    // by construction). Publish failures are non-fatal — the verdict stands
+    // either way.
+    if let (Some((store, manifest)), Some(cfg)) = (artifact, &opts.artifacts) {
+        if matches!(verdict, Verdict::Safe | Verdict::Unsafe { .. }) {
+            timed(opts, &mut stats.time, Phase::Artifact, last, || {
+                let mut interp = prior_interp;
+                interp.extend(cache.export_new_interp());
+                let artifact = Artifact {
+                    manifest,
+                    env: env.clone(),
+                    memo: memo.export_entries(&compiled.cps),
+                    interp,
+                };
+                let _ = store.publish(&cfg.key, &artifact);
+            });
         }
     }
     stats.total = start.elapsed();
     stats.predicates = env.fingerprint();
     stats.peak_bytes = mem::peak_bytes();
-    stats.peak_abs_bytes = mem::phase_peak(Phase::Abs);
-    stats.peak_mc_bytes = mem::phase_peak(Phase::Mc);
-    stats.peak_feas_bytes = mem::phase_peak(Phase::Feas);
-    stats.peak_interp_bytes = mem::phase_peak(Phase::Interp);
+    for p in TIMED {
+        stats.peak[p] = mem::phase_peak(p);
+    }
     let cache_delta = cache.stats().delta(&cache_start);
     absorb(&mut run, &cache_delta);
     stats.set_counts(&run);
@@ -859,25 +881,6 @@ pub fn verify_compiled(
     // one counting path per quantity.
     for c in COUNTERS.into_iter().filter(|c| c.agg() != Agg::Registry) {
         metrics.add(c, run.get(c));
-    }
-    // Publish the artifact for the *next* run, but only on a decisive
-    // verdict: an `Unknown` environment is mid-refinement noise, and
-    // persisting it could keep a bad seed alive across edits. Seeded
-    // interpolants are republished together with the ones this run
-    // discovered (the two sets are disjoint by construction). Publish
-    // failures are non-fatal — the verdict stands either way.
-    if let (Some(store), Some(manifest), Some(cfg)) = (&store, manifest, &opts.artifacts) {
-        if matches!(verdict, Verdict::Safe | Verdict::Unsafe { .. }) {
-            let mut interp = prior_interp;
-            interp.extend(cache.export_new_interp());
-            let artifact = Artifact {
-                manifest,
-                env: env.clone(),
-                memo: memo.export_entries(&compiled.cps),
-                interp,
-            };
-            let _ = store.publish(&cfg.key, &artifact);
-        }
     }
     tracer.emit("verdict", |e| {
         let tag = match &verdict {
@@ -899,9 +902,44 @@ pub fn verify_compiled(
     })
 }
 
+/// The phase table's guard: runs `f` as one timed phase of iteration
+/// `iter`. It announces the phase on the progress sink (`job_phase`, so a
+/// fleet renderer sees what a worker is doing while the phase runs), tags
+/// the phase's allocations for memory accounting, adds its duration to
+/// `time`, and emits its `span` on the job trace. A panic escaping `f`
+/// skips the duration and the span, like any other work the panic cut.
+fn timed<R>(
+    opts: &VerifierOptions,
+    time: &mut PerPhase<Duration>,
+    phase: Phase,
+    iter: usize,
+    f: impl FnOnce() -> R,
+) -> R {
+    opts.progress.emit("job_phase", |e| {
+        e.num("job", opts.job)
+            .num("iter", iter as u64)
+            .str("phase", phase.name());
+    });
+    let started = Instant::now();
+    let out = {
+        let _tag = mem::phase_scope(phase);
+        f()
+    };
+    time[phase] += started.elapsed();
+    // The duration is read before the event is stamped, so the profiler's
+    // interval `[ts - dur_us, ts]` never starts before the phase did.
+    let dur_us = opts.tracer.dur_us(started);
+    opts.tracer.emit("span", |e| {
+        e.str("phase", phase.name())
+            .num("iter", iter as u64)
+            .num("dur_us", dur_us);
+    });
+    out
+}
+
 /// One CEGAR iteration: abstract, model-check, and — when an abstract error
-/// path exists — check feasibility and refine. Phase timings are mirrored
-/// into `span` trace events; per-iteration counters go into `rec` as soon as
+/// path exists — check feasibility and refine. Each step runs under the
+/// phase guard ([`timed`]); per-iteration counters go into `rec` as soon as
 /// they are known so they survive a later phase's panic.
 #[allow(clippy::too_many_arguments)]
 fn run_iteration(
@@ -921,83 +959,55 @@ fn run_iteration(
     safe_inv: &mut Option<SafeInvariant>,
 ) -> IterOutcome {
     let unknown = |reason: UnknownReason| IterOutcome::Done(Verdict::Unknown { reason });
-    let span = |phase: &str, started: Instant| {
-        tracer.emit("span", |e| {
-            e.str("phase", phase)
-                .num("iter", iteration as u64)
-                .num("dur_us", tracer.dur_us(started));
-        });
-    };
-    // Phase *starts* go to the progress sink (not the job trace, which
-    // records spans at phase end): a fleet renderer needs to know what a
-    // worker is doing while the phase is still running.
-    let pstart = |phase: &str| {
-        opts.progress.emit("job_phase", |e| {
-            e.num("job", opts.job)
-                .num("iter", iteration as u64)
-                .str("phase", phase);
-        });
-    };
 
-    // Step 1: predicate abstraction (against the run-wide cache).
-    // Each step runs under a memory-accounting phase tag so the counting
-    // allocator (when installed) attributes watermarks per phase.
-    pstart("abs");
-    let t = Instant::now();
-    let mem_tag = mem::phase_scope(Phase::Abs);
-    let abs_result = if opts.incremental_abs {
-        abstract_program_incremental(
-            &compiled.cps,
-            env,
-            &opts.abs,
-            Some(budget.clone()),
-            solver.cache().cloned(),
-            tracer,
-            solver.metrics(),
-            memo,
-        )
-    } else {
-        abstract_program_metered(
-            &compiled.cps,
-            env,
-            &opts.abs,
-            Some(budget.clone()),
-            solver.cache().cloned(),
-            tracer,
-            solver.metrics(),
-        )
-    };
-    drop(mem_tag);
-    stats.abst += t.elapsed();
-    span("abs", t);
+    // Step 1: predicate abstraction (against the run-wide cache), then the
+    // census of the boolean program it built.
+    let abs_result = timed(opts, &mut stats.time, Phase::Abs, iteration, || {
+        let (bp, abs_stats) = if opts.incremental_abs {
+            abstract_program_incremental(
+                &compiled.cps,
+                env,
+                &opts.abs,
+                Some(budget.clone()),
+                solver.cache().cloned(),
+                tracer,
+                solver.metrics(),
+                memo,
+            )
+        } else {
+            abstract_program_metered(
+                &compiled.cps,
+                env,
+                &opts.abs,
+                Some(budget.clone()),
+                solver.cache().cloned(),
+                tracer,
+                solver.metrics(),
+            )
+        }?;
+        absorb(&mut rec.counts, &abs_stats);
+        rec.hbp_rules = bp.defs.len();
+        rec.hbp_terms = bp.size();
+        // Dead-predicate census for this iteration's abstraction; the run
+        // keeps the *final* iteration's value (the census of the winning
+        // environment against the winning boolean program).
+        rec.counts.set(Counter::PredsDead, dead_predicates(env, &bp));
+        Ok(bp)
+    });
     let bp = match abs_result {
-        Ok((bp, abs_stats)) => {
-            absorb(&mut rec.counts, &abs_stats);
-            bp
-        }
+        Ok(bp) => bp,
         Err(AbsError::Exhausted(e)) => return unknown(UnknownReason::Budget(e)),
         Err(AbsError::Invalid(msg)) => {
             return unknown(UnknownReason::InternalFault(format!("abstraction: {msg}")))
         }
     };
-    stats.final_hbp_size = bp.size();
-    rec.hbp_rules = bp.defs.len();
-    rec.hbp_terms = bp.size();
-    // Dead-predicate census for this iteration's abstraction; the run keeps
-    // the *final* iteration's value (the census of the winning environment
-    // against the winning boolean program).
-    let dead = dead_predicates(env, &bp);
-    rec.counts.set(Counter::PredsDead, dead);
+    stats.final_hbp_size = rec.hbp_terms;
 
-    // Step 2: higher-order model checking.
-    pstart("mc");
-    let t = Instant::now();
-    let mem_tag = mem::phase_scope(Phase::Mc);
-    // On a Safe exit the checker itself survives the closure (via the
-    // slot): its saturated typing table and base-flow facts are the
-    // abstract reachability invariant the evidence layer serializes.
-    let mut safe_checker = None;
-    let mc = (|| {
+    // Step 2: higher-order model checking. On a Safe exit under evidence
+    // export, the checker's saturated typing table and base-flow facts are
+    // kept: they are the abstract reachability invariant the evidence layer
+    // serializes.
+    let mc = timed(opts, &mut stats.time, Phase::Mc, iteration, || {
         let mut checker = Checker::with_budget(&bp, check_limits, budget)?;
         checker.set_tracer(tracer.clone());
         checker.set_metrics(solver.metrics().clone());
@@ -1006,98 +1016,74 @@ fn run_iteration(
         absorb(&mut rec.counts, &cs);
         rec.typings = cs.typings;
         saturated?;
-        if !checker.may_fail() {
-            safe_checker = Some(checker);
-            return Ok(None);
+        let path = if checker.may_fail() {
+            find_error_path(&mut checker)?
+        } else {
+            None
+        };
+        if path.is_none() && opts.evidence.is_some() {
+            *safe_inv = Some(SafeInvariant {
+                gamma: checker
+                    .gamma()
+                    .iter()
+                    .map(|(f, ts)| (f.clone(), ts.clone()))
+                    .collect(),
+                base_flow: checker.base_flow().clone(),
+            });
         }
-        let found = find_error_path(&mut checker);
-        if matches!(found, Ok(None)) {
-            safe_checker = Some(checker);
-        }
-        found
-    })();
-    drop(mem_tag);
-    stats.mc += t.elapsed();
-    span("mc", t);
+        Ok(path)
+    });
     let path = match mc {
-        Ok(None) => {
-            if let (Some(checker), true) = (&safe_checker, opts.evidence.is_some()) {
-                *safe_inv = Some(SafeInvariant {
-                    gamma: checker
-                        .gamma()
-                        .iter()
-                        .map(|(f, ts)| (f.clone(), ts.clone()))
-                        .collect(),
-                    base_flow: checker.base_flow().clone(),
-                });
-            }
-            return IterOutcome::Done(Verdict::Safe);
-        }
+        Ok(None) => return IterOutcome::Done(Verdict::Safe),
         Ok(Some(p)) => p,
         Err(CheckError::Budget(e)) => return unknown(UnknownReason::Budget(e)),
         Err(e) => return unknown(UnknownReason::InternalFault(format!("model checking: {e}"))),
     };
 
     // Step 3: replay the abstract error path (feasibility's trace build).
-    pstart("feas");
-    let t = Instant::now();
-    let mem_tag = mem::phase_scope(Phase::Feas);
-    let labels = source_labels(&path);
-    rec.cex_len = labels.len();
-    let trace = match build_trace_budgeted(&compiled.cps, &labels, trace_fuel, budget) {
+    let (labels, trace) = timed(opts, &mut stats.time, Phase::Feas, iteration, || {
+        let labels = source_labels(&path);
+        rec.cex_len = labels.len();
+        let trace = build_trace_budgeted(&compiled.cps, &labels, trace_fuel, budget);
+        (labels, trace)
+    });
+    let trace = match trace {
         Ok(tr) => tr,
-        Err(e) => {
-            stats.cegar += t.elapsed();
-            span("feas", t);
-            return match e {
-                TraceError::Exhausted(b) => unknown(UnknownReason::Budget(b)),
-                TraceError::Invalid(msg) => {
-                    unknown(UnknownReason::InternalFault(format!("trace: {msg}")))
-                }
-            };
+        Err(TraceError::Exhausted(b)) => return unknown(UnknownReason::Budget(b)),
+        Err(TraceError::Invalid(msg)) => {
+            return unknown(UnknownReason::InternalFault(format!("trace: {msg}")))
         }
     };
     if trace.end == TraceEnd::OutOfFuel {
-        stats.cegar += t.elapsed();
-        span("feas", t);
         return unknown(UnknownReason::Budget(BudgetError::with_detail(
-            homc_smt::Phase::Feas,
-            homc_smt::LimitKind::Fuel,
+            Phase::Feas,
+            LimitKind::Fuel,
             format!("trace replay ran out of fuel ({trace_fuel} steps)"),
         )));
     }
     if trace.end != TraceEnd::ReachedFail {
-        stats.cegar += t.elapsed();
-        span("feas", t);
         return unknown(UnknownReason::ReplayMismatch(format!(
             "abstract path did not replay to fail: {:?}",
             trace.end
         )));
     }
-    drop(mem_tag);
-    stats.cegar += t.elapsed();
-    span("feas", t);
 
     // Step 4: feasibility verdict + interpolation-driven refinement.
-    pstart("interp");
-    let t = Instant::now();
-    let mem_tag = mem::phase_scope(Phase::Interp);
     let refine_opts = RefineOptions {
         iteration,
         ..opts.refine
     };
-    let refined = refine_env_traced(
-        &compiled.cps,
-        &trace,
-        env,
-        solver,
-        &refine_opts,
-        budget,
-        tracer,
-    );
-    drop(mem_tag);
-    stats.cegar += t.elapsed();
-    span("interp", t);
+    let refined = timed(opts, &mut stats.time, Phase::Interp, iteration, || {
+        refine_env_traced(
+            &compiled.cps,
+            &trace,
+            env,
+            solver,
+            &refine_opts,
+            budget,
+            tracer,
+        )
+    });
     match refined {
         Ok((Feasibility::Feasible(witness), _, _)) => IterOutcome::Done(Verdict::Unsafe {
             witness,

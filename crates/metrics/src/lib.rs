@@ -37,6 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+pub use homc_budget::Surface;
+
 /// The counter table: every counter homc reports, declared once.
 ///
 /// Every counter is a family of the [`Metrics`] registry (`--metrics-out`).
@@ -171,7 +173,10 @@ macro_rules! define_counters {
         impl Counter {
             /// `true` when `surface` shows this counter.
             pub fn shows(self, surface: Surface) -> bool {
-                self.surfaces().contains(&surface)
+                match self {
+                    $( Counter::$rv => false, )*
+                    $( Counter::$v => [$(Surface::$surface),*].contains(&surface), )*
+                }
             }
 
             /// How a run's value is formed.
@@ -179,14 +184,6 @@ macro_rules! define_counters {
                 match self {
                     $( Counter::$rv => Agg::Registry, )*
                     $( Counter::$v => Agg::$agg, )*
-                }
-            }
-
-            /// The surfaces besides the registry that show this counter.
-            fn surfaces(self) -> &'static [Surface] {
-                match self {
-                    $( Counter::$rv => &[], )*
-                    $( Counter::$v => &[$(Surface::$surface),*], )*
                 }
             }
         }
@@ -207,19 +204,6 @@ pub enum Agg {
     /// The run's query-cache delta, which also covers the evidence replay
     /// after the loop (an iteration's record holds its own delta).
     Cache,
-}
-
-/// A place besides the registry where counters are shown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Surface {
-    /// `homc --stats`: the per-program block and the suite totals.
-    Stats,
-    /// The run-ledger snapshot (`homc::stats_counters`).
-    Ledger,
-    /// The `iter` trace record; `trace-diff` aggregates these keys.
-    Iter,
-    /// The `table1 --json` row and totals columns.
-    Table1,
 }
 
 /// One value per counter, indexed like [`COUNTERS`]: an iteration's

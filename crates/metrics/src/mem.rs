@@ -9,8 +9,9 @@
 //!
 //! * `live` is the global number of heap bytes currently allocated;
 //!   `peak` is its high-water mark since the last [`reset_run`].
-//! * The verifier brackets each pipeline phase in a [`PhaseScope`], which
-//!   sets a **thread-local** phase tag. An allocation is attributed to the
+//! * The verifier's phase guard brackets each timed phase of the phase
+//!   table (`homc_budget::phase_table!`) in a [`PhaseScope`], which sets a
+//!   **thread-local** phase tag. An allocation is attributed to the
 //!   tag of the allocating thread at allocation time: each phase's
 //!   `peak_bytes` is the largest *global* live count observed while that
 //!   phase was allocating. Frees are global (a phase releasing memory
@@ -31,14 +32,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use homc_budget::Phase;
 
-const NPHASES: usize = 5;
 const NO_PHASE: u8 = u8::MAX;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 static WINDOW_PEAK: AtomicU64 = AtomicU64::new(0);
-static PHASE_PEAK: [AtomicU64; NPHASES] = [const { AtomicU64::new(0) }; NPHASES];
+static PHASE_PEAK: [AtomicU64; Phase::COUNT] = [const { AtomicU64::new(0) }; Phase::COUNT];
 
 thread_local! {
     static PHASE_TAG: Cell<u8> = const { Cell::new(NO_PHASE) };
@@ -54,7 +54,7 @@ pub fn account_alloc(sz: u64) {
     // `try_with` guards the TLS-teardown window (allocation during thread
     // destruction must not panic inside the allocator).
     let tag = PHASE_TAG.try_with(Cell::get).unwrap_or(NO_PHASE);
-    if (tag as usize) < NPHASES {
+    if (tag as usize) < Phase::COUNT {
         PHASE_PEAK[tag as usize].fetch_max(live, Ordering::Relaxed);
     }
 }
@@ -137,17 +137,7 @@ pub fn peak_bytes() -> u64 {
 
 /// One phase's live-byte high-water mark since the last [`reset_run`].
 pub fn phase_peak(phase: Phase) -> u64 {
-    PHASE_PEAK[phase_index(phase)].load(Ordering::Relaxed)
-}
-
-fn phase_index(phase: Phase) -> usize {
-    match phase {
-        Phase::Abs => 0,
-        Phase::Mc => 1,
-        Phase::Feas => 2,
-        Phase::Interp => 3,
-        Phase::Smt => 4,
-    }
+    PHASE_PEAK[phase as usize].load(Ordering::Relaxed)
 }
 
 /// Starts a fresh per-run accounting window: the global peak restarts from
@@ -179,7 +169,7 @@ pub struct PhaseScope {
 
 /// Tags this thread's allocations with `phase` for the scope's lifetime.
 pub fn phase_scope(phase: Phase) -> PhaseScope {
-    let prev = PHASE_TAG.with(|t| t.replace(phase_index(phase) as u8));
+    let prev = PHASE_TAG.with(|t| t.replace(phase as u8));
     PhaseScope { prev }
 }
 

@@ -10,7 +10,7 @@
 //! * `run_end` — the root frame of a run (named by the preceding
 //!   `run_start`),
 //! * `iter` — one CEGAR iteration,
-//! * `span` — a pipeline phase (`abs` / `mc` / `feas` / `interp`),
+//! * `span` — a timed phase of the phase table (`homc_budget::TIMED`),
 //! * `abs_def` — one definition's abstraction (`def:<name>`),
 //! * `smt` — one solver query.
 //!

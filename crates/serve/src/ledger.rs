@@ -10,6 +10,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use homc_budget::{columns, shown, Surface};
 use homc_metrics::{Counter, Metrics};
 use homc_trace::{escape_json, parse_json, JsonValue};
 
@@ -56,12 +57,10 @@ pub struct RunRecord {
     pub ok: bool,
     /// End-to-end wall time for this program, µs.
     pub wall_us: u64,
-    /// Abstraction-phase time, µs.
-    pub abst_us: u64,
-    /// Model-checking-phase time, µs.
-    pub mc_us: u64,
-    /// Refinement (feasibility + interpolation) time, µs.
-    pub cegar_us: u64,
+    /// Time per Table 1 column the ledger shows (`abst`, `mc`, `cegar`:
+    /// `homc_budget::columns(shown(Surface::Ledger))`), µs, encoded as
+    /// `<column>_us` keys. A column missing here encodes as 0.
+    pub phase_us: BTreeMap<&'static str, u64>,
     /// Verifier-internal total, µs.
     pub total_us: u64,
     /// Peak heap while verifying, bytes (0 when accounting is off).
@@ -83,8 +82,7 @@ impl RunRecord {
         let _ = write!(
             s,
             "{{\"schema\":{},\"run\":{},\"kind\":{},\"program\":{},\"verdict\":{},\"ok\":{},\
-             \"wall_us\":{},\"abst_us\":{},\"mc_us\":{},\"cegar_us\":{},\"total_us\":{},\
-             \"peak_bytes\":{},\"trace_digest\":\"{:016x}\",\"counters\":{{",
+             \"wall_us\":{},",
             self.schema,
             self.run,
             escape_json(&self.kind),
@@ -92,12 +90,15 @@ impl RunRecord {
             escape_json(&self.verdict),
             u8::from(self.ok),
             self.wall_us,
-            self.abst_us,
-            self.mc_us,
-            self.cegar_us,
-            self.total_us,
-            self.peak_bytes,
-            self.trace_digest,
+        );
+        for col in columns(shown(Surface::Ledger)) {
+            let v = self.phase_us.get(col).copied().unwrap_or(0);
+            let _ = write!(s, "\"{col}_us\":{v},");
+        }
+        let _ = write!(
+            s,
+            "\"total_us\":{},\"peak_bytes\":{},\"trace_digest\":\"{:016x}\",\"counters\":{{",
+            self.total_us, self.peak_bytes, self.trace_digest,
         );
         for (i, (k, v)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
@@ -136,9 +137,11 @@ impl RunRecord {
             return Ok(r); // foreign generation: carry the version, no more
         }
         r.wall_us = num("wall_us").ok_or("missing \"wall_us\"")?;
-        r.abst_us = num("abst_us").ok_or("missing \"abst_us\"")?;
-        r.mc_us = num("mc_us").ok_or("missing \"mc_us\"")?;
-        r.cegar_us = num("cegar_us").ok_or("missing \"cegar_us\"")?;
+        for col in columns(shown(Surface::Ledger)) {
+            let key = format!("{col}_us");
+            let v = num(&key).ok_or_else(|| format!("missing {key:?}"))?;
+            r.phase_us.insert(col, v);
+        }
         r.total_us = num("total_us").ok_or("missing \"total_us\"")?;
         r.peak_bytes = num("peak_bytes").ok_or("missing \"peak_bytes\"")?;
         if r.program.is_empty() {
@@ -283,9 +286,12 @@ mod tests {
             verdict: "safe".to_string(),
             ok: true,
             wall_us,
-            abst_us: wall_us / 2,
-            mc_us: wall_us / 4,
-            cegar_us: wall_us / 8,
+            phase_us: [
+                ("abst", wall_us / 2),
+                ("mc", wall_us / 4),
+                ("cegar", wall_us / 8),
+            ]
+            .into(),
             total_us: wall_us,
             peak_bytes: 1 << 20,
             trace_digest: 0xdead_beef_0000_0001,

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_budget::{columns, shown, Surface};
 use homc_metrics::diff::{compare, rules, DiffReport, Sides, Summary, Threshold};
 use homc_metrics::HistSnapshot;
 
@@ -59,15 +60,17 @@ fn by_run(records: &[RunRecord]) -> BTreeMap<u64, Vec<&RunRecord>> {
 fn metrics(r: &RunRecord) -> BTreeMap<String, f64> {
     let fields = [
         ("wall_us", r.wall_us),
-        ("abst_us", r.abst_us),
-        ("mc_us", r.mc_us),
-        ("cegar_us", r.cegar_us),
         ("total_us", r.total_us),
         ("peak_bytes", r.peak_bytes),
     ];
     let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    let phases = r.phase_us.iter().map(|(col, &v)| (format!("{col}_us"), v));
     let counters = r.counters.iter().map(|(k, &v)| (k.clone(), v));
-    fields.chain(counters).map(|(k, v)| (k, v as f64)).collect()
+    fields
+        .chain(phases)
+        .chain(counters)
+        .map(|(k, v)| (k, v as f64))
+        .collect()
 }
 
 /// Gates the newest run against the trailing-window baseline. Pure over its
@@ -155,25 +158,30 @@ pub fn render_history(records: &[RunRecord], filter: Option<&str>) -> String {
         return text;
     }
     if let Some(program) = filter {
-        let _ = writeln!(
-            text,
-            "{:<6} {:<8} {:<10} {:>10} {:>10} {:>10} {:>12}",
-            "run", "kind", "verdict", "wall ms", "abs ms", "mc ms", "peak KiB"
+        let cols = columns(shown(Surface::Ledger));
+        let mut head = format!(
+            "{:<6} {:<8} {:<10} {:>10}",
+            "run", "kind", "verdict", "wall ms"
         );
+        for col in &cols {
+            let _ = write!(head, " {:>10}", format!("{col} ms"));
+        }
+        let _ = writeln!(text, "{head} {:>12}", "peak KiB");
         let mut seen = 0;
         for r in records.iter().filter(|r| r.program == program) {
             seen += 1;
-            let _ = writeln!(
-                text,
-                "{:<6} {:<8} {:<10} {:>10} {:>10} {:>10} {:>12}",
+            let mut row = format!(
+                "{:<6} {:<8} {:<10} {:>10}",
                 r.run,
                 r.kind,
                 r.verdict,
-                ms(r.wall_us),
-                ms(r.abst_us),
-                ms(r.mc_us),
-                r.peak_bytes / 1024
+                ms(r.wall_us)
             );
+            for col in &cols {
+                let us = r.phase_us.get(col).copied().unwrap_or(0);
+                let _ = write!(row, " {:>10}", ms(us));
+            }
+            let _ = writeln!(text, "{row} {:>12}", r.peak_bytes / 1024);
         }
         if seen == 0 {
             let _ = writeln!(text, "history: no records for {program:?}");

@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use homc_budget::TIMED;
+
 use crate::json::{parse_json, JsonValue};
 
 fn num(v: &JsonValue, key: &str) -> i128 {
@@ -131,24 +133,28 @@ fn render_run(out: &mut String, r: &Run) {
         r.iters.len(),
         if r.clock == "logical" { "  [logical clock]" } else { "" },
     );
+    // One column per timed phase of the phase table, as wide as its label.
+    let labels: Vec<String> = TIMED.iter().map(|p| format!("{}_ms", p.name())).collect();
+    let mut head = format!("{:>4}", "iter");
+    for label in &labels {
+        let _ = write!(head, " {label:>8}");
+    }
     let _ = writeln!(
         out,
-        "{:>4} {:>8} {:>8} {:>8} {:>8} {:>6} {:>11} {:>8} {:>6} {:>4} {:>7} {:>9} {:>7}  outcome",
-        "iter", "abs_ms", "mc_ms", "feas_ms", "intp_ms", "preds", "hbp(r/t)", "typings", "pops",
-        "cex", "+i/+s", "cache h/m", "fuel"
+        "{head} {:>6} {:>11} {:>8} {:>6} {:>4} {:>7} {:>9} {:>7}  outcome",
+        "preds", "hbp(r/t)", "typings", "pops", "cex", "+i/+s", "cache h/m", "fuel"
     );
     for it in &r.iters {
         let iter = num(it, "iter");
         let spans = r.spans.get(&iter);
-        let phase_ms = |p: &str| ms(spans.and_then(|m| m.get(p)).copied().unwrap_or(0));
+        let mut row = format!("{iter:>4}");
+        for (p, label) in TIMED.iter().zip(&labels) {
+            let us = spans.and_then(|m| m.get(p.name())).copied().unwrap_or(0);
+            let _ = write!(row, " {:>w$}", ms(us), w = label.len().max(8));
+        }
         let _ = writeln!(
             out,
-            "{:>4} {:>8} {:>8} {:>8} {:>8} {:>6} {:>11} {:>8} {:>6} {:>4} {:>7} {:>9} {:>7}  {}",
-            iter,
-            phase_ms("abs"),
-            phase_ms("mc"),
-            phase_ms("feas"),
-            phase_ms("interp"),
+            "{row} {:>6} {:>11} {:>8} {:>6} {:>4} {:>7} {:>9} {:>7}  {}",
             num(it, "preds"),
             format!("{}/{}", num(it, "hbp_rules"), num(it, "hbp_terms")),
             num(it, "typings"),
@@ -161,8 +167,7 @@ fn render_run(out: &mut String, r: &Run) {
         );
     }
     // Where did the run actually spend its time? Sum every span per phase
-    // across all iterations, rendered in pipeline order (abs → mc → feas →
-    // interp, then any other phase alphabetically). Zero under a logical
+    // across all iterations, in phase-table order. Zero under a logical
     // clock, where durations are deliberately zeroed — the section is
     // omitted rather than printing a row of 0%.
     let mut phase_totals: BTreeMap<&str, i128> = BTreeMap::new();
@@ -173,21 +178,11 @@ fn render_run(out: &mut String, r: &Run) {
     }
     let spent: i128 = phase_totals.values().sum();
     if spent > 0 {
-        const ORDER: &[&str] = &["abs", "mc", "feas", "interp"];
-        let mut parts = Vec::new();
-        let mut part = |phase: &str, us: i128| {
-            parts.push(format!("{phase} {} ms ({}%)", ms(us), us * 100 / spent));
-        };
-        for phase in ORDER {
-            if let Some(us) = phase_totals.get(phase) {
-                part(phase, *us);
-            }
-        }
-        for (phase, us) in &phase_totals {
-            if !ORDER.contains(phase) {
-                part(phase, *us);
-            }
-        }
+        let parts: Vec<String> = TIMED
+            .iter()
+            .filter_map(|p| Some((p.name(), *phase_totals.get(p.name())?)))
+            .map(|(phase, us)| format!("{phase} {} ms ({}%)", ms(us), us * 100 / spent))
+            .collect();
         let _ = writeln!(
             out,
             "  phase totals: {} — {} ms across phases",

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use homc_budget::TIMED_NAMES;
+
 use crate::json::{parse_json, JsonValue};
 
 /// The type a schema field must have.
@@ -30,8 +32,6 @@ struct EventSchema {
     fields: &'static [(&'static str, FieldTy)],
 }
 
-const PHASES: &[&str] = &["abs", "mc", "feas", "interp", "smt"];
-
 /// Every event kind the tracer emits (see DESIGN.md for prose).
 static EVENT_SCHEMAS: &[EventSchema] = &[
     EventSchema {
@@ -48,7 +48,7 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
     EventSchema {
         ev: "span",
         fields: &[
-            ("phase", FieldTy::Enum(PHASES)),
+            ("phase", FieldTy::Enum(&TIMED_NAMES)),
             ("iter", FieldTy::Count),
             ("dur_us", FieldTy::Count),
         ],
@@ -176,7 +176,7 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
         fields: &[
             ("job", FieldTy::Count),
             ("iter", FieldTy::Count),
-            ("phase", FieldTy::Enum(PHASES)),
+            ("phase", FieldTy::Enum(&TIMED_NAMES)),
         ],
     },
     EventSchema {

@@ -70,6 +70,24 @@ PROFILE_SMOKE=target/profile-smoke.folded
 run cargo run --release --offline --bin homc -- profile --suite intro1 -o "$PROFILE_SMOKE"
 test -s "$PROFILE_SMOKE"
 
+# Phase coverage: no dark time. Every timed phase of a run (the phase
+# table, including certificate export) is a span, so in the profile of a
+# run that exports a certificate the root frame's exclusive time, which no
+# phase claims, must stay within 5% of its inclusive time. A folded line
+# counts exclusive microseconds: the root's own line is its exclusive
+# time, and all lines together are its inclusive time.
+COVERAGE_EVD=target/phase-coverage-evd
+COVERAGE_FOLDED=target/phase-coverage.folded
+rm -rf "$COVERAGE_EVD"
+run cargo run --release --offline --bin homc -- profile --suite l-zipmap \
+    --evidence-dir "$COVERAGE_EVD" -o "$COVERAGE_FOLDED"
+if ! awk '{ all += $NF; if ($1 !~ /;/) root += $NF }
+          END { printf "phase-coverage: root exclusive %d of %d us\n", root, all
+                exit !(all > 0 && root <= 0.05 * all) }' "$COVERAGE_FOLDED"; then
+    echo "tier1: phase-coverage: over 5% of the l-zipmap root span is in no phase" >&2
+    exit 1
+fi
+
 # Batch smoke: the crash-safe fleet path end to end. A cold `homc batch`
 # run populates the persistent cache; a warm rerun must (a) answer queries
 # from disk (nonzero disk hits) and (b) reproduce the cold run's verdicts
@@ -308,7 +326,7 @@ fi
 OLD_SCHEMA=$(bench_schema BENCH_table1.json)
 NEW_SCHEMA=$(bench_schema "$BENCH_SCRATCH")
 if [ "${OLD_SCHEMA:-none}" != "$NEW_SCHEMA" ]; then
-    echo "tier1: BENCH_table1.json has schema ${OLD_SCHEMA:-none} but this build writes schema $NEW_SCHEMA — stale baseline (schema 6 added the evidence-checker column)." >&2
+    echo "tier1: BENCH_table1.json has schema ${OLD_SCHEMA:-none} but this build writes schema $NEW_SCHEMA — stale baseline (schema 7 took the phase columns from the phase table)." >&2
     bench_regen_hint
     exit 1
 fi

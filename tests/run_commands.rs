@@ -3,7 +3,8 @@
 //! real binary and check that what one command used to do alone, every one
 //! of them now does: the evidence self-check, the JSON report, every run
 //! flag under `profile`, the front-end `fault` event in per-job traces, the
-//! one-worker rule of a single trace file, and an on-demand trace dir.
+//! one-worker rule of a single trace file, an on-demand trace dir, and
+//! per-job heap peaks that do not carry an earlier job's cache.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -152,4 +153,28 @@ fn trace_dir_is_created_on_demand() {
     assert_eq!(out.status.code(), Some(0), "{}", both(&out));
     assert!(traces.join("sum.jsonl").exists(), "no sum.jsonl");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A job's `peak_bytes` counts its own heap, not what earlier jobs of the
+/// same run left behind: a job's query cache goes when the job settles.
+#[test]
+fn a_job_peak_excludes_earlier_jobs() {
+    let fhnhn_peak = |programs: &[&str]| -> u64 {
+        let out = run(homc().arg("--suite").args(programs).arg("--stats"));
+        assert_eq!(out.status.code(), Some(0), "{}", both(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let peak = stdout
+            .lines()
+            .skip_while(|l| !l.starts_with("fhnhn "))
+            .find_map(|l| l.trim().strip_prefix("peak_bytes="))
+            .and_then(|rest| rest.split_whitespace().next()?.parse().ok());
+        peak.unwrap_or_else(|| panic!("no fhnhn peak_bytes in {stdout}"))
+    };
+    let solo = fhnhn_peak(&["fhnhn"]);
+    let after = fhnhn_peak(&["l-zipmap", "fhnhn"]);
+    assert!(solo > 0, "the homc binary counts its allocations");
+    assert!(
+        after <= 2 * solo,
+        "fhnhn peaks at {after} bytes after l-zipmap, {solo} alone"
+    );
 }
