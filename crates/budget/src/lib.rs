@@ -70,6 +70,8 @@ macro_rules! phase_table {
                     "Certificate export after a decisive verdict (--evidence-dir)";
                 Artifact artifact => artifact [Stats]
                     "Artifact load and seeding before the loop, publish after it (--artifacts-dir)";
+                Check check => check [Stats]
+                    "In-run self-check of the exported certificate (--evidence-dir)";
             }
         }
     };
@@ -700,7 +702,7 @@ mod tests {
         t[Phase::Evidence] = 4;
         assert_eq!(t.columns(LOOP), [("abst", 1), ("mc", 0), ("cegar", 5)]);
         assert_eq!(columns(shown(Surface::Ledger)), ["abst", "mc", "cegar"]);
-        assert_eq!(columns(shown(Surface::Stats)).last(), Some(&"artifact"));
+        assert_eq!(columns(shown(Surface::Stats)).last(), Some(&"check"));
     }
 
     #[test]

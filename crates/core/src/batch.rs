@@ -23,6 +23,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use homc_budget::Phase;
 use homc_serve::{
     run_jobs, seed_cache, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
     PublishReport, RetryPolicy,
@@ -33,7 +34,8 @@ use homc_trace::{stable_hash64, Tracer};
 use crate::evcheck::check_evidence;
 use crate::suite::Expected;
 use crate::verifier::{
-    verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions, VerifyStats,
+    timed_after, verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions,
+    VerifyStats,
 };
 
 /// A deterministic fault injected into one batch job.
@@ -387,7 +389,16 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                 );
             });
             let t = Instant::now();
-            let result = verify(&source, &vopts);
+            let mut result = verify(&source, &vopts);
+            // The trust loop closes in-run: the certificate just exported
+            // is handed straight to the independent checker, as the run's
+            // `check` phase, inside its `total` and the job's `wall`.
+            let check = result.as_mut().ok().and_then(|out| {
+                let ev = out.evidence.as_ref()?;
+                Some(timed_after(&vopts, &mut out.stats, Phase::Check, || {
+                    check_evidence(&source, ev, &vopts.metrics).is_ok()
+                }))
+            });
             let wall = t.elapsed();
             if let (Some(union), Some(cache)) = (&union, &vopts.cache) {
                 // `export_new_*` never returns a disk-seeded key, so only
@@ -421,16 +432,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                         Verdict::Unsafe { .. } => "unsafe".to_string(),
                         Verdict::Unknown { reason } => format!("unknown ({reason})"),
                     };
-                    // The trust loop closes in-run: the certificate just
-                    // exported is handed straight to the independent
-                    // checker. A rejection is a *failure* — the recorded
+                    // A rejected certificate is a *failure* — the recorded
                     // verdict has no standing evidence — and is spelled out
                     // in the verdict text so ledgers and `homc regress`
                     // flag the run.
-                    let check = out
-                        .evidence
-                        .as_ref()
-                        .map(|ev| check_evidence(&source, ev, &vopts.metrics).is_ok());
                     if check == Some(false) {
                         status = JobStatus::Failed;
                         verdict.push_str(" (evidence check FAILED)");

@@ -8,12 +8,13 @@
 //!   ([`homc_lang::eval`]): the witness integers and branch labels must
 //!   drive the program to `fail`.
 //! * **Safe** evidence is validated in three steps. (1) Every refutation
-//!   proof is re-verified by pure arithmetic ([`homc_smt::verify_unsat`] —
-//!   the DNF is recomputed from the stored query, so a proof for a
-//!   *different* formula cannot smuggle an answer in). (2) The boolean
-//!   program is re-derived with the verified proof table as the *only*
-//!   source of UNSAT answers — any query without a surviving proof is
-//!   treated as satisfiable, which only enlarges the abstraction. (3) The
+//!   tree is re-verified by pure arithmetic ([`homc_smt::verify_unsat`] —
+//!   the checker walks the stored query itself and takes each path's atoms
+//!   from it, so a proof for a *different* formula cannot smuggle an answer
+//!   in). (2) The boolean program is re-derived with the verified proof
+//!   table as the *only* source of UNSAT answers — any query without a
+//!   surviving proof is treated as satisfiable, which only enlarges the
+//!   abstraction. (3) The
 //!   stored invariant is installed ([`Checker::seed_invariant`]) and one
 //!   derivation sweep must add nothing ([`Checker::check_closed`]); since
 //!   the derivation operator is monotone, a closed seed contains the
@@ -249,17 +250,18 @@ pub fn render_explain(ev: &Evidence, preds_dead: u64) -> String {
     if let EvidenceVerdict::Safe(se) = &ev.verdict {
         if !se.proofs.is_empty() {
             // The heaviest refuted queries — where the abstraction spent
-            // its proof effort. Sorted by (cubes, size) descending with the
-            // formula text as the deterministic tiebreak.
+            // its proof effort. Sorted by (closed proof nodes, size)
+            // descending with the formula text as the deterministic
+            // tiebreak.
             let mut heavy: Vec<(usize, usize, String)> = se
                 .proofs
                 .iter()
-                .map(|(f, p)| (p.cubes.len(), f.size(), f.to_string()))
+                .map(|(f, p)| (p.closed(), f.size(), f.to_string()))
                 .collect();
             heavy.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
             out.push_str("heaviest refuted queries:\n");
-            for (cubes, size, text) in heavy.iter().take(5) {
-                let _ = writeln!(out, "  {cubes} cube(s), {size} node(s): {text}");
+            for (closed, size, text) in heavy.iter().take(5) {
+                let _ = writeln!(out, "  {closed} closed, {size} node(s): {text}");
             }
         }
     }

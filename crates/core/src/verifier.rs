@@ -774,12 +774,14 @@ pub fn verify_compiled(
     let last = stats.cycles.saturating_sub(1);
     // Verdict-evidence export, the `evidence` phase. For Safe, re-derive
     // the boolean program from the winning environment under a *recording*
-    // oracle: every UNSAT answer gets a self-contained DNF refutation proof,
+    // oracle: every UNSAT answer gets a self-contained refutation tree,
     // deduplicated by canonical formula. The replay solver shares the run's
     // query cache — so this is mostly cache hits — but carries no budget: a
     // deadline expiring just after the verdict must not be able to truncate
-    // the proof table. Evidence can fail to materialize; it can never change
-    // the verdict.
+    // the proof table. The trees themselves come from an uncached search of
+    // the canonical query, so they (and the digest) do not depend on cache
+    // history. Evidence can fail to materialize; it can never change the
+    // verdict.
     let cycles = stats.cycles as u64;
     let digest = &mut stats.evidence_digest;
     let evidence = opts.evidence.as_ref().and_then(|cfg| {
@@ -934,6 +936,25 @@ fn timed<R>(
             .num("iter", iter as u64)
             .num("dur_us", dur_us);
     });
+    out
+}
+
+/// Runs `f` as a timed phase of a run that [`verify`] already finished —
+/// `run_batch`'s certificate self-check — under the same guard as the
+/// run's own phases, stamped with its last iteration. Its time joins the
+/// run's `total`, and its allocations the run's peaks.
+pub(crate) fn timed_after<R>(
+    opts: &VerifierOptions,
+    stats: &mut VerifyStats,
+    phase: Phase,
+    f: impl FnOnce() -> R,
+) -> R {
+    let started = Instant::now();
+    let last = stats.cycles.saturating_sub(1);
+    let out = timed(opts, &mut stats.time, phase, last, f);
+    stats.total += started.elapsed();
+    stats.peak_bytes = mem::peak_bytes();
+    stats.peak[phase] = mem::phase_peak(phase);
     out
 }
 

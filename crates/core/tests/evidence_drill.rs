@@ -1,14 +1,14 @@
 //! Corruption drill for the evidence layer: every mutation of a genuine
-//! certificate — a dropped predicate, a gutted refutation certificate, or
-//! a byte-level truncation of the on-disk file — must be rejected by the
+//! certificate — a dropped predicate, a tampered refutation tree, or a
+//! byte-level truncation of the on-disk file — must be rejected by the
 //! parser or the independent checker, never silently accepted.
 
 use homc::{
-    check_evidence, parse_evidence_bytes, stable_hash64, verify, EvidenceConfig, EvidenceStore,
-    EvidenceVerdict, Metrics, Verdict, VerifierOptions,
+    check_evidence, parse_evidence_bytes, stable_hash64, verify, Evidence, EvidenceConfig,
+    EvidenceStore, EvidenceVerdict, Metrics, Verdict, VerifierOptions,
 };
 use homc_abs::AbsTy;
-use homc_smt::{ArithRefutation, CubeProof};
+use homc_smt::{ArithRefutation, Atom, Formula, LinExpr, ProofNode, UnsatProof};
 
 const SAFE: &str = "let f x g = g (x + 1) in
                     let h y = assert (y > 0) in
@@ -66,24 +66,119 @@ fn dropped_predicate_is_rejected() {
     assert!(err.contains("not closed") || err.contains("failing typing"), "{err}");
 }
 
-#[test]
-fn gutted_farkas_certificate_is_rejected() {
-    let mut ev = evidence_for(SAFE, None, "drill-safe");
+/// The proof table of the safe drill program's certificate.
+fn safe_proofs(ev: &mut Evidence) -> &mut Vec<(Formula, UnsatProof)> {
     let EvidenceVerdict::Safe(se) = &mut ev.verdict else {
         panic!("safe evidence expected");
     };
-    let proof = se
-        .proofs
+    assert!(
+        !se.proofs.is_empty(),
+        "a refined safe run must carry refutation proofs"
+    );
+    &mut se.proofs
+}
+
+/// The tampered certificate must fail at its proof table.
+fn assert_proof_rejected(ev: &Evidence) {
+    let err = check_evidence(SAFE, ev, &Metrics::disabled())
+        .expect_err("tampered certificate must not verify");
+    assert!(err.contains("does not verify"), "{err}");
+}
+
+#[test]
+fn gutted_farkas_certificate_is_rejected() {
+    let mut ev = evidence_for(SAFE, None, "drill-safe");
+    let cert = safe_proofs(&mut ev)
+        .iter_mut()
+        .flat_map(|(_, p)| p.nodes.iter_mut())
+        .find_map(|n| match n {
+            ProofNode::Closed(ArithRefutation::Farkas(cert)) => Some(cert),
+            _ => None,
+        })
+        .expect("a Farkas node");
+    // An empty Farkas sum refutes nothing: `verify_unsat` can never accept
+    // it, so the rejection is deterministic regardless of the path's atoms.
+    cert.clear();
+    assert_proof_rejected(&ev);
+}
+
+#[test]
+fn branch_node_with_a_child_dropped_is_rejected() {
+    let mut ev = evidence_for(SAFE, None, "drill-safe");
+    let proof = safe_proofs(&mut ev)
         .iter_mut()
         .map(|(_, p)| p)
-        .find(|p| !p.cubes.is_empty())
-        .expect("a refined safe run must carry refutation proofs");
-    // An empty Farkas sum refutes nothing: `verify_unsat` can never accept
-    // it, so the rejection is deterministic regardless of the cube's shape.
-    proof.cubes[0] = CubeProof::Arith(ArithRefutation::Farkas(vec![]));
-    let m = Metrics::disabled();
-    let err = check_evidence(SAFE, &ev, &m).expect_err("tampered certificate must not verify");
-    assert!(err.contains("does not verify"), "{err}");
+        .find(|p| p.nodes.contains(&ProofNode::Branch))
+        .expect("a proof that branches");
+    // A tree's last node is the whole subproof of the last child of some
+    // branch node: without it the walk runs out of nodes.
+    proof.nodes.pop();
+    assert_proof_rejected(&ev);
+}
+
+#[test]
+fn closed_node_where_the_walk_branches_is_rejected() {
+    let mut ev = evidence_for(SAFE, None, "drill-safe");
+    let proof = safe_proofs(&mut ev)
+        .iter_mut()
+        .map(|(_, p)| p)
+        .find(|p| p.nodes.first() == Some(&ProofNode::Branch))
+        .expect("a proof whose first node branches");
+    let leaf = proof
+        .nodes
+        .iter()
+        .find(|n| matches!(n, ProofNode::Closed(ArithRefutation::Farkas(_))))
+        .expect("a Farkas node")
+        .clone();
+    // The search branches only where the path's atoms are rationally
+    // satisfiable, so no Farkas certificate closes the tree at its root.
+    proof.nodes = vec![leaf];
+    assert_proof_rejected(&ev);
+}
+
+#[test]
+fn proof_of_another_stored_query_is_rejected() {
+    let mut ev = evidence_for(SAFE, None, "drill-safe");
+    let proofs = safe_proofs(&mut ev);
+    // The largest tree, attached to the first query whose own tree differs.
+    let heaviest = (0..proofs.len())
+        .max_by_key(|&i| proofs[i].1.nodes.len())
+        .expect("proofs");
+    let other = (0..proofs.len())
+        .find(|&i| proofs[i].1 != proofs[heaviest].1)
+        .expect("two different proofs");
+    proofs[other].1 = proofs[heaviest].1.clone();
+    assert_proof_rejected(&ev);
+}
+
+#[test]
+fn hostile_branch_chain_is_rejected_without_overflow() {
+    // A stored query with more disjunctions on one path than the checker
+    // follows, and a tree of 10^6 branch nodes, each the first child of
+    // the one before: it must come back as corrupt or be rejected by the
+    // checker, never crash the decoder or the checker's walk.
+    let dir = std::env::temp_dir().join(format!("homc-evd-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ev = evidence_for(SAFE, None, "drill-hostile");
+    let query = Formula::and((0..2_000).map(|i| {
+        let v = || LinExpr::var(format!("v{i}"));
+        Formula::or2(
+            Formula::atom(Atom::gt(v(), LinExpr::constant(0))),
+            Formula::atom(Atom::lt(v(), LinExpr::constant(0))),
+        )
+    }));
+    let chain = UnsatProof {
+        nodes: vec![ProofNode::Branch; 1_000_000],
+    };
+    safe_proofs(&mut ev).insert(0, (query.canon(), chain));
+    let store = EvidenceStore::new(&dir);
+    store.publish("drill-hostile", &ev).expect("publish");
+    drop(ev);
+    let load = store.load("drill-hostile").expect("load runs");
+    if let Some(ev) = load.evidence {
+        assert_proof_rejected(&ev);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

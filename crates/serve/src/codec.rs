@@ -256,6 +256,10 @@ pub fn encode_cube(key: &(Vec<Atom>, u32), value: CubeSat) -> String {
 
 // ---------------------------------------------------------------- decoding
 
+/// How deep a stored formula may nest (see [`Cur::formula`]); the
+/// verifier's queries and predicates stay far shallower.
+const MAX_FORMULA_DEPTH: u32 = 256;
+
 pub(crate) struct Cur<'a> {
     s: &'a str,
     pos: usize,
@@ -368,7 +372,18 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// A formula, nested at most [`MAX_FORMULA_DEPTH`] deep: decoding, and
+    /// later dropping, a formula recurses once per level, so a deeper one
+    /// in a checksum-valid record is rejected before it can exhaust the
+    /// stack.
     pub(crate) fn formula(&mut self) -> Result<Formula, CodecError> {
+        self.formula_at(0)
+    }
+
+    fn formula_at(&mut self, depth: u32) -> Result<Formula, CodecError> {
+        if depth > MAX_FORMULA_DEPTH {
+            return Err(self.err("formula nested too deep"));
+        }
         let tag = self.tok()?;
         match tag {
             "T" => Ok(Formula::True),
@@ -383,7 +398,7 @@ impl<'a> Cur<'a> {
             }
             "n" => {
                 self.sep()?;
-                Ok(Formula::Not(Box::new(self.formula()?)))
+                Ok(Formula::Not(Box::new(self.formula_at(depth + 1)?)))
             }
             "&" | "|" => {
                 self.sep()?;
@@ -391,7 +406,7 @@ impl<'a> Cur<'a> {
                 let mut fs = Vec::new();
                 for _ in 0..n {
                     self.sep()?;
-                    fs.push(self.formula()?);
+                    fs.push(self.formula_at(depth + 1)?);
                 }
                 // Raw variants, not the smart constructors: the key must
                 // round-trip to the exact canonical form that was stored.

@@ -9,7 +9,7 @@
 //!
 //! * **Safe** evidence holds the final predicate environment, the saturated
 //!   intersection-typing table and base-flow facts (the abstract
-//!   reachability invariant), and one self-contained DNF refutation proof
+//!   reachability invariant), and one self-contained refutation tree
 //!   ([`homc_smt::UnsatProof`]) per UNSAT abstraction query the invariant
 //!   depends on. The checker re-verifies every proof with pure arithmetic,
 //!   re-derives the boolean program with the proof table as its only UNSAT
@@ -39,7 +39,7 @@ use homc_abs::AbsEnv;
 use homc_hbp::{ArgReq, ArrowTy, Bits, FunName, Typing};
 use homc_lang::eval::Label;
 use homc_metrics::{Counter, Metrics};
-use homc_smt::{ArithRefutation, CubeProof, Formula, Rat, UnsatProof};
+use homc_smt::{ArithRefutation, Formula, ProofNode, Rat, UnsatProof};
 use homc_trace::stable_hash64;
 
 use crate::codec::{
@@ -49,8 +49,10 @@ use crate::store::{Format, Naming, Parsed, Store};
 
 /// First bytes of every evidence file.
 pub const EVIDENCE_MAGIC: &str = "homc-evidence";
-/// Schema version of the record payloads; bump on any codec change.
-pub const EVIDENCE_VERSION: u32 = 1;
+/// Schema version of the record payloads; bump on any codec change. Version
+/// 2 stores each proof as the solver's refutation tree; a version-1 file
+/// (per-cube DNF proofs) reads as stale.
+pub const EVIDENCE_VERSION: u32 = 2;
 
 /// Trusted whole, like an artifact: one bad record, or records that
 /// disagree with the verdict tag, quarantine the file. Its quarantines
@@ -252,16 +254,15 @@ fn put_refutation(out: &mut String, r: &ArithRefutation) {
     }
 }
 
+/// A proof is its node count, then the nodes in preorder: `B` for a branch
+/// node, a refutation (`F`, `G` or `S`) for a closed one.
 fn put_proof(out: &mut String, p: &UnsatProof) {
-    put_usize(out, p.cubes.len());
-    for cube in &p.cubes {
+    put_usize(out, p.nodes.len());
+    for node in &p.nodes {
         out.push(' ');
-        match cube {
-            CubeProof::BoolConflict => out.push('B'),
-            CubeProof::Arith(r) => {
-                out.push_str("A ");
-                put_refutation(out, r);
-            }
+        match node {
+            ProofNode::Branch => out.push('B'),
+            ProofNode::Closed(r) => put_refutation(out, r),
         }
     }
 }
@@ -407,14 +408,15 @@ fn get_rat(c: &mut Cur<'_>) -> Result<Rat, CodecError> {
     Ok(Rat::new(num, den))
 }
 
-fn get_refutation(c: &mut Cur<'_>, depth: u32) -> Result<ArithRefutation, CodecError> {
+/// One refutation whose tag `tag` has been read.
+fn get_refutation(c: &mut Cur<'_>, tag: &str, depth: u32) -> Result<ArithRefutation, CodecError> {
     // Structural recursion bound: a deeper-than-plausible split chain is
     // rejected here rather than risking decoder stack exhaustion on a
     // checksum-forging corruption.
     if depth > 128 {
         return Err(c.err("refutation nested too deep"));
     }
-    match c.tok()? {
+    match tag {
         "F" => {
             c.sep()?;
             let n = c.count()?;
@@ -437,9 +439,11 @@ fn get_refutation(c: &mut Cur<'_>, depth: u32) -> Result<ArithRefutation, CodecE
             c.sep()?;
             let at = c.int()?;
             c.sep()?;
-            let below = get_refutation(c, depth + 1)?;
+            let tag = c.tok()?;
+            let below = get_refutation(c, tag, depth + 1)?;
             c.sep()?;
-            let above = get_refutation(c, depth + 1)?;
+            let tag = c.tok()?;
+            let above = get_refutation(c, tag, depth + 1)?;
             Ok(ArithRefutation::Split {
                 var,
                 at,
@@ -451,21 +455,20 @@ fn get_refutation(c: &mut Cur<'_>, depth: u32) -> Result<ArithRefutation, CodecE
     }
 }
 
+/// The inverse of [`put_proof`]. The tree is flat, so decoding it never
+/// recurses over branch nodes; only a split nests, and
+/// [`get_refutation`] bounds that.
 fn get_proof(c: &mut Cur<'_>) -> Result<UnsatProof, CodecError> {
     let n = c.count()?;
-    let mut cubes = Vec::new();
+    let mut nodes = Vec::new();
     for _ in 0..n {
         c.sep()?;
-        match c.tok()? {
-            "B" => cubes.push(CubeProof::BoolConflict),
-            "A" => {
-                c.sep()?;
-                cubes.push(CubeProof::Arith(get_refutation(c, 0)?));
-            }
-            t => return Err(c.err(format!("bad cube-proof tag {t:?}"))),
-        }
+        nodes.push(match c.tok()? {
+            "B" => ProofNode::Branch,
+            tag => ProofNode::Closed(get_refutation(c, tag, 0)?),
+        });
     }
-    Ok(UnsatProof { cubes })
+    Ok(UnsatProof { nodes })
 }
 
 fn get_argreq(c: &mut Cur<'_>) -> Result<ArgReq, CodecError> {
@@ -844,13 +847,28 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let metrics = Metrics::new(true);
         let store = EvidenceStore::new(&dir).with_metrics(metrics.clone());
-        fs::write(store.path_for("k"), "homc-evidence v999\n").unwrap();
-        let load = store.load("k").unwrap();
-        assert!(load.evidence.is_none());
-        assert!(!load.quarantined);
-        assert!(!store.path_for("k").exists());
+        // Version 1 held per-cube DNF proofs; a file of it is stale too.
+        for version in [1, 999] {
+            fs::write(store.path_for("k"), format!("homc-evidence v{version}\n")).unwrap();
+            let load = store.load("k").unwrap();
+            assert!(load.evidence.is_none());
+            assert!(!load.quarantined);
+            assert!(!store.path_for("k").exists());
+        }
         assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_query_is_corrupt() {
+        // A checksum-valid `Q` record whose query nests 10^6 negations:
+        // the decoder rejects it at its depth bound instead of recursing
+        // once per level.
+        let mut records = encode_evidence(&sample_safe());
+        let x_pos = records.pop().expect("records");
+        records.push(format!("Q {}T 0", "n ".repeat(1_000_000)));
+        records.push(x_pos);
+        assert!(parse_evidence_bytes(FORMAT.compose(records).as_bytes()).is_none());
     }
 
     #[test]

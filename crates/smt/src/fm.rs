@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cache::{CachedRat, QueryCache};
-use crate::linexpr::{Atom, Rel, Var};
+use crate::linexpr::{Atom, LinExpr, Rel, Var};
 use crate::rat::{gcd, Rat};
 
 /// One Farkas multiplier: `(index of the original atom, coefficient)`.
@@ -27,15 +27,40 @@ pub enum RatResult {
     Unsat(FarkasCert),
 }
 
+/// Why a conjunction of atoms has no integer solution: the refutation
+/// branch & bound found, checkable by [`crate::verify_unsat`] with nothing
+/// but arithmetic.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArithRefutation {
+    /// A Farkas certificate over the atoms (in order): the weighted sum
+    /// cancels every variable and leaves a positive constant claimed
+    /// `<= 0`.
+    Farkas(FarkasCert),
+    /// Index of an equality atom whose coefficient gcd does not divide its
+    /// constant term.
+    Gcd(usize),
+    /// Case split on an integer variable: `below` refutes the atoms plus
+    /// `var <= at`, `above` refutes the atoms plus `var >= at + 1`. Every
+    /// integer satisfies one side, so the atoms themselves are infeasible.
+    Split {
+        /// The branch variable.
+        var: Var,
+        /// The split point.
+        at: i128,
+        /// Refutation of the `var <= at` branch.
+        below: Box<ArithRefutation>,
+        /// Refutation of the `var >= at + 1` branch.
+        above: Box<ArithRefutation>,
+    },
+}
+
 /// Result of an integer-arithmetic conjunction check.
 #[derive(Clone, Debug)]
 pub enum IntResult {
     /// Satisfiable, with an integer model.
     Sat(BTreeMap<Var, i128>),
-    /// Unsatisfiable. The certificate is present when the rational relaxation
-    /// is already unsatisfiable, and absent when integrality reasoning
-    /// (branch & bound or a gcd cut) was needed.
-    Unsat(Option<FarkasCert>),
+    /// Unsatisfiable, with the refutation.
+    Unsat(ArithRefutation),
     /// The branch & bound depth limit was exceeded.
     Unknown,
 }
@@ -362,19 +387,17 @@ pub fn rational_sat_cached(atoms: &[Atom], cache: Option<&QueryCache>) -> RatRes
     result
 }
 
-/// A gcd-based integer infeasibility test for equality atoms: `Σ cᵢxᵢ = -k`
-/// has no integer solution when `gcd(c̃) ∤ k`.
-fn gcd_cut_unsat(atoms: &[Atom]) -> bool {
-    atoms.iter().any(|a| {
-        if a.rel() != Rel::Eq {
-            return false;
-        }
-        let mut g: i128 = 0;
-        for (_, c) in a.lhs().iter() {
-            g = crate::rat::gcd(g, c);
-        }
-        g != 0 && a.lhs().constant_part() % g != 0
-    })
+/// The gcd test for one equality atom: `Σ cᵢxᵢ = -k` has no integer
+/// solution when `gcd(c̃) ∤ k`.
+pub(crate) fn gcd_refutes(a: &Atom) -> bool {
+    if a.rel() != Rel::Eq {
+        return false;
+    }
+    let mut g: i128 = 0;
+    for (_, c) in a.lhs().iter() {
+        g = gcd(g, c);
+    }
+    g != 0 && a.lhs().constant_part() % g != 0
 }
 
 /// Checks a conjunction of atoms over the **integers** via branch & bound.
@@ -387,40 +410,42 @@ pub fn int_sat(atoms: &[Atom], max_depth: u32) -> IntResult {
 /// implicant search refutes sibling branches over near-identical atom sets,
 /// so the shared table converts most of its relaxations into lookups.
 pub fn int_sat_cached(atoms: &[Atom], max_depth: u32, cache: Option<&QueryCache>) -> IntResult {
-    if gcd_cut_unsat(atoms) {
-        return IntResult::Unsat(None);
+    if let Some(i) = atoms.iter().position(gcd_refutes) {
+        return IntResult::Unsat(ArithRefutation::Gcd(i));
     }
-    match rational_sat_cached(atoms, cache) {
-        RatResult::Unsat(cert) => IntResult::Unsat(Some(cert)),
-        RatResult::Sat(model) => {
-            match model.iter().find(|(_, r)| !r.is_integer()) {
-                None => IntResult::Sat(model.into_iter().map(|(v, r)| (v, r.num())).collect()),
-                Some((v, r)) if max_depth > 0 => {
-                    use crate::linexpr::LinExpr;
-                    let below = Atom::le(LinExpr::var(v.clone()), LinExpr::constant(r.floor()));
-                    let above = Atom::ge(LinExpr::var(v.clone()), LinExpr::constant(r.ceil()));
-                    let mut left = atoms.to_vec();
-                    left.push(below);
-                    match int_sat_cached(&left, max_depth - 1, cache) {
-                        IntResult::Sat(m) => IntResult::Sat(m),
-                        IntResult::Unknown => IntResult::Unknown,
-                        IntResult::Unsat(_) => {
-                            let mut right = atoms.to_vec();
-                            right.push(above);
-                            match int_sat_cached(&right, max_depth - 1, cache) {
-                                IntResult::Sat(m) => IntResult::Sat(m),
-                                IntResult::Unknown => IntResult::Unknown,
-                                // Both branches closed: integer-unsat, but the
-                                // refutation uses a cut, so no Farkas witness.
-                                IntResult::Unsat(_) => IntResult::Unsat(None),
-                            }
-                        }
-                    }
-                }
-                Some(_) => IntResult::Unknown,
-            }
-        }
+    let model = match rational_sat_cached(atoms, cache) {
+        RatResult::Unsat(cert) => return IntResult::Unsat(ArithRefutation::Farkas(cert)),
+        RatResult::Sat(model) => model,
+    };
+    let Some((v, r)) = model.iter().find(|(_, r)| !r.is_integer()) else {
+        return IntResult::Sat(model.into_iter().map(|(v, r)| (v, r.num())).collect());
+    };
+    if max_depth == 0 {
+        return IntResult::Unknown;
     }
+    let (var, at) = (v.clone(), r.floor());
+    let side = |bound: Atom| {
+        let mut next = atoms.to_vec();
+        next.push(bound);
+        int_sat_cached(&next, max_depth - 1, cache)
+    };
+    let below = match side(Atom::le(LinExpr::var(var.clone()), LinExpr::constant(at))) {
+        IntResult::Unsat(r) => r,
+        other => return other,
+    };
+    let above = match side(Atom::ge(
+        LinExpr::var(var.clone()),
+        LinExpr::constant(at + 1),
+    )) {
+        IntResult::Unsat(r) => r,
+        other => return other,
+    };
+    IntResult::Unsat(ArithRefutation::Split {
+        var,
+        at,
+        below: Box::new(below),
+        above: Box::new(above),
+    })
 }
 
 /// Validates a Farkas certificate against the original atoms: the weighted sum
@@ -429,11 +454,10 @@ pub fn int_sat_cached(atoms: &[Atom], max_depth: u32, cache: Option<&QueryCache>
 /// Generic over owned or borrowed atom slices so the proof checker can run
 /// on references into a shared literal table without cloning.
 pub fn check_certificate<A: std::borrow::Borrow<Atom>>(atoms: &[A], cert: &FarkasCert) -> bool {
-    // The proof checker calls this once per DNF cube — 100k+ times on
-    // certificate-heavy programs — so the hot path scales every weight by
-    // the LCM of their denominators and sums in plain `i128` (scaling by a
-    // positive constant preserves both the cancellation and the sign of
-    // the certificate). Overflow falls back to exact rationals.
+    // The hot path scales every weight by the LCM of their denominators and
+    // sums in plain `i128` (scaling by a positive constant preserves both
+    // the cancellation and the sign of the certificate). Overflow falls
+    // back to exact rationals.
     check_certificate_int(atoms, cert)
         .unwrap_or_else(|| check_certificate_rat(atoms, cert))
 }
@@ -498,7 +522,6 @@ fn check_certificate_rat<A: std::borrow::Borrow<Atom>>(atoms: &[A], cert: &Farka
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linexpr::LinExpr;
 
     fn x() -> LinExpr {
         LinExpr::var("x")
@@ -531,7 +554,9 @@ mod tests {
             Atom::le(x() + LinExpr::constant(1), LinExpr::constant(0)),
         ];
         match int_sat(&atoms, 16) {
-            IntResult::Unsat(Some(cert)) => assert!(check_certificate(&atoms, &cert)),
+            IntResult::Unsat(ArithRefutation::Farkas(cert)) => {
+                assert!(check_certificate(&atoms, &cert))
+            }
             other => panic!("expected certified Unsat, got {other:?}"),
         }
     }
@@ -545,7 +570,9 @@ mod tests {
             Atom::le(x(), LinExpr::constant(2)),
         ];
         match int_sat(&atoms, 16) {
-            IntResult::Unsat(Some(cert)) => assert!(check_certificate(&atoms, &cert)),
+            IntResult::Unsat(ArithRefutation::Farkas(cert)) => {
+                assert!(check_certificate(&atoms, &cert))
+            }
             other => panic!("expected certified Unsat, got {other:?}"),
         }
     }
@@ -555,7 +582,7 @@ mod tests {
         // 2x = 2y + 1 has rational solutions but no integer ones.
         let atoms = vec![Atom::eq(x() * 2, y() * 2 + LinExpr::constant(1))];
         match int_sat(&atoms, 16) {
-            IntResult::Unsat(None) => {}
+            IntResult::Unsat(ArithRefutation::Gcd(0)) => {}
             other => panic!("expected gcd-cut Unsat, got {other:?}"),
         }
     }

@@ -34,37 +34,6 @@ pub enum Literal {
     Bool(Var, bool),
 }
 
-/// The index form of a DNF (see [`Formula::dnf_indexed`]): each cube is a
-/// slice of indices into the shared `leaves` table. Cubes live in one flat
-/// arena — certificate-scale DNFs hold 100k+ cubes, where a `Vec` per cube
-/// costs more in allocator traffic than the cross product itself.
-#[derive(Clone, Debug)]
-pub struct DnfIndexed {
-    /// Every leaf literal, in first-traversal order; cubes index into this.
-    pub leaves: Vec<Literal>,
-    /// Cube contents, concatenated in [`Formula::dnf`] order.
-    flat: Vec<u32>,
-    /// `offs[i]..offs[i + 1]` spans cube `i` in `flat`; always starts with 0.
-    offs: Vec<usize>,
-}
-
-impl DnfIndexed {
-    /// Number of cubes.
-    pub fn num_cubes(&self) -> usize {
-        self.offs.len() - 1
-    }
-
-    /// The `i`-th cube's leaf indices, in [`Formula::dnf`] literal order.
-    pub fn cube(&self, i: usize) -> &[u32] {
-        &self.flat[self.offs[i]..self.offs[i + 1]]
-    }
-
-    /// All cubes in order.
-    pub fn cubes(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_cubes()).map(|i| self.cube(i))
-    }
-}
-
 impl Formula {
     /// Smart conjunction: flattens, drops `true`, collapses on `false`.
     pub fn and(parts: impl IntoIterator<Item = Formula>) -> Formula {
@@ -243,10 +212,6 @@ impl Formula {
     pub fn dnf(&self, limit: usize) -> Option<Vec<Vec<Literal>>> {
         // The cross products run over `u32` indices into a leaf table and
         // each literal is cloned exactly once, into the final output.
-        // Deliberately NOT built on [`Formula::dnf_indexed`]: this walks
-        // the materialized `nnf()` tree, whose smart constructors merge
-        // adjacent children that only become equal under negation, so
-        // interpolation keeps the exact cube lists it always saw.
         fn go(f: &Formula, leaves: &mut Vec<Literal>, limit: usize) -> Option<Vec<Vec<u32>>> {
             let leaf = |l: Literal, leaves: &mut Vec<Literal>| {
                 leaves.push(l);
@@ -301,158 +266,6 @@ impl Formula {
                 .map(|c| c.into_iter().map(|i| leaves[i as usize].clone()).collect())
                 .collect(),
         )
-    }
-
-    /// The proof-side DNF: cubes are `u32` indices into a shared leaf
-    /// table, each literal exists exactly once, and the NNF rewrite is a
-    /// sign bit carried down the walk instead of a materialized tree. On
-    /// DNFs with 100k+ cubes this is what makes UNSAT-proof emission and
-    /// verification affordable. This is the normal form both `prove_unsat`
-    /// and `verify_unsat` recompute, and the only guarantee that matters
-    /// is that *they* agree; it may keep a duplicate cube where
-    /// [`Formula::dnf`]'s smart-constructor pass would merge adjacent
-    /// children that only become equal under negation (a refutation is
-    /// simply required for both copies).
-    pub fn dnf_indexed(&self, limit: usize) -> Option<DnfIndexed> {
-        // Intermediate results use the same flat-arena shape as the output:
-        // the `And` cross product then appends into one growing buffer
-        // instead of allocating a `Vec` per cube.
-        struct Flat {
-            flat: Vec<u32>,
-            offs: Vec<usize>,
-        }
-        impl Flat {
-            fn cube(&self, i: usize) -> &[u32] {
-                &self.flat[self.offs[i]..self.offs[i + 1]]
-            }
-            fn num_cubes(&self) -> usize {
-                self.offs.len() - 1
-            }
-        }
-        fn leaf(l: Literal, leaves: &mut Vec<Literal>) -> Option<Flat> {
-            leaves.push(l);
-            Some(Flat {
-                flat: vec![(leaves.len() - 1) as u32],
-                offs: vec![0, 1],
-            })
-        }
-        // One positive atom as a cube set, folding constant atoms the way
-        // `Formula::atom` does (`nnf()` re-ran the smart constructors, so
-        // the fused walk must fold too to keep cube counts identical).
-        fn atom_cubes(a: Atom, leaves: &mut Vec<Literal>) -> Option<Flat> {
-            match a.const_value() {
-                Some(true) => Some(Flat {
-                    flat: vec![],
-                    offs: vec![0, 0],
-                }),
-                Some(false) => Some(Flat {
-                    flat: vec![],
-                    offs: vec![0],
-                }),
-                None => leaf(Literal::Arith(a), leaves),
-            }
-        }
-        // The NNF rewrite is fused into the walk as a sign bit (mirroring
-        // `nnf_signed` case by case) rather than materialized: on DNFs
-        // recomputed per certificate the intermediate formula tree was pure
-        // allocator traffic. Cube and literal order are unchanged.
-        fn go(f: &Formula, positive: bool, leaves: &mut Vec<Literal>, limit: usize) -> Option<Flat> {
-            match (f, positive) {
-                (Formula::True, true) | (Formula::False, false) => Some(Flat {
-                    flat: vec![],
-                    offs: vec![0, 0],
-                }),
-                (Formula::True, false) | (Formula::False, true) => Some(Flat {
-                    flat: vec![],
-                    offs: vec![0],
-                }),
-                (Formula::Atom(a), true) => atom_cubes(a.clone(), leaves),
-                (Formula::Atom(a), false) => match a.rel() {
-                    // ¬(e <= 0)  ⟺  -e + 1 <= 0   (integers)
-                    Rel::Le => {
-                        atom_cubes(Atom::le0(-a.lhs().clone() + LinExpr::constant(1)), leaves)
-                    }
-                    // ¬(e = 0)  ⟺  e <= -1 ∨ -e <= -1: a two-cube disjunction.
-                    Rel::Eq => {
-                        let lo = Atom::le0(a.lhs().clone() + LinExpr::constant(1));
-                        let hi = Atom::le0(-a.lhs().clone() + LinExpr::constant(1));
-                        let mut out = Flat {
-                            flat: vec![],
-                            offs: vec![0],
-                        };
-                        for a in [lo, hi] {
-                            let d = atom_cubes(a, leaves)?;
-                            let base = out.flat.len();
-                            out.flat.extend_from_slice(&d.flat);
-                            out.offs.extend(d.offs[1..].iter().map(|o| base + o));
-                        }
-                        Some(out)
-                    }
-                },
-                (Formula::BVar(v), pos) => leaf(Literal::Bool(v.clone(), pos), leaves),
-                (Formula::Not(g), pos) => go(g, !pos, leaves, limit),
-                (Formula::Or(fs), true) | (Formula::And(fs), false) => {
-                    let mut out = Flat {
-                        flat: vec![],
-                        offs: vec![0],
-                    };
-                    let mut prev: Option<&Formula> = None;
-                    for f in fs {
-                        // The smart constructors dedup adjacent children;
-                        // `nnf()` used to re-apply that to the rewritten
-                        // tree, so the fused walk skips them too.
-                        if prev == Some(f) {
-                            continue;
-                        }
-                        prev = Some(f);
-                        let d = go(f, positive, leaves, limit)?;
-                        let base = out.flat.len();
-                        out.flat.extend_from_slice(&d.flat);
-                        out.offs.extend(d.offs[1..].iter().map(|o| base + o));
-                        if out.num_cubes() > limit {
-                            return None;
-                        }
-                    }
-                    Some(out)
-                }
-                (Formula::And(fs), true) | (Formula::Or(fs), false) => {
-                    let mut acc = Flat {
-                        flat: vec![],
-                        offs: vec![0, 0],
-                    };
-                    let mut prev: Option<&Formula> = None;
-                    for f in fs {
-                        if prev == Some(f) {
-                            continue;
-                        }
-                        prev = Some(f);
-                        let d = go(f, positive, leaves, limit)?;
-                        let mut next = Flat {
-                            flat: Vec::with_capacity(acc.flat.len().max(d.flat.len())),
-                            offs: Vec::with_capacity(
-                                acc.num_cubes().saturating_mul(d.num_cubes()) + 1,
-                            ),
-                        };
-                        next.offs.push(0);
-                        for a in 0..acc.num_cubes() {
-                            for b in 0..d.num_cubes() {
-                                next.flat.extend_from_slice(acc.cube(a));
-                                next.flat.extend_from_slice(d.cube(b));
-                                next.offs.push(next.flat.len());
-                                if next.num_cubes() > limit {
-                                    return None;
-                                }
-                            }
-                        }
-                        acc = next;
-                    }
-                    Some(acc)
-                }
-            }
-        }
-        let mut leaves = Vec::new();
-        let Flat { flat, offs } = go(self, true, &mut leaves, limit)?;
-        Some(DnfIndexed { leaves, flat, offs })
     }
 
     /// Evaluates under integer and boolean assignments.

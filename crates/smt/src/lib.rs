@@ -49,18 +49,16 @@ mod solver;
 
 pub use cache::{CacheStats, CachedRat, CachedSat, CubeSat, InterpKey, QueryCache};
 pub use fm::{
-    check_certificate, int_sat, rational_sat, rational_sat_cached, FarkasCert, IntResult,
-    RatResult,
+    check_certificate, int_sat, rational_sat, rational_sat_cached, ArithRefutation, FarkasCert,
+    IntResult, RatResult,
 };
-pub use formula::{DnfIndexed, Formula, Literal};
+pub use formula::{Formula, Literal};
 pub use homc_budget::{Budget, BudgetError, CancelToken, FaultKind, FaultPlan, LimitKind, Phase};
 pub use interp::{
     cube_consistency, cube_literals, interpolate, interpolate_budgeted_cached,
     interpolate_sequence, interpolate_with, is_interpolant, InterpError, InterpOptions,
 };
 pub use linexpr::{Atom, LinExpr, Rel, Var};
-pub use proof::{
-    prove_unsat, verify_unsat, ArithRefutation, CubeProof, UnsatProof, PROOF_DNF_LIMIT,
-};
+pub use proof::{prove_unsat, verify_unsat, ProofNode, UnsatProof};
 pub use rat::{gcd, Rat};
 pub use solver::{Model, SatResult, SmtSolver, SolverLimits, SolverOutcome};

@@ -2,203 +2,178 @@
 //!
 //! The evidence layer (see `homc-serve`/`homc-core`) needs the verifier's
 //! abstraction queries to be *checkable after the fact*, by a validator that
-//! shares no search code with the solver. The proof system here is built on
-//! the one syntactic normal form both sides can recompute independently:
-//! a formula `f` is unsatisfiable iff every cube of its disjunctive normal
-//! form is. A proof is therefore one refutation per DNF cube, in cube order:
+//! shares no search code with the solver. A proof is the refutation tree of
+//! the solver's own implicant search ([`SmtSolver`]'s walk over the
+//! negation normal form), stored flat in the order the walk reaches its
+//! nodes:
 //!
-//! * [`CubeProof::BoolConflict`] — the cube contains a boolean variable in
-//!   both polarities.
-//! * [`ArithRefutation::Farkas`] — a Farkas certificate: a non-negative
-//!   combination of the cube's atoms summing to a positive constant `<= 0`.
-//! * [`ArithRefutation::Gcd`] — one equality atom `Σ cᵢxᵢ + k = 0` whose
-//!   coefficient gcd does not divide `k` (no integer solution).
-//! * [`ArithRefutation::Split`] — a branch on an integer variable: sub-proofs
-//!   refute the cube with `x <= at` and with `x >= at + 1` appended. Every
-//!   integer satisfies one side, so the cube itself is infeasible.
+//! * one node per `Or` the walk reaches: [`ProofNode::Closed`] by the
+//!   rational prune's Farkas certificate over the path's atoms, or
+//!   [`ProofNode::Branch`], whose disjuncts' subproofs follow in order;
+//! * one [`ProofNode::Closed`] node per completed implicant, carrying its
+//!   integer refutation ([`ArithRefutation`]: Farkas, gcd or split);
+//! * no node for a `False` goal or a boolean conflict, which the walk
+//!   closes by itself.
 //!
-//! [`prove_unsat`] mirrors the branch & bound structure of [`crate::int_sat`]
-//! to *find* such proofs; [`verify_unsat`] checks one with nothing but exact
-//! rational arithmetic over the checker's own recomputed DNF. Validating
-//! against the recomputed cubes (not cubes shipped inside the proof) is what
-//! makes the checker one-sided: a corrupted proof can only be rejected, never
-//! talked into accepting a satisfiable formula.
+//! [`prove_unsat`] records the tree while the search refutes the formula;
+//! [`verify_unsat`] walks the formula again in the same order, collects each
+//! path's atoms and booleans itself, and checks every node against them
+//! with exact arithmetic. It runs no search, so a proof stays one-sided: a
+//! corrupted proof can only be rejected, never talked into accepting a
+//! satisfiable formula.
 
-use crate::fm::{check_certificate, rational_sat, FarkasCert, RatResult};
-use crate::formula::{Formula, Literal};
-use crate::linexpr::{Atom, LinExpr, Rel, Var};
-use crate::rat::gcd;
+use crate::fm::{check_certificate, gcd_refutes, ArithRefutation};
+use crate::formula::Formula;
+use crate::linexpr::{Atom, LinExpr, Var};
+use crate::solver::SmtSolver;
 
-/// Cube cap for the proof-side DNF expansion. Queries whose DNF would exceed
-/// this are simply not proved (the emitter reports them as unprovable and the
-/// evidence checker treats them as satisfiable — a sound over-approximation).
-pub const PROOF_DNF_LIMIT: usize = 4096;
+/// Branch nodes [`verify_unsat`] follows on one path before it rejects a
+/// proof, which bounds its recursion on hostile input. The search records
+/// no proof deeper than this, so every emitted proof stays checkable.
+pub(crate) const MAX_BRANCH_DEPTH: u32 = 1024;
 
-/// Branch & bound depth for the proof emitter, matching the solver's
-/// integer-completeness budget.
-const PROOF_BB_DEPTH: u32 = 24;
-
-/// Split nesting the verifier will follow before rejecting a proof. Emitted
-/// proofs are bounded by [`PROOF_BB_DEPTH`]; the extra headroom only guards
-/// the checker's stack against hand-corrupted evidence.
+/// Split nesting the verifier will follow before rejecting a refutation.
+/// Emitted splits are bounded by the solver's branch & bound depth; the
+/// extra headroom only guards the checker's stack against hand-corrupted
+/// evidence.
 const VERIFY_SPLIT_DEPTH: u32 = 64;
 
-/// Why one DNF cube (a conjunction of literals) is infeasible over the
-/// integers.
+/// One node of a refutation tree, in the order the search reaches it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArithRefutation {
-    /// A Farkas certificate over the cube's arithmetic atoms (in cube
-    /// order): the weighted sum cancels every variable and leaves a positive
-    /// constant claimed `<= 0`.
-    Farkas(FarkasCert),
-    /// Index (into the cube's arithmetic atoms) of an equality whose
-    /// coefficient gcd does not divide its constant term.
-    Gcd(usize),
-    /// Case split on an integer variable: `below` refutes the atoms plus
-    /// `var <= at`, `above` refutes the atoms plus `var >= at + 1`.
-    Split {
-        /// The branch variable.
-        var: Var,
-        /// The split point.
-        at: i128,
-        /// Refutation of the `var <= at` branch.
-        below: Box<ArithRefutation>,
-        /// Refutation of the `var >= at + 1` branch.
-        above: Box<ArithRefutation>,
-    },
+pub enum ProofNode {
+    /// The search branches at this `Or`: one subproof per disjunct
+    /// follows, in disjunct order.
+    Branch,
+    /// The path's atoms have no integer solution: at an `Or`, the rational
+    /// prune's Farkas certificate; at a completed implicant, its integer
+    /// refutation.
+    Closed(ArithRefutation),
 }
 
-/// Refutation of one DNF cube.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CubeProof {
-    /// Some boolean variable occurs in both polarities.
-    BoolConflict,
-    /// The cube's arithmetic atoms are jointly infeasible.
-    Arith(ArithRefutation),
-}
-
-/// A complete UNSAT proof: one [`CubeProof`] per cube of the formula's DNF,
-/// aligned with the cube order of [`Formula::dnf`] at [`PROOF_DNF_LIMIT`].
+/// A complete UNSAT proof: the search's refutation tree in preorder.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct UnsatProof {
-    /// Per-cube refutations, in DNF order.
-    pub cubes: Vec<CubeProof>,
+    /// The tree's nodes, in the order the walk reaches them.
+    pub nodes: Vec<ProofNode>,
 }
 
-/// The arithmetic atoms of an indexed cube, in literal order, as references
-/// into the shared leaf table. Both the emitter and the verifier stay on
-/// references end-to-end: on certificate-heavy programs the DNF can hold
-/// millions of cube/literal pairs, and cloning each `Atom` per cube used to
-/// dominate the evidence checker's runtime.
-fn cube_atoms<'a>(cube: &[u32], leaves: &'a [Literal]) -> Vec<&'a Atom> {
-    cube.iter()
-        .filter_map(|&i| match &leaves[i as usize] {
-            Literal::Arith(a) => Some(a),
-            Literal::Bool(..) => None,
-        })
-        .collect()
-}
-
-/// `true` when the cube carries some boolean variable in both polarities.
-fn has_bool_conflict(cube: &[u32], leaves: &[Literal]) -> bool {
-    cube.iter().any(|&i| match &leaves[i as usize] {
-        Literal::Bool(v, pol) => cube.iter().any(|&j| {
-            matches!(&leaves[j as usize], Literal::Bool(w, q) if w == v && q != pol)
-        }),
-        Literal::Arith(_) => false,
-    })
-}
-
-/// Index of an equality atom refuted by the gcd test, if any.
-fn gcd_cut_index(atoms: &[Atom]) -> Option<usize> {
-    atoms.iter().position(|a| {
-        if a.rel() != Rel::Eq {
-            return false;
-        }
-        let mut g: i128 = 0;
-        for (_, c) in a.lhs().iter() {
-            g = gcd(g, c);
-        }
-        g != 0 && a.lhs().constant_part() % g != 0
-    })
-}
-
-/// Searches for a refutation of a conjunction of atoms, mirroring the
-/// branch & bound of [`crate::int_sat`] but returning the proof tree instead
-/// of a verdict. `None` when the atoms are satisfiable or the depth budget
-/// ran out.
-fn int_refute(atoms: &[Atom], depth: u32) -> Option<ArithRefutation> {
-    if let Some(i) = gcd_cut_index(atoms) {
-        return Some(ArithRefutation::Gcd(i));
-    }
-    match rational_sat(atoms) {
-        RatResult::Unsat(cert) => Some(ArithRefutation::Farkas(cert)),
-        RatResult::Sat(model) => {
-            let (v, r) = model.iter().find(|(_, r)| !r.is_integer())?;
-            if depth == 0 {
-                return None;
-            }
-            let (v, at) = (v.clone(), r.floor());
-            let mut left = atoms.to_vec();
-            left.push(Atom::le(LinExpr::var(v.clone()), LinExpr::constant(at)));
-            let below = int_refute(&left, depth - 1)?;
-            let mut right = atoms.to_vec();
-            right.push(Atom::ge(LinExpr::var(v.clone()), LinExpr::constant(at + 1)));
-            let above = int_refute(&right, depth - 1)?;
-            Some(ArithRefutation::Split {
-                var: v,
-                at,
-                below: Box::new(below),
-                above: Box::new(above),
-            })
-        }
+impl UnsatProof {
+    /// The number of closed nodes: the refutations the proof carries.
+    pub fn closed(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n, ProofNode::Closed(_)))
+            .count()
     }
 }
 
-/// Attempts to build a checkable UNSAT proof for `f`.
+/// Builds a checkable UNSAT proof for `f` by running the solver's search,
+/// uncached and unbudgeted, with proof recording on.
 ///
-/// Returns `None` when `f` is satisfiable, when its DNF exceeds
-/// [`PROOF_DNF_LIMIT`] cubes, or when branch & bound ran out of depth on
-/// some cube. Callers treat an unproved formula as satisfiable — for the
-/// abstraction this only coarsens the abstract program, which is sound.
+/// Returns `None` when `f` is satisfiable, when branch & bound ran out of
+/// depth somewhere, or when the tree nests deeper than [`verify_unsat`]
+/// follows (1,024 branch nodes on one path). Callers treat
+/// an unproved formula as satisfiable — for the abstraction this only
+/// coarsens the abstract program, which is sound. The proof depends on `f`
+/// alone, never on a query cache.
 pub fn prove_unsat(f: &Formula) -> Option<UnsatProof> {
-    let ix = f.dnf_indexed(PROOF_DNF_LIMIT)?;
-    let mut out = Vec::with_capacity(ix.num_cubes());
-    for cube in ix.cubes() {
-        if has_bool_conflict(cube, &ix.leaves) {
-            out.push(CubeProof::BoolConflict);
-            continue;
-        }
-        // Branch & bound appends bound atoms as it splits, so this one path
-        // materializes owned atoms; bool-conflict cubes never pay for it.
-        let atoms: Vec<Atom> = cube_atoms(cube, &ix.leaves)
-            .into_iter()
-            .cloned()
-            .collect();
-        out.push(CubeProof::Arith(int_refute(&atoms, PROOF_BB_DEPTH)?));
-    }
-    Some(UnsatProof { cubes: out })
+    SmtSolver::new().refute(f).map(|nodes| UnsatProof { nodes })
 }
 
-/// Checks one arithmetic refutation against a conjunction of atoms using
-/// only direct arithmetic — no elimination, no search. The atoms are
-/// references into the recomputed DNF's leaf table; even the `Split` case
-/// stays on references, borrowing its freshly built bound atom from the
-/// stack frame that recurses with it.
-fn verify_arith(atoms: &[&Atom], r: &ArithRefutation, depth: u32) -> bool {
+/// Validates an UNSAT proof for `f`.
+///
+/// The checker walks `f`'s negation normal form in the search's order and
+/// demands that the proof's nodes close every path, with no node left over.
+/// `true` means `f` is genuinely unsatisfiable: every accepting path
+/// re-derives its facts from `f`'s own atoms, so a forged or corrupted proof
+/// cannot certify a satisfiable formula.
+pub fn verify_unsat(f: &Formula, proof: &UnsatProof) -> bool {
+    let nnf = f.nnf();
+    let mut walk = Walk {
+        nodes: proof.nodes.iter(),
+        atoms: Vec::new(),
+        bools: Vec::new(),
+    };
+    walk.closes(vec![&nnf], 0) && walk.nodes.next().is_none()
+}
+
+/// The checker's state on one path: the proof nodes not yet consumed, and
+/// the atoms and boolean literals the path has collected.
+struct Walk<'a> {
+    nodes: std::slice::Iter<'a, ProofNode>,
+    atoms: Vec<&'a Atom>,
+    bools: Vec<(&'a Var, bool)>,
+}
+
+impl<'a> Walk<'a> {
+    /// `true` when the proof closes every path that continues with `goals`
+    /// (the top goal next), consuming the nodes those paths reach. Mirrors
+    /// the solver's search goal by goal, but recurses only at branch nodes,
+    /// at most [`MAX_BRANCH_DEPTH`] deep.
+    fn closes(&mut self, mut goals: Vec<&'a Formula>, depth: u32) -> bool {
+        let (atoms, bools) = (self.atoms.len(), self.bools.len());
+        let closed = loop {
+            let Some(goal) = goals.pop() else {
+                // A completed implicant: its integer refutation.
+                break matches!(self.nodes.next(),
+                    Some(ProofNode::Closed(r)) if refutes(&self.atoms, r, VERIFY_SPLIT_DEPTH));
+            };
+            match goal {
+                Formula::True => {}
+                Formula::False => break true,
+                Formula::Atom(a) => self.atoms.push(a),
+                Formula::BVar(v) => {
+                    if self.conflicts(v, true) {
+                        break true;
+                    }
+                }
+                Formula::Not(inner) => match inner.as_ref() {
+                    Formula::BVar(v) => {
+                        if self.conflicts(v, false) {
+                            break true;
+                        }
+                    }
+                    _ => break false,
+                },
+                Formula::And(fs) => goals.extend(fs.iter().rev()),
+                Formula::Or(fs) => {
+                    break match self.nodes.next() {
+                        Some(ProofNode::Closed(r)) => refutes(&self.atoms, r, VERIFY_SPLIT_DEPTH),
+                        Some(ProofNode::Branch) if depth < MAX_BRANCH_DEPTH => fs.iter().all(|f| {
+                            let mut next = goals.clone();
+                            next.push(f);
+                            self.closes(next, depth + 1)
+                        }),
+                        _ => false,
+                    }
+                }
+            }
+        };
+        self.atoms.truncate(atoms);
+        self.bools.truncate(bools);
+        closed
+    }
+
+    /// Assigns `v := val` on the path; `true` when the path already holds
+    /// the opposite value (a boolean conflict, which closes the path).
+    fn conflicts(&mut self, v: &'a Var, val: bool) -> bool {
+        match self.bools.iter().find(|(w, _)| *w == v) {
+            Some(&(_, prev)) => prev != val,
+            None => {
+                self.bools.push((v, val));
+                false
+            }
+        }
+    }
+}
+
+/// Checks one integer refutation against a conjunction of atoms using only
+/// direct arithmetic — no elimination, no search. A `Split` borrows its
+/// freshly built bound atom from the stack frame that recurses with it.
+fn refutes(atoms: &[&Atom], r: &ArithRefutation, depth: u32) -> bool {
     match r {
         ArithRefutation::Farkas(cert) => check_certificate(atoms, cert),
-        ArithRefutation::Gcd(i) => {
-            let Some(a) = atoms.get(*i) else { return false };
-            if a.rel() != Rel::Eq {
-                return false;
-            }
-            let mut g: i128 = 0;
-            for (_, c) in a.lhs().iter() {
-                g = gcd(g, c);
-            }
-            g != 0 && a.lhs().constant_part() % g != 0
-        }
+        ArithRefutation::Gcd(i) => atoms.get(*i).is_some_and(|a| gcd_refutes(a)),
         ArithRefutation::Split {
             var,
             at,
@@ -208,61 +183,20 @@ fn verify_arith(atoms: &[&Atom], r: &ArithRefutation, depth: u32) -> bool {
             if depth == 0 || *at == i128::MAX {
                 return false;
             }
-            let lo = Atom::le(LinExpr::var(var.clone()), LinExpr::constant(*at));
-            let mut left = atoms.to_vec();
-            left.push(&lo);
-            if !verify_arith(&left, below, depth - 1) {
-                return false;
-            }
-            let hi = Atom::ge(LinExpr::var(var.clone()), LinExpr::constant(*at + 1));
-            let mut right = atoms.to_vec();
-            right.push(&hi);
-            verify_arith(&right, above, depth - 1)
+            let side = |bound: Atom, r: &ArithRefutation| {
+                let mut next = atoms.to_vec();
+                next.push(&bound);
+                refutes(&next, r, depth - 1)
+            };
+            side(
+                Atom::le(LinExpr::var(var.clone()), LinExpr::constant(*at)),
+                below,
+            ) && side(
+                Atom::ge(LinExpr::var(var.clone()), LinExpr::constant(*at + 1)),
+                above,
+            )
         }
     }
-}
-
-/// Validates an UNSAT proof for `f`.
-///
-/// The checker recomputes `f`'s DNF itself and demands one valid refutation
-/// per cube, in order. `true` means `f` is genuinely unsatisfiable: every
-/// accepting path re-derives the facts from `f`'s own atoms, so a forged or
-/// corrupted proof cannot certify a satisfiable formula.
-pub fn verify_unsat(f: &Formula, proof: &UnsatProof) -> bool {
-    let Some(ix) = f.dnf_indexed(PROOF_DNF_LIMIT) else {
-        return false;
-    };
-    if ix.num_cubes() != proof.cubes.len() {
-        return false;
-    }
-    // Scratch buffers for the whole proof, and one fused pass per cube
-    // (atom extraction + polarity conflict): certificate-heavy programs
-    // push 100k+ cubes through here, so per-cube allocations and second
-    // scans are both measurable.
-    let mut atoms: Vec<&Atom> = Vec::new();
-    let mut bools: Vec<(&Var, bool)> = Vec::new();
-    for (cube, cp) in ix.cubes().zip(&proof.cubes) {
-        atoms.clear();
-        bools.clear();
-        let mut conflict = false;
-        for &i in cube {
-            match &ix.leaves[i as usize] {
-                Literal::Arith(a) => atoms.push(a),
-                Literal::Bool(v, q) => {
-                    conflict = conflict || bools.iter().any(|&(w, r)| w == v && r != *q);
-                    bools.push((v, *q));
-                }
-            }
-        }
-        let ok = match cp {
-            CubeProof::BoolConflict => conflict,
-            CubeProof::Arith(r) => !conflict && verify_arith(&atoms, r, VERIFY_SPLIT_DEPTH),
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -276,64 +210,133 @@ mod tests {
     fn y() -> LinExpr {
         LinExpr::var("y")
     }
+    fn atom(a: Atom) -> Formula {
+        Formula::atom(a)
+    }
+
+    /// `x > 0 ∧ x + 1 <= 0` — rationally unsat.
+    fn contradiction() -> Formula {
+        Formula::and2(
+            atom(Atom::gt(x(), LinExpr::constant(0))),
+            atom(Atom::le(x() + LinExpr::constant(1), LinExpr::constant(0))),
+        )
+    }
+
+    /// `(x > 0 ∨ y > 0) ∧ x <= 0 ∧ y <= 0`: the search branches at the
+    /// `Or` (nothing to prune yet) and closes each disjunct at its leaf.
+    fn branching() -> Formula {
+        Formula::and(vec![
+            Formula::or2(
+                atom(Atom::gt(x(), LinExpr::constant(0))),
+                atom(Atom::gt(y(), LinExpr::constant(0))),
+            ),
+            atom(Atom::le(x(), LinExpr::constant(0))),
+            atom(Atom::le(y(), LinExpr::constant(0))),
+        ])
+    }
+
+    /// `2x >= 1 ∧ 2x <= 1`: the only rational solution is x = 1/2.
+    fn half() -> Formula {
+        Formula::and2(
+            atom(Atom::ge(x() * 2, LinExpr::constant(1))),
+            atom(Atom::le(x() * 2, LinExpr::constant(1))),
+        )
+    }
 
     #[test]
     fn farkas_proof_roundtrips() {
-        // x > 0 ∧ x + 1 <= 0 — rationally unsat.
-        let f = Formula::and2(
-            Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
-            Formula::atom(Atom::le(x() + LinExpr::constant(1), LinExpr::constant(0))),
-        );
+        let f = contradiction();
         let p = prove_unsat(&f).expect("provable");
+        assert!(matches!(
+            p.nodes.as_slice(),
+            [ProofNode::Closed(ArithRefutation::Farkas(_))]
+        ));
         assert!(verify_unsat(&f, &p));
     }
 
     #[test]
     fn gcd_proof_roundtrips() {
         // 2x = 2y + 1: rationally sat, integer-unsat by parity.
-        let f = Formula::atom(Atom::eq(x() * 2, y() * 2 + LinExpr::constant(1)));
+        let f = atom(Atom::eq(x() * 2, y() * 2 + LinExpr::constant(1)));
         let p = prove_unsat(&f).expect("provable");
+        assert_eq!(p.nodes, [ProofNode::Closed(ArithRefutation::Gcd(0))]);
         assert!(verify_unsat(&f, &p));
     }
 
     #[test]
     fn split_proof_roundtrips() {
-        // 2x >= 1 ∧ 2x <= 1: the only rational solution is x = 1/2.
-        let f = Formula::and2(
-            Formula::atom(Atom::ge(x() * 2, LinExpr::constant(1))),
-            Formula::atom(Atom::le(x() * 2, LinExpr::constant(1))),
-        );
+        let f = half();
         let p = prove_unsat(&f).expect("provable");
         assert!(matches!(
-            &p.cubes[0],
-            CubeProof::Arith(ArithRefutation::Split { .. })
+            p.nodes.as_slice(),
+            [ProofNode::Closed(ArithRefutation::Split { .. })]
+        ));
+        assert!(verify_unsat(&f, &p));
+    }
+
+    #[test]
+    fn branch_proof_roundtrips() {
+        let f = branching();
+        let p = prove_unsat(&f).expect("provable");
+        assert!(matches!(
+            p.nodes.as_slice(),
+            [
+                ProofNode::Branch,
+                ProofNode::Closed(_),
+                ProofNode::Closed(_)
+            ]
+        ));
+        assert_eq!(p.closed(), 2);
+        assert!(verify_unsat(&f, &p));
+    }
+
+    #[test]
+    fn rational_prune_closes_an_or() {
+        // The atoms before the `Or` already contradict each other, so the
+        // search prunes it with one Farkas certificate instead of branching.
+        let f = Formula::and(vec![
+            atom(Atom::gt(x(), LinExpr::constant(0))),
+            atom(Atom::lt(x(), LinExpr::constant(0))),
+            Formula::or2(
+                atom(Atom::gt(y(), LinExpr::constant(0))),
+                atom(Atom::lt(y(), LinExpr::constant(0))),
+            ),
+        ]);
+        let p = prove_unsat(&f).expect("provable");
+        assert!(matches!(
+            p.nodes.as_slice(),
+            [ProofNode::Closed(ArithRefutation::Farkas(_))]
         ));
         assert!(verify_unsat(&f, &p));
     }
 
     #[test]
     fn bool_conflict_and_disjunction() {
-        // (b ∧ ¬b) ∨ (x > 0 ∧ x < 0): two cubes, two refutation kinds.
+        // (b ∧ ¬b) ∨ (x > 0 ∧ x < 0): the first disjunct closes by itself,
+        // the second at its leaf.
         let b = Formula::BVar(Var::new("b"));
         let f = Formula::or2(
             Formula::and2(b.clone(), Formula::not(b)),
             Formula::and2(
-                Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
-                Formula::atom(Atom::lt(x(), LinExpr::constant(0))),
+                atom(Atom::gt(x(), LinExpr::constant(0))),
+                atom(Atom::lt(x(), LinExpr::constant(0))),
             ),
         );
         let p = prove_unsat(&f).expect("provable");
-        assert_eq!(p.cubes.len(), 2);
+        assert!(matches!(
+            p.nodes.as_slice(),
+            [ProofNode::Branch, ProofNode::Closed(_)]
+        ));
         assert!(verify_unsat(&f, &p));
     }
 
     #[test]
     fn satisfiable_formula_has_no_proof() {
-        let f = Formula::atom(Atom::gt(x(), LinExpr::constant(0)));
+        let f = atom(Atom::gt(x(), LinExpr::constant(0)));
         assert!(prove_unsat(&f).is_none());
         // And a fabricated proof for it must not verify.
         let fake = UnsatProof {
-            cubes: vec![CubeProof::Arith(ArithRefutation::Farkas(vec![(
+            nodes: vec![ProofNode::Closed(ArithRefutation::Farkas(vec![(
                 0,
                 Rat::ONE,
             )]))],
@@ -343,43 +346,92 @@ mod tests {
 
     #[test]
     fn tampered_certificate_is_rejected() {
-        let f = Formula::and2(
-            Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
-            Formula::atom(Atom::le(x() + LinExpr::constant(1), LinExpr::constant(0))),
-        );
+        let f = contradiction();
         let p = prove_unsat(&f).expect("provable");
-        let CubeProof::Arith(ArithRefutation::Farkas(cert)) = &p.cubes[0] else {
-            panic!("expected a Farkas cube");
+        let [ProofNode::Closed(ArithRefutation::Farkas(cert))] = p.nodes.as_slice() else {
+            panic!("expected one Farkas node");
         };
         // Flip a coefficient.
         let mut bad = cert.clone();
         bad[0].1 = bad[0].1 + Rat::ONE;
         let bad = UnsatProof {
-            cubes: vec![CubeProof::Arith(ArithRefutation::Farkas(bad))],
+            nodes: vec![ProofNode::Closed(ArithRefutation::Farkas(bad))],
         };
         assert!(!verify_unsat(&f, &bad));
-        // Drop a cube.
-        let empty = UnsatProof { cubes: vec![] };
-        assert!(!verify_unsat(&f, &empty));
+        // Drop the node, or add one the walk never reaches.
+        assert!(!verify_unsat(&f, &UnsatProof::default()));
+        let mut extra = p.clone();
+        extra.nodes.push(ProofNode::Branch);
+        assert!(!verify_unsat(&f, &extra));
     }
 
     #[test]
     fn false_formula_has_empty_proof() {
         let p = prove_unsat(&Formula::False).expect("trivially unsat");
-        assert!(p.cubes.is_empty());
+        assert!(p.nodes.is_empty());
         assert!(verify_unsat(&Formula::False, &p));
         assert!(prove_unsat(&Formula::True).is_none());
+        assert!(!verify_unsat(&Formula::True, &p));
+    }
+
+    #[test]
+    fn branch_with_a_child_dropped_is_rejected() {
+        let f = branching();
+        let mut p = prove_unsat(&f).expect("provable");
+        p.nodes.pop();
+        assert!(!verify_unsat(&f, &p));
+    }
+
+    #[test]
+    fn closed_node_where_the_walk_branches_is_rejected() {
+        // The search branched because the atoms before the `Or` are
+        // rationally satisfiable, so no certificate can close it there.
+        let f = branching();
+        let p = prove_unsat(&f).expect("provable");
+        for node in &p.nodes[1..] {
+            let forged = UnsatProof {
+                nodes: vec![node.clone()],
+            };
+            assert!(!verify_unsat(&f, &forged));
+        }
+        // A branch node where the walk closes a leaf is no proof either.
+        let g = contradiction();
+        let forged = UnsatProof {
+            nodes: vec![ProofNode::Branch],
+        };
+        assert!(!verify_unsat(&g, &forged));
+    }
+
+    #[test]
+    fn moved_split_point_is_rejected() {
+        let f = half();
+        let p = prove_unsat(&f).expect("provable");
+        for delta in [-1, 1] {
+            let mut moved = p.clone();
+            let [ProofNode::Closed(ArithRefutation::Split { at, .. })] = moved.nodes.as_mut_slice()
+            else {
+                panic!("expected one split node");
+            };
+            *at += delta;
+            assert!(!verify_unsat(&f, &moved), "split moved by {delta}");
+        }
+    }
+
+    #[test]
+    fn proof_of_another_formula_is_rejected() {
+        // Both formulas are unsat, but each proof indexes its own atoms.
+        let (f, g) = (contradiction(), branching());
+        let (pf, pg) = (prove_unsat(&f).unwrap(), prove_unsat(&g).unwrap());
+        assert!(!verify_unsat(&f, &pg));
+        assert!(!verify_unsat(&g, &pf));
     }
 
     #[test]
     fn mismatched_refutation_kind_is_rejected() {
-        // A bool-conflict claim on an arithmetic cube must fail.
-        let f = Formula::and2(
-            Formula::atom(Atom::gt(x(), LinExpr::constant(0))),
-            Formula::atom(Atom::lt(x(), LinExpr::constant(0))),
-        );
+        // A gcd claim on an inequality must fail.
+        let f = contradiction();
         let bad = UnsatProof {
-            cubes: vec![CubeProof::BoolConflict],
+            nodes: vec![ProofNode::Closed(ArithRefutation::Gcd(0))],
         };
         assert!(!verify_unsat(&f, &bad));
     }

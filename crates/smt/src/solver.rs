@@ -15,9 +15,10 @@ use homc_metrics::{Counter, Hist, Metrics};
 use homc_trace::{stable_hash64, Tracer};
 
 use crate::cache::{CachedSat, QueryCache};
-use crate::fm::{int_sat_cached, rational_sat_cached, IntResult, RatResult};
+use crate::fm::{int_sat_cached, rational_sat_cached, ArithRefutation, IntResult, RatResult};
 use crate::formula::Formula;
 use crate::linexpr::{Atom, Var};
+use crate::proof::{ProofNode, MAX_BRANCH_DEPTH};
 
 /// A satisfying assignment. Variables absent from the maps are unconstrained
 /// (any value works); the accessors default them to `0` / `false`.
@@ -287,20 +288,41 @@ impl SmtSolver {
 
     /// The uncached solver core: NNF + implicant search.
     fn solve(&self, f: &Formula) -> SatResult {
-        let nnf = f.nnf();
-        let mut unknown = false;
-        let res = self.search(
-            &mut vec![&nnf],
-            &mut Vec::new(),
-            &mut BTreeMap::new(),
-            &mut 0,
-            &mut unknown,
-        );
-        match res {
-            Some(m) => SatResult::Sat(m),
-            None if unknown => SatResult::Unknown,
-            None => SatResult::Unsat,
+        self.search_nnf(f, None).0
+    }
+
+    /// The search with proof recording on, for [`crate::prove_unsat`]: the
+    /// refutation tree when `f` is unsatisfiable, `None` otherwise.
+    pub(crate) fn refute(&self, f: &Formula) -> Option<Vec<ProofNode>> {
+        match self.search_nnf(f, Some(Vec::new())) {
+            (SatResult::Unsat, proof) => proof,
+            _ => None,
         }
+    }
+
+    /// Runs the implicant search over `f.nnf()`. With `proof` set, the
+    /// search records its refutation tree there and hands it back.
+    fn search_nnf(
+        &self,
+        f: &Formula,
+        proof: Option<Vec<ProofNode>>,
+    ) -> (SatResult, Option<Vec<ProofNode>>) {
+        let nnf = f.nnf();
+        let mut search = Search {
+            solver: self,
+            atoms: Vec::new(),
+            bools: BTreeMap::new(),
+            checked: 0,
+            unknown: false,
+            depth: 0,
+            proof,
+        };
+        let res = match search.run(&mut vec![&nnf]) {
+            Some(m) => SatResult::Sat(m),
+            None if search.unknown => SatResult::Unknown,
+            None => SatResult::Unsat,
+        };
+        (res, search.proof)
     }
 
     /// `true` iff `f` holds for all integer/boolean assignments.
@@ -320,64 +342,77 @@ impl SmtSolver {
     pub fn maybe_sat(&self, f: &Formula) -> bool {
         !matches!(self.check(f), SatResult::Unsat)
     }
+}
 
+/// One implicant search: the current partial implicant, and the refutation
+/// tree when the search records one.
+struct Search<'s> {
+    solver: &'s SmtSolver,
+    /// The implicant's arithmetic atoms, in the order the walk met them.
+    atoms: Vec<Atom>,
+    /// The implicant's boolean literals.
+    bools: BTreeMap<Var, bool>,
+    /// The length of the longest `atoms` prefix already proven rationally
+    /// satisfiable. Every prefix of a satisfiable conjunction is
+    /// satisfiable, so it only needs clamping down when atoms pop off.
+    checked: usize,
+    /// Some leaf ran out of branch & bound depth.
+    unknown: bool,
+    /// Branch nodes on the current path.
+    depth: u32,
+    /// The refutation tree in preorder, when recording.
+    proof: Option<Vec<ProofNode>>,
+}
+
+impl Search<'_> {
     /// Depth-first implicant search. `goals` is a stack of NNF subformulas
     /// still to satisfy; `atoms`/`bools` is the current partial implicant.
-    /// `checked` is the length of the longest `atoms` prefix already proven
-    /// rationally satisfiable — since every prefix of a satisfiable
-    /// conjunction is satisfiable, it only needs clamping down when atoms
-    /// pop off.
+    /// When recording, every `Or` the walk reaches and every completed
+    /// implicant it refutes append one [`ProofNode`]; a `False` goal or a
+    /// boolean conflict closes its path with none.
     ///
     /// Invariant: every call returns `goals`, `atoms` and `bools` exactly as
     /// it found them, so disjunction branches can backtrack freely.
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &self,
-        goals: &mut Vec<&Formula>,
-        atoms: &mut Vec<Atom>,
-        bools: &mut BTreeMap<Var, bool>,
-        checked: &mut usize,
-        unknown: &mut bool,
-    ) -> Option<Model> {
+    fn run(&mut self, goals: &mut Vec<&Formula>) -> Option<Model> {
         let Some(goal) = goals.pop() else {
             // Implicant complete: final integer check. Routed through the
             // shared rational-prefix table when a cache is attached — sibling
             // implicants of one query (and the enumeration queries of one
             // abstraction pass) differ in a few trailing atoms, so their
             // branch & bound relaxations mostly replay.
-            return match int_sat_cached(atoms, self.limits.bb_depth, self.cache.as_deref()) {
-                IntResult::Sat(ints) => Some(Model::new(ints, bools.clone())),
-                IntResult::Unsat(_) => None,
+            let cache = self.solver.cache.as_deref();
+            return match int_sat_cached(&self.atoms, self.solver.limits.bb_depth, cache) {
+                IntResult::Sat(ints) => Some(Model::new(ints, self.bools.clone())),
+                IntResult::Unsat(r) => {
+                    self.record(ProofNode::Closed(r));
+                    None
+                }
                 IntResult::Unknown => {
-                    *unknown = true;
+                    self.unknown = true;
                     None
                 }
             };
         };
         let result = match goal {
-            Formula::True => self.search(goals, atoms, bools, checked, unknown),
+            Formula::True => self.run(goals),
             Formula::False => None,
             Formula::Atom(a) => {
-                atoms.push(a.clone());
-                let r = self.search(goals, atoms, bools, checked, unknown);
-                atoms.pop();
-                *checked = (*checked).min(atoms.len());
+                self.atoms.push(a.clone());
+                let r = self.run(goals);
+                self.atoms.pop();
+                self.checked = self.checked.min(self.atoms.len());
                 r
             }
-            Formula::BVar(v) => {
-                self.assign_bool(v.clone(), true, goals, atoms, bools, checked, unknown)
-            }
+            Formula::BVar(v) => self.assign_bool(v, true, goals),
             Formula::Not(inner) => match inner.as_ref() {
-                Formula::BVar(v) => {
-                    self.assign_bool(v.clone(), false, goals, atoms, bools, checked, unknown)
-                }
+                Formula::BVar(v) => self.assign_bool(v, false, goals),
                 other => unreachable!("NNF invariant violated: Not({other:?})"),
             },
             Formula::And(fs) => {
                 for f in fs.iter().rev() {
                     goals.push(f);
                 }
-                let r = self.search(goals, atoms, bools, checked, unknown);
+                let r = self.run(goals);
                 goals.truncate(goals.len() - fs.len());
                 r
             }
@@ -390,25 +425,36 @@ impl SmtSolver {
                 // Fourier–Motzkin run per atom); rational unsat implies
                 // integer unsat, so the prune never loses models, and any
                 // branch it cuts would have died at its leaf check anyway.
-                if atoms.len() > *checked
-                    && !matches!(
-                        rational_sat_cached(atoms, self.cache.as_deref()),
-                        RatResult::Sat(_)
-                    )
-                {
+                let pruned = if self.atoms.len() > self.checked {
+                    match rational_sat_cached(&self.atoms, self.solver.cache.as_deref()) {
+                        RatResult::Sat(_) => None,
+                        RatResult::Unsat(cert) => Some(cert),
+                    }
+                } else {
+                    None
+                };
+                if let Some(cert) = pruned {
+                    self.record(ProofNode::Closed(ArithRefutation::Farkas(cert)));
+                    None
+                } else if self.proof.is_some() && self.depth == MAX_BRANCH_DEPTH {
+                    // Deeper than `verify_unsat` follows: no proof.
+                    self.unknown = true;
                     None
                 } else {
-                    *checked = atoms.len();
+                    self.checked = self.atoms.len();
+                    self.record(ProofNode::Branch);
+                    self.depth += 1;
                     let mut found = None;
                     for f in fs {
                         goals.push(f);
-                        found = self.search(goals, atoms, bools, checked, unknown);
+                        found = self.run(goals);
                         goals.pop();
-                        *checked = (*checked).min(atoms.len());
+                        self.checked = self.checked.min(self.atoms.len());
                         if found.is_some() {
                             break;
                         }
                     }
+                    self.depth -= 1;
                     found
                 }
             }
@@ -417,26 +463,23 @@ impl SmtSolver {
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn assign_bool(
-        &self,
-        v: Var,
-        val: bool,
-        goals: &mut Vec<&Formula>,
-        atoms: &mut Vec<Atom>,
-        bools: &mut BTreeMap<Var, bool>,
-        checked: &mut usize,
-        unknown: &mut bool,
-    ) -> Option<Model> {
-        match bools.get(&v) {
+    fn assign_bool(&mut self, v: &Var, val: bool, goals: &mut Vec<&Formula>) -> Option<Model> {
+        match self.bools.get(v) {
             Some(&prev) if prev != val => None,
-            Some(_) => self.search(goals, atoms, bools, checked, unknown),
+            Some(_) => self.run(goals),
             None => {
-                bools.insert(v.clone(), val);
-                let r = self.search(goals, atoms, bools, checked, unknown);
-                bools.remove(&v);
+                self.bools.insert(v.clone(), val);
+                let r = self.run(goals);
+                self.bools.remove(v);
                 r
             }
+        }
+    }
+
+    /// Appends `node` to the refutation tree, when recording.
+    fn record(&mut self, node: ProofNode) {
+        if let Some(proof) = &mut self.proof {
+            proof.push(node);
         }
     }
 }

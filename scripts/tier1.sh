@@ -43,11 +43,19 @@ run cargo test -q "${CARGO_FLAGS[@]}"
 # verdict certificate per decided program; `homc check` then re-validates
 # every exported certificate independently of the CEGAR/SMT hot path
 # (programs that stayed undecided export nothing and are tolerated in
-# whole-suite mode).
+# whole-suite mode). Certificates must be complete: a Safe certificate
+# that reports `unproved` queries relies on UNSAT answers it cannot back,
+# and fails the stage.
 EVD_DIR=target/evidence-smoke
+EVD_CHECK=target/evidence-check.txt
 rm -rf "$EVD_DIR"
 run cargo run --release --offline --bin homc -- --suite --timeout 1 --evidence-dir "$EVD_DIR"
-run cargo run --release --offline --bin homc -- check --suite --evidence-dir "$EVD_DIR"
+run cargo run --release --offline --bin homc -- check --suite --evidence-dir "$EVD_DIR" | tee "$EVD_CHECK"
+if grep -q 'unproved' "$EVD_CHECK"; then
+    echo "tier1: evidence: certificate(s) with unproved queries:" >&2
+    grep 'unproved' "$EVD_CHECK" >&2
+    exit 1
+fi
 
 # Trace smoke: one traced suite run must produce a schema-valid JSONL
 # trace (validated by the in-tree validator — no jq) and the report

@@ -44,12 +44,16 @@ fn every_phase_reaches_its_surfaces() {
     let program = suite::find("l-zipmap").expect("present");
     let dir = tmpdir("surfaces");
 
-    // `--stats`, through the CLI, with every timed phase running.
+    // `--stats` and the trace, through the CLI, with every timed phase
+    // running: the certificate self-check (`check`) runs only there.
+    let cli_trace = dir.join("cli.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_homc"))
         .args(["--suite", program.name, "--stats", "--evidence-dir"])
         .arg(dir.join("evd"))
         .arg("--artifacts-dir")
         .arg(dir.join("cli-art"))
+        .arg("--trace")
+        .arg(&cli_trace)
         .output()
         .expect("homc runs");
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
@@ -95,19 +99,26 @@ fn every_phase_reaches_its_surfaces() {
         check_s: 0.0,
     };
     let doc = parse_json(&baseline_json(&[row])).expect("baseline json");
-    let table1_keys = json_keys(
+    let mut table1_keys = json_keys(
         &doc.get("programs")
             .and_then(JsonValue::as_arr)
             .expect("rows")[0],
     );
-    let trace = tracer.snapshot().expect("memory sink");
-    let spans: BTreeSet<String> = trace
-        .lines()
-        .map(|l| parse_json(l).expect("json line"))
-        .filter(|v| v.get("ev").and_then(JsonValue::as_str) == Some("span"))
-        .filter_map(|v| Some(v.get("phase")?.as_str()?.to_string()))
-        .collect();
-    let report = render_report(&trace);
+    // table1 times its own certificate check around `check_evidence`
+    // (`check_s`, since schema 6); that column is not the phase's.
+    table1_keys.remove("check_s");
+    let span_phases = |trace: &str| -> BTreeSet<String> {
+        trace
+            .lines()
+            .map(|l| parse_json(l).expect("json line"))
+            .filter(|v| v.get("ev").and_then(JsonValue::as_str) == Some("span"))
+            .filter_map(|v| Some(v.get("phase")?.as_str()?.to_string()))
+            .collect()
+    };
+    let cli_trace = std::fs::read_to_string(&cli_trace).expect("CLI trace");
+    let mut spans = span_phases(&tracer.snapshot().expect("memory sink"));
+    spans.extend(span_phases(&cli_trace));
+    let report = render_report(&cli_trace);
     let totals = report
         .lines()
         .find(|l| l.trim_start().starts_with("phase totals:"))

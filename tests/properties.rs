@@ -6,8 +6,8 @@
 //! the suite fast; build with `--features slow-tests` for deeper sweeps.
 
 use homc_smt::{
-    int_sat, interpolate, is_interpolant, rational_sat, Atom, Formula, IntResult, LinExpr,
-    RatResult, SatResult, SmtSolver, Var,
+    int_sat, interpolate, is_interpolant, prove_unsat, rational_sat, verify_unsat, Atom, Formula,
+    IntResult, LinExpr, RatResult, SatResult, SmtSolver, Var,
 };
 
 /// Deterministic xorshift64* generator.
@@ -109,6 +109,45 @@ fn farkas_certificates_verify() {
         let atoms = gen_atoms(&mut rng);
         if let RatResult::Unsat(cert) = rational_sat(&atoms) {
             assert!(homc_smt::check_certificate(&atoms, &cert));
+        }
+    }
+}
+
+/// UNSAT proofs are the search's own refutations: `prove_unsat` finds one
+/// exactly when the uncached solver answers Unsat, every proof it finds
+/// passes `verify_unsat`, and no proof of another formula passes for a
+/// satisfiable one.
+#[test]
+fn unsat_proofs_match_the_solver() {
+    let mut rng = Rng::new(0x9200F5);
+    let solver = SmtSolver::new();
+    let (mut proofs, mut sat) = (Vec::new(), Vec::new());
+    for _ in 0..cases(192) {
+        // Conjoining two random formulas makes Unsat common enough to test.
+        let f = Formula::and2(gen_formula(&mut rng, 3), gen_formula(&mut rng, 3));
+        let verdict = solver.check(&f);
+        let proof = prove_unsat(&f);
+        assert_eq!(
+            proof.is_some(),
+            matches!(verdict, SatResult::Unsat),
+            "{f}: {verdict:?}"
+        );
+        if let Some(p) = proof {
+            assert!(verify_unsat(&f, &p), "own proof rejected: {f}");
+            proofs.push(p);
+        } else if verdict.is_sat() {
+            sat.push(f);
+        }
+    }
+    assert!(
+        proofs.len() >= 16 && sat.len() >= 16,
+        "{} unsat, {} sat",
+        proofs.len(),
+        sat.len()
+    );
+    for f in &sat {
+        for p in &proofs {
+            assert!(!verify_unsat(f, p), "a proof certified a satisfiable {f}");
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The run commands — `homc <file>`, `homc --suite`, `homc batch` and
 //! `homc profile` — are one driver over `run_batch`. These tests drive the
 //! real binary and check that what one command used to do alone, every one
-//! of them now does: the evidence self-check, the JSON report, every run
-//! flag under `profile`, the front-end `fault` event in per-job traces, the
-//! one-worker rule of a single trace file, an on-demand trace dir, and
-//! per-job heap peaks that do not carry an earlier job's cache.
+//! of them now does: the evidence self-check (a timed phase of the job),
+//! the JSON report, every run flag under `profile`, the front-end `fault`
+//! event in per-job traces, the one-worker rule of a single trace file, an
+//! on-demand trace dir, and per-job heap peaks that do not carry an earlier
+//! job's cache.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -58,6 +59,39 @@ fn suite_run_self_checks_its_evidence() {
     for line in jobs {
         assert!(line.ends_with("evidence=ok"), "{line}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn evidence_self_check_is_a_timed_phase() {
+    // The self-check runs inside the job as the `check` phase: `--stats`
+    // gives it a column, and the profile a frame under the job's root.
+    let dir = tmpdir("check-phase");
+    let out = run(homc()
+        .args(["--suite", "l-zipmap", "--stats", "--evidence-dir"])
+        .arg(dir.join("evd")));
+    assert_eq!(out.status.code(), Some(0), "{}", both(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let check = stdout
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("S="))
+        .flat_map(str::split_whitespace)
+        .find_map(|t| t.strip_prefix("check="))
+        .unwrap_or_else(|| panic!("no check= column: {stdout}"));
+    assert!(check.parse::<f64>().expect("seconds") > 0.0, "{stdout}");
+    let folded = dir.join("p.folded");
+    let out = run(homc()
+        .args(["profile", "--suite", "l-zipmap", "--evidence-dir"])
+        .arg(dir.join("evd-profile"))
+        .arg("-o")
+        .arg(&folded));
+    assert_eq!(out.status.code(), Some(0), "{}", both(&out));
+    let stacks = fs::read_to_string(&folded).expect("folded stacks written");
+    assert!(
+        stacks.lines().any(|l| l.starts_with("l-zipmap;check ")),
+        "no check frame under the root:\n{stacks}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
