@@ -28,6 +28,15 @@
 //! used in every entailment query, which is how the paper's exact predicate
 //! `λν.ν = e` (A-BASE) enters derivations here. Booleans always carry their
 //! truth (one component), with their defining formula as a fact.
+//!
+//! Every entry point — [`abstract_program`], [`abstract_program_with_oracle`]
+//! and [`crate::abstract_program_incremental`] — runs the same per-task loop
+//! over a [`TransitionMemo`] (a fresh memo abstracts every task) and the same
+//! true-first DFS for the feasible cubes. The DFS asks one query function,
+//! which returns the solver's model whenever there is one; a model answers
+//! every later prefix it satisfies without a query. An oracle gives no
+//! models, so under [`abstract_program_with_oracle`] the DFS poses every
+//! node.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -41,27 +50,8 @@ use homc_lang::kernel::{Const, Def, Expr, FunName, Op, Program, Value};
 use homc_lang::types::SimpleTy;
 use homc_smt::{Atom, Formula, LinExpr, Model, QueryCache, SatResult, SmtSolver, Var};
 
+use crate::incremental::{abstract_with_memo, TransitionMemo};
 use crate::types::{AbsEnv, AbsTy};
-
-/// How feasible guard/value combinations are enumerated (the inner loop of
-/// A-BASE/A-CADD/A-CREM).
-///
-/// Both modes explore the same true-first DFS over the literal sequence
-/// (context-component meanings followed by target predicates) and prune a
-/// branch exactly when its prefix query is unsatisfiable, so they produce
-/// byte-identical abstract programs; they differ only in how many prefix
-/// queries reach the solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EnumMode {
-    /// AllSAT-style expansion: a satisfying model of one prefix query is
-    /// evaluated over *all* remaining literals, and every later prefix the
-    /// model covers is descended without a solver call. Queries become
-    /// O(#implicants + #unsat frontiers) instead of O(tree nodes).
-    ModelGuided,
-    /// One satisfiability query per DFS node (the original engine; kept as
-    /// the differential-testing oracle).
-    Exhaustive,
-}
 
 /// Options for the abstraction.
 #[derive(Clone, Debug)]
@@ -74,8 +64,6 @@ pub struct AbsOptions {
     /// `1`, only because the repository benchmark prints it; it goes with
     /// the benchmark's next change.
     pub threads: usize,
-    /// Feasible-combination enumeration strategy (see [`EnumMode`]).
-    pub enum_mode: EnumMode,
 }
 
 impl Default for AbsOptions {
@@ -83,7 +71,6 @@ impl Default for AbsOptions {
         AbsOptions {
             max_context_atoms: 7,
             threads: 1,
-            enum_mode: EnumMode::ModelGuided,
         }
     }
 }
@@ -95,7 +82,7 @@ pub struct AbsStats {
     pub sat_queries: usize,
     /// Coercion wrappers synthesized (A-CFUN applications).
     pub coercions: usize,
-    /// Feasible implicants emitted by the model-guided enumeration.
+    /// Feasible implicants emitted by the cube enumeration.
     pub implicants: usize,
     /// Context components dropped by the `max_context_atoms` cap.
     pub ctx_truncated: usize,
@@ -154,171 +141,109 @@ impl std::error::Error for AbsError {}
 ///
 /// The result's `main` is a closed wrapper that generates abstract values
 /// for the program's unknown integers (per their abstraction types) and
-/// calls the abstracted entry point.
+/// calls the abstracted entry point. This is
+/// [`crate::abstract_program_incremental`] with a fresh memo, no budget, no
+/// cache and no sinks.
 pub fn abstract_program(
     program: &Program,
     env: &AbsEnv,
     opts: &AbsOptions,
 ) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_cached(program, env, opts, None, None)
-}
-
-/// What one definition task produces: its coercion wrappers followed by the
-/// abstracted definition itself, plus the queries it spent.
-pub(crate) type DefResult = Result<(Vec<BDef>, AbsStats), AbsError>;
-
-/// Runs one abstraction task: definition `ns` for `ns < defs.len()`, the
-/// closed entry wrapper for `ns == defs.len()`. This is the unit both the
-/// eager path ([`abstract_program_metered`]) and the incremental path
-/// (`abstract_program_incremental`) run; `ns` doubles as the fresh-name
-/// namespace, so a task's output depends only on the (immutable) program,
-/// environment, and options — never on which other tasks ran. That is what
-/// lets the transition memo reuse a definition's output verbatim.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn abstract_task(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-    tracer: &Tracer,
-    metrics: &Metrics,
-    ns: usize,
-) -> DefResult {
-    let started = std::time::Instant::now();
-    let mut a = Abstractor::new(program, env, opts, budget, cache, ns)
-        .with_tracer(tracer.clone())
-        .with_metrics(metrics.clone());
-    if let Some(d) = program.defs.get(ns) {
-        let def = a.abstract_def(d)?;
-        a.out.push(def);
-        metrics.incr(Counter::AbsDefs);
-        metrics.observe_dur(Hist::AbsDefUs, started);
-        tracer.emit("abs_def", |e| {
-            e.str("def", &d.name.0);
-            e.num("queries", a.stats.sat_queries as u64);
-            e.num("dur_us", tracer.dur_us(started));
-        });
-    } else {
-        // The entry wrapper reads the final environment of `main`; it gets
-        // its own namespace but no `abs_def` event (it is glue, not a
-        // source definition).
-        let entry = a.build_entry()?;
-        a.out.push(entry);
-    }
-    Ok((a.out, a.stats))
-}
-
-/// [`abstract_program`] under a shared [`Budget`] and with an optional
-/// shared SMT [`QueryCache`]. The budget takes one [`Phase::Abs`]
-/// checkpoint per abstracted definition and per expression node, and every
-/// internal SMT query checkpoints `Phase::Smt`; cache hits collapse repeated
-/// entailments across definitions *and* across CEGAR iterations.
-pub fn abstract_program_cached(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    abstract_program_metered(
+    crate::abstract_program_incremental(
         program,
         env,
         opts,
-        budget,
-        cache,
+        None,
+        None,
         &Tracer::disabled(),
         &Metrics::disabled(),
+        &mut TransitionMemo::new(),
     )
-}
-
-/// [`abstract_program_cached`] with a trace sink and a metrics registry.
-/// Each definition task emits one `abs_def` event (definition name, SMT
-/// queries spent, wall time), bumps [`Counter::AbsDefs`] and records its
-/// latency in [`Hist::AbsDefUs`]; its internal entailment queries reach the
-/// solver-level `smt` events and counters. Both sinks are purely
-/// observational and cost nothing when disabled.
-///
-/// Definitions are abstracted in order, then the entry wrapper; the first
-/// failing definition's error is returned.
-#[allow(clippy::too_many_arguments)]
-pub fn abstract_program_metered(
-    program: &Program,
-    env: &AbsEnv,
-    opts: &AbsOptions,
-    budget: Option<Arc<Budget>>,
-    cache: Option<Arc<QueryCache>>,
-    tracer: &Tracer,
-    metrics: &Metrics,
-) -> Result<(BProgram, AbsStats), AbsError> {
-    let n = program.defs.len();
-    let task = |ns: usize| -> DefResult {
-        abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
-    };
-    let slots: Vec<DefResult> = (0..n).map(&task).collect();
-
-    let mut out = Vec::new();
-    let mut stats = AbsStats::default();
-    for slot in slots {
-        let (defs, s) = slot?;
-        out.extend(defs);
-        stats.absorb(&s);
-    }
-
-    // The entry wrapper runs last, in its own name namespace.
-    let (entry_defs, entry_stats) = task(n)?;
-    stats.absorb(&entry_stats);
-    out.extend(entry_defs);
-
-    let bp = BProgram {
-        defs: out,
-        main: FunName("__entry".to_string()),
-    };
-    bp.check()
-        .map_err(|e| AbsError::invalid(format!("abstraction produced an ill-formed program: {e}")))?;
-    Ok((bp, stats))
 }
 
 /// Abstraction with every satisfiability query answered by `oracle` instead
 /// of the solver — the evidence layer's record/replay hook.
 ///
-/// The run is forced to [`EnumMode::Exhaustive`] (whose queries
-/// all route through the oracle; model-guided mode would consult the solver
-/// directly for models). Both modes produce the identical cube set, so the
-/// resulting program is the same function of `(program, env, answers)` that
-/// the production pipeline computes — an oracle answering from recorded
-/// UNSAT proofs reproduces (or over-approximates) the run being checked.
+/// An oracle answers yes or no and gives no model, so the cube enumeration
+/// poses every DFS node to it; the cube set is the one the solver-backed
+/// run computes. The resulting program is therefore the same function of
+/// `(program, env, answers)` that the production pipeline computes — an
+/// oracle answering from recorded UNSAT proofs reproduces (or
+/// over-approximates) the run being checked.
 pub fn abstract_program_with_oracle(
     program: &Program,
     env: &AbsEnv,
     opts: &AbsOptions,
     oracle: &SatOracleDyn<'_>,
 ) -> Result<(BProgram, AbsStats), AbsError> {
-    let opts = AbsOptions {
-        enum_mode: EnumMode::Exhaustive,
-        ..opts.clone()
+    let run = Run {
+        program,
+        env,
+        opts,
+        budget: None,
+        cache: None,
+        tracer: &Tracer::disabled(),
+        metrics: &Metrics::disabled(),
+        oracle: Some(oracle),
     };
-    let mut out = Vec::new();
-    let mut stats = AbsStats::default();
-    for ns in 0..=program.defs.len() {
-        let mut a = Abstractor::new(program, env, &opts, None, None, ns).with_oracle(oracle);
-        if let Some(d) = program.defs.get(ns) {
+    abstract_with_memo(&run, &mut TransitionMemo::new())
+}
+
+/// What one definition task produces: its coercion wrappers followed by the
+/// abstracted definition itself, plus the queries it spent.
+pub(crate) type DefResult = Result<(Vec<BDef>, AbsStats), AbsError>;
+
+/// One abstraction run: the program and environment, and where its tasks
+/// pose their queries (the solver, under `budget` and over `cache`, or
+/// `oracle`) and report (`tracer`, `metrics`). Its tasks run through the
+/// memo loop, [`abstract_with_memo`].
+pub(crate) struct Run<'a> {
+    pub(crate) program: &'a Program,
+    pub(crate) env: &'a AbsEnv,
+    pub(crate) opts: &'a AbsOptions,
+    pub(crate) budget: Option<Arc<Budget>>,
+    pub(crate) cache: Option<Arc<QueryCache>>,
+    pub(crate) tracer: &'a Tracer,
+    pub(crate) metrics: &'a Metrics,
+    pub(crate) oracle: Option<&'a SatOracleDyn<'a>>,
+}
+
+impl Run<'_> {
+    /// Runs one abstraction task: definition `ns` for `ns < defs.len()`,
+    /// the closed entry wrapper for `ns == defs.len()`. `ns` doubles as the
+    /// fresh-name namespace, so a task's output depends only on the
+    /// (immutable) program, environment, and options — never on which other
+    /// tasks ran. That is what lets the transition memo reuse a
+    /// definition's output verbatim.
+    ///
+    /// A definition task emits one `abs_def` event (definition name, SMT
+    /// queries spent, wall time), bumps [`Counter::AbsDefs`] and records its
+    /// latency in [`Hist::AbsDefUs`]; its internal entailment queries reach
+    /// the solver-level `smt` events and counters. The budget takes one
+    /// [`Phase::Abs`] checkpoint per definition and per expression node, and
+    /// every internal SMT query checkpoints `Phase::Smt`.
+    pub(crate) fn task(&self, ns: usize) -> DefResult {
+        let started = std::time::Instant::now();
+        let mut a = Abstractor::new(self, ns);
+        if let Some(d) = self.program.defs.get(ns) {
             let def = a.abstract_def(d)?;
             a.out.push(def);
+            self.metrics.incr(Counter::AbsDefs);
+            self.metrics.observe_dur(Hist::AbsDefUs, started);
+            self.tracer.emit("abs_def", |e| {
+                e.str("def", &d.name.0);
+                e.num("queries", a.stats.sat_queries as u64);
+                e.num("dur_us", self.tracer.dur_us(started));
+            });
         } else {
+            // The entry wrapper reads the final environment of `main`; it
+            // gets its own namespace but no `abs_def` event (it is glue, not
+            // a source definition).
             let entry = a.build_entry()?;
             a.out.push(entry);
         }
-        out.extend(a.out);
-        stats.absorb(&a.stats);
+        Ok((a.out, a.stats))
     }
-    let bp = BProgram {
-        defs: out,
-        main: FunName("__entry".to_string()),
-    };
-    bp.check()
-        .map_err(|e| AbsError::invalid(format!("abstraction produced an ill-formed program: {e}")))?;
-    Ok((bp, stats))
 }
 
 /// One in-scope abstract component: `(variable, component index, meaning)`.
@@ -338,11 +263,8 @@ struct Ctx {
 }
 
 struct Abstractor<'a> {
-    program: &'a Program,
-    env: &'a AbsEnv,
-    opts: &'a AbsOptions,
+    run: &'a Run<'a>,
     solver: SmtSolver,
-    budget: Option<Arc<Budget>>,
     out: Vec<BDef>,
     /// Fresh-name namespace (the index of the definition task, or
     /// `defs.len()` for the entry wrapper). Namespacing makes generated
@@ -350,22 +272,16 @@ struct Abstractor<'a> {
     ns: usize,
     counter: usize,
     stats: AbsStats,
-    tracer: Tracer,
     /// Ensures the `abs_ctx_trunc` audit event fires at most once per task
     /// (the counter keeps exact totals; the event is a pointer, not a log).
     ctx_trunc_reported: bool,
-    /// Models found by earlier model-guided enumeration queries in this
-    /// task. A stored model that evaluates a later prefix query to `true`
-    /// witnesses its satisfiability without a solver call; abstraction
-    /// queries within one definition share most of their context, so hits
-    /// are common. Per-task and consulted in deterministic order, so skips
-    /// are identical across cache states. Bounded by [`MODEL_POOL_CAP`].
+    /// Models found by earlier enumeration queries in this task. A stored
+    /// model that evaluates a later prefix query to `true` witnesses its
+    /// satisfiability without a solver call; abstraction queries within one
+    /// definition share most of their context, so hits are common.
+    /// Per-task and consulted in deterministic order, so skips are
+    /// identical across cache states. Bounded by [`MODEL_POOL_CAP`].
     model_pool: Vec<Model>,
-    /// When set, every [`Abstractor::query_sat`] consults this instead of
-    /// the solver (the evidence layer's record/replay hook). Only meaningful
-    /// under [`EnumMode::Exhaustive`], whose queries all route through
-    /// `query_sat`; see [`abstract_program_with_oracle`].
-    oracle: Option<&'a SatOracleDyn<'a>>,
 }
 
 /// The answer source injected by [`abstract_program_with_oracle`]: `Ok(false)`
@@ -380,79 +296,57 @@ pub type SatOracleDyn<'o> = dyn Fn(&Formula) -> Result<bool, AbsError> + 'o;
 const MODEL_POOL_CAP: usize = 8;
 
 impl<'a> Abstractor<'a> {
-    fn new(
-        program: &'a Program,
-        env: &'a AbsEnv,
-        opts: &'a AbsOptions,
-        budget: Option<Arc<Budget>>,
-        cache: Option<Arc<QueryCache>>,
-        ns: usize,
-    ) -> Abstractor<'a> {
-        let mut solver = match &budget {
+    /// Task `ns` of `run`. Its solver runs under the run's budget and over
+    /// its cache, and reports to its tracer (each solved entailment becomes
+    /// an `smt` event, beside the task's own `abs_ctx_trunc` audit event)
+    /// and metrics registry.
+    fn new(run: &'a Run<'a>, ns: usize) -> Abstractor<'a> {
+        let mut solver = match &run.budget {
             Some(b) => SmtSolver::with_budget(b.clone()),
             None => SmtSolver::new(),
         };
-        if let Some(c) = cache {
-            solver.set_cache(c);
+        if let Some(c) = &run.cache {
+            solver.set_cache(c.clone());
         }
+        solver.set_tracer(run.tracer.clone());
+        solver.set_metrics(run.metrics.clone());
         Abstractor {
-            program,
-            env,
-            opts,
+            run,
             solver,
-            budget,
             out: Vec::new(),
             ns,
             counter: 0,
             stats: AbsStats::default(),
-            tracer: Tracer::disabled(),
             ctx_trunc_reported: false,
             model_pool: Vec::new(),
-            oracle: None,
         }
     }
 
-    /// Routes this task's satisfiability queries to an external oracle.
-    fn with_oracle(mut self, oracle: &'a SatOracleDyn<'a>) -> Abstractor<'a> {
-        self.oracle = Some(oracle);
-        self
-    }
-
-    /// Routes this task's SMT queries to the trace sink (each solved
-    /// entailment becomes an `smt` event) and its own audit events
-    /// (`abs_ctx_trunc`) to the same sink.
-    fn with_tracer(mut self, tracer: Tracer) -> Abstractor<'a> {
-        self.solver.set_tracer(tracer.clone());
-        self.tracer = tracer;
-        self
-    }
-
-    /// Routes this task's SMT queries to the metrics registry (solve counts
-    /// and latency histograms).
-    fn with_metrics(mut self, metrics: Metrics) -> Abstractor<'a> {
-        self.solver.set_metrics(metrics);
-        self
-    }
-
     fn checkpoint(&self) -> Result<(), AbsError> {
-        if let Some(b) = &self.budget {
+        if let Some(b) = &self.run.budget {
             b.checkpoint(Phase::Abs).map_err(AbsError::Exhausted)?;
         }
         Ok(())
     }
 
-    /// A satisfiability query that propagates budget exhaustion instead of
-    /// conservatively answering "maybe": a preempted abstraction must
-    /// surface as `Unknown`, not silently coarsen.
-    fn query_sat(&mut self, f: &Formula) -> Result<bool, AbsError> {
+    /// One satisfiability query, posed to the run's oracle when it has one
+    /// (the evidence layer's record/replay hook; see
+    /// [`abstract_program_with_oracle`]) and to the solver otherwise:
+    /// `None` when `f` is unsatisfiable, otherwise `Some` of the solver's
+    /// model when it gives one. An oracle never gives one, and an unknown
+    /// answer counts as satisfiable without one. Budget exhaustion propagates instead of conservatively answering
+    /// "maybe": a preempted abstraction must surface as `Unknown`, not
+    /// silently coarsen.
+    fn query_sat(&mut self, f: &Formula) -> Result<Option<Option<Model>>, AbsError> {
         self.stats.sat_queries += 1;
-        if let Some(oracle) = self.oracle {
-            return oracle(f);
+        if let Some(oracle) = self.run.oracle {
+            return Ok(oracle(f)?.then_some(None));
         }
         match self.solver.check(f) {
-            SatResult::Unsat => Ok(false),
+            SatResult::Unsat => Ok(None),
             SatResult::Exhausted(e) => Err(AbsError::Exhausted(e)),
-            SatResult::Sat(_) | SatResult::Unknown => Ok(true),
+            SatResult::Sat(m) => Ok(Some(Some(m))),
+            SatResult::Unknown => Ok(Some(None)),
         }
     }
 
@@ -467,7 +361,8 @@ impl<'a> Abstractor<'a> {
     }
 
     fn scheme(&self, f: &FunName) -> Result<&Vec<(Var, AbsTy)>, AbsError> {
-        self.env
+        self.run
+            .env
             .schemes
             .get(f)
             .ok_or_else(|| AbsError::invalid(format!("no abstraction scheme for {f}")))
@@ -512,7 +407,7 @@ impl<'a> Abstractor<'a> {
     /// The closed entry point: abstracts the unknowns of `main` per its
     /// scheme and calls it.
     fn build_entry(&mut self) -> Result<BDef, AbsError> {
-        let main = self.program.main_def();
+        let main = self.run.program.main_def();
         let scheme = self.scheme(&main.name)?.clone();
         let mut ctx = Ctx::default();
         let mut body_binds: Vec<(Var, BExpr)> = Vec::new();
@@ -591,7 +486,7 @@ impl<'a> Abstractor<'a> {
         let mut ctx2 = ctx.clone();
         match rhs {
             Expr::Rand => {
-                let preds = self.env.rand_sites.get(x).cloned().unwrap_or_default();
+                let preds = self.run.env.rand_sites.get(x).cloned().unwrap_or_default();
                 let targets: Vec<Formula> = preds
                     .iter()
                     .map(|p| p.apply(&LinExpr::var(x.clone())))
@@ -1198,25 +1093,15 @@ impl<'a> Abstractor<'a> {
 
     /// Enumerates every full assignment over `meanings` whose prefixes are
     /// all satisfiable (or unknown) alongside `base`, in lexicographic
-    /// true-first order. Both [`EnumMode`]s return the identical cube set;
-    /// see [`Abstractor::enum_model_guided`] for why.
+    /// true-first order.
     fn feasible_cubes(
         &mut self,
         base: &Formula,
         meanings: &[Formula],
     ) -> Result<Vec<Vec<bool>>, AbsError> {
         let mut out = Vec::new();
-        let mut assigned: Vec<bool> = Vec::new();
-        match self.opts.enum_mode {
-            EnumMode::Exhaustive => {
-                self.enum_exhaustive(base, meanings, &mut assigned, &mut out)?;
-            }
-            EnumMode::ModelGuided => {
-                let mut found: Vec<Vec<bool>> = Vec::new();
-                self.enum_model_guided(base, meanings, &mut assigned, &mut found, &mut out)?;
-                self.stats.implicants += out.len();
-            }
-        }
+        self.enumerate(base, meanings, &mut Vec::new(), &mut Vec::new(), &mut out)?;
+        self.stats.implicants += out.len();
         Ok(out)
     }
 
@@ -1234,46 +1119,21 @@ impl<'a> Abstractor<'a> {
         ))
     }
 
-    fn enum_exhaustive(
-        &mut self,
-        base: &Formula,
-        meanings: &[Formula],
-        assigned: &mut Vec<bool>,
-        out: &mut Vec<Vec<bool>>,
-    ) -> Result<(), AbsError> {
-        // Prefix satisfiability pruning: one query per DFS node.
-        let q = self.prefix_query(base, meanings, assigned);
-        if !self.query_sat(&q)? {
-            return Ok(());
-        }
-        if assigned.len() == meanings.len() {
-            out.push(assigned.clone());
-            return Ok(());
-        }
-        for b in [true, false] {
-            assigned.push(b);
-            self.enum_exhaustive(base, meanings, assigned, out)?;
-            assigned.pop();
-        }
-        Ok(())
-    }
-
-    /// Model-guided DFS: same traversal and same prune points as
-    /// [`Abstractor::enum_exhaustive`], but a satisfying model is evaluated
-    /// over *all* literals and cached in `found`; any later node whose
-    /// assigned prefix agrees with a cached model's evaluation vector is a
-    /// genuine satisfiable node (the model witnesses `base` plus every
+    /// The true-first DFS over the literal sequence, pruning a node exactly
+    /// when its prefix query is unsatisfiable. A satisfying model is
+    /// evaluated over *all* literals and cached in `found`; any later node
+    /// whose assigned prefix agrees with a cached model's evaluation vector
+    /// is a genuine satisfiable node (the model witnesses `base` plus every
     /// assigned literal — `Model::eval` is total) and is descended without
-    /// a solver call.
+    /// a query.
     ///
-    /// Determinism/equivalence argument: a node is pruned here iff its
-    /// prefix query is UNSAT, exactly as in exhaustive mode — coverage only
-    /// ever skips queries that would have answered SAT, and UNKNOWN nodes
-    /// are never covered (no model exists to cover them), so they issue the
-    /// identical query and descend in both modes. The emitted cube set —
-    /// and therefore the abstract program — is byte-identical regardless of
-    /// mode or query-cache warmth.
-    fn enum_model_guided(
+    /// Determinism argument: coverage only ever skips queries that would
+    /// have answered SAT, and UNKNOWN nodes are never covered (no model
+    /// exists to cover them), so they issue their query and descend either
+    /// way. The cube set — and therefore the abstract program — is the one
+    /// a DFS posing every node computes, whatever the query-cache warmth;
+    /// with an oracle, which gives no models, the DFS does pose every node.
+    fn enumerate(
         &mut self,
         base: &Formula,
         meanings: &[Formula],
@@ -1294,18 +1154,16 @@ impl<'a> Abstractor<'a> {
                 self.stats.queries_saved += 1;
                 found.push(meanings.iter().map(|f| m.eval(f)).collect());
             } else {
-                self.stats.sat_queries += 1;
-                match self.solver.check(&q) {
-                    SatResult::Unsat => return Ok(()),
-                    SatResult::Exhausted(e) => return Err(AbsError::Exhausted(e)),
-                    SatResult::Sat(m) => {
+                match self.query_sat(&q)? {
+                    None => return Ok(()),
+                    Some(Some(m)) => {
                         found.push(meanings.iter().map(|f| m.eval(f)).collect());
                         if self.model_pool.len() == MODEL_POOL_CAP {
                             self.model_pool.remove(0);
                         }
                         self.model_pool.push(m);
                     }
-                    SatResult::Unknown => {}
+                    Some(None) => {}
                 }
             }
         }
@@ -1315,7 +1173,7 @@ impl<'a> Abstractor<'a> {
         }
         for b in [true, false] {
             assigned.push(b);
-            self.enum_model_guided(base, meanings, assigned, found, out)?;
+            self.enumerate(base, meanings, assigned, found, out)?;
             assigned.pop();
         }
         Ok(())
@@ -1371,14 +1229,15 @@ impl<'a> Abstractor<'a> {
         // The cap trades precision for speed (never soundness) — but a
         // silent drop is unauditable, so account every dropped component
         // and flag the first occurrence per task in the trace.
-        if out.len() > self.opts.max_context_atoms {
-            let dropped = out.len() - self.opts.max_context_atoms;
-            out.truncate(self.opts.max_context_atoms);
+        let cap = self.run.opts.max_context_atoms;
+        if out.len() > cap {
+            let dropped = out.len() - cap;
+            out.truncate(cap);
             self.stats.ctx_truncated += dropped;
             if !self.ctx_trunc_reported {
                 self.ctx_trunc_reported = true;
-                let (task, cap) = (self.ns, self.opts.max_context_atoms);
-                self.tracer.emit("abs_ctx_trunc", |e| {
+                let task = self.ns;
+                self.run.tracer.emit("abs_ctx_trunc", |e| {
                     e.num("task", task as u64);
                     e.num("dropped", dropped as u64);
                     e.num("cap", cap as u64);
@@ -1389,27 +1248,33 @@ impl<'a> Abstractor<'a> {
     }
 }
 
-/// Test-only entry into the feasible-cube enumeration engine: runs one
-/// enumeration over `meanings` under `base` in the given mode and returns
-/// the cube set plus the number of solver queries spent. Used by the
-/// differential test suite to check model-guided vs. exhaustive equivalence
-/// on random formulas; not part of the public API.
+/// Test-only entry into the feasible-cube enumeration: runs one
+/// enumeration over `meanings` under `base`, asking `oracle` when given and
+/// the solver otherwise, and returns the cube set plus the number of
+/// queries posed. Used by the differential test suite to check that the
+/// solver-backed DFS matches the DFS that poses every node; not part of the
+/// public API.
 #[doc(hidden)]
 pub fn enumerate_cubes_for_tests(
     base: &Formula,
     meanings: &[Formula],
-    mode: EnumMode,
+    oracle: Option<&SatOracleDyn<'_>>,
 ) -> Result<(Vec<Vec<bool>>, usize), AbsError> {
     let program = Program {
         defs: Vec::new(),
         main: FunName("main".to_string()),
     };
-    let env = AbsEnv::default();
-    let opts = AbsOptions {
-        enum_mode: mode,
-        ..AbsOptions::default()
+    let run = Run {
+        program: &program,
+        env: &AbsEnv::default(),
+        opts: &AbsOptions::default(),
+        budget: None,
+        cache: None,
+        tracer: &Tracer::disabled(),
+        metrics: &Metrics::disabled(),
+        oracle,
     };
-    let mut a = Abstractor::new(&program, &env, &opts, None, None, 0);
+    let mut a = Abstractor::new(&run, 0);
     let cubes = a.feasible_cubes(base, meanings)?;
     Ok((cubes, a.stats.sat_queries))
 }

@@ -36,7 +36,7 @@ use homc_metrics::Metrics;
 use homc_smt::{QueryCache, Var};
 use homc_trace::{stable_hash64, Tracer};
 
-use crate::abstract_prog::{abstract_task, AbsError, AbsOptions, AbsStats, DefResult};
+use crate::abstract_prog::{AbsError, AbsOptions, AbsStats, DefResult, Run};
 use crate::types::AbsEnv;
 
 /// The environment slice one abstraction task reads: the functions whose
@@ -60,8 +60,10 @@ struct MemoEntry {
 }
 
 /// The cross-iteration transition memo. One per `verify` run, owned by the
-/// CEGAR driver; valid for exactly one (immutable) program. Entry `i`
-/// memoizes definition task `i`, entry `defs.len()` the entry wrapper.
+/// CEGAR driver, and a fresh one per [`crate::abstract_program`] or
+/// [`crate::abstract_program_with_oracle`] call; valid for exactly one
+/// (immutable) program. Entry `i` memoizes definition task `i`, entry
+/// `defs.len()` the entry wrapper.
 #[derive(Default)]
 pub struct TransitionMemo {
     cones: Vec<ConeRefs>,
@@ -271,13 +273,16 @@ fn cone_fingerprint(env: &AbsEnv, cone: &ConeRefs) -> u64 {
     stable_hash64(&s)
 }
 
-/// [`crate::abstract_program_metered`] with a cross-iteration
-/// [`TransitionMemo`]: tasks whose cone fingerprint is unchanged since
-/// their memoized build are reused verbatim; only the rest are
-/// re-abstracted, namespaced by original definition index, so output stays
-/// byte-identical to the eager path. Successes are memoized even when
-/// another task fails, so a budget-exhausted iteration still warms the memo
-/// for its retry.
+/// Abstracts `program` through a cross-iteration [`TransitionMemo`], under
+/// a shared [`Budget`], over an optional shared SMT [`QueryCache`] (cache
+/// hits collapse repeated entailments across definitions *and* across CEGAR
+/// iterations), and reporting to a trace sink and a metrics registry (both
+/// purely observational, and free when disabled). Tasks whose cone
+/// fingerprint is unchanged since their memoized build are reused verbatim;
+/// only the rest are re-abstracted, namespaced by original definition
+/// index, so the output is byte-identical to a fresh memo's. Successes are
+/// memoized even when another task fails, so a budget-exhausted iteration
+/// still warms the memo for its retry.
 #[allow(clippy::too_many_arguments)]
 pub fn abstract_program_incremental(
     program: &Program,
@@ -289,12 +294,35 @@ pub fn abstract_program_incremental(
     metrics: &Metrics,
     memo: &mut TransitionMemo,
 ) -> Result<(BProgram, AbsStats), AbsError> {
+    let run = Run {
+        program,
+        env,
+        opts,
+        budget,
+        cache,
+        tracer,
+        metrics,
+        oracle: None,
+    };
+    abstract_with_memo(&run, memo)
+}
+
+/// The one per-task loop of every abstraction run: replays the memo entries
+/// whose cone fingerprint still matches, runs [`Run::task`] for the rest
+/// (definitions in order, then the entry wrapper), memoizes every success,
+/// returns the first error in task order, and assembles and checks the
+/// boolean program.
+pub(crate) fn abstract_with_memo(
+    run: &Run<'_>,
+    memo: &mut TransitionMemo,
+) -> Result<(BProgram, AbsStats), AbsError> {
+    let program = run.program;
     memo.ensure_cones(program);
     let n = program.defs.len();
     let fps: Vec<u64> = memo
         .cones
         .iter()
-        .map(|c| cone_fingerprint(env, c))
+        .map(|c| cone_fingerprint(run.env, c))
         .collect();
 
     let mut stats = AbsStats::default();
@@ -315,10 +343,7 @@ pub fn abstract_program_incremental(
         }
     }
 
-    let task = |ns: usize| -> DefResult {
-        abstract_task(program, env, opts, budget.clone(), cache.clone(), tracer, metrics, ns)
-    };
-    let results: Vec<(usize, DefResult)> = rebuild.iter().map(|&i| (i, task(i))).collect();
+    let results: Vec<(usize, DefResult)> = rebuild.iter().map(|&i| (i, run.task(i))).collect();
 
     // Memoize every success first (a partially failed iteration still warms
     // the memo), then propagate the first error in definition order.

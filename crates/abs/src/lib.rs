@@ -39,8 +39,7 @@ pub mod incremental;
 pub mod types;
 
 pub use abstract_prog::{
-    abstract_program, abstract_program_cached, abstract_program_metered,
-    abstract_program_with_oracle, AbsError, AbsOptions, AbsStats, EnumMode, SatOracleDyn,
+    abstract_program, abstract_program_with_oracle, AbsError, AbsOptions, AbsStats, SatOracleDyn,
 };
 pub use incremental::{abstract_program_incremental, MemoDefExport, TransitionMemo};
 pub use types::{AbsEnv, AbsTy, Predicate};

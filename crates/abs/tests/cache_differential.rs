@@ -8,11 +8,15 @@
 
 use std::sync::Arc;
 
-use homc_abs::{abstract_program_cached, AbsEnv, AbsOptions, AbsTy, Predicate};
+use homc_abs::{
+    abstract_program_incremental, AbsEnv, AbsOptions, AbsTy, Predicate, TransitionMemo,
+};
 use homc_lang::frontend;
 use homc_lang::kernel::Program;
 use homc_lang::types::SimpleTy;
+use homc_metrics::Metrics;
 use homc_smt::{Atom, Formula, LinExpr, QueryCache, Var};
+use homc_trace::Tracer;
 
 const PROGRAMS: [&str; 4] = [
     // The paper's M1.
@@ -63,11 +67,20 @@ fn env_for(src: &str) -> (Program, AbsEnv) {
     (compiled.cps, env)
 }
 
-/// Abstracts `program` through `cache` (or none), returning the printed
-/// boolean program.
+/// Abstracts `program` through `cache` (or none) with a fresh memo,
+/// returning the printed boolean program.
 fn render(program: &Program, env: &AbsEnv, cache: Option<Arc<QueryCache>>) -> String {
-    let (bp, _) = abstract_program_cached(program, env, &AbsOptions::default(), None, cache)
-        .expect("abstracts");
+    let (bp, _) = abstract_program_incremental(
+        program,
+        env,
+        &AbsOptions::default(),
+        None,
+        cache,
+        &Tracer::disabled(),
+        &Metrics::disabled(),
+        &mut TransitionMemo::new(),
+    )
+    .expect("abstracts");
     bp.check().expect("well-formed boolean program");
     bp.to_string()
 }

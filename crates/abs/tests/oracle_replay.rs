@@ -8,8 +8,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use homc_abs::{
-    abstract_program_cached, abstract_program_with_oracle, AbsEnv, AbsOptions, AbsTy, EnumMode,
-    Predicate,
+    abstract_program, abstract_program_with_oracle, AbsEnv, AbsOptions, AbsTy, Predicate,
 };
 use homc_lang::frontend;
 use homc_lang::types::SimpleTy;
@@ -56,12 +55,8 @@ fn env_for(src: &str) -> (homc_lang::Compiled, AbsEnv) {
 fn recorded_unsat_set_replays_byte_identically() {
     for src in PROGRAMS {
         let (compiled, env) = env_for(src);
-        let opts = AbsOptions {
-            enum_mode: EnumMode::Exhaustive,
-            ..AbsOptions::default()
-        };
-        let (reference, _) =
-            abstract_program_cached(&compiled.cps, &env, &opts, None, None).expect("abstracts");
+        let opts = AbsOptions::default();
+        let (reference, _) = abstract_program(&compiled.cps, &env, &opts).expect("abstracts");
 
         // Record pass: a live solver behind the oracle, noting which
         // canonical queries came back UNSAT.
@@ -74,8 +69,8 @@ fn recorded_unsat_set_replays_byte_identically() {
             }
             Ok(sat)
         };
-        let (recorded, _) = abstract_program_with_oracle(&compiled.cps, &env, &opts, &record)
-            .expect("abstracts");
+        let (recorded, _) =
+            abstract_program_with_oracle(&compiled.cps, &env, &opts, &record).expect("abstracts");
         assert_eq!(reference.to_string(), recorded.to_string());
 
         // Replay pass: answers come from the recorded set alone.

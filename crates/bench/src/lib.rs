@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use homc::{
-    check_evidence, escape_json, parse_json, shown, stable_hash64, suite::SuiteProgram, verify,
-    ArtifactConfig, Counts, DiskCache, EvidenceConfig, Expected, JsonValue, Metrics, QueryCache,
+    escape_json, parse_json, self_check, shown, stable_hash64, suite::SuiteProgram, verify,
+    ArtifactConfig, Counts, DiskCache, EvidenceConfig, Expected, JsonValue, Phase, QueryCache,
     Surface, Tracer, Verdict, VerifierOptions, VerifyOutcome, VerifyStats, LOOP, TIMED,
 };
 
@@ -52,11 +52,6 @@ pub struct Row {
     /// program is verified against the store with a fresh query cache.
     /// `0.0` when the rerun could not be measured.
     pub incr_total_s: f64,
-    /// Seconds the independent checker spent re-establishing the cold
-    /// run's verdict from its exported evidence certificate. `0.0` when
-    /// the run was undecided (no evidence to check); a check *failure*
-    /// fails the row's `verdict_ok` instead.
-    pub check_s: f64,
 }
 
 /// The baseline document's schema version. `bench-diff` refuses to compare
@@ -65,8 +60,11 @@ pub struct Row {
 /// `incr_wall_s` in the totals); schema 6 added the evidence-checker
 /// column (`check_s` per row, `check_wall_s` in the totals); schema 7 took
 /// the phase columns from the phase table, which added the evidence-export
-/// column (`evidence_s`) and its peak (`peak_evidence_bytes`) to each row.
-const SCHEMA: u64 = 7;
+/// column (`evidence_s`) and its peak (`peak_evidence_bytes`) to each row;
+/// schema 8 made the certificate check the `check` phase, so `check_s` is
+/// that phase's column, `peak_check_bytes` its peak, and `total_s`
+/// includes it.
+const SCHEMA: u64 = 8;
 
 /// The [`Surface::Table1`] counter columns, as `"name": value, ` pairs.
 fn counter_columns(counts: &Counts) -> String {
@@ -111,7 +109,7 @@ pub fn baseline_json(rows: &[Row]) -> String {
         warm_total += r.warm_total_s;
         disk_hits += r.warm_disk_hits;
         incr_total += r.incr_total_s;
-        check_total += r.check_s;
+        check_total += s.time[Phase::Check].as_secs_f64();
         // The phase columns: each column's seconds, then each phase's peak.
         let mut phases = String::new();
         for (col, d) in s.time.columns(shown(Surface::Table1)) {
@@ -125,7 +123,7 @@ pub fn baseline_json(rows: &[Row]) -> String {
             "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \"cycles\": {}, \
              \"iterations\": {}, \"peak_hbp\": {}, {phases}\"total_s\": {:.4}, \
              {}\"peak_bytes\": {}, \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \
-             \"incr_total_s\": {:.4}, \"check_s\": {:.4}}}{}",
+             \"incr_total_s\": {:.4}}}{}",
             escape_json(r.name),
             escape_json(verdict),
             r.verdict_ok,
@@ -138,7 +136,6 @@ pub fn baseline_json(rows: &[Row]) -> String {
             r.warm_total_s,
             r.warm_disk_hits,
             r.incr_total_s,
-            r.check_s,
             if i + 1 == rows.len() { "" } else { "," },
         );
     }
@@ -186,24 +183,18 @@ pub fn run_program(p: &SuiteProgram) -> Row {
         ..VerifierOptions::default()
     };
     let mut outcome = verify(p.source, &opts).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    let mut verdict_ok = match p.expected {
-        Expected::Safe => outcome.verdict.is_safe(),
-        Expected::Unsafe => outcome.verdict.is_unsafe(),
-        Expected::Diverges => !outcome.verdict.is_unsafe(),
-    };
     // The independent checker must re-establish every decisive verdict
-    // from the exported certificate alone; a rejection fails the row. The
-    // row keeps no certificate, so a later row's peak heap does not count
-    // it.
-    let check_s = match outcome.evidence.take() {
-        Some(ev) => {
-            let t = std::time::Instant::now();
-            let ok = check_evidence(p.source, &ev, &Metrics::disabled()).is_ok();
-            verdict_ok = verdict_ok && ok;
-            t.elapsed().as_secs_f64()
-        }
-        None => 0.0,
-    };
+    // from the exported certificate alone, as the run's `check` phase; a
+    // rejection fails the row. The row keeps no certificate, so a later
+    // row's peak heap does not count it.
+    let checked = self_check(p.source, &opts, &mut outcome).unwrap_or(true);
+    outcome.evidence = None;
+    let verdict_ok = checked
+        && match p.expected {
+            Expected::Safe => outcome.verdict.is_safe(),
+            Expected::Unsafe => outcome.verdict.is_unsafe(),
+            Expected::Diverges => !outcome.verdict.is_unsafe(),
+        };
     let (iterations, peak_hbp) = trace_metrics(&tracer.snapshot().unwrap_or_default());
     let (warm_total_s, warm_disk_hits) = warm_rerun(p, &cache);
     // A verdict flip on the edit-resubmit path fails the row outright: the
@@ -221,7 +212,6 @@ pub fn run_program(p: &SuiteProgram) -> Row {
         warm_total_s,
         warm_disk_hits,
         incr_total_s,
-        check_s,
     }
 }
 

@@ -70,7 +70,7 @@ macro_rules! phase_table {
                     "Certificate export after a decisive verdict (--evidence-dir)";
                 Artifact artifact => artifact [Stats]
                     "Artifact load and seeding before the loop, publish after it (--artifacts-dir)";
-                Check check => check [Stats]
+                Check check => check [Stats, Table1]
                     "In-run self-check of the exported certificate (--evidence-dir)";
             }
         }
@@ -487,11 +487,6 @@ impl Budget {
         self
     }
 
-    /// The cancellation token, if one is attached.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// A shared budget with no limits and no faults. Checkpoints against it
     /// always succeed; use it where no caller provided a real budget.
     pub fn unlimited() -> &'static Budget {
@@ -512,13 +507,6 @@ impl Budget {
     /// Checkpoints passed so far in `phase`.
     pub fn checkpoints(&self, phase: Phase) -> u64 {
         self.counters[phase as usize].load(Ordering::Relaxed)
-    }
-
-    /// `true` once the deadline has passed (always `false` without one).
-    /// Samples the clock unconditionally — prefer [`Budget::checkpoint`] on
-    /// hot paths.
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Registers one unit of work in `phase`.

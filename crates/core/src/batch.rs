@@ -23,7 +23,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use homc_budget::Phase;
 use homc_serve::{
     run_jobs, seed_cache, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
     PublishReport, RetryPolicy,
@@ -31,10 +30,9 @@ use homc_serve::{
 use homc_smt::{CancelToken, QueryCache};
 use homc_trace::{stable_hash64, Tracer};
 
-use crate::evcheck::check_evidence;
 use crate::suite::Expected;
 use crate::verifier::{
-    timed_after, verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions,
+    self_check, verify, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict, VerifierOptions,
     VerifyStats,
 };
 
@@ -393,12 +391,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
             // The trust loop closes in-run: the certificate just exported
             // is handed straight to the independent checker, as the run's
             // `check` phase, inside its `total` and the job's `wall`.
-            let check = result.as_mut().ok().and_then(|out| {
-                let ev = out.evidence.as_ref()?;
-                Some(timed_after(&vopts, &mut out.stats, Phase::Check, || {
-                    check_evidence(&source, ev, &vopts.metrics).is_ok()
-                }))
-            });
+            let check = result
+                .as_mut()
+                .ok()
+                .and_then(|out| self_check(&source, &vopts, out));
             let wall = t.elapsed();
             if let (Some(union), Some(cache)) = (&union, &vopts.cache) {
                 // `export_new_*` never returns a disk-seeded key, so only

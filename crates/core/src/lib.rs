@@ -80,6 +80,6 @@ pub use homc_serve::{
     ProvenanceRecord, SafeEvidence,
 };
 pub use verifier::{
-    verify, verify_compiled, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict,
+    self_check, verify, verify_compiled, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict,
     VerifierOptions, VerifyError, VerifyOutcome, VerifyStats,
 };

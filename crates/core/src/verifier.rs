@@ -32,8 +32,8 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use homc_abs::{
-    abstract_program_incremental, abstract_program_metered, abstract_program_with_oracle, AbsEnv,
-    AbsError, AbsOptions, AbsStats, AbsTy, TransitionMemo,
+    abstract_program_incremental, abstract_program_with_oracle, AbsEnv, AbsError, AbsOptions,
+    AbsStats, AbsTy, TransitionMemo,
 };
 use homc_budget::{PerPhase, TIMED};
 use homc_cegar::{
@@ -56,6 +56,8 @@ use homc_smt::{
 };
 use homc_smt::{Formula, Var};
 use homc_trace::Tracer;
+
+use crate::evcheck::check_evidence;
 
 /// Where the verifier persists and looks up cross-run abstraction
 /// artifacts (the warm-edit re-verification path).
@@ -93,13 +95,6 @@ pub struct VerifierOptions {
     pub max_iterations: usize,
     /// Predicate abstraction options.
     pub abs: AbsOptions,
-    /// Reuse each definition's abstraction across CEGAR iterations when its
-    /// dependency-cone fingerprint is unchanged (the per-definition
-    /// transition memo). Reuse is verbatim — fresh names are namespaced per
-    /// definition — so this never changes the abstract program, only the
-    /// work spent rebuilding it. `false` re-abstracts everything every
-    /// iteration (the differential-testing oracle).
-    pub incremental_abs: bool,
     /// Model checker limits.
     pub check: CheckLimits,
     /// Refinement options.
@@ -170,7 +165,6 @@ impl Default for VerifierOptions {
         VerifierOptions {
             max_iterations: 40,
             abs: AbsOptions::default(),
-            incremental_abs: true,
             check: CheckLimits::default(),
             refine: RefineOptions::default(),
             trace_fuel: 200_000,
@@ -624,21 +618,17 @@ pub fn verify_compiled(
                     let unchanged = prior.manifest.unchanged_defs(&manifest);
                     let preds = seed_env(&mut env, &prior.env, &compiled.cps, &unchanged);
                     seeded.add(Counter::ReverifyPredsSeeded, preds as u64);
-                    // Memo replay only helps the incremental abstraction
-                    // path; the oracle path rebuilds everything regardless.
-                    if opts.incremental_abs {
-                        let ndefs = compiled.cps.defs.len();
-                        let main_unchanged = unchanged.contains(&compiled.cps.main);
-                        for entry in prior.memo {
-                            let replay = if entry.index < ndefs {
-                                unchanged.contains(&entry.name)
-                            } else {
-                                // The entry wrapper's cone is {main}.
-                                main_unchanged
-                            };
-                            if replay && memo.seed_entry(&compiled.cps, entry) {
-                                seeded.add(Counter::ReverifyDefsSkipped, 1);
-                            }
+                    let ndefs = compiled.cps.defs.len();
+                    let main_unchanged = unchanged.contains(&compiled.cps.main);
+                    for entry in prior.memo {
+                        let replay = if entry.index < ndefs {
+                            unchanged.contains(&entry.name)
+                        } else {
+                            // The entry wrapper's cone is {main}.
+                            main_unchanged
+                        };
+                        if replay && memo.seed_entry(&compiled.cps, entry) {
+                            seeded.add(Counter::ReverifyDefsSkipped, 1);
                         }
                     }
                     // Seeded interpolants are full-key cache entries: they
@@ -939,23 +929,25 @@ fn timed<R>(
     out
 }
 
-/// Runs `f` as a timed phase of a run that [`verify`] already finished —
-/// `run_batch`'s certificate self-check — under the same guard as the
-/// run's own phases, stamped with its last iteration. Its time joins the
-/// run's `total`, and its allocations the run's peaks.
-pub(crate) fn timed_after<R>(
-    opts: &VerifierOptions,
-    stats: &mut VerifyStats,
-    phase: Phase,
-    f: impl FnOnce() -> R,
-) -> R {
+/// The certificate self-check: hands the evidence a finished run of `src`
+/// exported to the independent checker ([`check_evidence`]) and answers
+/// whether it passed, or `None` when the run exported none. The check runs
+/// as the run's `check` phase, under the same guard as its own phases,
+/// stamped with its last iteration; its time joins the run's `total`, and
+/// its allocations the run's peaks. `run_batch` and the Table 1 harness
+/// both check their runs through it.
+pub fn self_check(src: &str, opts: &VerifierOptions, out: &mut VerifyOutcome) -> Option<bool> {
+    let ev = out.evidence.as_ref()?;
+    let stats = &mut out.stats;
     let started = Instant::now();
     let last = stats.cycles.saturating_sub(1);
-    let out = timed(opts, &mut stats.time, phase, last, f);
+    let ok = timed(opts, &mut stats.time, Phase::Check, last, || {
+        check_evidence(src, ev, &opts.metrics).is_ok()
+    });
     stats.total += started.elapsed();
     stats.peak_bytes = mem::peak_bytes();
-    stats.peak[phase] = mem::phase_peak(phase);
-    out
+    stats.peak[Phase::Check] = mem::phase_peak(Phase::Check);
+    Some(ok)
 }
 
 /// One CEGAR iteration: abstract, model-check, and — when an abstract error
@@ -984,28 +976,16 @@ fn run_iteration(
     // Step 1: predicate abstraction (against the run-wide cache), then the
     // census of the boolean program it built.
     let abs_result = timed(opts, &mut stats.time, Phase::Abs, iteration, || {
-        let (bp, abs_stats) = if opts.incremental_abs {
-            abstract_program_incremental(
-                &compiled.cps,
-                env,
-                &opts.abs,
-                Some(budget.clone()),
-                solver.cache().cloned(),
-                tracer,
-                solver.metrics(),
-                memo,
-            )
-        } else {
-            abstract_program_metered(
-                &compiled.cps,
-                env,
-                &opts.abs,
-                Some(budget.clone()),
-                solver.cache().cloned(),
-                tracer,
-                solver.metrics(),
-            )
-        }?;
+        let (bp, abs_stats) = abstract_program_incremental(
+            &compiled.cps,
+            env,
+            &opts.abs,
+            Some(budget.clone()),
+            solver.cache().cloned(),
+            tracer,
+            solver.metrics(),
+            memo,
+        )?;
         absorb(&mut rec.counts, &abs_stats);
         rec.hbp_rules = bp.defs.len();
         rec.hbp_terms = bp.size();

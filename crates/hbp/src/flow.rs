@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use homc_smt::Var;
 
-use crate::ast::{BDef, BExpr, BProgram, BTy, BVal, FunName};
+use crate::ast::{BDef, BExpr, BProgram, BVal, FunName};
 
 /// An abstract closure: a top-level function partially applied to `j`
 /// arguments.
@@ -165,15 +165,10 @@ fn rhs_leaves<'a>(e: &'a BExpr, out: &mut Vec<&'a BVal>) {
     }
 }
 
-/// `true` when `t` is a function type (helper for callers building guesses).
-pub fn is_fun(t: &BTy) -> bool {
-    !t.is_base()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BoolExpr, PathLabel};
+    use crate::ast::{BTy, BoolExpr, PathLabel};
 
     fn v(x: &str) -> Var {
         Var::new(x)

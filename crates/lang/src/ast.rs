@@ -39,23 +39,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// `true` for operators whose arguments are integers.
-    pub fn is_arith(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::Sub
-                | BinOp::Mul
-                | BinOp::Div
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-        )
-    }
-}
-
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

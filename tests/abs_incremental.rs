@@ -1,18 +1,24 @@
-//! Incremental-abstraction differential tests (PR 7).
+//! Abstraction-engine differential tests.
 //!
-//! The two optimisations under test are both claimed to be *semantically
-//! invisible*: the per-definition transition memo reuses byte-identical
-//! output, and the model-guided implicant enumeration prunes exactly the
-//! branches the exhaustive engine prunes. These tests pin the claims down:
+//! Every abstraction run goes through one per-task loop over a transition
+//! memo and one cube enumeration; two things vary with the input, and both
+//! are claimed to be *semantically invisible*: the memo reuses
+//! byte-identical output, and a solver model skips only queries that would
+//! have answered SAT, so the solver-backed enumeration prunes exactly the
+//! nodes the oracle-backed one (which gets no models and poses every node)
+//! prunes. These tests pin the claims down:
 //!
-//! * a 1k random-formula differential between the model-guided and
-//!   exhaustive cube enumerations (same cube sets, never more queries);
-//! * byte-identical abstract programs between the two enumeration modes on
-//!   the pinned program set (with real predicates installed);
-//! * byte-identical abstract programs from the incremental path across a
-//!   simulated refinement step, with verbatim reuse actually observed;
-//! * identical verdicts across the whole Table 1 suite between the new
-//!   engine (memo + model-guided) and the old one (eager + exhaustive);
+//! * a 1k random-formula differential between the enumeration asking the
+//!   solver and the same enumeration asking a solver-backed oracle (same
+//!   cube sets, never more queries);
+//! * byte-identical abstract programs from `abstract_program` and
+//!   `abstract_program_with_oracle` on the pinned program set (with real
+//!   predicates installed);
+//! * byte-identical abstract programs from a memoised run across a
+//!   simulated refinement step and from a fresh-memo run, with verbatim
+//!   reuse actually observed;
+//! * at every CEGAR iteration of the whole Table 1 suite, the memoised
+//!   abstraction equals the oracle abstraction byte for byte;
 //! * `abs_defs_reused > 0` on a multi-iteration CEGAR run.
 
 use std::sync::Arc;
@@ -20,13 +26,15 @@ use std::sync::Arc;
 use homc::{suite, verify, Verdict, VerifierOptions};
 use homc_abs::abstract_prog::enumerate_cubes_for_tests;
 use homc_abs::{
-    abstract_program_incremental, abstract_program_metered, AbsEnv, AbsOptions, AbsTy, EnumMode,
-    Predicate, TransitionMemo,
+    abstract_program, abstract_program_incremental, abstract_program_with_oracle, AbsEnv, AbsError,
+    AbsOptions, AbsTy, Predicate, TransitionMemo,
 };
+use homc_cegar::{build_trace, refine_env, Feasibility, RefineOptions, TraceEnd};
+use homc_hbp::{find_error_path, source_labels, Checker};
 use homc_lang::frontend;
 use homc_lang::types::SimpleTy;
 use homc_metrics::Metrics;
-use homc_smt::{Atom, Formula, LinExpr, QueryCache, Var};
+use homc_smt::{Atom, Formula, LinExpr, QueryCache, SmtSolver, Var};
 use homc_trace::Tracer;
 
 /// Deterministic xorshift64* generator (same idiom as `properties.rs`).
@@ -89,25 +97,32 @@ fn rand_formula(rng: &mut Rng, depth: u32) -> Formula {
     }
 }
 
+/// A solver-backed oracle: "unsatisfiable" exactly when `solver` says so.
+fn oracle_of(solver: &SmtSolver) -> impl Fn(&Formula) -> Result<bool, AbsError> + '_ {
+    |f| Ok(solver.maybe_sat(f))
+}
+
 /// The 1k-case enumeration differential: for random `base` and literal
-/// lists, the model-guided engine must emit exactly the exhaustive cube
-/// set — same cubes, same order — while never issuing *more* solver
-/// queries. This is the feasible-implicant-cover equivalence the guarded
-/// branches are rebuilt from.
+/// lists, the enumeration asking the solver (which skips the nodes its
+/// models cover) must emit exactly the cube set of the same enumeration
+/// asking a solver-backed oracle (which poses every node) — same cubes,
+/// same order — while never issuing *more* queries. This is the
+/// feasible-implicant-cover equivalence the guarded branches are rebuilt
+/// from.
 #[test]
 fn model_guided_enumeration_matches_exhaustive_on_random_formulas() {
     let mut rng = Rng::new(0x1a2b_3c4d_5e6f_7788);
+    let solver = SmtSolver::new();
+    let oracle = oracle_of(&solver);
     let mut saved_total = 0usize;
     for case in 0..1000 {
         let base = rand_formula(&mut rng, 2);
         let n = 2 + rng.below(3) as usize;
         let meanings: Vec<Formula> = (0..n).map(|_| rand_formula(&mut rng, 1)).collect();
-        let (exh_cubes, exh_queries) =
-            enumerate_cubes_for_tests(&base, &meanings, EnumMode::Exhaustive)
-                .expect("exhaustive enumeration runs");
+        let (exh_cubes, exh_queries) = enumerate_cubes_for_tests(&base, &meanings, Some(&oracle))
+            .expect("oracle enumeration runs");
         let (mg_cubes, mg_queries) =
-            enumerate_cubes_for_tests(&base, &meanings, EnumMode::ModelGuided)
-                .expect("model-guided enumeration runs");
+            enumerate_cubes_for_tests(&base, &meanings, None).expect("solver enumeration runs");
         assert_eq!(
             exh_cubes, mg_cubes,
             "case {case}: cube sets diverged (base={base}, meanings={meanings:?})"
@@ -170,42 +185,32 @@ fn gt0_env(src: &str) -> (homc_lang::Compiled, AbsEnv) {
     (compiled, env)
 }
 
-fn render(src: &str, mode: EnumMode) -> String {
-    let (compiled, env) = gt0_env(src);
-    let opts = AbsOptions {
-        enum_mode: mode,
-        ..AbsOptions::default()
-    };
-    let (bp, _) = abstract_program_metered(
-        &compiled.cps,
-        &env,
-        &opts,
-        None,
-        None,
-        &Tracer::disabled(),
-        &Metrics::disabled(),
-    )
-    .expect("abstracts");
-    bp.to_string()
-}
-
-/// Model-guided enumeration must produce the byte-identical abstract
-/// program — guards, value choices, and coercion wrappers included.
+/// `abstract_program` (solver, models, fresh memo) must produce the
+/// byte-identical abstract program that `abstract_program_with_oracle`
+/// under a solver-backed oracle does — guards, value choices, and coercion
+/// wrappers included.
 #[test]
-fn abstract_programs_byte_identical_across_enum_modes() {
+fn abstract_programs_byte_identical_with_and_without_oracle() {
+    let solver = SmtSolver::new();
+    let oracle = oracle_of(&solver);
+    let opts = AbsOptions::default();
     for (i, src) in PROGRAMS.iter().enumerate() {
+        let (compiled, env) = gt0_env(src);
+        let (bp, _) = abstract_program(&compiled.cps, &env, &opts).expect("abstracts");
+        let (bo, _) =
+            abstract_program_with_oracle(&compiled.cps, &env, &opts, &oracle).expect("abstracts");
         assert_eq!(
-            render(src, EnumMode::Exhaustive),
-            render(src, EnumMode::ModelGuided),
-            "program {i}: enumeration modes produced different abstract programs"
+            bp.to_string(),
+            bo.to_string(),
+            "program {i}: the oracle run produced a different abstract program"
         );
     }
 }
 
 /// The transition memo across a simulated refinement step: a second
-/// incremental abstraction under a partially-changed environment must (a)
+/// memoised abstraction under a partially-changed environment must (a)
 /// actually reuse the untouched definitions and (b) still produce the
-/// byte-identical program an eager re-abstraction would.
+/// byte-identical program a fresh-memo run would.
 #[test]
 fn incremental_reuse_is_byte_identical_across_refinement() {
     for (i, src) in PROGRAMS.iter().enumerate() {
@@ -240,18 +245,7 @@ fn incremental_reuse_is_byte_identical_across_refinement() {
             )
             .expect("abstracts")
         };
-        let eager = |env: &AbsEnv| {
-            abstract_program_metered(
-                &compiled.cps,
-                env,
-                &opts,
-                None,
-                cache.clone(),
-                &Tracer::disabled(),
-                &Metrics::disabled(),
-            )
-            .expect("abstracts")
-        };
+        let fresh = |env: &AbsEnv| run(env, &mut TransitionMemo::new()).0.to_string();
 
         let (bp0, s0) = run(&env0, &mut memo);
         assert_eq!(
@@ -260,8 +254,8 @@ fn incremental_reuse_is_byte_identical_across_refinement() {
         );
         assert_eq!(
             bp0.to_string(),
-            eager(&env0).0.to_string(),
-            "program {i}: incremental first build diverged from eager"
+            fresh(&env0),
+            "program {i}: memoised first build diverged from a fresh memo's"
         );
 
         // Unchanged environment: everything must be reused, byte-identically.
@@ -279,7 +273,7 @@ fn incremental_reuse_is_byte_identical_across_refinement() {
         );
 
         // Refined environment: the touched cone rebuilds, the rest is
-        // reused, and the result matches an eager build from scratch.
+        // reused, and the result matches a fresh-memo build.
         let (bp1, s1) = run(&env1, &mut memo);
         assert!(
             s1.defs_reused > 0,
@@ -291,30 +285,97 @@ fn incremental_reuse_is_byte_identical_across_refinement() {
         );
         assert_eq!(
             bp1.to_string(),
-            eager(&env1).0.to_string(),
-            "program {i}: incremental rebuild after refinement diverged from eager"
+            fresh(&env1),
+            "program {i}: memoised rebuild after refinement diverged from a fresh memo's"
         );
     }
 }
 
-/// Runs one suite program under the given engine configuration.
-fn suite_verdict(src: &str, incremental: bool, mode: EnumMode) -> Verdict {
-    let mut opts = VerifierOptions {
-        incremental_abs: incremental,
-        ..VerifierOptions::default()
-    };
-    opts.abs.enum_mode = mode;
-    verify(src, &opts).expect("no hard error").verdict
+/// Drives one program's CEGAR loop through public calls, in the order
+/// `verify_compiled` makes them, and at every iteration checks the
+/// memoised abstraction (solver with models, run-wide cache) against
+/// `abstract_program_with_oracle` under a solver-backed oracle (no models,
+/// its own cache), byte for byte. Returns the loop's verdict and cycle
+/// count.
+fn abstractions_agree_at_every_iteration(name: &str, src: &str) -> (&'static str, usize) {
+    let compiled = frontend(src).expect("compiles");
+    let opts = VerifierOptions::default();
+    let mut env = AbsEnv::initial(&compiled.cps);
+    let cache = Arc::new(QueryCache::new());
+    let solver = SmtSolver::new().with_cache(cache.clone());
+    let oracle_solver = SmtSolver::new().with_cache(Arc::new(QueryCache::new()));
+    let oracle = oracle_of(&oracle_solver);
+    let mut memo = TransitionMemo::new();
+    for iteration in 0..opts.max_iterations {
+        let cycles = iteration + 1;
+        let (bp, _) = abstract_program_incremental(
+            &compiled.cps,
+            &env,
+            &opts.abs,
+            None,
+            Some(cache.clone()),
+            &Tracer::disabled(),
+            &Metrics::disabled(),
+            &mut memo,
+        )
+        .expect("abstracts");
+        let (bo, _) = abstract_program_with_oracle(&compiled.cps, &env, &opts.abs, &oracle)
+            .expect("abstracts under the oracle");
+        assert_eq!(
+            bp.to_string(),
+            bo.to_string(),
+            "{name}: iteration {iteration}: the memoised and oracle abstractions differ"
+        );
+        let mut checker = Checker::new(&bp, opts.check).expect("checker");
+        checker.saturate().expect("saturates");
+        let path = if checker.may_fail() {
+            find_error_path(&mut checker).expect("path search")
+        } else {
+            None
+        };
+        let Some(path) = path else {
+            return ("safe", cycles);
+        };
+        let trace = build_trace(&compiled.cps, &source_labels(&path), opts.trace_fuel)
+            .expect("trace replays");
+        assert_eq!(
+            trace.end,
+            TraceEnd::ReachedFail,
+            "{name}: iteration {iteration}"
+        );
+        let refine = RefineOptions {
+            iteration,
+            ..opts.refine
+        };
+        match refine_env(&compiled.cps, &trace, &mut env, &solver, &refine).expect("refines") {
+            (Feasibility::Feasible(_), _) => return ("unsafe", cycles),
+            (Feasibility::Infeasible, true) => {}
+            _ => return ("unknown", cycles),
+        }
+    }
+    ("unknown", opts.max_iterations)
 }
 
-/// The whole Table 1 suite: the new engine (memo + model-guided) must agree
-/// with the old engine (eager + exhaustive) on every verdict.
+/// The whole Table 1 suite: at every CEGAR iteration of every program the
+/// memoised abstraction equals the oracle abstraction byte for byte, and
+/// the loop driven by hand reaches the verdict and cycle count `verify`
+/// reports, so the iterations checked are the verifier's own.
 #[test]
-fn suite_verdicts_identical_between_engines() {
+fn suite_abstractions_byte_identical_at_every_iteration() {
     for p in suite::SUITE {
-        let new = suite_verdict(p.source, true, EnumMode::ModelGuided);
-        let old = suite_verdict(p.source, false, EnumMode::Exhaustive);
-        assert_eq!(new, old, "{}: engines disagree", p.name);
+        let (verdict, cycles) = abstractions_agree_at_every_iteration(p.name, p.source);
+        let out = verify(p.source, &VerifierOptions::default()).expect("no hard error");
+        let expected = match out.verdict {
+            Verdict::Safe => "safe",
+            Verdict::Unsafe { .. } => "unsafe",
+            Verdict::Unknown { .. } => "unknown",
+        };
+        assert_eq!(
+            (verdict, cycles),
+            (expected, out.stats.cycles),
+            "{}: the hand-driven loop left the verifier's path",
+            p.name
+        );
     }
 }
 

@@ -87,7 +87,6 @@ fn every_counter_reaches_its_surfaces() {
         warm_total_s: 0.0,
         warm_disk_hits: 0,
         incr_total_s: 0.0,
-        check_s: 0.0,
     };
     let doc = parse_json(&baseline_json(&[row])).expect("baseline json");
     let bench_row = &doc

@@ -96,17 +96,13 @@ fn every_phase_reaches_its_surfaces() {
         warm_total_s: 0.0,
         warm_disk_hits: 0,
         incr_total_s: 0.0,
-        check_s: 0.0,
     };
     let doc = parse_json(&baseline_json(&[row])).expect("baseline json");
-    let mut table1_keys = json_keys(
+    let table1_keys = json_keys(
         &doc.get("programs")
             .and_then(JsonValue::as_arr)
             .expect("rows")[0],
     );
-    // table1 times its own certificate check around `check_evidence`
-    // (`check_s`, since schema 6); that column is not the phase's.
-    table1_keys.remove("check_s");
     let span_phases = |trace: &str| -> BTreeSet<String> {
         trace
             .lines()
