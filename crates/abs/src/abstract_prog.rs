@@ -44,11 +44,11 @@ use std::sync::Arc;
 
 use homc_budget::{Budget, BudgetError, Phase};
 use homc_hbp::{BDef, BExpr, BProgram, BVal, BoolExpr};
-use homc_metrics::{Counter, Hist, Metrics};
-use homc_trace::Tracer;
 use homc_lang::kernel::{Const, Def, Expr, FunName, Op, Program, Value};
 use homc_lang::types::SimpleTy;
+use homc_metrics::{Counter, Hist, Metrics};
 use homc_smt::{Atom, Formula, LinExpr, Model, QueryCache, SatResult, SmtSolver, Var};
+use homc_trace::Tracer;
 
 use crate::incremental::{abstract_with_memo, TransitionMemo};
 use crate::types::{AbsEnv, AbsTy};
@@ -371,9 +371,9 @@ impl<'a> Abstractor<'a> {
     /// The abstraction type of `f` as a curried dependent type.
     fn scheme_ty(&self, f: &FunName) -> Result<AbsTy, AbsError> {
         let s = self.scheme(f)?;
-        Ok(s.iter()
-            .rev()
-            .fold(AbsTy::unit(), |acc, (x, t)| AbsTy::fun(x.clone(), t.clone(), acc)))
+        Ok(s.iter().rev().fold(AbsTy::unit(), |acc, (x, t)| {
+            AbsTy::fun(x.clone(), t.clone(), acc)
+        }))
     }
 
     fn abstract_def(&mut self, d: &Def) -> Result<BDef, AbsError> {
@@ -457,7 +457,9 @@ impl<'a> Abstractor<'a> {
                     Value::Const(Const::Bool(b)) => BoolExpr::Const(*b),
                     Value::Var(x) => BoolExpr::Proj(x.clone(), 0),
                     other => {
-                        return Err(AbsError::invalid(format!("assume on non-variable value {other}")))
+                        return Err(AbsError::invalid(format!(
+                            "assume on non-variable value {other}"
+                        )))
                     }
                 };
                 let b = self.abstract_expr(body, ctx)?;
@@ -469,9 +471,9 @@ impl<'a> Abstractor<'a> {
                 Ok(BExpr::let_(x.clone(), bound, b))
             }
             Expr::Call(head, args) => self.abstract_call(head, args, ctx),
-            Expr::Op(_, _) | Expr::Rand => {
-                Err(AbsError::invalid("naked op/rand in tail position (not CPS-normal)"))
-            }
+            Expr::Op(_, _) | Expr::Rand => Err(AbsError::invalid(
+                "naked op/rand in tail position (not CPS-normal)",
+            )),
         }
     }
 
@@ -507,10 +509,8 @@ impl<'a> Abstractor<'a> {
                     Ok((BExpr::Value(BVal::Tuple(Vec::new())), ctx2))
                 }
                 Classified::Bool(meaning, runtime) => {
-                    ctx2.facts.push(Formula::iff(
-                        Formula::BVar(x.clone()),
-                        meaning,
-                    ));
+                    ctx2.facts
+                        .push(Formula::iff(Formula::BVar(x.clone()), meaning));
                     ctx2.pairs.push((x.clone(), 0, Formula::BVar(x.clone())));
                     ctx2.base_tys.insert(x.clone(), SimpleTy::Bool);
                     Ok((BExpr::Value(BVal::Tuple(vec![runtime])), ctx2))
@@ -611,11 +611,8 @@ impl<'a> Abstractor<'a> {
                 let (expr, fact) = match meaning {
                     Some(m) => {
                         let exact = Formula::iff(Formula::BVar(nu.clone()), m.clone());
-                        let e = self.abstract_tuple(
-                            &[Formula::BVar(nu.clone())],
-                            Some(exact),
-                            ctx,
-                        )?;
+                        let e =
+                            self.abstract_tuple(&[Formula::BVar(nu.clone())], Some(exact), ctx)?;
                         (e, Formula::iff(Formula::BVar(x.clone()), m))
                     }
                     None => (
@@ -682,7 +679,9 @@ impl<'a> Abstractor<'a> {
                 let ty = ctx
                     .fns
                     .get(x)
-                    .ok_or_else(|| AbsError::invalid(format!("calling unknown function variable {x}")))?
+                    .ok_or_else(|| {
+                        AbsError::invalid(format!("calling unknown function variable {x}"))
+                    })?
                     .clone();
                 let (params, _) = ty.uncurry();
                 Ok((
@@ -752,9 +751,9 @@ impl<'a> Abstractor<'a> {
                     Ok((BVal::Var(t.clone()), vec![(t, e)]))
                 }
             }
-            AbsTy::Base(SimpleTy::Fun(_, _), _) => {
-                Err(AbsError::invalid("base abstraction type with function simple type"))
-            }
+            AbsTy::Base(SimpleTy::Fun(_, _), _) => Err(AbsError::invalid(
+                "base abstraction type with function simple type",
+            )),
             AbsTy::Fun(_, _, _) => {
                 let (natural, bval, binds) = self.abstract_fn_natural(v, ctx)?;
                 if natural.alpha_eq(expected) {
@@ -973,7 +972,9 @@ impl<'a> Abstractor<'a> {
                 BoolExpr::Const(*b),
             )),
             Value::Var(x) => Ok((Formula::BVar(x.clone()), BoolExpr::Proj(x.clone(), 0))),
-            other => Err(AbsError::invalid(format!("unsupported boolean operand {other}"))),
+            other => Err(AbsError::invalid(format!(
+                "unsupported boolean operand {other}"
+            ))),
         }
     }
 
@@ -1040,9 +1041,12 @@ impl<'a> Abstractor<'a> {
         if cubes.is_empty() {
             // No consistent abstract state reaches this point: the paper's
             // A-FAIL-style filtering collapses this to a blocked branch.
-            return Ok(BExpr::assume(BoolExpr::FALSE, BExpr::Value(BVal::Tuple(
-                targets.iter().map(|_| BoolExpr::FALSE).collect(),
-            ))));
+            return Ok(BExpr::assume(
+                BoolExpr::FALSE,
+                BExpr::Value(BVal::Tuple(
+                    targets.iter().map(|_| BoolExpr::FALSE).collect(),
+                )),
+            ));
         }
 
         // Cubes arrive in lexicographic true-first order, so all cubes of a
@@ -1108,15 +1112,15 @@ impl<'a> Abstractor<'a> {
     /// The conjunction `base ∧ ℓ₀ ∧ … ∧ ℓ_{d-1}` where `ℓᵢ` is
     /// `meanings[i]` or its negation per `assigned[i]`.
     fn prefix_query(&self, base: &Formula, meanings: &[Formula], assigned: &[bool]) -> Formula {
-        Formula::and(std::iter::once(base.clone()).chain(
-            assigned.iter().zip(meanings).map(|(b, m)| {
+        Formula::and(
+            std::iter::once(base.clone()).chain(assigned.iter().zip(meanings).map(|(b, m)| {
                 if *b {
                     m.clone()
                 } else {
                     Formula::not(m.clone())
                 }
-            }),
-        ))
+            })),
+        )
     }
 
     /// The true-first DFS over the literal sequence, pruning a node exactly
@@ -1223,7 +1227,9 @@ impl<'a> Abstractor<'a> {
             .pairs
             .iter()
             .rev()
-            .filter(|(x, _, m)| relevant.contains(x) || m.vars().iter().any(|v| relevant.contains(v)))
+            .filter(|(x, _, m)| {
+                relevant.contains(x) || m.vars().iter().any(|v| relevant.contains(v))
+            })
             .cloned()
             .collect();
         // The cap trades precision for speed (never soundness) — but a

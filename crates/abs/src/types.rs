@@ -184,11 +184,7 @@ impl AbsTy {
                     // Shadowed: only the domain sees the substitution.
                     AbsTy::Fun(y.clone(), Box::new(a.subst(x, e)), b.clone())
                 } else {
-                    AbsTy::Fun(
-                        y.clone(),
-                        Box::new(a.subst(x, e)),
-                        Box::new(b.subst(x, e)),
-                    )
+                    AbsTy::Fun(y.clone(), Box::new(a.subst(x, e)), Box::new(b.subst(x, e)))
                 }
             }
         }
@@ -207,8 +203,7 @@ impl AbsTy {
                 (AbsTy::Fun(x1, a1, b1), AbsTy::Fun(x2, a2, b2)) => {
                     *depth += 1;
                     let canon = LinExpr::var(Var::new(format!("@c{depth}")));
-                    go(a1, a2, depth)
-                        && go(&b1.subst(x1, &canon), &b2.subst(x2, &canon), depth)
+                    go(a1, a2, depth) && go(&b1.subst(x1, &canon), &b2.subst(x2, &canon), depth)
                 }
                 _ => false,
             }
@@ -288,11 +283,7 @@ impl AbsTy {
                 } else {
                     b2.subst(y, &LinExpr::var(x.clone()))
                 };
-                AbsTy::Fun(
-                    x.clone(),
-                    Box::new(a1.merge(a2)),
-                    Box::new(b1.merge(&b2)),
-                )
+                AbsTy::Fun(x.clone(), Box::new(a1.merge(a2)), Box::new(b1.merge(&b2)))
             }
             _ => panic!("merging abstraction types of different shapes"),
         }

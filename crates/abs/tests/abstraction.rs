@@ -83,7 +83,10 @@ fn genuinely_unsafe_program_still_fails_with_predicates() {
         let (bp, _) =
             abstract_program(&compiled.cps, &env, &AbsOptions::default()).expect("abstracts");
         let (fails, _) = model_check(&bp, CheckLimits::default()).expect("in budget");
-        assert!(fails, "a real failure must survive abstraction (preds: {preds:?})");
+        assert!(
+            fails,
+            "a real failure must survive abstraction (preds: {preds:?})"
+        );
     }
 }
 

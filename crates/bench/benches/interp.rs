@@ -52,8 +52,7 @@ fn main() {
             continue;
         };
         time_it(&format!("{name}: refine (fast path)"), 20, || {
-            discover_predicates(&compiled.cps, &trace, &RefineOptions::default())
-                .expect("refines")
+            discover_predicates(&compiled.cps, &trace, &RefineOptions::default()).expect("refines")
         });
         time_it(&format!("{name}: sequence interpolants"), 20, || {
             fastpath_sequence(&trace)

@@ -69,8 +69,14 @@ fn main() -> ExitCode {
         rows.push(row);
     }
     println!("{}", "-".repeat(86));
-    let wall: f64 = rows.iter().map(|r| r.outcome.stats.total.as_secs_f64()).sum();
-    let total: f64 = rows.iter().map(|r| paper_total(&r.outcome.stats).as_secs_f64()).sum();
+    let wall: f64 = rows
+        .iter()
+        .map(|r| r.outcome.stats.total.as_secs_f64())
+        .sum();
+    let total: f64 = rows
+        .iter()
+        .map(|r| paper_total(&r.outcome.stats).as_secs_f64())
+        .sum();
     let warm: f64 = rows.iter().map(|r| r.warm_total_s).sum();
     let disk_hits: u64 = rows.iter().map(|r| r.warm_disk_hits).sum();
     let incr: f64 = rows.iter().map(|r| r.incr_total_s).sum();

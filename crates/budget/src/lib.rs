@@ -283,7 +283,10 @@ impl BudgetError {
     /// limits (pointless for deadlines and injected faults, which would
     /// simply fire again / already consumed the whole time budget).
     pub fn retryable(&self) -> bool {
-        matches!(self.limit, LimitKind::Steps | LimitKind::Size | LimitKind::Fuel)
+        matches!(
+            self.limit,
+            LimitKind::Steps | LimitKind::Size | LimitKind::Fuel
+        )
     }
 }
 
@@ -610,7 +613,11 @@ mod tests {
 
     #[test]
     fn fault_fires_at_exact_checkpoint() {
-        let b = Budget::new(None, None, FaultPlan::one(Phase::Interp, 3, FaultKind::Error));
+        let b = Budget::new(
+            None,
+            None,
+            FaultPlan::one(Phase::Interp, 3, FaultKind::Error),
+        );
         b.checkpoint(Phase::Interp).expect("1");
         // Other phases do not advance the interp counter.
         b.checkpoint(Phase::Smt).expect("smt unaffected");

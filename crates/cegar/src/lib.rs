@@ -28,12 +28,12 @@ pub mod shp;
 pub mod slice;
 
 pub use enumerate::gen_p;
-pub use seed::seed_env;
 pub use refine::{
     check_feasibility, discover_predicates, discover_predicates_metered, fastpath_sequence,
     refine_env, refine_env_traced, Feasibility, PredProvenance, PredSource, RefineError,
     RefineOptions, Refinement,
 };
+pub use seed::seed_env;
 pub use shp::{
     build_trace, build_trace_budgeted, Activation, Event, SymVal, Trace, TraceEnd, TraceError,
 };
@@ -60,8 +60,7 @@ mod tests {
         // The §1 error path: k's if takes then (0), the assert's if takes
         // else (1).
         let compiled = frontend(M1).expect("compiles");
-        let trace =
-            build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
+        let trace = build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
         assert_eq!(trace.end, TraceEnd::ReachedFail, "{trace}");
         assert!(trace.is_straightline());
         match check_feasibility(&trace, &SmtSolver::new()) {
@@ -85,8 +84,7 @@ mod tests {
     #[test]
     fn m1_discovers_positivity_predicates() {
         let compiled = frontend(M1).expect("compiles");
-        let trace =
-            build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
+        let trace = build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
         let refinement = discover_predicates(
             &compiled.cps,
             &trace,
@@ -112,8 +110,7 @@ mod tests {
         // Example 5.1/5.2: the spurious path — k's if takes then, the
         // assert takes else.
         let compiled = frontend(M3).expect("compiles");
-        let trace =
-            build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
+        let trace = build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
         assert_eq!(trace.end, TraceEnd::ReachedFail, "{trace}");
         match check_feasibility(&trace, &SmtSolver::new()) {
             Feasibility::Infeasible => {}
@@ -157,8 +154,7 @@ mod tests {
         use homc_hbp::check::{model_check, CheckLimits};
         let compiled = frontend(M1).expect("compiles");
         let mut env = AbsEnv::initial(&compiled.cps);
-        let trace =
-            build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
+        let trace = build_trace(&compiled.cps, &[Label::Zero, Label::One], 10_000).expect("traces");
         let (feas, changed) = refine_env(
             &compiled.cps,
             &trace,

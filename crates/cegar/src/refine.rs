@@ -204,13 +204,7 @@ pub fn check_feasibility(trace: &Trace, solver: &SmtSolver) -> Feasibility {
     match solver.check(&trace.path_condition()) {
         SatResult::Sat(model) => {
             if trace.exact {
-                Feasibility::Feasible(
-                    trace
-                        .unknowns
-                        .iter()
-                        .map(|s| model.int(s) as i64)
-                        .collect(),
-                )
+                Feasibility::Feasible(trace.unknowns.iter().map(|s| model.int(s) as i64).collect())
             } else {
                 // The path condition over-approximates; a model does not
                 // certify a real failure.
@@ -314,7 +308,9 @@ pub fn discover_predicates_metered(
                 };
                 canon.insert(sym.clone(), entry);
             }
-            Event::Rand { activation, sym, .. } => {
+            Event::Rand {
+                activation, sym, ..
+            } => {
                 let _ = activation;
                 canon.insert(sym.clone(), LinExpr::var(sym.clone()));
             }
@@ -463,7 +459,15 @@ pub fn discover_predicates_metered(
     }
 
     if opts.seed_from_path {
-        seed_from_conditions(program, trace, &cuts, &orig_names, &act_params, &canon, &mut out)?;
+        seed_from_conditions(
+            program,
+            trace,
+            &cuts,
+            &orig_names,
+            &act_params,
+            &canon,
+            &mut out,
+        )?;
     }
     if opts.enumerate_gen_p {
         // §5.3: inject genP(iteration) at every cut, renamed to the cut's ν.
@@ -553,9 +557,14 @@ fn fast_path(
             })
             .collect()
     } else {
-        vec![(0..events.len()).filter(|&i| sl.comp_of[i].is_some()).collect()]
+        vec![(0..events.len())
+            .filter(|&i| sl.comp_of[i].is_some())
+            .collect()]
     };
-    let jobs: Vec<Vec<Formula>> = groups.iter().map(|g| build_parts(events, cuts, g)).collect();
+    let jobs: Vec<Vec<Formula>> = groups
+        .iter()
+        .map(|g| build_parts(events, cuts, g))
+        .collect();
 
     budget
         .checkpoint(Phase::Interp)
@@ -753,7 +762,10 @@ fn record_predicate(
                     }
                     // Invisible: try to express it as one of the origin
                     // activation's parameters with equal canonical value.
-                    let cv = canon.get(v).cloned().unwrap_or_else(|| LinExpr::var(v.clone()));
+                    let cv = canon
+                        .get(v)
+                        .cloned()
+                        .unwrap_or_else(|| LinExpr::var(v.clone()));
                     for (osym, _) in &act_params[o_act] {
                         let oc = canon
                             .get(osym)

@@ -260,7 +260,9 @@ pub fn build_trace_budgeted(
     let mut deps: Vec<Var> = Vec::new();
     for (x, t) in &main.params {
         if *t != homc_lang::types::SimpleTy::Int {
-            return Err(TraceError::invalid(format!("main parameter {x} is not an integer")));
+            return Err(TraceError::invalid(format!(
+                "main parameter {x} is not an integer"
+            )));
         }
         let s = tb.fresh(x.name());
         unknowns.push(s.clone());
@@ -323,11 +325,9 @@ impl<'a> TraceBuilder<'a> {
     fn value(&self, env: &BTreeMap<Var, SymVal>, v: &Value) -> Result<SymVal, TraceError> {
         Ok(match v {
             Value::Const(Const::Unit) => SymVal::Unit,
-            Value::Const(Const::Bool(b)) => SymVal::Bool(if *b {
-                Formula::True
-            } else {
-                Formula::False
-            }),
+            Value::Const(Const::Bool(b)) => {
+                SymVal::Bool(if *b { Formula::True } else { Formula::False })
+            }
             Value::Const(Const::Int(n)) => SymVal::Int(LinExpr::constant(*n as i128)),
             Value::Var(x) => env
                 .get(x)
@@ -345,7 +345,11 @@ impl<'a> TraceBuilder<'a> {
                         prev.append(&mut extra);
                         SymVal::Clo(f, prev, origins)
                     }
-                    other => return Err(TraceError::invalid(format!("applying non-closure {other:?}"))),
+                    other => {
+                        return Err(TraceError::invalid(format!(
+                            "applying non-closure {other:?}"
+                        )))
+                    }
                 }
             }
         })
@@ -501,10 +505,9 @@ impl<'a> TraceBuilder<'a> {
                         return Err(TraceError::invalid("calling a non-closure"));
                     };
                     full.append(&mut extra);
-                    let def = self
-                        .program
-                        .def(&fname)
-                        .ok_or_else(|| TraceError::invalid(format!("undefined function {fname}")))?;
+                    let def = self.program.def(&fname).ok_or_else(|| {
+                        TraceError::invalid(format!("undefined function {fname}"))
+                    })?;
                     // New activation: the paper's next function copy.
                     self.activations.push(Activation {
                         def: fname.clone(),

@@ -228,7 +228,11 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
             }
         }
         _ => {
-            let inputs = if ledger { "one ledger dir" } else { "exactly two input files" };
+            let inputs = if ledger {
+                "one ledger dir"
+            } else {
+                "exactly two input files"
+            };
             eprintln!("homc: {kind} needs {inputs}");
             return usage();
         }

@@ -53,6 +53,7 @@ pub use batch::{
     render_batch_json, run_batch, BatchJob, BatchOptions, BatchReport, JobFault, JobFaultKind,
     JobReport, JobStatus, BATCH_SCHEMA,
 };
+pub use evcheck::{check_evidence, render_explain, EvidenceCheck};
 pub use fleet::{ledger_record, progress_complete, render_top, stats_counters};
 pub use homc_budget::{
     columns, shown, Budget, BudgetError, Fault, FaultKind, FaultPlan, FaultSpecError, LimitKind,
@@ -64,21 +65,20 @@ pub use homc_metrics::{
     Agg, Counter, Counts, Hist, Metrics, Snapshot, Surface, COUNTERS,
 };
 pub use homc_serve::{
+    parse_evidence_bytes, Evidence, EvidenceLoad, EvidenceStore, EvidenceVerdict, ProvenanceRecord,
+    SafeEvidence,
+};
+pub use homc_serve::{
     regress, render_history, seed_cache, DiskCache, DiskFault, Ledger, LedgerLoad, LoadReport,
     PublishReport, RetryPolicy, RunRecord, TrendOptions, RECORD_SCHEMA,
 };
+pub use homc_serve::{Artifact, ArtifactLoad, ArtifactStore};
 pub use homc_smt::{CancelToken, QueryCache};
 pub use homc_trace::{
     escape_json, parse_json, render_report, stable_hash64, validate_line, validate_trace,
     JsonValue, SchemaError, Tracer,
 };
-pub use evcheck::{check_evidence, render_explain, EvidenceCheck};
 pub use suite::{Expected, SuiteProgram, SUITE};
-pub use homc_serve::{Artifact, ArtifactLoad, ArtifactStore};
-pub use homc_serve::{
-    parse_evidence_bytes, Evidence, EvidenceLoad, EvidenceStore, EvidenceVerdict,
-    ProvenanceRecord, SafeEvidence,
-};
 pub use verifier::{
     self_check, verify, verify_compiled, ArtifactConfig, EvidenceConfig, UnknownReason, Verdict,
     VerifierOptions, VerifyError, VerifyOutcome, VerifyStats,

@@ -63,7 +63,10 @@ fn dropped_predicate_is_rejected() {
     assert!(dropped, "a refined safe run must carry predicates");
     let m = Metrics::disabled();
     let err = check_evidence(SAFE, &ev, &m).expect_err("weakened environment must not certify");
-    assert!(err.contains("not closed") || err.contains("failing typing"), "{err}");
+    assert!(
+        err.contains("not closed") || err.contains("failing typing"),
+        "{err}"
+    );
 }
 
 /// The proof table of the safe drill program's certificate.

@@ -79,7 +79,10 @@ fn dropped_proof_is_rejected() {
     }
     let m = Metrics::disabled();
     let err = check_evidence(SAFE, &ev, &m).expect_err("coarsened abstraction must not be closed");
-    assert!(err.contains("not closed") || err.contains("failing typing"), "{err}");
+    assert!(
+        err.contains("not closed") || err.contains("failing typing"),
+        "{err}"
+    );
 }
 
 #[test]

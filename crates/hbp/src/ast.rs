@@ -487,9 +487,7 @@ impl BProgram {
                     for x in vs {
                         match env.get(&x) {
                             Some(BTy::Tuple(_)) => {}
-                            Some(t) => {
-                                return Err(format!("projection from non-tuple {x}: {t}"))
-                            }
+                            Some(t) => return Err(format!("projection from non-tuple {x}: {t}")),
                             None => return Err(format!("unbound variable {x}")),
                         }
                     }

@@ -79,7 +79,10 @@ impl Gamma {
     /// Rebuilds a table from decoded entries (the evidence checker's seed).
     pub fn from_entries(entries: impl IntoIterator<Item = (FunName, BTreeSet<Typing>)>) -> Gamma {
         Gamma {
-            map: entries.into_iter().filter(|(_, ts)| !ts.is_empty()).collect(),
+            map: entries
+                .into_iter()
+                .filter(|(_, ts)| !ts.is_empty())
+                .collect(),
         }
     }
 
@@ -540,11 +543,7 @@ impl<'p> Checker<'p> {
     }
 
     /// Evaluates a syntactic value to an abstract value under `env`.
-    pub(crate) fn eval_val(
-        &self,
-        env: &BTreeMap<Var, AVal>,
-        v: &BVal,
-    ) -> AVal {
+    pub(crate) fn eval_val(&self, env: &BTreeMap<Var, AVal>, v: &BVal) -> AVal {
         match v {
             BVal::Tuple(es) => {
                 let proj = |x: &Var, i: usize| match env.get(x) {
@@ -712,8 +711,7 @@ impl<'p> Checker<'p> {
             CloHead::Param(x) => {
                 // The arguments flow into every definition this parameter
                 // may be bound to.
-                let targets: Vec<(FunName, usize)> =
-                    self.flows.of(&d.name, x).cloned().collect();
+                let targets: Vec<(FunName, usize)> = self.flows.of(&d.name, x).cloned().collect();
                 for (g, j) in targets {
                     self.record_base_flow(&g, j, full);
                 }
@@ -735,10 +733,7 @@ impl<'p> Checker<'p> {
     fn record_base_flow(&mut self, g: &FunName, offset: usize, args: &[AVal]) {
         for (i, a) in args.iter().enumerate() {
             if let AVal::Base(b) = a {
-                let set = self
-                    .base_flow
-                    .entry((g.clone(), offset + i))
-                    .or_default();
+                let set = self.base_flow.entry((g.clone(), offset + i)).or_default();
                 if set.insert(*b) {
                     if let Some(&gi) = self.def_index.get(g) {
                         self.dirty.insert(gi);
@@ -900,7 +895,10 @@ fn dedup(v: &mut Vec<Reqs>) {
 }
 
 /// Convenience wrapper: saturate and report whether `main` may fail.
-pub fn model_check(program: &BProgram, limits: CheckLimits) -> Result<(bool, CheckStats), CheckError> {
+pub fn model_check(
+    program: &BProgram,
+    limits: CheckLimits,
+) -> Result<(bool, CheckStats), CheckError> {
     let mut c = Checker::new(program, limits)?;
     c.saturate()?;
     Ok((c.may_fail(), c.stats()))

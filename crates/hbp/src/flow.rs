@@ -27,7 +27,10 @@ pub struct FlowResult {
 impl FlowResult {
     /// The closures that may flow to variable `x` of definition `def`.
     pub fn of(&self, def: &FunName, x: &Var) -> impl Iterator<Item = &AbsClo> {
-        self.flows.get(&(def.clone(), x.clone())).into_iter().flatten()
+        self.flows
+            .get(&(def.clone(), x.clone()))
+            .into_iter()
+            .flatten()
     }
 
     /// Total number of flow facts (for statistics).
@@ -228,10 +231,7 @@ mod tests {
                 BDef {
                     name: "two".into(),
                     params: vec![(b.clone(), BTy::Tuple(1)), (v("u"), BTy::unit())],
-                    body: BExpr::assume(
-                        BoolExpr::Proj(b.clone(), 0),
-                        BExpr::Fail,
-                    ),
+                    body: BExpr::assume(BoolExpr::Proj(b.clone(), 0), BExpr::Fail),
                 },
                 BDef {
                     name: "main".into(),

@@ -56,9 +56,10 @@ pub mod check;
 pub mod flow;
 pub mod path;
 
-pub use ast::{source_labels, BDef, BExpr, BProgram, BTy, BVal, BoolExpr, FunName, Label, PathLabel};
+pub use ast::{
+    source_labels, BDef, BExpr, BProgram, BTy, BVal, BoolExpr, FunName, Label, PathLabel,
+};
 pub use check::{
-    model_check, ArgReq, ArrowTy, Bits, CheckError, CheckLimits, CheckStats, Checker, Gamma,
-    Typing,
+    model_check, ArgReq, ArrowTy, Bits, CheckError, CheckLimits, CheckStats, Checker, Gamma, Typing,
 };
 pub use path::find_error_path;

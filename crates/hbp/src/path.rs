@@ -235,7 +235,7 @@ impl<'p> Checker<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BDef, BTy, BoolExpr, source_labels};
+    use crate::ast::{source_labels, BDef, BTy, BoolExpr};
     use crate::check::CheckLimits;
 
     fn v(x: &str) -> Var {

@@ -129,11 +129,7 @@ fn inline_entry(body: BExpr) -> BExpr {
     BExpr::let_(
         Var::new("b"),
         BExpr::Value(BVal::Tuple(vec![BoolExpr::TRUE])),
-        BExpr::let_(
-            Var::new("k"),
-            BExpr::Value(BVal::Fun("ok".into())),
-            body,
-        ),
+        BExpr::let_(Var::new("k"), BExpr::Value(BVal::Fun("ok".into())), body),
     )
 }
 
@@ -254,7 +250,11 @@ fn rhs_values(e: &BExpr, env: &BTreeMap<Var, CVal>) -> Vec<CVal> {
 /// Checker verdicts agree with bounded concrete exploration.
 #[test]
 fn checker_agrees_with_bounded_exploration() {
-    let cases = if cfg!(feature = "slow-tests") { 768 } else { 96 };
+    let cases = if cfg!(feature = "slow-tests") {
+        768
+    } else {
+        96
+    };
     let mut rng = Rng::new(0xD1FF);
     for _ in 0..cases {
         let p = gen_program(&mut rng);

@@ -163,7 +163,11 @@ impl Hors {
 
     /// The order of the scheme (max order of nonterminal kinds).
     pub fn order(&self) -> usize {
-        self.rules.iter().map(|r| r.kind().order()).max().unwrap_or(0)
+        self.rules
+            .iter()
+            .map(|r| r.kind().order())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Kind-checks the scheme: every body has kind `o`, every application
@@ -176,14 +180,15 @@ impl Hors {
             .collect();
         match self.rule(&self.start) {
             None => return Err(format!("missing start symbol {}", self.start)),
-            Some(r) if !r.params.is_empty() => {
-                return Err("start symbol must have kind o".into())
-            }
+            Some(r) if !r.params.is_empty() => return Err("start symbol must have kind o".into()),
             Some(_) => {}
         }
         for r in &self.rules {
-            let mut env: BTreeMap<&str, Kind> =
-                r.params.iter().map(|(x, k)| (x.as_str(), k.clone())).collect();
+            let mut env: BTreeMap<&str, Kind> = r
+                .params
+                .iter()
+                .map(|(x, k)| (x.as_str(), k.clone()))
+                .collect();
             let k = self.kind_of(&r.body, &mut env, &nts)?;
             if k != Kind::O {
                 return Err(format!("body of {} has kind {k}, expected o", r.name));

@@ -135,14 +135,10 @@ fn tr_expr(e: &BExpr, env: &BTreeMap<String, Term>) -> Term {
 fn tr_rhs_choices(rhs: &BExpr, tail: Term) -> Term {
     match rhs {
         BExpr::Value(_) => tail,
-        BExpr::SChoice(l, r) => Term::Terminal("br_s".to_string()).app([
-            tr_rhs_choices(l, tail.clone()),
-            tr_rhs_choices(r, tail),
-        ]),
-        BExpr::AChoice(l, r) => Term::Terminal("br_a".to_string()).app([
-            tr_rhs_choices(l, tail.clone()),
-            tr_rhs_choices(r, tail),
-        ]),
+        BExpr::SChoice(l, r) => Term::Terminal("br_s".to_string())
+            .app([tr_rhs_choices(l, tail.clone()), tr_rhs_choices(r, tail)]),
+        BExpr::AChoice(l, r) => Term::Terminal("br_a".to_string())
+            .app([tr_rhs_choices(l, tail.clone()), tr_rhs_choices(r, tail)]),
         BExpr::Assume(_, e) => Term::Terminal("br_a".to_string())
             .app([tr_rhs_choices(e, tail), Term::Terminal("end".to_string())]),
         BExpr::Let(_, r, b) => {
@@ -208,10 +204,7 @@ mod tests {
             defs: vec![BDef {
                 name: "main".into(),
                 params: vec![],
-                body: BExpr::schoice(
-                    BExpr::Value(BVal::unit()),
-                    BExpr::Value(BVal::unit()),
-                ),
+                body: BExpr::schoice(BExpr::Value(BVal::unit()), BExpr::Value(BVal::unit())),
             }],
             main: "main".into(),
         };

@@ -45,16 +45,15 @@ pub fn cps_transform(p: &Program) -> Program {
     let mut cx = Cps {
         counter: 0,
         new_defs: Vec::new(),
-        sig: p
-            .defs
-            .iter()
-            .map(|d| (d.name.clone(), d.ty()))
-            .collect(),
+        sig: p.defs.iter().map(|d| (d.name.clone(), d.ty())).collect(),
     };
     let mut defs = Vec::new();
     for d in &p.defs {
-        let mut env: BTreeMap<Var, SimpleTy> =
-            d.params.iter().map(|(x, t)| (x.clone(), cps_ty(t))).collect();
+        let mut env: BTreeMap<Var, SimpleTy> = d
+            .params
+            .iter()
+            .map(|(x, t)| (x.clone(), cps_ty(t)))
+            .collect();
         let k = Var::new(format!("k_{}", d.name.0));
         let k_ty = SimpleTy::fun(d.ret.clone(), SimpleTy::Unit);
         env.insert(k.clone(), k_ty.clone());
@@ -255,9 +254,7 @@ impl Cps {
                 scope.truncate(n);
                 Expr::choice(lc, rc)
             }
-            Expr::Assume(v, e) => {
-                Expr::assume(v.clone(), self.cps_expr(e, k, env, scope))
-            }
+            Expr::Assume(v, e) => Expr::assume(v.clone(), self.cps_expr(e, k, env, scope)),
             Expr::Fail => Expr::Fail,
         }
     }
@@ -357,7 +354,8 @@ mod tests {
 
     #[test]
     fn non_tail_calls_get_lifted_continuations() {
-        let q = cps_of("let rec sum n = if n <= 0 then 0 else n + sum (n - 1) in assert (m <= sum m)");
+        let q =
+            cps_of("let rec sum n = if n <= 0 then 0 else n + sum (n - 1) in assert (m <= sum m)");
         assert!(q.is_cps_normal(), "not normal:\n{q}");
         // sum's recursive call is non-tail, so a continuation must be lifted.
         assert!(

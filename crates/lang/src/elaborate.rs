@@ -94,7 +94,6 @@ impl Ctx {
         FunName(format!("{base}_{}", self.counter))
     }
 
-
     /// Elaborates `e` in value position: computations are bound in `binds`.
     fn elab_value(
         &mut self,
@@ -269,9 +268,8 @@ impl Ctx {
                     return Ok(Expr::let_(x, er, eb));
                 }
                 // A function definition: λ-lift it.
-                let binding = self.lift_function(
-                    name, *recursive, &params, name_ty, rhs_ref, env,
-                )?;
+                let binding =
+                    self.lift_function(name, *recursive, &params, name_ty, rhs_ref, env)?;
                 let mut inner = env.clone();
                 inner.insert(name.clone(), binding);
                 self.elab_expr(body, &inner)
@@ -499,8 +497,7 @@ fn eta_expand(program: &mut Program, counter: &mut usize) {
         // Add parameters for the whole residual type in one step so that the
         // final application saturates to a base type.
         let (ps, ret) = def.ret.uncurry();
-        let (ps, ret): (Vec<SimpleTy>, SimpleTy) =
-            (ps.into_iter().cloned().collect(), ret.clone());
+        let (ps, ret): (Vec<SimpleTy>, SimpleTy) = (ps.into_iter().cloned().collect(), ret.clone());
         let mut args = Vec::new();
         for p in &ps {
             *counter += 1;

@@ -110,7 +110,11 @@ impl ScriptDriver {
 
 impl Driver for ScriptDriver {
     fn choose(&mut self) -> Label {
-        let l = self.labels.get(self.label_pos).copied().unwrap_or(Label::Zero);
+        let l = self
+            .labels
+            .get(self.label_pos)
+            .copied()
+            .unwrap_or(Label::Zero);
         self.label_pos += 1;
         l
     }
@@ -387,8 +391,12 @@ mod tests {
         let q = cps_transform(&p);
         q.check().expect("CPS checks");
         for n in [-3i64, 0, 1, 7] {
-            for labs in [[Label::Zero, Label::Zero], [Label::Zero, Label::One],
-                         [Label::One, Label::Zero], [Label::One, Label::One]] {
+            for labs in [
+                [Label::Zero, Label::Zero],
+                [Label::Zero, Label::One],
+                [Label::One, Label::Zero],
+                [Label::One, Label::One],
+            ] {
                 let mut d1 = ScriptDriver::new(labs.to_vec(), vec![n]);
                 let mut d2 = ScriptDriver::new(labs.to_vec(), vec![n]);
                 let (o1, t1) = run(&p, &mut d1, 100_000);

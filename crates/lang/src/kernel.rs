@@ -341,7 +341,9 @@ impl Def {
         self.params
             .iter()
             .rev()
-            .fold(self.ret.clone(), |acc, (_, t)| SimpleTy::fun(t.clone(), acc))
+            .fold(self.ret.clone(), |acc, (_, t)| {
+                SimpleTy::fun(t.clone(), acc)
+            })
     }
 }
 
@@ -543,10 +545,8 @@ impl Program {
                 Expr::Call(_, _) => true,
                 Expr::Value(_) | Expr::Op(_, _) | Expr::Rand => false,
                 Expr::Let(_, rhs, body) => {
-                    matches!(
-                        rhs.as_ref(),
-                        Expr::Op(_, _) | Expr::Rand | Expr::Value(_)
-                    ) && tail_ok(body)
+                    matches!(rhs.as_ref(), Expr::Op(_, _) | Expr::Rand | Expr::Value(_))
+                        && tail_ok(body)
                 }
                 Expr::Choice(l, r) => tail_ok(l) && tail_ok(r),
                 Expr::Assume(_, e) => tail_ok(e),

@@ -195,7 +195,9 @@ mod tests {
     #[test]
     fn literal_edit_invalidates_only_the_touched_cone() {
         let cold = frontend(SRC).unwrap().cps;
-        let edited = frontend(&SRC.replace("1 + map", "(0 + 1) + map")).unwrap().cps;
+        let edited = frontend(&SRC.replace("1 + map", "(0 + 1) + map"))
+            .unwrap()
+            .cps;
         let ma = Manifest::of(&cold);
         let mb = Manifest::of(&edited);
         assert_eq!(ma.defs.len(), mb.defs.len(), "def count must be stable");
@@ -211,7 +213,10 @@ mod tests {
             .iter()
             .find(|d| d.name.0.contains("zip"))
             .expect("zip is a top-level definition");
-        assert!(unchanged.contains(&zip.name), "zip cone unchanged: {unchanged:?}");
+        assert!(
+            unchanged.contains(&zip.name),
+            "zip cone unchanged: {unchanged:?}"
+        );
     }
 
     #[test]

@@ -116,11 +116,9 @@ impl<'a> Sym<'a> {
     fn value(&self, env: &BTreeMap<Var, SVal>, v: &Value) -> SVal {
         match v {
             Value::Const(Const::Unit) => SVal::Unit,
-            Value::Const(Const::Bool(b)) => SVal::Bool(if *b {
-                Formula::True
-            } else {
-                Formula::False
-            }),
+            Value::Const(Const::Bool(b)) => {
+                SVal::Bool(if *b { Formula::True } else { Formula::False })
+            }
             Value::Const(Const::Int(n)) => SVal::Int(LinExpr::constant(*n as i128)),
             Value::Var(x) => env
                 .get(x)

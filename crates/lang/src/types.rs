@@ -607,11 +607,9 @@ impl Infer {
                 rhs: Box::new(self.resolve_typed(*rhs)?),
                 body: Box::new(self.resolve_typed(*body)?),
             },
-            RawExpr::Fun(x, t, body) => TExpr::Fun(
-                x,
-                self.resolve(t)?,
-                Box::new(self.resolve_typed(*body)?),
-            ),
+            RawExpr::Fun(x, t, body) => {
+                TExpr::Fun(x, self.resolve(t)?, Box::new(self.resolve_typed(*body)?))
+            }
             RawExpr::Assert(a) => TExpr::Assert(Box::new(self.resolve_typed(*a)?)),
             RawExpr::Assume(c, b) => TExpr::Assume(
                 Box::new(self.resolve_typed(*c)?),

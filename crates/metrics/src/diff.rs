@@ -247,20 +247,30 @@ fn summarize_trace(trace: &str) -> Result<TraceRuns, String> {
                 }
                 let peak = run.metrics.entry("peak_bytes".to_string()).or_insert(0.0);
                 *peak = peak.max(f64_of(&v, "peak_bytes"));
-                hs.entry("hbp_rules").or_default().observe(u64_of(&v, "hbp_rules"));
-                hs.entry("hbp_terms").or_default().observe(u64_of(&v, "hbp_terms"));
+                hs.entry("hbp_rules")
+                    .or_default()
+                    .observe(u64_of(&v, "hbp_rules"));
+                hs.entry("hbp_terms")
+                    .or_default()
+                    .observe(u64_of(&v, "hbp_terms"));
             }
             "smt" => {
                 add(&mut run.metrics, "smt_solves", 1.0);
-                hs.entry("smt_solve_us").or_default().observe(u64_of(&v, "dur_us"));
+                hs.entry("smt_solve_us")
+                    .or_default()
+                    .observe(u64_of(&v, "dur_us"));
             }
             "interp_cut" => {
                 add(&mut run.metrics, "interp_cuts", 1.0);
-                hs.entry("interp_size").or_default().observe(u64_of(&v, "size"));
+                hs.entry("interp_size")
+                    .or_default()
+                    .observe(u64_of(&v, "size"));
             }
             "mc_round" => {
                 add(&mut run.metrics, "mc_rounds", 1.0);
-                hs.entry("worklist_depth").or_default().observe(u64_of(&v, "dirty"));
+                hs.entry("worklist_depth")
+                    .or_default()
+                    .observe(u64_of(&v, "dirty"));
             }
             "abs_def" => add(&mut run.metrics, "abs_defs", 1.0),
             "fault" => add(&mut run.metrics, "faults", 1.0),
@@ -358,7 +368,13 @@ fn diff_metrics(
 /// verdict kind (the first word) or the pass flag going from true to
 /// false; any other change is reported but does not gate.
 fn diff_verdicts(report: &mut DiffReport, prog: &str, old: &Summary, new: &Summary) {
-    let shown = |s: &str| if s.is_empty() { "<none>".to_string() } else { s.to_string() };
+    let shown = |s: &str| {
+        if s.is_empty() {
+            "<none>".to_string()
+        } else {
+            s.to_string()
+        }
+    };
     let flag = |ok: Option<bool>| ok.map_or("<none>".to_string(), |b| b.to_string());
     let detail = if old.verdict != new.verdict {
         format!("{} -> {}", shown(&old.verdict), shown(&new.verdict))
@@ -417,7 +433,11 @@ pub fn compare(
             }
         }
     }
-    let status = if report.exit_code() == 0 { "ok" } else { "FAILED" };
+    let status = if report.exit_code() == 0 {
+        "ok"
+    } else {
+        "FAILED"
+    };
     if report.changes == 0 {
         let _ = writeln!(report.text, "{tool}: ok, no differences");
     } else {
@@ -435,7 +455,11 @@ pub fn compare(
 /// a total collapse.
 pub fn trace_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
     let gate = if opts.gate { GATE_RULES } else { &[] };
-    compare("trace-diff", trace_sides(old, new), &rules(gate, &opts.thresholds))
+    compare(
+        "trace-diff",
+        trace_sides(old, new),
+        &rules(gate, &opts.thresholds),
+    )
 }
 
 fn trace_sides(old: &str, new: &str) -> Result<Sides, String> {
@@ -480,7 +504,9 @@ fn meta_fields(doc: &JsonValue) -> Option<Vec<(String, String)>> {
 fn summarize_bench(doc: &JsonValue) -> Result<BTreeMap<String, Summary>, String> {
     let numeric = |v: &JsonValue| -> BTreeMap<String, f64> {
         let fields = v.as_obj().unwrap_or(&[]).iter();
-        fields.filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
+        fields
+            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+            .collect()
     };
     let mut out = BTreeMap::new();
     let programs = doc
@@ -521,7 +547,11 @@ const META_STRICT: &[&str] = &["schema", "suite", "clock"];
 /// Diffs two table1 `--json` baselines (`homc bench-diff`).
 pub fn bench_diff(old: &str, new: &str, opts: &DiffOptions) -> DiffReport {
     let gate = if opts.gate { GATE_RULES } else { &[] };
-    compare("bench-diff", bench_sides(old, new), &rules(gate, &opts.thresholds))
+    compare(
+        "bench-diff",
+        bench_sides(old, new),
+        &rules(gate, &opts.thresholds),
+    )
 }
 
 fn bench_sides(old: &str, new: &str) -> Result<Sides, String> {
@@ -602,7 +632,12 @@ mod tests {
         let a = trace("safe", 5, 100);
         let b = trace("safe", 50, 100);
         let plain = trace_diff(&a, &b, &DiffOptions::default());
-        assert_eq!(plain.exit_code(), 0, "report-only without rules: {}", plain.text);
+        assert_eq!(
+            plain.exit_code(),
+            0,
+            "report-only without rules: {}",
+            plain.text
+        );
         assert!(plain.text.contains("cache_hits: 5 -> 50"), "{}", plain.text);
         let opts = DiffOptions {
             thresholds: vec![parse_threshold("cache_hits=2.0").expect("parses")],
@@ -621,9 +656,17 @@ mod tests {
             &DiffOptions::default(),
         );
         assert_eq!(r.exit_code(), 0);
-        assert!(r.text.contains("smt_solve_us.max: 100 -> 5000"), "{}", r.text);
+        assert!(
+            r.text.contains("smt_solve_us.max: 100 -> 5000"),
+            "{}",
+            r.text
+        );
         // Single observation: the quantile bound clamps to the max.
-        assert!(r.text.contains("smt_solve_us.p90: 100 -> 5000"), "{}", r.text);
+        assert!(
+            r.text.contains("smt_solve_us.p90: 100 -> 5000"),
+            "{}",
+            r.text
+        );
     }
 
     #[test]
@@ -648,21 +691,46 @@ mod tests {
     #[test]
     fn bench_gate_passes_identical_and_flags_regression() {
         let old = bench(META, 0.5, 1000, true);
-        let same = bench_diff(&old, &old, &DiffOptions { thresholds: vec![], gate: true });
+        let same = bench_diff(
+            &old,
+            &old,
+            &DiffOptions {
+                thresholds: vec![],
+                gate: true,
+            },
+        );
         assert_eq!(same.exit_code(), 0, "{}", same.text);
         // 3x slower and 3x more queries: both gate rules fire.
         let slow = bench(META, 1.5, 3000, true);
-        let r = bench_diff(&old, &slow, &DiffOptions { thresholds: vec![], gate: true });
+        let r = bench_diff(
+            &old,
+            &slow,
+            &DiffOptions {
+                thresholds: vec![],
+                gate: true,
+            },
+        );
         assert_eq!(r.exit_code(), 1, "{}", r.text);
         assert!(r.text.contains("p1 total_s"), "{}", r.text);
-        assert!(r.text.contains("totals.wall_s") || r.text.contains("totals wall_s"), "{}", r.text);
+        assert!(
+            r.text.contains("totals.wall_s") || r.text.contains("totals wall_s"),
+            "{}",
+            r.text
+        );
     }
 
     #[test]
     fn bench_verdict_ok_flip_beats_thresholds() {
         let old = bench(META, 0.5, 1000, true);
         let flipped = bench(META, 0.5, 1000, false);
-        let r = bench_diff(&old, &flipped, &DiffOptions { thresholds: vec![], gate: true });
+        let r = bench_diff(
+            &old,
+            &flipped,
+            &DiffOptions {
+                thresholds: vec![],
+                gate: true,
+            },
+        );
         assert_eq!(r.exit_code(), 2, "{}", r.text);
         assert!(r.text.contains("VERDICT FLIP verdict_ok"), "{}", r.text);
     }
@@ -672,7 +740,11 @@ mod tests {
         let old = bench(META, 0.5, 1000, true);
         let other =
             "  \"meta\": {\"schema\": 2, \"suite\": \"other\", \"threads\": 8, \"clock\": \"wall\"},\n";
-        let r = bench_diff(&old, &bench(other, 0.5, 1000, true), &DiffOptions::default());
+        let r = bench_diff(
+            &old,
+            &bench(other, 0.5, 1000, true),
+            &DiffOptions::default(),
+        );
         assert_eq!(r.exit_code(), 3, "{}", r.text);
         let missing = bench_diff(&old, &bench("", 0.5, 1000, true), &DiffOptions::default());
         assert_eq!(missing.exit_code(), 3, "{}", missing.text);
@@ -682,7 +754,13 @@ mod tests {
     fn threshold_parser_accepts_slack_and_rejects_nonsense() {
         let (name, t) = parse_threshold("total_s=2.0:0.1").expect("parses");
         assert_eq!(name, "total_s");
-        assert_eq!(t, Threshold { ratio: 2.0, slack: 0.1 });
+        assert_eq!(
+            t,
+            Threshold {
+                ratio: 2.0,
+                slack: 0.1
+            }
+        );
         assert!(parse_threshold("noequals").is_err());
         assert!(parse_threshold("x=0.5").is_err(), "ratio below 1");
         assert!(parse_threshold("x=2:-1").is_err(), "negative slack");

@@ -765,14 +765,18 @@ mod tests {
         }
         assert!(text.contains("homc_smt_solves_total 3"), "{text}");
         // Buckets are cumulative and the +Inf bucket equals the count.
-        assert!(text.contains("homc_interp_size_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(
+            text.contains("homc_interp_size_bucket{le=\"+Inf\"} 2"),
+            "{text}"
+        );
         assert!(text.contains("homc_interp_size_count 2"), "{text}");
         assert!(text.contains("homc_interp_size_sum 1000005"), "{text}");
         // Sample lines match the Prometheus name grammar.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let name = line.split(['{', ' ']).next().unwrap();
             assert!(
-                name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                name.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "bad metric name in {line:?}"
             );
         }

@@ -64,7 +64,13 @@ pub struct Profile {
 fn sanitize(label: &str) -> String {
     label
         .chars()
-        .map(|c| if c == ';' || c.is_whitespace() { '_' } else { c })
+        .map(|c| {
+            if c == ';' || c.is_whitespace() {
+                '_'
+            } else {
+                c
+            }
+        })
         .collect()
 }
 
@@ -108,7 +114,9 @@ pub fn fold_trace(text: &str) -> Profile {
             "run_end" => None,
             "iter" => Some("iter".to_string()),
             "span" => Some(sanitize(
-                v.get("phase").and_then(JsonValue::as_str).unwrap_or("phase"),
+                v.get("phase")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("phase"),
             )),
             "abs_def" => Some(format!(
                 "def:{}",
@@ -357,7 +365,10 @@ mod tests {
         assert!(n >= 4, "{folded}");
         assert_eq!(folded, fold_trace(sample_trace()).folded());
         // Counts are exclusive µs: the leaf solver call appears verbatim.
-        assert!(folded.contains("p_one;iter;abs;def:f_g;smt 100"), "{folded}");
+        assert!(
+            folded.contains("p_one;iter;abs;def:f_g;smt 100"),
+            "{folded}"
+        );
     }
 
     #[test]

@@ -166,7 +166,11 @@ fn put_boolexpr(out: &mut String, e: &BoolExpr) {
             put_boolexpr(out, g);
         }
         BoolExpr::And(gs) | BoolExpr::Or(gs) => {
-            out.push(if matches!(e, BoolExpr::And(_)) { '&' } else { '|' });
+            out.push(if matches!(e, BoolExpr::And(_)) {
+                '&'
+            } else {
+                '|'
+            });
             out.push(' ');
             put_usize(out, gs.len());
             for g in gs {
@@ -675,10 +679,8 @@ mod tests {
     use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "homc-artifact-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("homc-artifact-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -723,11 +725,17 @@ mod tests {
         let interp = vec![
             (
                 (
-                    vec![Literal::Arith(Atom::le(LinExpr::var("a"), LinExpr::constant(3)))],
+                    vec![Literal::Arith(Atom::le(
+                        LinExpr::var("a"),
+                        LinExpr::constant(3),
+                    ))],
                     vec![Literal::Bool(Var::new("b"), false)],
                     24,
                 ),
-                Some(Formula::Atom(Atom::le(LinExpr::var("a"), LinExpr::constant(3)))),
+                Some(Formula::Atom(Atom::le(
+                    LinExpr::var("a"),
+                    LinExpr::constant(3),
+                ))),
             ),
             ((vec![], vec![], 0), None),
         ];
@@ -745,7 +753,11 @@ mod tests {
         let store = ArtifactStore::new(&dir);
         let art = sample_artifact();
         store.publish("l-zipmap", &art).unwrap();
-        let back = store.load("l-zipmap").unwrap().artifact.expect("artifact present");
+        let back = store
+            .load("l-zipmap")
+            .unwrap()
+            .artifact
+            .expect("artifact present");
         assert_eq!(back.manifest, art.manifest);
         assert_eq!(back.env.schemes, art.env.schemes);
         assert_eq!(back.env.rand_sites.len(), art.env.rand_sites.len());

@@ -693,10 +693,8 @@ mod tests {
     use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "homc-evidence-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("homc-evidence-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -721,13 +719,12 @@ mod tests {
         );
         let gamma = vec![(
             FunName("f".into()),
-            BTreeSet::from([vec![ArgReq::Base(1), ArgReq::Fn(BTreeSet::from([ArrowTy(
-                vec![ArgReq::Base(0)],
-            )]))]]),
+            BTreeSet::from([vec![
+                ArgReq::Base(1),
+                ArgReq::Fn(BTreeSet::from([ArrowTy(vec![ArgReq::Base(0)])])),
+            ]]),
         )];
-        let base_flow = BTreeMap::from([
-            ((FunName("f".into()), 0), BTreeSet::from([0u64, 1u64])),
-        ]);
+        let base_flow = BTreeMap::from([((FunName("f".into()), 0), BTreeSet::from([0u64, 1u64]))]);
         Evidence {
             program: "m1".into(),
             source_hash: 0x1234,

@@ -269,10 +269,7 @@ mod tests {
     use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "homc-ledger-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("homc-ledger-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -336,7 +333,9 @@ mod tests {
         let dir = tmpdir("corrupt");
         let metrics = Metrics::new(true);
         let ledger = Ledger::new(&dir).with_metrics(metrics.clone());
-        ledger.append("suite", &mut [record("a", 10), record("b", 20)]).unwrap();
+        ledger
+            .append("suite", &mut [record("a", 10), record("b", 20)])
+            .unwrap();
         ledger.append("suite", &mut [record("a", 11)]).unwrap();
         // Flip one payload byte inside run 1; the whole file must go — a
         // surviving partial run could skew the baseline median.
@@ -371,7 +370,8 @@ mod tests {
 
     #[test]
     fn foreign_record_schema_decodes_with_version() {
-        let payload = r#"{"schema":999,"run":9,"kind":"batch","program":"x","verdict":"safe","ok":1}"#;
+        let payload =
+            r#"{"schema":999,"run":9,"kind":"batch","program":"x","verdict":"safe","ok":1}"#;
         let r = RunRecord::decode(payload).unwrap();
         assert_eq!(r.schema, 999);
         assert_eq!(r.program, "x");

@@ -220,15 +220,16 @@ pub fn run_jobs<T: Send>(
     let workers = config.workers.clamp(1, n);
 
     // Job slots plus per-worker deques of slot indices (round-robin spread).
-    let slots: Vec<Mutex<Option<Job<T>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let slots: Vec<Mutex<Option<Job<T>>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..n {
-        queues[i % workers].lock().expect("pool poisoned").push_back(i);
+        queues[i % workers]
+            .lock()
+            .expect("pool poisoned")
+            .push_back(i);
     }
-    let results: Vec<Mutex<Option<JobResult<T>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // What each worker is running right now, for the watchdog.
     let running: Vec<Mutex<Option<(Instant, CancelToken)>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
@@ -288,14 +289,12 @@ pub fn run_jobs<T: Send>(
         .into_iter()
         .enumerate()
         .map(|(i, r)| {
-            r.into_inner()
-                .expect("pool poisoned")
-                .unwrap_or(JobResult {
-                    index: i,
-                    attempts: 0,
-                    retry_detail: None,
-                    outcome: JobOutcome::Cancelled,
-                })
+            r.into_inner().expect("pool poisoned").unwrap_or(JobResult {
+                index: i,
+                attempts: 0,
+                retry_detail: None,
+                outcome: JobOutcome::Cancelled,
+            })
         })
         .collect()
 }
@@ -404,11 +403,7 @@ fn interruptible_sleep(total: Duration, cancel: &CancelToken) {
 }
 
 /// Cancels any running attempt that has exceeded `limit`.
-fn watchdog(
-    limit: Duration,
-    running: &[Mutex<Option<(Instant, CancelToken)>>],
-    done: &AtomicBool,
-) {
+fn watchdog(limit: Duration, running: &[Mutex<Option<(Instant, CancelToken)>>], done: &AtomicBool) {
     let tick = (limit / 4).max(Duration::from_millis(5));
     while !done.load(Ordering::Relaxed) {
         for slot in running {
@@ -469,9 +464,7 @@ mod tests {
         }
     }
 
-    fn plain_job<T: Send + 'static>(
-        f: impl FnMut(u32) -> Attempt<T> + Send + 'static,
-    ) -> Job<T> {
+    fn plain_job<T: Send + 'static>(f: impl FnMut(u32) -> Attempt<T> + Send + 'static) -> Job<T> {
         Job {
             cancel: CancelToken::new(),
             run: Box::new(f),
@@ -621,7 +614,9 @@ mod tests {
             progress: tracer.clone(),
             ..PoolConfig::default()
         };
-        let jobs: Vec<Job<u32>> = (0..5).map(|i| plain_job(move |_| Attempt::Done(i))).collect();
+        let jobs: Vec<Job<u32>> = (0..5)
+            .map(|i| plain_job(move |_| Attempt::Done(i)))
+            .collect();
         run_jobs(jobs, &config, &CancelToken::new());
         let text = tracer.snapshot().unwrap();
         homc_trace::validate_trace(&text).unwrap_or_else(|(n, e)| panic!("line {n}: {e}"));

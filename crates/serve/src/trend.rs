@@ -125,7 +125,11 @@ fn ledger_sides(records: &[RunRecord], window: usize) -> Result<Sides, String> {
             .filter(|b| b.program == rec.program)
             .collect();
         let Some(last) = samples.first() else {
-            let _ = writeln!(sides.notes, "  note: {}: new program, no baseline", rec.program);
+            let _ = writeln!(
+                sides.notes,
+                "  note: {}: new program, no baseline",
+                rec.program
+            );
             continue;
         };
         let mut columns: BTreeMap<String, Vec<f64>> = BTreeMap::new();
@@ -141,8 +145,12 @@ fn ledger_sides(records: &[RunRecord], window: usize) -> Result<Sides, String> {
             ok: Some(r.ok),
             metrics,
         };
-        sides.old.insert(rec.program.clone(), summary(last, medians.collect()));
-        sides.new.insert(rec.program.clone(), summary(rec, metrics(rec)));
+        sides
+            .old
+            .insert(rec.program.clone(), summary(last, medians.collect()));
+        sides
+            .new
+            .insert(rec.program.clone(), summary(rec, metrics(rec)));
     }
     Ok(sides)
 }
@@ -193,7 +201,12 @@ pub fn render_history(records: &[RunRecord], filter: Option<&str>) -> String {
         by_program.entry(&r.program).or_default().push(r);
     }
     let runs = by_run(records).len();
-    let _ = writeln!(text, "history: {} program(s) over {} run(s)", by_program.len(), runs);
+    let _ = writeln!(
+        text,
+        "history: {} program(s) over {} run(s)",
+        by_program.len(),
+        runs
+    );
     let _ = writeln!(
         text,
         "{:<14} {:>5} {:<10} {:>9} {:>8} {:>8}  trend (ms)",
@@ -270,7 +283,11 @@ mod tests {
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 1, "{}", report.text);
         assert_eq!(report.breaches, 1);
-        assert!(report.text.contains("sum wall_us: 1000000 -> 2000000"), "{}", report.text);
+        assert!(
+            report.text.contains("sum wall_us: 1000000 -> 2000000"),
+            "{}",
+            report.text
+        );
     }
 
     #[test]
@@ -282,7 +299,11 @@ mod tests {
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 2, "{}", report.text);
         assert_eq!(report.flips, 1);
-        assert!(report.text.contains("sum: VERDICT FLIP safe -> unsafe"), "{}", report.text);
+        assert!(
+            report.text.contains("sum: VERDICT FLIP safe -> unsafe"),
+            "{}",
+            report.text
+        );
     }
 
     #[test]
@@ -298,7 +319,11 @@ mod tests {
     fn short_history_is_clean() {
         let report = regress(&[rec(1, "sum", 1_000, "safe")], &TrendOptions::default());
         assert_eq!(report.exit_code(), 0);
-        assert!(report.text.contains("insufficient history"), "{}", report.text);
+        assert!(
+            report.text.contains("insufficient history"),
+            "{}",
+            report.text
+        );
     }
 
     #[test]
@@ -344,7 +369,11 @@ mod tests {
         ];
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 0, "{}", report.text);
-        assert!(report.text.contains("insufficient history"), "{}", report.text);
+        assert!(
+            report.text.contains("insufficient history"),
+            "{}",
+            report.text
+        );
         // A faster second table1 run is measured against the first only.
         records.push(run_of(4, "table1", 601_000));
         let report = regress(&records, &TrendOptions::default());
@@ -385,7 +414,11 @@ mod tests {
         let report = regress(&records, &TrendOptions::default());
         assert_eq!(report.exit_code(), 0, "{}", report.text);
         assert_eq!(report.flips, 0);
-        assert!(report.text.contains("sum: verdict change unknown"), "{}", report.text);
+        assert!(
+            report.text.contains("sum: verdict change unknown"),
+            "{}",
+            report.text
+        );
     }
 
     #[test]
@@ -393,11 +426,16 @@ mod tests {
         // The verdict kind stays `safe`, but batch fails the job: ok drops.
         let failed = rec(2, "sum", 1_000, "safe (evidence check FAILED)");
         assert!(!failed.ok);
-        let report = regress(&[rec(1, "sum", 1_000, "safe"), failed], &TrendOptions::default());
+        let report = regress(
+            &[rec(1, "sum", 1_000, "safe"), failed],
+            &TrendOptions::default(),
+        );
         assert_eq!(report.exit_code(), 2, "{}", report.text);
         assert_eq!(report.flips, 1);
         assert!(
-            report.text.contains("sum: VERDICT FLIP safe -> safe (evidence check FAILED)"),
+            report
+                .text
+                .contains("sum: VERDICT FLIP safe -> safe (evidence check FAILED)"),
             "{}",
             report.text
         );
@@ -405,7 +443,10 @@ mod tests {
 
     #[test]
     fn threshold_rules_win_over_the_wall_rule() {
-        let records = vec![rec(1, "sum", 1_000_000, "safe"), rec(2, "sum", 2_000_000, "safe")];
+        let records = vec![
+            rec(1, "sum", 1_000_000, "safe"),
+            rec(2, "sum", 2_000_000, "safe"),
+        ];
         let loose = TrendOptions {
             thresholds: vec![parse_threshold("wall_us=3.0").expect("parses")],
             ..TrendOptions::default()
@@ -450,8 +491,18 @@ mod tests {
         // verdict and its slowdown, then the exit code and closing line.
         let cases = [
             ("safe", 1, 0, "ok, no differences"),
-            ("safe", 10, 1, "FAILED, 1 change(s), 1 over threshold, 0 verdict flip(s)"),
-            ("unsafe", 10, 2, "FAILED, 2 change(s), 1 over threshold, 1 verdict flip(s)"),
+            (
+                "safe",
+                10,
+                1,
+                "FAILED, 1 change(s), 1 over threshold, 0 verdict flip(s)",
+            ),
+            (
+                "unsafe",
+                10,
+                2,
+                "FAILED, 2 change(s), 1 over threshold, 1 verdict flip(s)",
+            ),
         ];
         for (verdict, factor, code, closing) in cases {
             let reports = [
@@ -461,11 +512,18 @@ mod tests {
                 ),
                 (
                     "bench-diff",
-                    bench_diff(&bench("safe", 0.5), &bench(verdict, 0.5 * factor as f64), &gate),
+                    bench_diff(
+                        &bench("safe", 0.5),
+                        &bench(verdict, 0.5 * factor as f64),
+                        &gate,
+                    ),
                 ),
                 (
                     "regress",
-                    regress(&ledger(verdict, 1_000_000 * factor), &TrendOptions::default()),
+                    regress(
+                        &ledger(verdict, 1_000_000 * factor),
+                        &TrendOptions::default(),
+                    ),
                 ),
             ];
             for (tool, report) in reports {

@@ -249,10 +249,7 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
 
         // Pick the variable whose elimination generates the fewest rows.
         let mut best: Option<(Var, usize)> = None;
-        let vars: BTreeSet<Var> = rows
-            .iter()
-            .flat_map(|r| r.coeffs.keys().cloned())
-            .collect();
+        let vars: BTreeSet<Var> = rows.iter().flat_map(|r| r.coeffs.keys().cloned()).collect();
         if vars.is_empty() {
             break;
         }
@@ -286,7 +283,7 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
             for n in &neg {
                 let a = p.coeffs[&v]; // > 0
                 let b = n.coeffs[&v]; // < 0
-                // p + n * (a / -b) eliminates v with a positive multiplier.
+                                      // p + n * (a / -b) eliminates v with a positive multiplier.
                 let mut r = p.combine(n, a / (-b));
                 debug_assert!(!r.coeffs.contains_key(&v));
                 r.normalize();
@@ -458,8 +455,7 @@ pub fn check_certificate<A: std::borrow::Borrow<Atom>>(atoms: &[A], cert: &Farka
     // sums in plain `i128` (scaling by a positive constant preserves both
     // the cancellation and the sign of the certificate). Overflow falls
     // back to exact rationals.
-    check_certificate_int(atoms, cert)
-        .unwrap_or_else(|| check_certificate_rat(atoms, cert))
+    check_certificate_int(atoms, cert).unwrap_or_else(|| check_certificate_rat(atoms, cert))
 }
 
 /// Integer fast path of [`check_certificate`]: `None` means an `i128`

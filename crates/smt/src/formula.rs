@@ -409,8 +409,10 @@ mod tests {
             Formula::False
         );
         assert_eq!(Formula::or([Formula::False, Formula::True]), Formula::True);
-        assert_eq!(Formula::not(Formula::not(Formula::BVar(Var::new("b")))),
-            Formula::BVar(Var::new("b")));
+        assert_eq!(
+            Formula::not(Formula::not(Formula::BVar(Var::new("b")))),
+            Formula::BVar(Var::new("b"))
+        );
     }
 
     #[test]

@@ -846,9 +846,8 @@ mod tests {
     fn sequence_rejects_wide_case_splits() {
         // A disjunction wider than the branch budget must fall back to the
         // per-cut engine rather than blow up.
-        let wide = Formula::or(
-            (0..64).map(|i| Formula::atom(Atom::ge(x(), LinExpr::constant(100 + i)))),
-        );
+        let wide =
+            Formula::or((0..64).map(|i| Formula::atom(Atom::ge(x(), LinExpr::constant(100 + i)))));
         let parts = vec![wide, Formula::atom(Atom::le(x(), LinExpr::constant(0)))];
         assert_eq!(
             interpolate_sequence(&parts, InterpOptions::default(), Budget::unlimited(), None),

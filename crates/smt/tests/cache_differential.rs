@@ -112,7 +112,11 @@ fn cached_solver_agrees_with_uncached_on_random_formulas() {
         // a Sat verdict must always be certified by the formula itself.
         if let SatResult::Sat(m) = cached.check(&f) {
             let env = |v: &Var| Some(m.int(v));
-            assert_eq!(f.eval(&env, &|_| None), Some(true), "case {i}: bad model for {f:?}");
+            assert_eq!(
+                f.eval(&env, &|_| None),
+                Some(true),
+                "case {i}: bad model for {f:?}"
+            );
         }
         formulas.push((f, want));
     }

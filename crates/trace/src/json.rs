@@ -304,9 +304,8 @@ impl<'s> Parser<'s> {
                             if self.pos + 5 > self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                    .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates are not emitted by the tracer;
@@ -354,7 +353,15 @@ mod tests {
 
     #[test]
     fn escape_then_parse_is_identity() {
-        let cases = ["", "plain", "q\"uote", "back\\slash", "new\nline", "\u{1}ctl", "ünïcodé"];
+        let cases = [
+            "",
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "new\nline",
+            "\u{1}ctl",
+            "ünïcodé",
+        ];
         for c in cases {
             let escaped = escape_json(c);
             let v = parse_json(&escaped).expect("parses");

@@ -308,7 +308,9 @@ mod tests {
         let v = parse_json(s.trim()).expect("line parses");
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("a\"b\\c\nd"));
         assert_eq!(
-            v.get("m").and_then(|m| m.get("f%1")).and_then(JsonValue::as_num),
+            v.get("m")
+                .and_then(|m| m.get("f%1"))
+                .and_then(JsonValue::as_num),
             Some(2)
         );
         assert_eq!(v.get("i").and_then(JsonValue::as_num), Some(-3));

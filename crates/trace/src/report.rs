@@ -131,7 +131,11 @@ fn render_run(out: &mut String, r: &Run) {
         "== {} — {} iteration(s), {verdict}{}",
         r.name,
         r.iters.len(),
-        if r.clock == "logical" { "  [logical clock]" } else { "" },
+        if r.clock == "logical" {
+            "  [logical clock]"
+        } else {
+            ""
+        },
     );
     // One column per timed phase of the phase table, as wide as its label.
     let labels: Vec<String> = TIMED.iter().map(|p| format!("{}_ms", p.name())).collect();
@@ -296,7 +300,11 @@ mod tests {
             "{\"ts\":5,\"ev\":\"run_end\",\"dur_us\":200}\n",
         );
         let report = render_report(trace);
-        assert_eq!(report, render_report(trace), "renders must be byte-identical");
+        assert_eq!(
+            report,
+            render_report(trace),
+            "renders must be byte-identical"
+        );
         let pos = |q: &str| report.find(q).unwrap_or_else(|| panic!("{q} in {report}"));
         // All totals tie at 100 µs: key order aa < bb < cc decides.
         assert!(pos("(a)") < pos("(b)"), "{report}");
@@ -305,7 +313,9 @@ mod tests {
 
     #[test]
     fn tolerates_garbage_and_missing_runs() {
-        let report = render_report("garbage\n{\"ts\":0,\"ev\":\"iter\",\"iter\":0,\"outcome\":\"refined\"}\n");
+        let report = render_report(
+            "garbage\n{\"ts\":0,\"ev\":\"iter\",\"iter\":0,\"outcome\":\"refined\"}\n",
+        );
         assert!(report.contains("<trace>"), "{report}");
         assert!(report.contains("1 unparseable"), "{report}");
     }

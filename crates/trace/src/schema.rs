@@ -156,7 +156,10 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
             ("job", FieldTy::Count),
             ("worker", FieldTy::Count),
             ("attempt", FieldTy::Count),
-            ("state", FieldTy::Enum(&["start", "retry", "done", "panic", "cancel"])),
+            (
+                "state",
+                FieldTy::Enum(&["start", "retry", "done", "panic", "cancel"]),
+            ),
         ],
     },
     EventSchema {
@@ -237,7 +240,11 @@ impl fmt::Display for SchemaError {
             SchemaError::MissingEv => write!(f, "missing string field \"ev\""),
             SchemaError::BadTs => write!(f, "missing or negative \"ts\""),
             SchemaError::UnknownEvent(ev) => write!(f, "unknown event kind {ev:?}"),
-            SchemaError::BadField { ev, field, expected } => {
+            SchemaError::BadField {
+                ev,
+                field,
+                expected,
+            } => {
                 write!(f, "event {ev:?}: field {field:?} must be {expected}")
             }
         }
@@ -261,7 +268,11 @@ fn check_field(v: &JsonValue, ty: FieldTy) -> Result<(), String> {
             _ => Err(format!("one of {allowed:?}")),
         },
         FieldTy::CountMap => match v.as_obj() {
-            Some(fields) if fields.iter().all(|(_, v)| matches!(v.as_num(), Some(n) if n >= 0)) => {
+            Some(fields)
+                if fields
+                    .iter()
+                    .all(|(_, v)| matches!(v.as_num(), Some(n) if n >= 0)) =>
+            {
                 Ok(())
             }
             _ => Err("an object of non-negative integers".to_string()),
@@ -366,7 +377,9 @@ mod tests {
         ));
         // Unknown pool lifecycle state.
         assert!(matches!(
-            validate_line(r#"{"ts":0,"ev":"pool_job","job":0,"worker":0,"attempt":1,"state":"zzz"}"#),
+            validate_line(
+                r#"{"ts":0,"ev":"pool_job","job":0,"worker":0,"attempt":1,"state":"zzz"}"#
+            ),
             Err(SchemaError::BadField { .. })
         ));
         // No ts.
@@ -375,16 +388,16 @@ mod tests {
             Err(SchemaError::BadTs)
         ));
         // Not JSON.
-        assert!(matches!(validate_line("not json"), Err(SchemaError::BadJson(_))));
+        assert!(matches!(
+            validate_line("not json"),
+            Err(SchemaError::BadJson(_))
+        ));
     }
 
     #[test]
     fn whole_trace_reports_line_numbers() {
         let text = "{\"ts\":0,\"ev\":\"run_end\",\"dur_us\":1}\nbroken\n";
-        assert_eq!(
-            validate_trace(text).map_err(|(n, _)| n),
-            Err(2)
-        );
+        assert_eq!(validate_trace(text).map_err(|(n, _)| n), Err(2));
         let good = "{\"ts\":0,\"ev\":\"run_end\",\"dur_us\":1}\n";
         assert_eq!(validate_trace(good), Ok(1));
     }

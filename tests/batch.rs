@@ -158,7 +158,10 @@ fn batch_publishes_only_keys_the_cache_did_not_load() {
         ..BatchOptions::default()
     };
     let cold = run_batch(vec![job("sum"), job("max")], &opts).expect("cold batch");
-    assert!(cold.publish.is_some(), "a cold batch publishes what it solved");
+    assert!(
+        cold.publish.is_some(),
+        "a cold batch publishes what it solved"
+    );
 
     let warm = run_batch(vec![job("sum"), job("max")], &opts).expect("warm batch");
     assert_eq!(warm.publish, None, "a warm rerun solves nothing new");
