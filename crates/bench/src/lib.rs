@@ -42,7 +42,7 @@ pub struct Row {
     /// round-tripped through a temporary disk segment (exercising the full
     /// persistence codec) and the program verified again against it.
     pub warm_total_s: f64,
-    /// Lookups the warm rerun answered from disk-seeded entries.
+    /// Lookups the warm rerun answered from the disk tier.
     pub warm_disk_hits: u64,
     /// `total` seconds of the *edit-resubmit* incremental rerun (artifact
     /// load and seeding, the loop, the publish): a seeding pass publishes

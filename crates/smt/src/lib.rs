@@ -47,7 +47,7 @@ mod proof;
 mod rat;
 mod solver;
 
-pub use cache::{CacheStats, CachedRat, CachedSat, CubeSat, InterpKey, QueryCache};
+pub use cache::{CacheStats, CacheTier, CachedRat, CachedSat, CubeSat, InterpKey, QueryCache};
 pub use fm::{
     check_certificate, int_sat, rational_sat, rational_sat_cached, ArithRefutation, FarkasCert,
     IntResult, RatResult,

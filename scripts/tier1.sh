@@ -27,6 +27,14 @@ if [ -n "$THREAD_SITES" ]; then
     exit 1
 fi
 
+# Formatting: the root workspace stays rustfmt-clean. The homcbench
+# package is a workspace of its own and is not checked here.
+if command -v rustfmt >/dev/null 2>&1; then
+    run cargo fmt --all --check
+else
+    echo "==> rustfmt unavailable; skipping format stage"
+fi
+
 run cargo build --release "${CARGO_FLAGS[@]}"
 
 # Lint every target with every feature on, so the `slow-tests` benches and

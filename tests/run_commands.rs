@@ -4,8 +4,8 @@
 //! of them now does: the evidence self-check (a timed phase of the job),
 //! the JSON report, every run flag under `profile`, the front-end `fault`
 //! event in per-job traces, the one-worker rule of a single trace file, an
-//! on-demand trace dir, and per-job heap peaks that do not carry an earlier
-//! job's cache.
+//! on-demand trace dir, and per-job heap peaks that carry neither an
+//! earlier job's cache nor a copy of the disk tier for each queued job.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -189,6 +189,16 @@ fn trace_dir_is_created_on_demand() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `job`'s `peak_bytes` in a `--stats` run's output.
+fn job_peak(stdout: &str, job: &str) -> u64 {
+    let peak = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with(&format!("{job} ")))
+        .find_map(|l| l.trim().strip_prefix("peak_bytes="))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok());
+    peak.unwrap_or_else(|| panic!("no {job} peak_bytes in {stdout}"))
+}
+
 /// A job's `peak_bytes` counts its own heap, not what earlier jobs of the
 /// same run left behind: a job's query cache goes when the job settles.
 #[test]
@@ -196,13 +206,7 @@ fn a_job_peak_excludes_earlier_jobs() {
     let fhnhn_peak = |programs: &[&str]| -> u64 {
         let out = run(homc().arg("--suite").args(programs).arg("--stats"));
         assert_eq!(out.status.code(), Some(0), "{}", both(&out));
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let peak = stdout
-            .lines()
-            .skip_while(|l| !l.starts_with("fhnhn "))
-            .find_map(|l| l.trim().strip_prefix("peak_bytes="))
-            .and_then(|rest| rest.split_whitespace().next()?.parse().ok());
-        peak.unwrap_or_else(|| panic!("no fhnhn peak_bytes in {stdout}"))
+        job_peak(&String::from_utf8_lossy(&out.stdout), "fhnhn")
     };
     let solo = fhnhn_peak(&["fhnhn"]);
     let after = fhnhn_peak(&["l-zipmap", "fhnhn"]);
@@ -211,4 +215,31 @@ fn a_job_peak_excludes_earlier_jobs() {
         after <= 2 * solo,
         "fhnhn peaks at {after} bytes after l-zipmap, {solo} alone"
     );
+}
+
+/// Nor does it count the jobs queued behind it: on a filled disk cache the
+/// jobs of a warm batch share one tier, and no job's cache holds a copy of
+/// it before the job runs.
+#[test]
+fn a_warm_job_peak_excludes_queued_jobs() {
+    let dir = tmpdir("warm-peak");
+    let programs = ["sum", "max", "mult", "mc91"];
+    let batch = |programs: &[&str]| {
+        let out = run(homc()
+            .args(["batch", "--workers", "1", "--stats", "--cache-dir"])
+            .arg(&dir)
+            .args(programs));
+        assert_eq!(out.status.code(), Some(0), "{}", both(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    batch(&programs);
+    let solo = job_peak(&batch(&["sum"]), "sum");
+    let first = job_peak(&batch(&programs), "sum");
+    assert!(solo > 0, "the homc binary counts its allocations");
+    assert!(
+        first as f64 <= 1.25 * solo as f64,
+        "sum peaks at {first} bytes as the first of {} warm jobs, {solo} alone",
+        programs.len()
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
