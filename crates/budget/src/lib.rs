@@ -17,10 +17,10 @@
 //!
 //! * Counters are atomics, so a `&Budget` can be threaded through shared
 //!   references (the solver, the checker, the refiner) without plumbing
-//!   `&mut` everywhere, and later PRs can share one budget across threads.
-//! * The wall-clock is only sampled every [`DEADLINE_STRIDE`] checkpoints;
-//!   checkpoints are on hot paths (one per model-checker search step) and
-//!   `Instant::now` is not free.
+//!   `&mut` everywhere.
+//! * With a deadline set, every checkpoint reads the wall clock, so a run
+//!   stops at the first checkpoint past its deadline; without one, no
+//!   checkpoint reads the clock.
 //! * Fault injection is deterministic: the N-th checkpoint of a named phase
 //!   fails, every run, which makes degradation paths unit-testable.
 
@@ -30,12 +30,9 @@
 use std::fmt;
 use std::ops::{AddAssign, Index, IndexMut};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// How often (in checkpoints) the wall clock is consulted.
-pub const DEADLINE_STRIDE: u64 = 64;
 
 /// The phase table: every phase of a verification run, declared once.
 ///
@@ -166,6 +163,9 @@ pub enum Surface {
     /// `table1 --json`: a counter's row and totals columns; a phase's
     /// `<column>_s` and `peak_<phase>_bytes` row keys.
     Table1,
+    /// A batch job's settlement: the `batch_job` progress event and the
+    /// job objects of `--json` (counters only).
+    Batch,
 }
 
 /// The timed phases `surface` shows, in table order.
@@ -231,9 +231,6 @@ pub enum LimitKind {
     Size,
     /// A [`FaultPlan`] injection fired.
     Injected,
-    /// The run was cooperatively cancelled (a [`CancelToken`] was set) —
-    /// e.g. the batch driver tearing down a fleet at its global deadline.
-    Cancelled,
 }
 
 impl fmt::Display for LimitKind {
@@ -244,7 +241,6 @@ impl fmt::Display for LimitKind {
             LimitKind::Steps => write!(f, "step limit"),
             LimitKind::Size => write!(f, "size limit"),
             LimitKind::Injected => write!(f, "injected fault"),
-            LimitKind::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -408,42 +404,12 @@ impl FromStr for Fault {
     }
 }
 
-/// A clonable cooperative-cancellation flag.
-///
-/// The serving layer hands one token to every job of a batch: setting it
-/// (from a watchdog thread, a shutdown path, or a fault drill) makes every
-/// [`Budget::checkpoint`] against a budget carrying the token fail with
-/// [`LimitKind::Cancelled`] — running jobs unwind to a structured `Unknown`
-/// at their next checkpoint instead of being killed mid-write.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, unset token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 /// The shared resource budget: wall-clock deadline + monotone fuel counter +
 /// deterministic fault plan, with one checkpoint counter per [`Phase`].
 pub struct Budget {
     deadline: Option<Instant>,
     max_fuel: Option<u64>,
     plan: FaultPlan,
-    cancel: Option<CancelToken>,
     fuel_used: AtomicU64,
     counters: [AtomicU64; Phase::COUNT],
 }
@@ -454,10 +420,6 @@ impl fmt::Debug for Budget {
             .field("deadline", &self.deadline)
             .field("max_fuel", &self.max_fuel)
             .field("plan", &self.plan)
-            .field(
-                "cancelled",
-                &self.cancel.as_ref().is_some_and(CancelToken::is_cancelled),
-            )
             .field("fuel_used", &self.fuel_used.load(Ordering::Relaxed))
             .finish()
     }
@@ -476,18 +438,9 @@ impl Budget {
             deadline: timeout.map(|t| Instant::now() + t),
             max_fuel,
             plan,
-            cancel: None,
             fuel_used: AtomicU64::new(0),
             counters: Default::default(),
         }
-    }
-
-    /// Attaches a cooperative-cancellation token (builder style). Once the
-    /// token is cancelled, every subsequent checkpoint fails with
-    /// [`LimitKind::Cancelled`].
-    pub fn with_cancel(mut self, token: CancelToken) -> Budget {
-        self.cancel = Some(token);
-        self
     }
 
     /// A shared budget with no limits and no faults. Checkpoints against it
@@ -515,22 +468,12 @@ impl Budget {
     /// Registers one unit of work in `phase`.
     ///
     /// Fails with a structured [`BudgetError`] when the fuel pool is spent,
-    /// the deadline has passed (sampled every [`DEADLINE_STRIDE`]
-    /// checkpoints), or a planned fault fires. A planned [`FaultKind::Panic`]
-    /// fault panics instead — callers are expected to be wrapped in the
-    /// verifier's `catch_unwind` boundary.
+    /// the deadline has passed, or a planned fault fires. A planned
+    /// [`FaultKind::Panic`] fault panics instead — callers are expected to
+    /// be wrapped in the verifier's panic trap.
     pub fn checkpoint(&self, phase: Phase) -> Result<(), BudgetError> {
         let count = self.counters[phase as usize].fetch_add(1, Ordering::Relaxed) + 1;
         let fuel = self.fuel_used.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(BudgetError::with_detail(
-                    phase,
-                    LimitKind::Cancelled,
-                    "cooperative cancellation requested",
-                ));
-            }
-        }
         if let Some(fault) = self.plan.fires(phase, count) {
             match fault.kind {
                 FaultKind::Error => {
@@ -554,17 +497,12 @@ impl Budget {
                 ));
             }
         }
-        if let Some(deadline) = self.deadline {
-            if fuel.is_multiple_of(DEADLINE_STRIDE) || count == 1 {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(BudgetError::with_detail(
-                        phase,
-                        LimitKind::Deadline,
-                        "wall-clock deadline passed",
-                    ));
-                }
-            }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(BudgetError::with_detail(
+                phase,
+                LimitKind::Deadline,
+                "wall-clock deadline passed",
+            ));
         }
         Ok(())
     }
@@ -598,17 +536,24 @@ mod tests {
 
     #[test]
     fn deadline_fires_within_stride() {
+        // Every checkpoint reads the clock, so an expired deadline fails
+        // the very first one.
         let b = Budget::new(Some(Duration::ZERO), None, FaultPlan::none());
-        let mut failed = None;
-        for i in 0..=DEADLINE_STRIDE {
-            if let Err(e) = b.checkpoint(Phase::Abs) {
-                failed = Some((i, e));
-                break;
-            }
-        }
-        let (_, e) = failed.expect("an expired deadline fires within one stride");
+        let e = b
+            .checkpoint(Phase::Abs)
+            .expect_err("deadline already passed");
         assert_eq!(e.limit, LimitKind::Deadline);
         assert!(!e.retryable());
+    }
+
+    #[test]
+    fn deadline_fires_at_the_next_checkpoint_of_the_same_phase() {
+        let b = Budget::new(Some(Duration::from_millis(10)), None, FaultPlan::none());
+        b.checkpoint(Phase::Mc).expect("within the deadline");
+        std::thread::sleep(Duration::from_millis(15));
+        let e = b.checkpoint(Phase::Mc).expect_err("deadline passed");
+        assert_eq!(e.limit, LimitKind::Deadline);
+        assert_eq!(e.phase, Phase::Mc);
     }
 
     #[test]
@@ -661,31 +606,6 @@ mod tests {
         assert!("mc:0".parse::<Fault>().is_err());
         assert!("mc".parse::<Fault>().is_err());
         assert!("mc:1:panic:x".parse::<Fault>().is_err());
-    }
-
-    #[test]
-    fn cancel_token_preempts_at_next_checkpoint() {
-        let token = CancelToken::new();
-        let b = Budget::new(None, None, FaultPlan::none()).with_cancel(token.clone());
-        b.checkpoint(Phase::Mc).expect("not yet cancelled");
-        assert!(!token.is_cancelled());
-        token.cancel();
-        let e = b.checkpoint(Phase::Smt).expect_err("cancelled");
-        assert_eq!(e.limit, LimitKind::Cancelled);
-        assert_eq!(e.phase, Phase::Smt);
-        assert!(!e.retryable(), "cancellation must not trigger retries");
-        // Sticky: every later checkpoint fails too.
-        assert!(b.checkpoint(Phase::Abs).is_err());
-    }
-
-    #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let token = CancelToken::new();
-        let b1 = Budget::new(None, None, FaultPlan::none()).with_cancel(token.clone());
-        let b2 = Budget::new(None, None, FaultPlan::none()).with_cancel(token.clone());
-        token.cancel();
-        assert!(b1.checkpoint(Phase::Mc).is_err());
-        assert!(b2.checkpoint(Phase::Mc).is_err());
     }
 
     #[test]

@@ -2,18 +2,16 @@
 //! It is the only way the `homc` CLI runs programs: a file or suite run is
 //! a batch with one worker.
 //!
-//! Each job runs under its own budget scope (deadline, fuel, cooperative
-//! [`CancelToken`]) against a **private** query cache, so one job's
-//! failure — panic, exhaustion, hang — can neither poison another job's
-//! state nor abort the batch. With a cache dir, the disk tier is loaded
-//! once, undecoded, into one read-only [`DiskTier`](homc_serve::DiskTier)
-//! that every job's cache asks on a private miss: a record is decoded only
-//! when a query hits it, and no job holds a copy of the tier. The pool
-//! retries a job once (with backoff) when it ends in *retryable*
-//! exhaustion; a job that still cannot settle degrades to a structured
-//! `Unknown` entry in the report. After the fleet drains, the union of
-//! every job's freshly solved queries is published back to disk as one new
-//! append-only segment.
+//! Each job runs once, under its own budget (deadline, fuel) against a
+//! **private** query cache, so one job's failure — panic, exhaustion — can
+//! neither poison another job's state nor abort the batch: an exhausted
+//! job reports the verifier's `Unknown`, a panicking one a structured
+//! `Unknown` entry. With a cache dir, the disk tier is loaded once,
+//! undecoded, into one read-only [`DiskTier`](homc_serve::DiskTier) that
+//! every job's cache asks on a private miss: a record is decoded only when
+//! a query hits it, and no job holds a copy of the tier. After the fleet
+//! drains, the union of every job's freshly solved queries is published
+//! back to disk as one new append-only segment.
 //!
 //! Determinism: per-job fault injection ([`JobFault`]) covers job-thread
 //! panics and fuel exhaustion; the disk tier's [`DiskFault`] covers torn
@@ -27,11 +25,9 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use homc_serve::{
-    run_jobs, Attempt, DiskCache, DiskFault, Job, JobOutcome, LoadReport, PoolConfig,
-    PublishReport, RetryPolicy,
-};
-use homc_smt::{CancelToken, QueryCache};
+use homc_metrics::{Counter, Counts, Surface};
+use homc_serve::{run_jobs, DiskCache, DiskFault, Job, LoadReport, PoolConfig, PublishReport};
+use homc_smt::QueryCache;
 use homc_trace::{stable_hash64, Tracer};
 
 use crate::suite::Expected;
@@ -43,10 +39,10 @@ use crate::verifier::{
 /// A deterministic fault injected into one batch job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobFaultKind {
-    /// The job body panics on every attempt (trapped by the pool).
+    /// The job body panics (trapped by the pool).
     Panic,
     /// The job runs with `fuel = 1`: retryable exhaustion, exercising the
-    /// retry path before settling on a degraded `Unknown`.
+    /// verifier's escalation retry before settling on a degraded `Unknown`.
     Exhaust,
 }
 
@@ -91,11 +87,6 @@ pub struct BatchJob {
 pub struct BatchOptions {
     /// Worker threads for the job pool.
     pub workers: usize,
-    /// Retry policy for retryable exhaustion.
-    pub retry: RetryPolicy,
-    /// Watchdog limit: cancel any single attempt still running after this
-    /// long (cooperative, observed at the job's next budget checkpoint).
-    pub watchdog: Option<Duration>,
     /// Directory of the persistent cache tier. `None` runs memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Directory of the cross-run artifact store. Each job loads/publishes
@@ -126,7 +117,7 @@ pub struct BatchOptions {
     /// so job traces are byte-identical with progress on or off.
     pub progress: Tracer,
     /// Base verifier options cloned for every job. The driver overrides
-    /// `cache`, `cancel`, `progress`, `job`, `artifacts` and `evidence`,
+    /// `cache`, `progress`, `job`, `artifacts` and `evidence`,
     /// and `tracer` under `trace_dir` or `capture_traces` (otherwise every
     /// job shares this tracer, which suits one worker); `fuel` is
     /// overridden for jobs under an `Exhaust` fault.
@@ -137,8 +128,6 @@ impl Default for BatchOptions {
     fn default() -> BatchOptions {
         BatchOptions {
             workers: 2,
-            retry: RetryPolicy::default(),
-            watchdog: None,
             cache_dir: None,
             artifacts_dir: None,
             evidence_dir: None,
@@ -161,7 +150,7 @@ pub enum JobStatus {
     Passed,
     /// Wrong decisive verdict or a hard (front-end) error.
     Failed,
-    /// The job degraded: budget, injected fault, panic, cancellation.
+    /// The job degraded: budget, injected fault, panic.
     Unknown,
 }
 
@@ -186,17 +175,12 @@ pub struct JobReport {
     /// The verdict, phrased like the CLI (`safe`, `unsafe`,
     /// `unknown (...)`), or the hard error text.
     pub verdict: String,
-    /// Wall-clock time of the settled attempt (zero for queue-cancelled
-    /// jobs).
+    /// Wall-clock time of the job (zero for a panicked one).
     pub wall: Duration,
-    /// Attempts actually started.
-    pub attempts: u32,
     /// Program size `S` of the paper's Table 1 (0 without an outcome).
     pub size: usize,
     /// Program order `O` of the paper's Table 1 (0 without an outcome).
     pub order: usize,
-    /// Detail of the retry trigger, when the job was retried.
-    pub retry_detail: Option<String>,
     /// Effort counters, when verification produced an outcome at all.
     pub stats: Option<VerifyStats>,
     /// Digest of the exported evidence certificate (0 when none).
@@ -207,6 +191,16 @@ pub struct JobReport {
     pub check: Option<bool>,
     /// Captured in-memory trace (only with `capture_traces`).
     pub trace: Option<String>,
+}
+
+impl JobReport {
+    /// The job's run counters (all zero without an outcome).
+    fn counts(&self) -> Counts {
+        self.stats
+            .as_ref()
+            .map(VerifyStats::counts)
+            .unwrap_or_default()
+    }
 }
 
 /// The complete batch report: one entry per job plus the tier summary.
@@ -230,7 +224,7 @@ pub struct BatchReport {
     pub disk_hits: u64,
 }
 
-/// What one settled verification attempt carries through the pool.
+/// What one verification job carries through the pool.
 struct Settled {
     status: JobStatus,
     verdict: String,
@@ -244,8 +238,8 @@ struct Settled {
 }
 
 impl Settled {
-    /// A settlement without a verification outcome: a hard error, a
-    /// trapped panic, a job cancelled before it started.
+    /// A settlement without a verification outcome: a hard error or a
+    /// trapped panic.
     fn without_outcome(status: JobStatus, verdict: String, wall: Duration) -> Settled {
         Settled {
             status,
@@ -336,13 +330,12 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
     };
 
     // With a cache dir, each job's freshly solved queries move into one
-    // union as its attempt ends, and the union is published after the fleet
+    // union as the job ends, and the union is published after the fleet
     // drains. A job's private cache goes when the job settles, so no job's
     // memory (or `peak_bytes`) carries an earlier job's cache.
     let union = disk.as_ref().map(|_| Arc::new(QueryCache::new()));
     let mut pool_jobs: Vec<Job<Settled>> = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
-        let cancel = CancelToken::new();
         let cache = Arc::new(QueryCache::new());
         if let Some(tier) = &tier {
             cache.attach_tier(tier.clone());
@@ -350,7 +343,6 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
 
         let fault = opts.job_faults.iter().find(|f| f.job == i).map(|f| f.kind);
         let mut vopts = opts.verify.clone();
-        vopts.cancel = Some(cancel.clone());
         vopts.cache = Some(cache);
         vopts.progress = progress.clone();
         vopts.job = i as u64;
@@ -381,7 +373,7 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         let source = job.source.clone();
         let expected = job.expected;
         let union = union.clone();
-        let run = Box::new(move |_attempt: u32| -> Attempt<Settled> {
+        pool_jobs.push(Box::new(move || {
             if fault == Some(JobFaultKind::Panic) {
                 panic!("injected fault: batch job body");
             }
@@ -445,7 +437,7 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                         status = JobStatus::Failed;
                         verdict.push_str(" (evidence check FAILED)");
                     }
-                    let settled = Settled {
+                    Settled {
                         status,
                         verdict,
                         wall,
@@ -455,69 +447,40 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                         check,
                         stats: Some(out.stats),
                         trace,
-                    };
-                    // Retryable exhaustion (fuel/steps/size — not deadline,
-                    // cancellation or an injected error) asks the pool for
-                    // its one backed-off retry; the degraded verdict is the
-                    // fallback if none remains.
-                    if let Verdict::Unknown {
-                        reason: UnknownReason::Budget(e),
-                    } = &out.verdict
-                    {
-                        if e.retryable() {
-                            let detail = e.to_string();
-                            return Attempt::Retry {
-                                fallback: settled,
-                                detail,
-                            };
-                        }
                     }
-                    Attempt::Done(settled)
                 }
-                Err(e) => Attempt::Done(Settled {
+                Err(e) => Settled {
                     trace,
                     ..Settled::without_outcome(JobStatus::Failed, format!("error: {e}"), wall)
-                }),
+                },
             }
-        });
-        pool_jobs.push(Job { cancel, run });
+        }));
     }
 
     let config = PoolConfig {
         workers: opts.workers,
-        retry: opts.retry,
-        watchdog: opts.watchdog,
         metrics: opts.verify.metrics.clone(),
         progress: progress.clone(),
     };
-    let pool_cancel = CancelToken::new();
-    let results = run_jobs(pool_jobs, &config, &pool_cancel);
+    let results = run_jobs(pool_jobs, &config);
 
     let mut report = BatchReport {
         load,
         ..BatchReport::default()
     };
     for (job, res) in jobs.iter().zip(results) {
-        let s = match res.outcome {
-            JobOutcome::Done(s) => s,
-            JobOutcome::Panicked { detail } => Settled::without_outcome(
+        let s = res.unwrap_or_else(|detail| {
+            Settled::without_outcome(
                 JobStatus::Unknown,
                 format!("unknown ({})", UnknownReason::InternalFault(detail)),
                 Duration::ZERO,
-            ),
-            JobOutcome::Cancelled => Settled::without_outcome(
-                JobStatus::Unknown,
-                "unknown (cancelled before start)".to_string(),
-                Duration::ZERO,
-            ),
-        };
+            )
+        });
         let entry = JobReport {
             name: job.name.clone(),
             status: s.status,
             verdict: s.verdict,
             wall: s.wall,
-            attempts: res.attempts,
-            retry_detail: res.retry_detail,
             size: s.size,
             order: s.order,
             stats: s.stats,
@@ -528,7 +491,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
         match entry.status {
             JobStatus::Passed => report.passed += 1,
             JobStatus::Failed => report.failed += 1,
-            JobStatus::Unknown => report.unknown += 1,
+            JobStatus::Unknown => {
+                report.unknown += 1;
+                opts.verify.metrics.incr(Counter::JobsUnknown);
+            }
         }
         if let Some(s) = &entry.stats {
             report.disk_hits += s.disk_hits;
@@ -553,13 +519,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
                     } else {
                         entry.wall.as_micros() as u64
                     },
-                )
-                .num("attempts", u64::from(entry.attempts))
-                .num(
-                    "cache_hits",
-                    entry.stats.as_ref().map_or(0, |s| s.cache_hits),
-                )
-                .num("disk_hits", entry.stats.as_ref().map_or(0, |s| s.disk_hits));
+                );
+            for (c, v) in entry.counts().on(Surface::Batch) {
+                e.num(c.name(), v);
+            }
         });
     }
     progress.emit("batch_end", |e| {
@@ -581,7 +544,9 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
 /// Schema version of [`render_batch_json`] output; bump on any field change.
 /// Schema 2 added the per-job `evidence_digest` (hex string, null when no
 /// certificate was exported) and `check` (self-check outcome) fields.
-pub const BATCH_SCHEMA: u64 = 2;
+/// Schema 3 dropped the per-job retry fields (a job runs once); a job's
+/// counters are the counter table's `Batch` rows.
+pub const BATCH_SCHEMA: u64 = 3;
 
 /// Machine-readable `homc batch --json` rendering: stable field order,
 /// schema-versioned, newline-terminated. Wall times are zeroed when
@@ -599,10 +564,11 @@ pub fn render_batch_json(report: &BatchReport, workers: usize, logical: bool) ->
     let _ = writeln!(s, "  \"jobs\": [");
     for (i, j) in report.jobs.iter().enumerate() {
         let comma = if i + 1 == report.jobs.len() { "" } else { "," };
-        let retry = match &j.retry_detail {
-            Some(d) => esc(d),
-            None => "null".to_string(),
-        };
+        let counters: String = j
+            .counts()
+            .on(Surface::Batch)
+            .map(|(c, v)| format!("\"{}\": {v}, ", c.name()))
+            .collect();
         // The digest is a full-width u64: emitted as a hex *string* so JSON
         // consumers limited to f64 numbers cannot corrupt it.
         let digest = if j.evidence_digest == 0 {
@@ -618,8 +584,7 @@ pub fn render_batch_json(report: &BatchReport, workers: usize, logical: bool) ->
         let _ = writeln!(
             s,
             "    {{\"name\": {}, \"status\": \"{}\", \"verdict\": {}, \"wall_us\": {}, \
-             \"attempts\": {}, \"retry_detail\": {}, \"cache_hits\": {}, \"disk_hits\": {}, \
-             \"evidence_digest\": {digest}, \"check\": {check}}}{comma}",
+             {counters}\"evidence_digest\": {digest}, \"check\": {check}}}{comma}",
             esc(&j.name),
             j.status.as_str(),
             esc(&j.verdict),
@@ -628,10 +593,6 @@ pub fn render_batch_json(report: &BatchReport, workers: usize, logical: bool) ->
             } else {
                 j.wall.as_micros() as u64
             },
-            j.attempts,
-            retry,
-            j.stats.as_ref().map_or(0, |st| st.cache_hits),
-            j.stats.as_ref().map_or(0, |st| st.disk_hits),
         );
     }
     let _ = writeln!(s, "  ],");
@@ -719,9 +680,12 @@ mod tests {
 
         let json = render_batch_json(&report, 2, true);
         assert_eq!(json, render_batch_json(&report, 2, true));
-        assert!(json.contains("\"schema\": 2"), "{json}");
+        assert!(json.contains("\"schema\": 3"), "{json}");
         assert!(json.contains("\"wall_us\": 0"), "{json}");
-        assert!(json.contains("\"retry_detail\": null"), "{json}");
+        assert!(
+            !json.contains("attempts") && !json.contains("retry"),
+            "{json}"
+        );
         // No evidence dir was configured, so both new fields are null.
         assert!(json.contains("\"evidence_digest\": null"), "{json}");
         assert!(json.contains("\"check\": null"), "{json}");

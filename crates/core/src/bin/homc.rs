@@ -92,7 +92,6 @@ whole suite without one):
   --inject-job <idx:panic|exhaust>  fault one job of the run
   --inject-disk <torn:b|trunc:r|flipsum:r|flip:o>  corrupt the published cache segment
   --workers <n>              pool workers (default 1, 2 under batch; profile takes 1)
-  --watchdog <secs>          cancel any single attempt running longer
   --stats                    per-job counters and peak heap, run totals, metrics registry
   --json                     print the report as one schema-versioned JSON document
   --trace <out.jsonl>        one JSONL event trace of the whole run (one worker)
@@ -111,8 +110,7 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A positive number of seconds, as `--timeout`, `--watchdog` and
-/// `--interval` take.
+/// A positive number of seconds, as `--timeout` and `--interval` take.
 fn seconds(flag: &str, v: &str) -> Result<Duration, String> {
     let secs: f64 = v
         .parse()
@@ -674,7 +672,6 @@ fn parse_run(cmd: RunCmd, args: &[String]) -> Result<RunArgs, String> {
             "--json" => run.json = true,
             "--logical" => opts.logical = true,
             "--timeout" => opts.verify.timeout = Some(seconds(flag, value()?)?),
-            "--watchdog" => opts.watchdog = Some(seconds(flag, value()?)?),
             "--workers" => {
                 let v = value()?;
                 opts.workers =
@@ -831,18 +828,13 @@ fn execute(cmd: RunCmd, run: RunArgs) -> Result<ExitCode, String> {
 fn print_report(report: &BatchReport, opts: &BatchOptions, stats: bool) {
     let mut totals = Counts::default();
     for j in &report.jobs {
-        let retried = match &j.retry_detail {
-            _ if j.attempts <= 1 => String::new(),
-            Some(d) => format!("  (attempts={}, retried after {d})", j.attempts),
-            None => format!("  (attempts={})", j.attempts),
-        };
         let evidence = match j.check {
             Some(true) => "  evidence=ok",
             Some(false) => "  evidence=FAIL",
             None => "",
         };
         say(format_args!(
-            "{:12} wall={} -> {}{}{evidence}{retried}",
+            "{:12} wall={} -> {}{}{evidence}",
             j.name,
             fmt_d(j.wall),
             j.verdict,

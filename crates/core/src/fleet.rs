@@ -27,7 +27,6 @@ struct JobView {
     name: String,
     state: &'static str,
     worker: Option<u64>,
-    attempt: u64,
     phase: Option<String>,
     iter: Option<u64>,
     verdict: Option<String>,
@@ -41,7 +40,6 @@ struct FleetView {
     queued: u64,
     running: u64,
     done: u64,
-    retried: u64,
     jobs: BTreeMap<u64, JobView>,
     tally: Option<(u64, u64, u64, u64)>,
 }
@@ -80,18 +78,14 @@ fn parse_view(stream: &str) -> FleetView {
                 view.queued = num(&v, "queued");
                 view.running = num(&v, "running");
                 view.done = num(&v, "done");
-                view.retried = num(&v, "retried");
             }
             "pool_job" => {
                 let job = view.jobs.entry(num(&v, "job")).or_default();
                 job.worker = Some(num(&v, "worker"));
-                job.attempt = num(&v, "attempt");
                 job.state = match v.get("state").and_then(JsonValue::as_str) {
                     Some("start") => "running",
-                    Some("retry") => "retrying",
                     Some("done") => "done",
                     Some("panic") => "panicked",
-                    Some("cancel") => "cancelled",
                     _ => job.state,
                 };
                 if job.state != "running" {
@@ -151,13 +145,13 @@ pub fn render_top(stream: &str) -> String {
     );
     let _ = writeln!(
         out,
-        "queued {}  running {}  done {}  retried {}",
-        view.queued, view.running, view.done, view.retried
+        "queued {}  running {}  done {}",
+        view.queued, view.running, view.done
     );
     let _ = writeln!(
         out,
-        "{:>4} {:<16} {:<10} {:>3} {:>3} {:<8} verdict",
-        "job", "name", "state", "wk", "try", "phase"
+        "{:>4} {:<16} {:<10} {:>3} {:<8} verdict",
+        "job", "name", "state", "wk", "phase"
     );
     for (id, job) in &view.jobs {
         let phase = match (&job.phase, job.iter) {
@@ -167,7 +161,7 @@ pub fn render_top(stream: &str) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>4} {:<16} {:<10} {:>3} {:>3} {:<8} {}",
+            "{:>4} {:<16} {:<10} {:>3} {:<8} {}",
             id,
             job.name,
             if job.state.is_empty() {
@@ -176,7 +170,6 @@ pub fn render_top(stream: &str) -> String {
                 job.state
             },
             job.worker.map_or("-".to_string(), |w| w.to_string()),
-            job.attempt,
             phase,
             job.verdict.as_deref().unwrap_or("-")
         );
@@ -253,8 +246,8 @@ mod tests {
 {\"ts\":0,\"ev\":\"batch_start\",\"jobs\":2,\"workers\":2,\"clock\":\"logical\"}\n\
 {\"ts\":1,\"ev\":\"job_queued\",\"job\":0,\"name\":\"sum\"}\n\
 {\"ts\":2,\"ev\":\"job_queued\",\"job\":1,\"name\":\"mc91\"}\n\
-{\"ts\":3,\"ev\":\"pool_job\",\"job\":0,\"worker\":0,\"attempt\":1,\"state\":\"start\"}\n\
-{\"ts\":4,\"ev\":\"pool_hb\",\"queued\":1,\"running\":1,\"done\":0,\"retried\":0}\n\
+{\"ts\":3,\"ev\":\"pool_job\",\"job\":0,\"worker\":0,\"state\":\"start\"}\n\
+{\"ts\":4,\"ev\":\"pool_hb\",\"queued\":1,\"running\":1,\"done\":0}\n\
 {\"ts\":5,\"ev\":\"job_phase\",\"job\":0,\"iter\":2,\"phase\":\"mc\"}\n";
 
     #[test]
@@ -277,9 +270,9 @@ mod tests {
     fn settled_stream_renders_tally() {
         let settled = format!(
             "{STREAM}\
-{{\"ts\":6,\"ev\":\"pool_job\",\"job\":0,\"worker\":0,\"attempt\":1,\"state\":\"done\"}}\n\
-{{\"ts\":7,\"ev\":\"batch_job\",\"job\":0,\"name\":\"sum\",\"status\":\"passed\",\"verdict\":\"safe\",\"wall_us\":0,\"attempts\":1,\"cache_hits\":4,\"disk_hits\":0}}\n\
-{{\"ts\":8,\"ev\":\"batch_job\",\"job\":1,\"name\":\"mc91\",\"status\":\"unknown\",\"verdict\":\"unknown (deadline)\",\"wall_us\":0,\"attempts\":2,\"cache_hits\":0,\"disk_hits\":0}}\n\
+{{\"ts\":6,\"ev\":\"pool_job\",\"job\":0,\"worker\":0,\"state\":\"done\"}}\n\
+{{\"ts\":7,\"ev\":\"batch_job\",\"job\":0,\"name\":\"sum\",\"status\":\"passed\",\"verdict\":\"safe\",\"wall_us\":0,\"cache_hits\":4,\"disk_hits\":0}}\n\
+{{\"ts\":8,\"ev\":\"batch_job\",\"job\":1,\"name\":\"mc91\",\"status\":\"unknown\",\"verdict\":\"unknown (deadline)\",\"wall_us\":0,\"cache_hits\":0,\"disk_hits\":0}}\n\
 {{\"ts\":9,\"ev\":\"batch_end\",\"passed\":1,\"failed\":0,\"unknown\":1,\"dur_us\":2500000}}\n"
         );
         let out = render_top(&settled);

@@ -70,10 +70,10 @@ pub use homc_serve::{
 };
 pub use homc_serve::{
     regress, render_history, seed_cache, DiskCache, DiskFault, Ledger, LedgerLoad, LoadReport,
-    PublishReport, RetryPolicy, RunRecord, TrendOptions, RECORD_SCHEMA,
+    PublishReport, RunRecord, TrendOptions, RECORD_SCHEMA,
 };
 pub use homc_serve::{Artifact, ArtifactLoad, ArtifactStore};
-pub use homc_smt::{CancelToken, QueryCache};
+pub use homc_smt::QueryCache;
 pub use homc_trace::{
     escape_json, parse_json, render_report, stable_hash64, validate_line, validate_trace,
     JsonValue, SchemaError, Tracer,

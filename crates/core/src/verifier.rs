@@ -23,12 +23,11 @@
 //! run, the loop restarts once with limits scaled ×4 before giving up.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use homc_abs::{
@@ -47,12 +46,12 @@ use homc_lang::manifest::Manifest;
 use homc_lang::{frontend, Compiled};
 use homc_metrics::{counter_table, mem, Agg, Counter, Counts, Hist, Metrics, Surface, COUNTERS};
 use homc_serve::{
-    Artifact, ArtifactStore, Evidence, EvidenceStore, EvidenceVerdict, ProvenanceRecord,
-    SafeEvidence,
+    trap_panics, Artifact, ArtifactStore, Evidence, EvidenceStore, EvidenceVerdict,
+    ProvenanceRecord, SafeEvidence,
 };
 use homc_smt::{
-    prove_unsat, Budget, BudgetError, CacheStats, CancelToken, FaultPlan, LimitKind, Phase,
-    QueryCache, SmtSolver, UnsatProof,
+    prove_unsat, Budget, BudgetError, CacheStats, FaultPlan, LimitKind, Phase, QueryCache,
+    SmtSolver, UnsatProof,
 };
 use homc_smt::{Formula, Var};
 use homc_trace::Tracer;
@@ -125,10 +124,6 @@ pub struct VerifierOptions {
     /// creates a fresh cache per run. Stats report the run's *delta* over
     /// the cache's starting counters, so a warm cache never double-counts.
     pub cache: Option<Arc<QueryCache>>,
-    /// Cooperative cancellation: when fired, the next budget checkpoint in
-    /// any phase stops the run with a `Cancelled` budget error (degrading to
-    /// [`Verdict::Unknown`], like every other exhaustion).
-    pub cancel: Option<CancelToken>,
     /// Live progress sink, distinct from [`tracer`](Self::tracer): phase
     /// *starts* emit `job_phase` events here so a fleet renderer can show
     /// what each worker is doing right now. Keeping the sink separate is
@@ -174,7 +169,6 @@ impl Default for VerifierOptions {
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             cache: None,
-            cancel: None,
             progress: Tracer::disabled(),
             job: 0,
             artifacts: None,
@@ -364,37 +358,6 @@ pub fn verify(src: &str, opts: &VerifierOptions) -> Result<VerifyOutcome, Verify
     verify_compiled(&compiled, opts)
 }
 
-thread_local! {
-    static TRAPPING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f`, converting a panic into `Err(message)`. While trapping, the
-/// default panic hook's backtrace spew is suppressed on this thread (the
-/// panic is an expected degradation path, not a crash).
-fn trap_panics<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !TRAPPING.with(Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-    TRAPPING.with(|t| t.set(true));
-    let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-    TRAPPING.with(|t| t.set(false));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
 /// What one CEGAR iteration decided.
 enum IterOutcome {
     /// Verdict reached; stop.
@@ -559,11 +522,7 @@ pub fn verify_compiled(
 ) -> Result<VerifyOutcome, VerifyError> {
     let start = Instant::now();
     let mut stats = VerifyStats::default();
-    let mut budget = Budget::new(opts.timeout, opts.fuel, opts.faults.clone());
-    if let Some(token) = &opts.cancel {
-        budget = budget.with_cancel(token.clone());
-    }
-    let budget = Arc::new(budget);
+    let budget = Arc::new(Budget::new(opts.timeout, opts.fuel, opts.faults.clone()));
     // One query cache for the whole run: abstraction entailments recur
     // across CEGAR iterations, and interpolation cubes recur across cut
     // points, so the cache is shared by every solver and never reset

@@ -11,8 +11,10 @@
 //! * **elaboration** (α-renaming, λ-lifting, A-normalization, the `if`
 //!   desugaring of §2) and the **CPS transformation** the paper applies
 //!   before verification (§6, footnote 8);
-//! * a labelled **reference interpreter** (Figure 2) and a **symbolic
-//!   replayer** used by the CEGAR feasibility check (§5.1).
+//! * a labelled **reference interpreter** (Figure 2).
+//!
+//! The CEGAR feasibility check (§5.1) replays an abstract error path
+//! symbolically in `homc-cegar` (`build_trace_budgeted`), not here.
 //!
 //! # Example
 //!
@@ -45,7 +47,6 @@ pub mod kernel;
 pub mod lexer;
 pub mod manifest;
 pub mod parser;
-pub mod symexec;
 pub mod types;
 
 use std::fmt;

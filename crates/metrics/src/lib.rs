@@ -64,7 +64,6 @@ macro_rules! counter_table {
                 McRounds mc_rounds "Model-checker worklist batches drained";
                 AbsDefs abs_defs "Definitions abstracted across all iterations";
                 JobsDone jobs_done "Batch jobs that ran to a verdict";
-                JobsRetried jobs_retried "Batch job attempts re-queued after retryable exhaustion";
                 JobsUnknown jobs_unknown "Batch jobs degraded to unknown";
                 DiskQuarantine disk_quarantine "Disk-cache segments quarantined by integrity checks";
                 LedgerQuarantine ledger_quarantine "Run-ledger files quarantined by integrity checks";
@@ -76,7 +75,7 @@ macro_rules! counter_table {
                 SmtQueries smt_queries: usize = Cache(CacheStats.lookups())
                     [Stats, Ledger, Iter, Table1] "Query-cache lookups in every table (hits + misses)";
                 CacheHits cache_hits: u64 = Cache(CacheStats.hits())
-                    [Stats, Ledger, Iter, Table1] "Query-cache lookups answered from the cache";
+                    [Stats, Ledger, Iter, Table1, Batch] "Query-cache lookups answered from the cache";
                 CacheMisses cache_misses: u64 = Cache(CacheStats.misses())
                     [Stats, Ledger, Iter, Table1] "Query-cache lookups a decision procedure answered";
                 WorklistPops worklist_pops: usize = Sum(CheckStats.worklist_pops)
@@ -102,7 +101,7 @@ macro_rules! counter_table {
                 AbsCtxTruncated abs_ctx_truncated: usize = Sum(AbsStats.ctx_truncated)
                     [Stats, Ledger, Iter, Table1] "Context components dropped by the context-atom cap";
                 DiskHits disk_hits: u64 = Cache(CacheStats.disk_hits)
-                    [Stats, Ledger, Iter] "Query-cache hits answered from the disk tier";
+                    [Stats, Ledger, Iter, Batch] "Query-cache hits answered from the disk tier";
                 ReverifyDefsSkipped reverify_defs_skipped: usize = Sum
                     [Stats, Ledger, Iter] "Definitions replayed from a prior run's persisted artifact";
                 ReverifyPredsSeeded reverify_preds_seeded: usize = Sum
@@ -286,7 +285,7 @@ metric_enum! {
         HbpRules hbp_rules "Boolean-program rule count per iteration";
         HbpTerms hbp_terms "Boolean-program AST size per iteration";
         WorklistDepth worklist_depth "Model-checker worklist batch size at each drain";
-        JobUs job_us "Wall-clock latency of one batch job attempt in microseconds";
+        JobUs job_us "Wall-clock latency of one batch job in microseconds";
     }
 }
 

@@ -188,9 +188,17 @@ mod tests {
     // `account_alloc`/`account_dealloc` directly and only assert relative
     // movement (other tests in the binary may allocate concurrently — but
     // without the allocator installed, nothing else calls `account_*`, so
-    // these counters move only under this test).
+    // these counters move only under these tests, which take `SERIAL` so
+    // they never move them under each other).
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn watermarks_track_live_bytes() {
+        let _serial = serial();
         reset_run();
         let base = live_bytes();
         account_alloc(1000);
@@ -206,6 +214,7 @@ mod tests {
 
     #[test]
     fn phase_scopes_attribute_and_nest() {
+        let _serial = serial();
         reset_run();
         {
             let _abs = phase_scope(Phase::Abs);
@@ -228,6 +237,7 @@ mod tests {
 
     #[test]
     fn window_watermark_resets() {
+        let _serial = serial();
         reset_run();
         account_alloc(2000);
         account_dealloc(2000);

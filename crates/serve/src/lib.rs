@@ -2,13 +2,12 @@
 //! pipeline. Nothing here knows how to verify a program (the batch driver
 //! lives in the `homc` crate, which depends on this one):
 //!
-//! * **A work-stealing job pool** ([`mod@pool`]): runs many jobs
-//!   concurrently, each under its own cooperative [`CancelToken`] (typically
-//!   wired into a `homc-budget` deadline/fuel scope), with panic trapping,
-//!   one bounded retry with exponential backoff on retryable exhaustion, and
-//!   an optional watchdog. Every submitted job yields exactly one structured
-//!   [`JobResult`] — a failed or hung job degrades to a report entry, never
-//!   a process abort.
+//! * **A job pool** ([`mod@pool`]): runs each job once on a fixed set of
+//!   workers under the one panic trap ([`trap_panics`]). Every submitted job
+//!   yields exactly one result, its value or its panic message, in
+//!   submission order — a panicking job degrades to a report entry, never a
+//!   process abort. The limits a job can hit live in its own `homc-budget`
+//!   budget, not in the pool.
 //! * **Four on-disk stores over one framed-file container.** A private
 //!   `store` module owns the container: versioned header, length+FNV-1a
 //!   checksummed frames, quarantine of corrupt files, file naming, and a
@@ -29,8 +28,8 @@
 //!     key, replayed by `homc check`.
 //!
 //! Deterministic fault injection covers the failure surfaces: torn writes,
-//! truncated segments, checksum flips ([`DiskFault`]), job-thread panics and
-//! cancellation races (injected by the batch driver through the job body).
+//! truncated segments, checksum flips ([`DiskFault`]) and job-thread panics
+//! (injected by the batch driver through the job body).
 //! See DESIGN.md §"Serving & persistence architecture" and §"On-disk store".
 
 #![forbid(unsafe_code)]
@@ -54,9 +53,8 @@ pub use evidence::{
     parse_evidence_bytes, Evidence, EvidenceLoad, EvidenceStore, EvidenceVerdict, ProvenanceRecord,
     SafeEvidence, EVIDENCE_MAGIC, EVIDENCE_VERSION,
 };
-pub use homc_budget::CancelToken;
 pub use ledger::{
     AppendReport, Ledger, LedgerLoad, RunRecord, LEDGER_MAGIC, LEDGER_VERSION, RECORD_SCHEMA,
 };
-pub use pool::{run_jobs, Attempt, Job, JobOutcome, JobResult, PoolConfig, RetryPolicy};
+pub use pool::{run_jobs, trap_panics, Job, PoolConfig};
 pub use trend::{regress, render_history, TrendOptions};

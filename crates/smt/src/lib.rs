@@ -53,7 +53,7 @@ pub use fm::{
     IntResult, RatResult,
 };
 pub use formula::{Formula, Literal};
-pub use homc_budget::{Budget, BudgetError, CancelToken, FaultKind, FaultPlan, LimitKind, Phase};
+pub use homc_budget::{Budget, BudgetError, FaultKind, FaultPlan, LimitKind, Phase};
 pub use interp::{
     cube_consistency, cube_literals, interpolate, interpolate_budgeted_cached,
     interpolate_sequence, interpolate_with, is_interpolant, InterpError, InterpOptions,

@@ -155,11 +155,7 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
         fields: &[
             ("job", FieldTy::Count),
             ("worker", FieldTy::Count),
-            ("attempt", FieldTy::Count),
-            (
-                "state",
-                FieldTy::Enum(&["start", "retry", "done", "panic", "cancel"]),
-            ),
+            ("state", FieldTy::Enum(&["start", "done", "panic"])),
         ],
     },
     EventSchema {
@@ -169,7 +165,6 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
             ("queued", FieldTy::Count),
             ("running", FieldTy::Count),
             ("done", FieldTy::Count),
-            ("retried", FieldTy::Count),
         ],
     },
     EventSchema {
@@ -183,7 +178,8 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
         ],
     },
     EventSchema {
-        // A job settling with its verdict and headline stats.
+        // A job settling with its verdict and its counters (the counter
+        // table's `Batch` rows).
         ev: "batch_job",
         fields: &[
             ("job", FieldTy::Count),
@@ -191,7 +187,6 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
             ("status", FieldTy::Enum(&["passed", "failed", "unknown"])),
             ("verdict", FieldTy::Str),
             ("wall_us", FieldTy::Count),
-            ("attempts", FieldTy::Count),
             ("cache_hits", FieldTy::Count),
             ("disk_hits", FieldTy::Count),
         ],
@@ -342,10 +337,10 @@ mod tests {
             r#"{"ts":5,"ev":"run_end","dur_us":0}"#,
             r#"{"ts":6,"ev":"batch_start","jobs":4,"workers":2,"clock":"logical"}"#,
             r#"{"ts":7,"ev":"job_queued","job":0,"name":"sum"}"#,
-            r#"{"ts":8,"ev":"pool_job","job":0,"worker":1,"attempt":1,"state":"start"}"#,
-            r#"{"ts":9,"ev":"pool_hb","queued":3,"running":1,"done":0,"retried":0}"#,
+            r#"{"ts":8,"ev":"pool_job","job":0,"worker":1,"state":"start"}"#,
+            r#"{"ts":9,"ev":"pool_hb","queued":3,"running":1,"done":0}"#,
             r#"{"ts":10,"ev":"job_phase","job":0,"iter":2,"phase":"mc"}"#,
-            r#"{"ts":11,"ev":"batch_job","job":0,"name":"sum","status":"passed","verdict":"safe","wall_us":0,"attempts":1,"cache_hits":9,"disk_hits":0}"#,
+            r#"{"ts":11,"ev":"batch_job","job":0,"name":"sum","status":"passed","verdict":"safe","wall_us":0,"cache_hits":9,"disk_hits":0}"#,
             r#"{"ts":12,"ev":"batch_end","passed":4,"failed":0,"unknown":0,"dur_us":0}"#,
         ];
         for line in ok {
@@ -377,9 +372,7 @@ mod tests {
         ));
         // Unknown pool lifecycle state.
         assert!(matches!(
-            validate_line(
-                r#"{"ts":0,"ev":"pool_job","job":0,"worker":0,"attempt":1,"state":"zzz"}"#
-            ),
+            validate_line(r#"{"ts":0,"ev":"pool_job","job":0,"worker":0,"state":"zzz"}"#),
             Err(SchemaError::BadField { .. })
         ));
         // No ts.

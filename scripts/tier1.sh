@@ -18,12 +18,19 @@ run() {
 # One thread per job: the batch pool is the only code that starts threads,
 # and each job runs its whole CEGAR loop on the worker it was given. A
 # `thread::scope` or `thread::spawn` anywhere else under crates/*/src
-# fails the stage, naming the files.
+# fails the stage, naming the files. One panic trap: a second file under
+# crates/*/src that installs a panic hook (`panic::set_hook`) fails it too.
 echo "==> one-thread-per-job"
 THREAD_SITES=$(grep -rlE 'thread::(scope|spawn)' crates/*/src | grep -vx 'crates/serve/src/pool.rs' | sort || true)
 if [ -n "$THREAD_SITES" ]; then
     echo "tier1: one-thread-per-job: threads started outside crates/serve/src/pool.rs in:" >&2
     echo "$THREAD_SITES" >&2
+    exit 1
+fi
+HOOK_SITES=$(grep -rl 'panic::set_hook' crates/*/src | sort || true)
+if [ "$(printf '%s' "$HOOK_SITES" | grep -c .)" -gt 1 ]; then
+    echo "tier1: one-panic-trap: panic hooks installed in more than one file:" >&2
+    echo "$HOOK_SITES" >&2
     exit 1
 fi
 

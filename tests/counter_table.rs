@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use homc::{
-    parse_json, stats_counters, suite, verify, Agg, ArtifactConfig, Counts, JsonValue, Metrics,
-    Surface, Tracer, VerifierOptions, COUNTERS,
+    parse_json, render_batch_json, run_batch, stats_counters, suite, verify, Agg, ArtifactConfig,
+    BatchJob, BatchOptions, Counts, JsonValue, Metrics, Surface, Tracer, VerifierOptions, COUNTERS,
 };
 use homc_bench::{baseline_json, Row};
 
@@ -95,6 +95,31 @@ fn every_counter_reaches_its_surfaces() {
         .expect("rows")[0];
     let (row_keys, total_keys) = (keys(bench_row), keys(doc.get("totals").expect("totals")));
 
+    // The `batch_job` progress event and the `--json` job object, from one
+    // batch of the same program.
+    let progress = Tracer::memory(true);
+    let job = BatchJob {
+        name: program.name.to_string(),
+        source: program.source.to_string(),
+        expected: Some(program.expected),
+    };
+    let batch_opts = BatchOptions {
+        workers: 1,
+        progress: progress.clone(),
+        ..BatchOptions::default()
+    };
+    let batch = run_batch(vec![job], &batch_opts).expect("batch runs");
+    let batch_counts = batch.jobs[0].stats.as_ref().expect("an outcome").counts();
+    let settled = progress
+        .snapshot()
+        .expect("memory sink")
+        .lines()
+        .map(|l| parse_json(l).expect("json line"))
+        .find(|v| v.get("ev").and_then(JsonValue::as_str) == Some("batch_job"))
+        .expect("a batch_job event");
+    let json = parse_json(&render_batch_json(&batch, 1, true)).expect("batch json");
+    let json_job = &json.get("jobs").and_then(JsonValue::as_arr).expect("jobs")[0];
+
     for c in COUNTERS {
         let name = c.name();
         assert!(
@@ -130,6 +155,13 @@ fn every_counter_reaches_its_surfaces() {
             c.shows(Surface::Table1),
             "{name}: table1 totals"
         );
+        for (what, v) in [("batch_job event", &settled), ("--json job", json_job)] {
+            let shown = v.get(name).and_then(JsonValue::as_num);
+            let expected = c
+                .shows(Surface::Batch)
+                .then(|| i128::from(batch_counts.get(c)));
+            assert_eq!(shown, expected, "{name}: {what}");
+        }
 
         // The iter records add up to the run's value.
         if c.shows(Surface::Iter) {

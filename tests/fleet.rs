@@ -103,7 +103,7 @@ fn batch_json_is_stable_and_schema_versioned() {
     let doc = run_ok(homc().args(args));
     let v = parse_json(doc.trim()).expect("stdout is one JSON document");
     let meta = v.get("meta").expect("meta");
-    assert_eq!(meta.get("schema").and_then(JsonValue::as_num), Some(2));
+    assert_eq!(meta.get("schema").and_then(JsonValue::as_num), Some(3));
     assert_eq!(
         meta.get("clock").and_then(JsonValue::as_str),
         Some("logical")
@@ -112,6 +112,8 @@ fn batch_json_is_stable_and_schema_versioned() {
     assert_eq!(jobs.len(), 1);
     assert_eq!(jobs[0].get("name").and_then(JsonValue::as_str), Some("sum"));
     assert_eq!(jobs[0].get("wall_us").and_then(JsonValue::as_num), Some(0));
+    assert!(jobs[0].get("attempts").is_none(), "{doc}");
+    assert!(jobs[0].get("retry_detail").is_none(), "{doc}");
     // Stable: a logical rerun produces the identical document.
     assert_eq!(doc, run_ok(homc().args(args)));
     let _ = fs::remove_dir_all(&dir);
