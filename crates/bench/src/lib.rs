@@ -1,6 +1,6 @@
 //! `homc-bench`: the harness that regenerates the paper's Table 1.
 //!
-//! The binary `table1` prints, for each of the 28 benchmark programs, the
+//! The binary `table1` prints, for each of the 30 benchmark programs, the
 //! same columns the paper reports — S (source words), O (order), C (CEGAR
 //! cycles), and the per-phase times `abst` / `mc` / `cegar` / `total` — side
 //! by side with the paper's published values, plus a verdict check. The

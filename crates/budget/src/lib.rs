@@ -275,9 +275,10 @@ impl BudgetError {
         }
     }
 
-    /// `true` for limits the verifier may retry with escalated phase-local
-    /// limits (pointless for deadlines and injected faults, which would
-    /// simply fire again / already consumed the whole time budget).
+    /// `true` for the deterministic caps (steps, size, fuel), which a rerun
+    /// under larger limits could pass; `false` for deadlines and injected
+    /// faults. The verifier runs once and never retries; the benchmark's
+    /// traced replay still reads this.
     pub fn retryable(&self) -> bool {
         matches!(
             self.limit,
@@ -448,11 +449,6 @@ impl Budget {
     pub fn unlimited() -> &'static Budget {
         static UNLIMITED: OnceLock<Budget> = OnceLock::new();
         UNLIMITED.get_or_init(Budget::default)
-    }
-
-    /// The wall-clock deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// Total checkpoints passed so far (the fuel spent).

@@ -41,8 +41,8 @@ use crate::verifier::{
 pub enum JobFaultKind {
     /// The job body panics (trapped by the pool).
     Panic,
-    /// The job runs with `fuel = 1`: retryable exhaustion, exercising the
-    /// verifier's escalation retry before settling on a degraded `Unknown`.
+    /// The job runs with `fuel = 1`: its first budget checkpoint exhausts
+    /// the fuel, and the run degrades to `Unknown`.
     Exhaust,
 }
 

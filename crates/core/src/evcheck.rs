@@ -124,17 +124,10 @@ fn check_safe(
     let oracle = |f: &Formula| Ok(!unsat.contains(&f.canon()));
     let (bp, _) = abstract_program_with_oracle(program, &se.env, &AbsOptions::default(), &oracle)
         .map_err(|e| format!("abstraction replay failed: {e:?}"))?;
-    // Step 3: one sweep over the seeded invariant. ×4 over the default
-    // limits covers certificates produced by escalated runs; exhaustion is
-    // a rejection like any other.
-    let d = CheckLimits::default();
-    let limits = CheckLimits {
-        max_base_combos: d.max_base_combos.saturating_mul(4),
-        max_typings: d.max_typings.saturating_mul(4),
-        max_search_steps: d.max_search_steps.saturating_mul(4),
-    };
-    let mut checker =
-        Checker::new(&bp, limits).map_err(|e| format!("invariant checker setup: {e}"))?;
+    // Step 3: one sweep over the seeded invariant, under the verifier's
+    // default limits; exhaustion is a rejection like any other.
+    let mut checker = Checker::new(&bp, CheckLimits::default())
+        .map_err(|e| format!("invariant checker setup: {e}"))?;
     let gamma = Gamma::from_entries(se.gamma.iter().cloned());
     let typings = gamma.len();
     checker.seed_invariant(gamma, se.base_flow.clone());

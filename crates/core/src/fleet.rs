@@ -196,7 +196,6 @@ pub fn stats_counters(stats: &VerifyStats) -> BTreeMap<String, u64> {
         ("cycles", stats.cycles as u64),
         ("predicates", stats.predicates as u64),
         ("final_hbp_size", stats.final_hbp_size as u64),
-        ("retries", stats.retries as u64),
         ("evidence_digest", stats.evidence_digest),
     ];
     let counts = stats.counts();

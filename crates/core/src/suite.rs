@@ -1,6 +1,6 @@
 //! The benchmark suite of the paper's Table 1 (§6).
 //!
-//! All 28 programs, transliterated into the surface language. Free variables
+//! All 30 programs, transliterated into the surface language. Free variables
 //! denote unknown integers, exactly as in the paper's prototype. The
 //! `Expected` verdicts are the paper's: every program verifies (or, for the
 //! `-e` bugs, is rejected with a real counterexample) except `apply`, on

@@ -18,9 +18,8 @@
 //! surfaces as [`Verdict::Unknown`] with a structured
 //! [`UnknownReason::Budget`] — never a panic, never a hang. Panics escaping
 //! a phase (including injected ones) are caught per CEGAR iteration and
-//! reported as [`UnknownReason::InternalFault`]. When a *retryable* limit
-//! (search steps, table size, trace fuel — not the deadline) stopped the
-//! run, the loop restarts once with limits scaled ×4 before giving up.
+//! reported as [`UnknownReason::InternalFault`]. A run makes one attempt:
+//! every limit is a cap, and the first one hit decides the `Unknown`.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -162,7 +161,7 @@ impl Default for VerifierOptions {
             abs: AbsOptions::default(),
             check: CheckLimits::default(),
             refine: RefineOptions::default(),
-            trace_fuel: 200_000,
+            trace_fuel: 800_000,
             timeout: None,
             fuel: None,
             faults: FaultPlan::none(),
@@ -284,8 +283,6 @@ macro_rules! verify_stats {
             pub predicates: usize,
             /// Size of the final boolean program (AST nodes).
             pub final_hbp_size: usize,
-            /// Full-loop restarts after a retryable budget exhaustion.
-            pub retries: usize,
             /// Peak live heap bytes over the run. The peaks read the
             /// counting allocator and are 0 when none is installed (the
             /// `homc` and `table1` binaries install it; tests do not).
@@ -507,14 +504,6 @@ fn emit_injected_fault(tracer: &Tracer, outcome: &Result<IterOutcome, String>) {
     }
 }
 
-/// Scales retryable limits ×4 for the escalation retry.
-fn escalate(limits: &mut CheckLimits, trace_fuel: &mut u64) {
-    limits.max_base_combos = limits.max_base_combos.saturating_mul(4);
-    limits.max_typings = limits.max_typings.saturating_mul(4);
-    limits.max_search_steps = limits.max_search_steps.saturating_mul(4);
-    *trace_fuel = trace_fuel.saturating_mul(4);
-}
-
 /// Verifies an already-compiled program.
 pub fn verify_compiled(
     compiled: &Compiled,
@@ -545,12 +534,9 @@ pub fn verify_compiled(
         .with_tracer(tracer.clone())
         .with_metrics(metrics.clone());
     let mut env = AbsEnv::initial(&compiled.cps);
-    let mut check_limits = opts.check;
-    let mut trace_fuel = opts.trace_fuel;
-    // The per-definition transition memo survives the whole run, including
-    // escalation retries: entries are keyed by cone fingerprint, so they
-    // stay valid across attempts (the program and name scheme never change
-    // within a run).
+    // The per-definition transition memo survives the whole run: entries
+    // are keyed by cone fingerprint, so they stay valid across iterations
+    // (the program and name scheme never change within a run).
     let mut memo = TransitionMemo::new();
     // Cross-run warm start, the first half of the `artifact` phase: load
     // the prior artifact for this key (if any), diff per-definition
@@ -608,114 +594,93 @@ pub fn verify_compiled(
     // loop is then pure assembly plus the proof-recording replay.
     let mut provenance: Vec<ProvenanceRecord> = Vec::new();
     let mut safe_inv: Option<SafeInvariant> = None;
-    let mut verdict;
-
-    'attempts: loop {
-        verdict = Verdict::Unknown {
-            reason: UnknownReason::IterationsExhausted,
-        };
-        for iteration in 0..opts.max_iterations {
-            // One record per CEGAR iteration, even for exhausted/faulted
-            // iterations: snapshot the monotone counters, run the iteration
-            // (partial telemetry survives a panic via `IterRecord`), then
-            // emit the deltas.
-            stats.cycles = iteration + 1;
-            let iter_start = Instant::now();
-            mem::window_reset();
-            let cache0 = cache.stats();
-            let fuel0 = budget.fuel_used();
-            let mut rec = IterRecord::default();
-            if iteration == 0 && stats.retries == 0 {
-                // Cross-run seeding happened once, before the loop; credit
-                // it to the first iteration's record so the trace carries it
-                // (and an escalation retry does not re-report it).
-                rec.counts = seeded;
-            }
-            let outcome = trap_panics(|| {
-                run_iteration(
-                    compiled,
-                    opts,
-                    check_limits,
-                    trace_fuel,
-                    iteration,
-                    &budget,
-                    &solver,
-                    &mut env,
-                    &mut stats,
-                    &tracer,
-                    &mut rec,
-                    &mut memo,
-                    &mut provenance,
-                    &mut safe_inv,
-                )
-            });
-            let cache_delta = cache.stats().delta(&cache0);
-            absorb(&mut rec.counts, &cache_delta);
-            run.fold(&rec.counts);
-            metrics.observe_dur(Hist::IterUs, iter_start);
-            metrics.observe(Hist::HbpRules, rec.hbp_rules as u64);
-            metrics.observe(Hist::HbpTerms, rec.hbp_terms as u64);
-            if tracer.enabled() {
-                emit_injected_fault(&tracer, &outcome);
-                let tag = outcome_tag(&outcome);
-                let by_fun = preds_by_binding(&env);
-                // Read before the event is stamped, like a phase's span.
-                let dur_us = tracer.dur_us(iter_start);
-                tracer.emit("iter", |e| {
-                    e.num("iter", iteration as u64)
-                        .str("outcome", tag)
-                        .num("preds", env.fingerprint() as u64)
-                        .map_num("preds_by_fun", by_fun.iter().map(|(k, v)| (k.as_str(), *v)))
-                        .num("hbp_rules", rec.hbp_rules as u64)
-                        .num("hbp_terms", rec.hbp_terms as u64)
-                        .num("typings", rec.typings as u64)
-                        .num("pops", rec.counts.get(Counter::WorklistPops))
-                        .num("rescans", rec.counts.get(Counter::RescansAvoided))
-                        .num("cex_len", rec.cex_len as u64)
-                        .num("new_interp", rec.new_interp as u64)
-                        .num("new_seeded", rec.new_seeded as u64)
-                        .num("new_ho", rec.new_ho as u64)
-                        .num("interp_size_max", rec.interp_size_max as u64)
-                        .num("fuel", budget.fuel_used() - fuel0)
-                        .num("dur_us", dur_us);
-                    for (c, v) in rec.counts.on(Surface::Iter) {
-                        e.num(c.name(), v);
-                    }
-                    // Heap watermarks are wall-like — they shift with argv
-                    // length and ambient allocator state — so the logical
-                    // clock omits them the same way it zeroes durations.
-                    if mem::installed() && !tracer.is_logical() {
-                        e.num("peak_bytes", mem::window_peak());
-                    }
-                });
-            }
-            match outcome {
-                Ok(IterOutcome::Continue) => {}
-                Ok(IterOutcome::Done(v)) => {
-                    verdict = v;
-                    break;
-                }
-                Err(message) => {
-                    verdict = Verdict::Unknown {
-                        reason: UnknownReason::InternalFault(message),
-                    };
-                    break;
-                }
-            }
+    let mut verdict = Verdict::Unknown {
+        reason: UnknownReason::IterationsExhausted,
+    };
+    for iteration in 0..opts.max_iterations {
+        // One record per CEGAR iteration, even for exhausted/faulted
+        // iterations: snapshot the monotone counters, run the iteration
+        // (partial telemetry survives a panic via `IterRecord`), then
+        // emit the deltas.
+        stats.cycles = iteration + 1;
+        let iter_start = Instant::now();
+        mem::window_reset();
+        let cache0 = cache.stats();
+        let fuel0 = budget.fuel_used();
+        let mut rec = IterRecord::default();
+        if iteration == 0 {
+            // Cross-run seeding happened once, before the loop; credit
+            // it to the first iteration's record so the trace carries it.
+            rec.counts = seeded;
         }
-        // Retry-with-escalation: one restart when a *retryable* limit (not
-        // the deadline, not an injected fault) stopped the run. The budget
-        // is shared across attempts, so the deadline stays global and
-        // already-fired injections do not re-fire.
-        match &verdict {
-            Verdict::Unknown {
-                reason: UnknownReason::Budget(e),
-            } if stats.retries == 0 && e.retryable() => {
-                stats.retries += 1;
-                escalate(&mut check_limits, &mut trace_fuel);
-                continue 'attempts;
+        let outcome = trap_panics(|| {
+            run_iteration(
+                compiled,
+                opts,
+                iteration,
+                &budget,
+                &solver,
+                &mut env,
+                &mut stats,
+                &tracer,
+                &mut rec,
+                &mut memo,
+                &mut provenance,
+                &mut safe_inv,
+            )
+        });
+        let cache_delta = cache.stats().delta(&cache0);
+        absorb(&mut rec.counts, &cache_delta);
+        run.fold(&rec.counts);
+        metrics.observe_dur(Hist::IterUs, iter_start);
+        metrics.observe(Hist::HbpRules, rec.hbp_rules as u64);
+        metrics.observe(Hist::HbpTerms, rec.hbp_terms as u64);
+        if tracer.enabled() {
+            emit_injected_fault(&tracer, &outcome);
+            let tag = outcome_tag(&outcome);
+            let by_fun = preds_by_binding(&env);
+            // Read before the event is stamped, like a phase's span.
+            let dur_us = tracer.dur_us(iter_start);
+            tracer.emit("iter", |e| {
+                e.num("iter", iteration as u64)
+                    .str("outcome", tag)
+                    .num("preds", env.fingerprint() as u64)
+                    .map_num("preds_by_fun", by_fun.iter().map(|(k, v)| (k.as_str(), *v)))
+                    .num("hbp_rules", rec.hbp_rules as u64)
+                    .num("hbp_terms", rec.hbp_terms as u64)
+                    .num("typings", rec.typings as u64)
+                    .num("pops", rec.counts.get(Counter::WorklistPops))
+                    .num("rescans", rec.counts.get(Counter::RescansAvoided))
+                    .num("cex_len", rec.cex_len as u64)
+                    .num("new_interp", rec.new_interp as u64)
+                    .num("new_seeded", rec.new_seeded as u64)
+                    .num("new_ho", rec.new_ho as u64)
+                    .num("interp_size_max", rec.interp_size_max as u64)
+                    .num("fuel", budget.fuel_used() - fuel0)
+                    .num("dur_us", dur_us);
+                for (c, v) in rec.counts.on(Surface::Iter) {
+                    e.num(c.name(), v);
+                }
+                // Heap watermarks are wall-like — they shift with argv
+                // length and ambient allocator state — so the logical
+                // clock omits them the same way it zeroes durations.
+                if mem::installed() && !tracer.is_logical() {
+                    e.num("peak_bytes", mem::window_peak());
+                }
+            });
+        }
+        match outcome {
+            Ok(IterOutcome::Continue) => {}
+            Ok(IterOutcome::Done(v)) => {
+                verdict = v;
+                break;
             }
-            _ => break 'attempts,
+            Err(message) => {
+                verdict = Verdict::Unknown {
+                    reason: UnknownReason::InternalFault(message),
+                };
+                break;
+            }
         }
     }
 
@@ -839,9 +804,7 @@ pub fn verify_compiled(
             Verdict::Unsafe { .. } => "unsafe",
             Verdict::Unknown { .. } => "unknown",
         };
-        e.str("verdict", tag)
-            .num("cycles", stats.cycles as u64)
-            .num("retries", stats.retries as u64);
+        e.str("verdict", tag).num("cycles", stats.cycles as u64);
     });
     tracer.flush();
     Ok(VerifyOutcome {
@@ -917,8 +880,6 @@ pub fn self_check(src: &str, opts: &VerifierOptions, out: &mut VerifyOutcome) ->
 fn run_iteration(
     compiled: &Compiled,
     opts: &VerifierOptions,
-    check_limits: CheckLimits,
-    trace_fuel: u64,
     iteration: usize,
     budget: &Arc<Budget>,
     solver: &SmtSolver,
@@ -969,7 +930,7 @@ fn run_iteration(
     // kept: they are the abstract reachability invariant the evidence layer
     // serializes.
     let mc = timed(opts, &mut stats.time, Phase::Mc, iteration, || {
-        let mut checker = Checker::with_budget(&bp, check_limits, budget)?;
+        let mut checker = Checker::with_budget(&bp, opts.check, budget)?;
         checker.set_tracer(tracer.clone());
         checker.set_metrics(solver.metrics().clone());
         let saturated = checker.saturate();
@@ -1005,7 +966,7 @@ fn run_iteration(
     let (labels, trace) = timed(opts, &mut stats.time, Phase::Feas, iteration, || {
         let labels = source_labels(&path);
         rec.cex_len = labels.len();
-        let trace = build_trace_budgeted(&compiled.cps, &labels, trace_fuel, budget);
+        let trace = build_trace_budgeted(&compiled.cps, &labels, opts.trace_fuel, budget);
         (labels, trace)
     });
     let trace = match trace {
@@ -1019,7 +980,7 @@ fn run_iteration(
         return unknown(UnknownReason::Budget(BudgetError::with_detail(
             Phase::Feas,
             LimitKind::Fuel,
-            format!("trace replay ran out of fuel ({trace_fuel} steps)"),
+            format!("trace replay ran out of fuel ({} steps)", opts.trace_fuel),
         )));
     }
     if trace.end != TraceEnd::ReachedFail {
@@ -1151,14 +1112,16 @@ mod tests {
     }
 
     #[test]
-    fn retryable_exhaustion_escalates_once() {
-        // Limits so tight the first attempt must die on a retryable bound;
-        // the escalated retry (×4) then verifies intro1.
+    fn retryable_exhaustion_ends_the_run() {
+        // A step cap too tight for intro1's first model check decides the
+        // run: one iteration, an `Unknown` naming the cap, no second attempt.
+        let tracer = Tracer::memory(true);
         let opts = VerifierOptions {
             check: CheckLimits {
-                max_search_steps: 2_000,
+                max_search_steps: 1,
                 ..CheckLimits::default()
             },
+            tracer: tracer.clone(),
             ..VerifierOptions::default()
         };
         let out = verify(
@@ -1169,13 +1132,14 @@ mod tests {
             &opts,
         )
         .expect("runs");
-        // Either the tight limit sufficed (no retry) or the retry fixed it;
-        // in both cases the verdict must not be a panic or a hang.
         match out.verdict {
-            Verdict::Safe => {}
-            Verdict::Unknown { .. } => {}
+            Verdict::Unknown {
+                reason: UnknownReason::Budget(e),
+            } => assert_eq!(e.limit, LimitKind::Steps, "{e}"),
             other => panic!("unexpected verdict {other}"),
         }
+        let trace = tracer.snapshot().expect("memory sink");
+        assert_eq!(trace.matches("\"ev\":\"iter\"").count(), 1, "{trace}");
     }
 }
 

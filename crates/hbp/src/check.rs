@@ -164,9 +164,9 @@ pub struct CheckLimits {
 impl Default for CheckLimits {
     fn default() -> CheckLimits {
         CheckLimits {
-            max_base_combos: 1 << 16,
-            max_typings: 200_000,
-            max_search_steps: 4_000_000,
+            max_base_combos: 1 << 18,
+            max_typings: 800_000,
+            max_search_steps: 16_000_000,
         }
     }
 }

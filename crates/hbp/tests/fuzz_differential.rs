@@ -1,7 +1,6 @@
 //! Randomized differential testing: random well-typed boolean programs,
-//! checked by the precise saturation engine and cross-validated against the
-//! recursion-scheme control skeleton (via `homc-hors` in the workspace
-//! integration tests) and against bounded concrete exploration here.
+//! checked by the saturation engine and cross-validated against bounded
+//! concrete exploration.
 //!
 //! The bounded explorer enumerates every execution up to a call depth; any
 //! failure it finds must be found by the checker (completeness on bounded

@@ -599,7 +599,7 @@ mod tests {
                 "{{\"ts\":0,\"ev\":\"run_start\",\"name\":\"p1\",\"clock\":\"logical\"}}\n",
                 "{{\"ts\":1,\"ev\":\"smt\",\"key\":\"aa\",\"size\":3,\"result\":\"unsat\",\"dur_us\":{dur},\"q\":\"\"}}\n",
                 "{{\"ts\":2,\"ev\":\"iter\",\"iter\":0,\"outcome\":\"safe\",\"cache_hits\":{hits},\"hbp_terms\":40}}\n",
-                "{{\"ts\":3,\"ev\":\"verdict\",\"verdict\":\"{v}\",\"cycles\":1,\"retries\":0}}\n",
+                "{{\"ts\":3,\"ev\":\"verdict\",\"verdict\":\"{v}\",\"cycles\":1}}\n",
                 "{{\"ts\":4,\"ev\":\"run_end\",\"dur_us\":0}}\n",
             ),
             v = verdict,

@@ -8,10 +8,14 @@
 //! * a temp file left by a killed writer is ignored by load and does not
 //!   block the next publish, and a finished publish leaves no temp file;
 //! * byte flips and truncation keep each format's policy (skip one record
-//!   or drop the whole file), and one quarantined file bumps its counter
-//!   exactly once.
+//!   or drop the whole file), one quarantined file bumps its counter
+//!   exactly once, and a damaged file costs no other file its records;
+//! * a file of another format version is a cold start, not damage: it is
+//!   never quarantined, and only the ledger keeps it;
+//! * a keyed file with any one byte flipped is never loaded.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, OnceLock};
 use std::thread;
@@ -341,6 +345,23 @@ fn payload_offset(bytes: &[u8], index: usize) -> usize {
     at + 26
 }
 
+/// Byte range of the version number in a store file's `<magic> v<N>`
+/// header line.
+fn version_digits(bytes: &[u8]) -> Range<usize> {
+    let end = bytes.iter().position(|&b| b == b'\n').expect("header");
+    let v = bytes[..end]
+        .iter()
+        .rposition(|&b| b == b'v')
+        .expect("version");
+    v + 1..end
+}
+
+/// Rewrites the header line of a store file to name format version `v`.
+fn restamp(bytes: &[u8], v: &str) -> Vec<u8> {
+    let at = version_digits(bytes);
+    [&bytes[..at.start], v.as_bytes(), &bytes[at.end..]].concat()
+}
+
 #[test]
 fn damage_keeps_each_formats_policy_and_counts_once() {
     #[derive(Clone, Copy, Debug)]
@@ -348,21 +369,62 @@ fn damage_keeps_each_formats_policy_and_counts_once() {
         FlipMagic,
         FlipPayload,
         Truncate,
+        OlderVersion,
+        NewerVersion,
     }
+    let damages = [
+        Damage::FlipMagic,
+        Damage::FlipPayload,
+        Damage::Truncate,
+        Damage::OlderVersion,
+        Damage::NewerVersion,
+    ];
     for format in FORMATS {
-        for damage in [Damage::FlipMagic, Damage::FlipPayload, Damage::Truncate] {
+        for damage in damages {
             let dir = tmpdir(&format!("damage-{format:?}-{damage:?}"));
             let path = format.publish(&dir, 1, 3).expect("publish");
+            // A sequenced store also holds an intact file next to the
+            // damaged one; its record must load whatever happens.
+            let intact = if format.sequenced() {
+                format.publish(&dir, 2, 1).expect("publish");
+                1
+            } else {
+                0
+            };
             let mut bytes = fs::read(&path).unwrap();
             let second = payload_offset(&bytes, 1);
             match damage {
                 Damage::FlipMagic => bytes[0] ^= 0x01,
                 Damage::FlipPayload => bytes[second + 1] ^= 0x01,
                 Damage::Truncate => bytes.truncate(second + 1),
+                Damage::OlderVersion => bytes = restamp(&bytes, "0"),
+                Damage::NewerVersion => bytes = restamp(&bytes, "999"),
             }
             fs::write(&path, &bytes).unwrap();
             let metrics = Metrics::new(true);
             let seen = format.load(&dir, &metrics);
+            let mut q = path.clone().into_os_string();
+            q.push(".quarantined");
+            if matches!(damage, Damage::OlderVersion | Damage::NewerVersion) {
+                // Another version is a cold start: nothing loads from the
+                // file and nothing is quarantined. The ledger keeps its
+                // history; every other format deletes the file.
+                let after = Seen {
+                    records: intact,
+                    quarantined: 0,
+                };
+                assert_eq!(seen, after, "{format:?} {damage:?}");
+                assert_eq!(metrics.snapshot().counter(format.counter()), 0);
+                assert_eq!(
+                    path.exists(),
+                    format == Format::Ledger,
+                    "{format:?} {damage:?}: only the ledger keeps a stale file"
+                );
+                assert!(!Path::new(&q).exists(), "{format:?} {damage:?}");
+                assert_eq!(format.load(&dir, &metrics), after, "{format:?} {damage:?}");
+                let _ = fs::remove_dir_all(&dir);
+                continue;
+            }
             // The cache harvests the intact records of a damaged segment:
             // all but the flipped one, or the ones before a cut. Every other
             // format trusts a file whole or not at all.
@@ -374,7 +436,7 @@ fn damage_keeps_each_formats_policy_and_counts_once() {
             assert_eq!(
                 seen,
                 Seen {
-                    records: kept,
+                    records: kept + intact,
                     quarantined: 1
                 },
                 "{format:?} {damage:?}"
@@ -385,18 +447,48 @@ fn damage_keeps_each_formats_policy_and_counts_once() {
                 "{format:?} {damage:?}: one quarantined file counts once"
             );
             assert!(!path.exists(), "{format:?} {damage:?}: renamed aside");
-            let mut q = path.clone().into_os_string();
-            q.push(".quarantined");
             assert!(Path::new(&q).exists(), "{format:?} {damage:?}: bytes kept");
             // The quarantined file is never read again.
             assert_eq!(
                 format.load(&dir, &metrics),
                 Seen {
-                    records: 0,
+                    records: intact,
                     quarantined: 0
                 }
             );
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+}
+
+#[test]
+fn any_byte_flip_drops_a_keyed_file_whole() {
+    for format in FORMATS.into_iter().filter(|f| !f.sequenced()) {
+        let dir = tmpdir(&format!("every-byte-{format:?}"));
+        let path = format.publish(&dir, 1, 3).expect("publish");
+        let clean = fs::read(&path).unwrap();
+        let version = version_digits(&clean);
+        let metrics = Metrics::new(true);
+        let mut quarantined = 0;
+        for at in 0..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x01;
+            fs::write(&path, &bytes).unwrap();
+            // Flipping the low bit of a version digit leaves a digit, so
+            // the header names another version: a stale file, deleted.
+            let stale = version.contains(&at);
+            assert_eq!(
+                format.load(&dir, &metrics),
+                Seen {
+                    records: 0,
+                    quarantined: usize::from(!stale)
+                },
+                "{format:?}: byte {at} flipped"
+            );
+            assert!(!path.exists(), "{format:?}: byte {at} flipped, file kept");
+            quarantined += u64::from(!stale);
+        }
+        assert_eq!(metrics.snapshot().counter(format.counter()), quarantined);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -269,7 +269,7 @@ mod tests {
              \"typings\":7,\"pops\":9,\"rescans\":1,\"cex_len\":0,\"new_interp\":1,\"new_seeded\":0,\"new_ho\":0,\
              \"interp_size_max\":3,\"smt_queries\":12,\"cache_hits\":5,\"cache_misses\":7,\"fuel\":33,\
              \"dur_us\":2000,\"preds_by_fun\":{}}\n",
-            "{\"ts\":6,\"ev\":\"verdict\",\"verdict\":\"safe\",\"cycles\":1,\"retries\":0}\n",
+            "{\"ts\":6,\"ev\":\"verdict\",\"verdict\":\"safe\",\"cycles\":1}\n",
             "{\"ts\":7,\"ev\":\"run_end\",\"dur_us\":2500}\n",
         );
         let report = render_report(trace);

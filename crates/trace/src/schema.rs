@@ -131,7 +131,6 @@ static EVENT_SCHEMAS: &[EventSchema] = &[
         fields: &[
             ("verdict", FieldTy::Enum(&["safe", "unsafe", "unknown"])),
             ("cycles", FieldTy::Count),
-            ("retries", FieldTy::Count),
         ],
     },
     // --- fleet progress events (the `--progress` sink) ---------------------
@@ -333,7 +332,7 @@ mod tests {
             r#"{"ts":1,"ev":"span","phase":"abs","iter":0,"dur_us":0}"#,
             r#"{"ts":2,"ev":"smt","key":"00ff","size":3,"result":"unsat","dur_us":5,"q":"(x > 0)"}"#,
             r#"{"ts":3,"ev":"fault","phase":"smt","kind":"error","detail":"planned"}"#,
-            r#"{"ts":4,"ev":"verdict","verdict":"safe","cycles":2,"retries":0}"#,
+            r#"{"ts":4,"ev":"verdict","verdict":"safe","cycles":2}"#,
             r#"{"ts":5,"ev":"run_end","dur_us":0}"#,
             r#"{"ts":6,"ev":"batch_start","jobs":4,"workers":2,"clock":"logical"}"#,
             r#"{"ts":7,"ev":"job_queued","job":0,"name":"sum"}"#,

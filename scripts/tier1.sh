@@ -55,7 +55,7 @@ fi
 run cargo test -q "${CARGO_FLAGS[@]}"
 
 # End-to-end degradation check: with a 1-second per-program deadline the
-# whole 28-program suite must terminate with a tally and exit 0 (unknown
+# whole 30-program suite must terminate with a tally and exit 0 (unknown
 # under budget is an outcome, not a failure). The run also exports a
 # verdict certificate per decided program; `homc check` then re-validates
 # every exported certificate independently of the CEGAR/SMT hot path
@@ -281,11 +281,13 @@ if ! cmp -s <(sed 1d "$LEDGER_REGRESS") <(sed 1d "$LEDGER_REGRESS_RULE"); then
 fi
 
 # Benchmark smoke: the repository benchmark (`homcbench/`, a package of its
-# own) calls the store API directly, so it is built here, and the two
-# workloads that publish and load store files run for one second each.
-# A run's last line is its JSON result, which must say `"correct": true`.
+# own) calls the store API directly, so it is built here, and each of its
+# four workloads runs for one second: `cold`, plus the three that publish
+# and load store files (`certify` evidence, `resubmit` artifacts, `warm`
+# disk-cache segments). A run's last line is its JSON result, which must
+# say `"correct": true`.
 run cargo build --release --offline --manifest-path homcbench/Cargo.toml
-for WORKLOAD in resubmit certify; do
+for WORKLOAD in cold certify resubmit warm; do
     HOMCBENCH_OUT="target/homcbench-$WORKLOAD.txt"
     run cargo run --release --offline --quiet --manifest-path homcbench/Cargo.toml -- \
         --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 | tee "$HOMCBENCH_OUT"

@@ -10,7 +10,9 @@
 //!   conjuncts outside the contradiction cone never changes satisfiability;
 //! * a whole-suite telescoping check: for every infeasible counterexample
 //!   the Table 1 programs produce, the fast path's interpolant family
-//!   satisfies `I_{k-1} ∧ φ_k ⇒ I_k` at every cut.
+//!   satisfies `I_{k-1} ∧ φ_k ⇒ I_k` at every cut. The walk that finds
+//!   those counterexamples also demands an error path for every "may
+//!   fail" answer of the model checker.
 //!
 //! Self-contained xorshift generation, as in `properties.rs`: reproducible,
 //! no external crates.
@@ -346,8 +348,12 @@ fn fastpath_telescopes_on_suite_counterexamples() {
             if checker.saturate().is_err() || !checker.may_fail() {
                 break;
             }
-            let Ok(Some(path)) = find_error_path(&mut checker) else {
-                break;
+            // Every may-fail answer names a concrete boolean-program path
+            // to `fail` (Theorem 3.1's ℓ₁…ℓₙ), so a checker that claims
+            // failure without one is wrong.
+            let path = match find_error_path(&mut checker) {
+                Ok(Some(path)) => path,
+                other => panic!("{}: may fail, but no error path: {other:?}", p.name),
             };
             let labels = source_labels(&path);
             let Ok(trace) = build_trace(&compiled.cps, &labels, 200_000) else {

@@ -37,7 +37,7 @@ fn reason_of(verdict: &Verdict) -> &UnknownReason {
 }
 
 /// Starved model-checker limits degrade every program to `Unknown` with a
-/// structured budget reason (after the one escalation retry also starves).
+/// structured budget reason, in the first CEGAR iteration.
 #[test]
 fn tiny_check_limits_degrade_to_unknown() {
     let opts = VerifierOptions {
@@ -57,12 +57,12 @@ fn tiny_check_limits_degrade_to_unknown() {
             }
             other => panic!("{name}: expected a budget reason, got {other}"),
         }
-        assert_eq!(out.stats.retries, 1, "{name}: must have tried escalation");
+        assert_eq!(out.stats.cycles, 1, "{name}: the first limit hit decides");
     }
 }
 
 /// An already-expired deadline degrades every program to `Unknown(deadline)`
-/// — quickly, and without a retry (deadlines are not retryable).
+/// — quickly, in the first CEGAR iteration.
 #[test]
 fn expired_deadline_degrades_to_unknown() {
     let opts = VerifierOptions {
@@ -77,7 +77,10 @@ fn expired_deadline_degrades_to_unknown() {
             }
             other => panic!("{name}: expected deadline, got {other}"),
         }
-        assert_eq!(out.stats.retries, 0, "{name}: deadlines must not retry");
+        assert_eq!(
+            out.stats.cycles, 1,
+            "{name}: the deadline stops the first iteration"
+        );
     }
 }
 
@@ -98,8 +101,7 @@ fn millisecond_deadline_always_terminates() {
     }
 }
 
-/// A starved fuel pool degrades to `Unknown(fuel)`; fuel is retryable, but
-/// the pool is shared across the retry, so the retry starves too.
+/// A starved fuel pool degrades to `Unknown(fuel)`.
 #[test]
 fn tiny_fuel_degrades_to_unknown() {
     let opts = VerifierOptions {

@@ -1,13 +1,13 @@
 //! Integration test: every Table 1 program gets the paper's verdict.
 //!
-//! This is the headline reproduction check — each of the 28 benchmark
+//! This is the headline reproduction check — each of the 30 benchmark
 //! programs must verify (safe), be rejected with a genuine counterexample
 //! (unsafe), or — for `apply` — at least never be rejected (the paper's
 //! tool diverges; ours verifies it thanks to systematic ghost parameters).
 
 use homc::{suite, verify, Expected, Verdict, VerifierOptions};
 
-fn check(program: &suite::SuiteProgram) {
+fn check(program: &suite::SuiteProgram, cycles: usize) {
     let out = verify(program.source, &VerifierOptions::default())
         .unwrap_or_else(|e| panic!("{}: hard error {e}", program.name));
     match program.expected {
@@ -46,88 +46,54 @@ fn check(program: &suite::SuiteProgram) {
         "{}: order mismatch",
         program.name
     );
+    assert_eq!(out.stats.cycles, cycles, "{}: cycle count", program.name);
 }
 
 macro_rules! suite_test {
-    ($($name:ident),* $(,)?) => {
+    ($($name:ident: $cycles:expr),* $(,)?) => {
         $(
             #[test]
             fn $name() {
                 let key = stringify!($name).replace('_', "-");
-                let p = suite::find(&key)
-                    .or_else(|| suite::find(&key.replace('-', "")))
-                    .unwrap_or_else(|| panic!("no suite program {key}"));
-                check(p);
+                let p = suite::find(&key).unwrap_or_else(|| panic!("no suite program {key}"));
+                check(p, $cycles);
             }
         )*
     };
 }
 
+// Each program's CEGAR cycle count (column C) as `homc --suite --stats`
+// and BENCH_table1.json report it. a-cppr's 1 says its first abstraction
+// cannot fail.
 suite_test!(
-    intro1, intro2, intro3, sum, mult, max, mc91, ack, repeat, fhnhn, hrec, neg, apply, hors,
+    intro1: 2,
+    intro2: 2,
+    intro3: 2,
+    sum: 2,
+    mult: 2,
+    max: 2,
+    mc91: 2,
+    ack: 2,
+    repeat: 2,
+    fhnhn: 1,
+    hrec: 2,
+    neg: 2,
+    apply: 2,
+    a_prod: 2,
+    a_cppr: 1,
+    a_init: 2,
+    a_max: 2,
+    l_zipunzip: 2,
+    l_zipmap: 3,
+    hors: 2,
+    e_simple: 2,
+    e_fact: 3,
+    r_lock: 4,
+    r_file: 5,
+    sum_e: 1,
+    mult_e: 1,
+    mc91_e: 1,
+    repeat_e: 1,
+    a_max_e: 1,
+    r_lock_e: 4,
 );
-
-#[test]
-fn a_prod() {
-    check(suite::find("a-prod").expect("present"));
-}
-#[test]
-fn a_cppr() {
-    check(suite::find("a-cppr").expect("present"));
-}
-#[test]
-fn a_init() {
-    check(suite::find("a-init").expect("present"));
-}
-#[test]
-fn a_max() {
-    check(suite::find("a-max").expect("present"));
-}
-#[test]
-fn l_zipunzip() {
-    check(suite::find("l-zipunzip").expect("present"));
-}
-#[test]
-fn l_zipmap() {
-    check(suite::find("l-zipmap").expect("present"));
-}
-#[test]
-fn e_simple() {
-    check(suite::find("e-simple").expect("present"));
-}
-#[test]
-fn e_fact() {
-    check(suite::find("e-fact").expect("present"));
-}
-#[test]
-fn r_lock() {
-    check(suite::find("r-lock").expect("present"));
-}
-#[test]
-fn r_file() {
-    check(suite::find("r-file").expect("present"));
-}
-#[test]
-fn sum_e() {
-    check(suite::find("sum-e").expect("present"));
-}
-#[test]
-fn mult_e() {
-    check(suite::find("mult-e").expect("present"));
-}
-#[test]
-fn mc91_e() {
-    check(suite::find("mc91-e").expect("present"));
-}
-#[test]
-fn repeat_e() {
-    check(suite::find("repeat-e").expect("present"));
-}
-#[test]
-fn a_max_e() {
-    check(suite::find("a-max-e").expect("present"));
-}
-#[test]
-fn r_lock_e() {
-    check(suite::find("r-lock-e").expect("present"));
-}
