@@ -789,6 +789,48 @@ mod tests {
     }
 
     #[test]
+    fn any_byte_flip_quarantines_whole_file() {
+        let dir = tmpdir("byteflip");
+        let art = sample_artifact();
+        // Flip a payload byte (inside the first record, past the header and
+        // frame fields) — the checksum must reject the file wholesale.
+        let metrics = Metrics::new(true);
+        let store = ArtifactStore::new(&dir).with_metrics(metrics.clone());
+        let path = store.publish("k", &art).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let off = ARTIFACT_MAGIC.len() + 4 + 26 + 2;
+        bytes[off] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let load = store.load("k").unwrap();
+        assert!(load.artifact.is_none());
+        assert!(load.quarantined);
+        assert!(!path.exists(), "corrupt artifact file renamed away");
+        let mut q = path.as_os_str().to_owned();
+        q.push(".quarantined");
+        assert!(PathBuf::from(q).exists());
+        assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 1);
+        // Quarantined files are never re-read: the next load is a clean miss.
+        assert!(!store.load("k").unwrap().quarantined);
+        assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_mismatch_cold_starts_without_quarantine() {
+        let dir = tmpdir("stale");
+        fs::create_dir_all(&dir).unwrap();
+        let metrics = Metrics::new(true);
+        let store = ArtifactStore::new(&dir).with_metrics(metrics.clone());
+        fs::write(store.path_for("k"), "homc-artifact v999\n").unwrap();
+        let load = store.load("k").unwrap();
+        assert!(load.artifact.is_none());
+        assert!(!load.quarantined);
+        assert!(!store.path_for("k").exists(), "stale artifact removed");
+        assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn truncated_manifest_is_corrupt() {
         let dir = tmpdir("structural");
         let store = ArtifactStore::new(&dir);

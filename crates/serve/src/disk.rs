@@ -366,6 +366,41 @@ mod tests {
     }
 
     #[test]
+    fn version_mismatch_cold_starts() {
+        let dir = tmpdir("version");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("seg-000001.seg"), "homc-cache v999\ngarbage").unwrap();
+        let disk = DiskCache::new(&dir);
+        let fresh = QueryCache::new();
+        let load = disk.load_into(&fresh).unwrap();
+        assert_eq!(load.stale, 1);
+        assert_eq!(load.records, 0);
+        assert_eq!(load.quarantined, 0);
+        assert!(
+            !dir.join("seg-000001.seg").exists(),
+            "stale segment removed"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bad_magic_quarantines() {
+        let dir = tmpdir("magic");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("seg-000001.seg"), "not a cache\n").unwrap();
+        let metrics = Metrics::new(true);
+        let disk = DiskCache::new(&dir).with_metrics(metrics.clone());
+        let load = disk.load_into(&QueryCache::new()).unwrap();
+        assert_eq!(load.quarantined, 1);
+        assert!(dir.join("seg-000001.seg.quarantined").exists());
+        assert_eq!(metrics.snapshot().counter(Counter::DiskQuarantine), 1);
+        // The quarantined file is never rescanned.
+        let load2 = disk.load_into(&QueryCache::new()).unwrap();
+        assert_eq!(load2.segments, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_write_fault_quarantines_tail() {
         let dir = tmpdir("torn");
         let disk = DiskCache::new(&dir).with_fault(Some(DiskFault::Torn { keep_bytes: 40 }));

@@ -801,6 +801,24 @@ mod tests {
     }
 
     #[test]
+    fn any_byte_flip_quarantines_whole_file() {
+        let dir = tmpdir("byteflip");
+        let metrics = Metrics::new(true);
+        let store = EvidenceStore::new(&dir).with_metrics(metrics.clone());
+        let (path, _) = store.publish("m1", &sample_safe()).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let off = bytes.len() / 2;
+        bytes[off] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let load = store.load("m1").unwrap();
+        assert!(load.evidence.is_none());
+        assert!(load.quarantined);
+        assert!(!path.exists());
+        assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn verdict_tag_and_records_must_agree() {
         // Splicing the Unsafe witness records into a Safe file (frames
         // themselves re-checksummed, i.e. a "valid-looking" forgery) is a
@@ -818,6 +836,24 @@ mod tests {
         lines.extend(extra);
         let forged = format!("{}\n", lines.join("\n"));
         assert!(parse_evidence_bytes(forged.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn version_mismatch_cold_starts_without_quarantine() {
+        let dir = tmpdir("stale");
+        fs::create_dir_all(&dir).unwrap();
+        let metrics = Metrics::new(true);
+        let store = EvidenceStore::new(&dir).with_metrics(metrics.clone());
+        // Version 1 held per-cube DNF proofs; a file of it is stale too.
+        for version in [1, 999] {
+            fs::write(store.path_for("k"), format!("homc-evidence v{version}\n")).unwrap();
+            let load = store.load("k").unwrap();
+            assert!(load.evidence.is_none());
+            assert!(!load.quarantined);
+            assert!(!store.path_for("k").exists());
+        }
+        assert_eq!(metrics.snapshot().counter(Counter::ArtifactQuarantine), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -329,6 +329,31 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_run_file_is_quarantined_whole() {
+        let dir = tmpdir("corrupt");
+        let metrics = Metrics::new(true);
+        let ledger = Ledger::new(&dir).with_metrics(metrics.clone());
+        ledger
+            .append("suite", &mut [record("a", 10), record("b", 20)])
+            .unwrap();
+        ledger.append("suite", &mut [record("a", 11)]).unwrap();
+        // Flip one payload byte inside run 1; the whole file must go — a
+        // surviving partial run could skew the baseline median.
+        let path = dir.join("run-000001.led");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[40] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
+        let (records, load) = ledger.load().unwrap();
+        assert_eq!(load.quarantined, 1);
+        assert_eq!(load.records, 1, "only run 2 survives");
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].run, 2);
+        assert!(dir.join("run-000001.led.quarantined").exists());
+        assert!(metrics.snapshot().counter(Counter::LedgerQuarantine) >= 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_container_version_is_kept_not_deleted() {
         let dir = tmpdir("stale");
         fs::create_dir_all(&dir).unwrap();
