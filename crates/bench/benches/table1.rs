@@ -8,11 +8,6 @@ use homc_bench::time_it;
 
 fn main() {
     for p in SUITE {
-        // Keep the bench wall-clock sane: skip the two slowest programs in
-        // the timed loop (they are covered by the `table1` binary run).
-        if matches!(p.name, "a-prod" | "r-file") {
-            continue;
-        }
         time_it(&format!("table1/{}", p.name), 10, || {
             verify(p.source, &VerifierOptions::default())
                 .expect("runs")

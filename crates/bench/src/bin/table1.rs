@@ -12,15 +12,20 @@
 //! plus suite-level aggregates. CI's bench-smoke stage gates on it with
 //! `homc bench-diff BENCH_table1.json <fresh> --gate`.
 //!
-//! With `--ledger <dir>` the run also appends one record per program to the
-//! persistent run ledger (kind `table1`), so benchmark runs join `homc
-//! history` / `homc regress` trend analysis alongside suite and batch runs.
+//! With `--ledger <dir>` the run also appends one record per program (its
+//! cold job, as the CLI's `--ledger` records it) to the persistent run
+//! ledger as a run of kind `table1`, so benchmark runs join `homc history`
+//! / `homc regress` trend analysis alongside suite and batch runs.
+//!
+//! The programs run through `homc::run_batch` in a scratch directory under
+//! the system temp dir, removed when the run ends.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use homc::suite::SUITE;
-use homc::{columns, ledger_record, Ledger, Phase, Verdict, LOOP};
-use homc_bench::{baseline_json, format_row, paper_total, run_program};
+use homc::{append_ledger, columns, Phase, LOOP};
+use homc_bench::{baseline_json, format_row, paper_total, run_table, Row};
 
 // Count allocations for the whole benchmark run so each row can report its
 // per-phase heap watermarks. Installed in the binary only — library users
@@ -60,30 +65,26 @@ fn main() -> ExitCode {
     }
     println!("{head} {:>6}   verdict", "total");
     println!("{}", "-".repeat(86));
-    let mut all_ok = true;
-    let mut rows = Vec::with_capacity(SUITE.len());
-    for p in SUITE {
-        let row = run_program(p);
-        all_ok &= row.verdict_ok;
-        println!("{}", format_row(&row));
-        rows.push(row);
+    let scratch = std::env::temp_dir().join(format!("homc-table1-{}", std::process::id()));
+    let rows = match run_table(SUITE, &scratch) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("table1: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let all_ok = rows.iter().all(|r| r.verdict_ok);
+    for row in &rows {
+        println!("{}", format_row(row));
     }
     println!("{}", "-".repeat(86));
-    let wall: f64 = rows
-        .iter()
-        .map(|r| r.outcome.stats.total.as_secs_f64())
-        .sum();
-    let total: f64 = rows
-        .iter()
-        .map(|r| paper_total(&r.outcome.stats).as_secs_f64())
-        .sum();
-    let warm: f64 = rows.iter().map(|r| r.warm_total_s).sum();
+    let sum = |f: fn(&Row) -> f64| rows.iter().map(f).sum::<f64>();
+    let wall = sum(|r| r.stats().total.as_secs_f64());
+    let total = sum(|r| paper_total(&r.stats()).as_secs_f64());
+    let warm = sum(|r| r.warm_total_s);
     let disk_hits: u64 = rows.iter().map(|r| r.warm_disk_hits).sum();
-    let incr: f64 = rows.iter().map(|r| r.incr_total_s).sum();
-    let check: f64 = rows
-        .iter()
-        .map(|r| r.outcome.stats.time[Phase::Check].as_secs_f64())
-        .sum();
+    let incr = sum(|r| r.incr_total_s);
+    let check = sum(|r| r.stats().time[Phase::Check].as_secs_f64());
     println!("warm rerun {warm:.2}s via disk cache ({disk_hits} disk hits)");
     println!("incr rerun {incr:.2}s via artifact store (single-literal edit resubmit)");
     println!("evidence check {check:.2}s via independent certificate checker");
@@ -107,36 +108,11 @@ fn main() -> ExitCode {
         println!("baseline written to {path}");
     }
     if let Some(dir) = ledger_dir {
-        let mut records: Vec<_> = rows
-            .iter()
-            .map(|r| {
-                let verdict = match &r.outcome.verdict {
-                    Verdict::Safe => "safe",
-                    Verdict::Unsafe { .. } => "unsafe",
-                    Verdict::Unknown { .. } => "unknown",
-                };
-                ledger_record(
-                    r.name,
-                    verdict,
-                    r.verdict_ok,
-                    r.outcome.stats.total.as_micros() as u64,
-                    Some(&r.outcome.stats),
-                    None,
-                )
-            })
-            .collect();
-        match Ledger::new(dir.as_str()).append("table1", &mut records) {
-            Ok(rep) => println!(
-                "ledger: run {} ({} record(s)) -> {}",
-                rep.run,
-                rep.records,
-                rep.path.display()
-            ),
-            Err(e) => {
-                // The benchmark itself succeeded; a full disk must not
-                // retroactively fail it. Report and move on.
-                eprintln!("table1: ledger append failed: {e}");
-            }
+        // The benchmark itself succeeded; a full disk must not
+        // retroactively fail it. Report and move on.
+        match append_ledger(Path::new(&dir), "table1", rows.iter().map(|r| &r.cold)) {
+            Ok(r) => println!("ledger: {r}"),
+            Err(e) => eprintln!("table1: ledger append failed: {e}"),
         }
     }
     if all_ok {

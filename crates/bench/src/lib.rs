@@ -4,54 +4,128 @@
 //! same columns the paper reports — S (source words), O (order), C (CEGAR
 //! cycles), and the per-phase times `abst` / `mc` / `cegar` / `total` — side
 //! by side with the paper's published values, plus a verdict check. The
-//! Criterion benches (`benches/`) measure the same pipeline for stable
-//! statistics, and `benches/ablation.rs` quantifies the design choices
-//! called out in DESIGN.md.
+//! table is a report over [`run_batch`], the one driver of every `homc` run
+//! command: [`run_table`] runs the programs as four batches and builds each
+//! [`Row`] from the jobs' reports. The benches (`benches/`, plain `harness
+//! = false` timing loops) measure the same pipeline, and
+//! `benches/ablation.rs` quantifies the design choices called out in
+//! DESIGN.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::io;
+use std::path::Path;
 use std::time::Duration;
 
 use homc::{
-    escape_json, parse_json, self_check, shown, stable_hash64, suite::SuiteProgram, verify,
-    ArtifactConfig, Counts, DiskCache, EvidenceConfig, Expected, JsonValue, Phase, QueryCache,
-    Surface, Tracer, Verdict, VerifierOptions, VerifyOutcome, VerifyStats, LOOP, TIMED,
+    escape_json, run_batch, shown, BatchJob, BatchOptions, Counts, Expected, JobReport, JobStatus,
+    Phase, SuiteProgram, Surface, VerifyStats, LOOP, TIMED,
 };
 
 /// One row of the regenerated Table 1.
 #[derive(Clone, Debug)]
 pub struct Row {
-    /// Program name.
-    pub name: &'static str,
-    /// The verification outcome.
-    pub outcome: VerifyOutcome,
-    /// Whether the verdict matches the paper's.
+    /// The cold run's job: verdict, size, order, stats and certificate
+    /// self-check.
+    pub cold: JobReport,
+    /// Whether the verdict matches the paper's, the certificate checked and
+    /// the edit resubmit reached the same verdict.
     pub verdict_ok: bool,
     /// The paper's cycle count for comparison.
     pub paper_cycles: usize,
-    /// CEGAR iterations observed by the trace layer (count of `iter`
-    /// events — includes exhausted/faulted iterations).
-    pub iterations: usize,
-    /// Peak boolean-program size (AST nodes) across iterations, from the
-    /// trace layer's per-iteration `hbp_terms`.
-    pub peak_hbp: usize,
-    /// CEGAR-loop seconds of a *warm* rerun: the cold run's query cache is
-    /// round-tripped through a temporary disk segment (exercising the full
-    /// persistence codec) and the program verified again against it.
+    /// `total` seconds of the *warm* rerun: the program verified again
+    /// against the cache directory the cold batch published, through the
+    /// shared disk tier, as `homc batch --cache-dir` runs it.
     pub warm_total_s: f64,
     /// Lookups the warm rerun answered from the disk tier.
     pub warm_disk_hits: u64,
-    /// `total` seconds of the *edit-resubmit* incremental rerun (artifact
-    /// load and seeding, the loop, the publish): a seeding pass publishes
-    /// the program's abstraction artifact to a temporary store, one
-    /// integer literal of the source is wrapped as `(0 + k)` (semantics
-    /// preserved, one definition's manifest cone perturbed), and the edited
-    /// program is verified against the store with a fresh query cache.
-    /// `0.0` when the rerun could not be measured.
+    /// `total` seconds of the *edit-resubmit* rerun (artifact load and
+    /// seeding, the loop, the publish): one integer literal of the source
+    /// is wrapped as `(0 + k)` (semantics preserved, one definition's
+    /// manifest cone perturbed), and the edited program is verified
+    /// against the artifact a seeding run published, as `homc
+    /// --artifacts-dir` runs it. `0.0` when the rerun produced no outcome.
     pub incr_total_s: f64,
+}
+
+impl Row {
+    /// The cold run's stats (all zero for a job without an outcome).
+    pub fn stats(&self) -> VerifyStats {
+        self.cold.stats.clone().unwrap_or_default()
+    }
+}
+
+/// The first word of a job's verdict: `safe`, `unsafe` or `unknown`.
+fn verdict_kind(verdict: &str) -> &str {
+    verdict.split(' ').next().unwrap_or(verdict)
+}
+
+/// Runs `programs` as four one-worker [`run_batch`] batches in the scratch
+/// directory `dir` (emptied first, removed after) and builds one [`Row`]
+/// per program from the jobs' reports:
+///
+/// 1. *cold*, with an evidence and a cache directory: each certificate is
+///    exported and self-checked as the run's `check` phase, and the union
+///    of the jobs' solved queries is published after the drain;
+/// 2. *warm*, against that cache directory;
+/// 3. *seed*, publishing each program's artifact;
+/// 4. *resubmit*: each program's [`edit_one_literal`] against those
+///    artifacts.
+pub fn run_table(programs: &[SuiteProgram], dir: &Path) -> io::Result<Vec<Row>> {
+    let jobs = |edited: bool| -> Vec<BatchJob> {
+        let job = |p: &SuiteProgram| BatchJob {
+            name: p.name.to_string(),
+            source: (edited.then(|| edit_one_literal(p.source)).flatten())
+                .unwrap_or_else(|| p.source.to_string()),
+            expected: Some(p.expected),
+        };
+        programs.iter().map(job).collect()
+    };
+    let batch = |jobs, opts| run_batch(jobs, &BatchOptions { workers: 1, ..opts });
+    let cache = Some(dir.join("cache"));
+    let seeded = BatchOptions {
+        artifacts_dir: Some(dir.join("artifacts")),
+        ..BatchOptions::default()
+    };
+    let _ = std::fs::remove_dir_all(dir);
+    let runs = (|| -> io::Result<_> {
+        let cold = BatchOptions {
+            evidence_dir: Some(dir.join("evidence")),
+            cache_dir: cache.clone(),
+            ..BatchOptions::default()
+        };
+        let cold = batch(jobs(false), cold)?;
+        let warm = BatchOptions {
+            cache_dir: cache.clone(),
+            ..BatchOptions::default()
+        };
+        let warm = batch(jobs(false), warm)?;
+        batch(jobs(false), seeded.clone())?;
+        let incr = batch(jobs(true), seeded.clone())?;
+        Ok((cold.jobs, warm.jobs, incr.jobs))
+    })();
+    let _ = std::fs::remove_dir_all(dir);
+    let (cold, warm, incr) = runs?;
+    let total_s = |j: &JobReport| j.stats.as_ref().map_or(0.0, |s| s.total.as_secs_f64());
+    let rows = programs.iter().zip(cold).zip(warm.iter().zip(&incr));
+    Ok(rows
+        .map(|((p, cold), (warm, incr))| Row {
+            // A verdict flip on the edit-resubmit path fails the row: the
+            // edit preserves semantics, so the verdicts must agree.
+            verdict_ok: match cold.status {
+                JobStatus::Passed => true,
+                JobStatus::Unknown => p.expected == Expected::Diverges,
+                JobStatus::Failed => false,
+            } && verdict_kind(&incr.verdict) == verdict_kind(&cold.verdict),
+            paper_cycles: p.paper_cycles,
+            warm_total_s: total_s(warm),
+            warm_disk_hits: warm.stats.as_ref().map_or(0, |s| s.disk_hits),
+            incr_total_s: total_s(incr),
+            cold,
+        })
+        .collect())
 }
 
 /// The baseline document's schema version. `bench-diff` refuses to compare
@@ -63,8 +137,11 @@ pub struct Row {
 /// column (`evidence_s`) and its peak (`peak_evidence_bytes`) to each row;
 /// schema 8 made the certificate check the `check` phase, so `check_s` is
 /// that phase's column, `peak_check_bytes` its peak, and `total_s`
-/// includes it.
-const SCHEMA: u64 = 8;
+/// includes it; schema 9 made the table a report over `run_batch`, which
+/// dropped `iterations` (equal to `cycles` now that a job runs once) and
+/// replaced the trace-derived `peak_hbp` with the verifier's
+/// `final_hbp_size`.
+const SCHEMA: u64 = 9;
 
 /// The [`Surface::Table1`] counter columns, as `"name": value, ` pairs.
 fn counter_columns(counts: &Counts) -> String {
@@ -78,8 +155,8 @@ fn counter_columns(counts: &Counts) -> String {
 /// Renders rows as the `table1 --json` baseline document: a `meta` header
 /// (schema version, suite name, program count, clock mode), one object per
 /// program (verdict, cycles, the [`Surface::Table1`] phase columns and
-/// counters, peak heap bytes, the warm, incremental and check reruns) and
-/// the suite totals.
+/// counters, peak heap bytes, the warm and incremental reruns) and the
+/// suite totals.
 pub fn baseline_json(rows: &[Row]) -> String {
     let mut total = 0.0f64;
     let mut totals = Counts::default();
@@ -96,13 +173,8 @@ pub fn baseline_json(rows: &[Row]) -> String {
     );
     body.push_str("  \"programs\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let s = &r.outcome.stats;
+        let s = r.stats();
         let counts = s.counts();
-        let verdict = match &r.outcome.verdict {
-            Verdict::Safe => "safe",
-            Verdict::Unsafe { .. } => "unsafe",
-            Verdict::Unknown { .. } => "unknown",
-        };
         total += s.total.as_secs_f64();
         totals.merge(&counts);
         peak = peak.max(s.peak_bytes);
@@ -121,15 +193,14 @@ pub fn baseline_json(rows: &[Row]) -> String {
         let _ = writeln!(
             body,
             "    {{\"name\": {}, \"verdict\": {}, \"verdict_ok\": {}, \"cycles\": {}, \
-             \"iterations\": {}, \"peak_hbp\": {}, {phases}\"total_s\": {:.4}, \
+             \"final_hbp_size\": {}, {phases}\"total_s\": {:.4}, \
              {}\"peak_bytes\": {}, \"warm_total_s\": {:.4}, \"warm_disk_hits\": {}, \
              \"incr_total_s\": {:.4}}}{}",
-            escape_json(r.name),
-            escape_json(verdict),
+            escape_json(&r.cold.name),
+            escape_json(verdict_kind(&r.cold.verdict)),
             r.verdict_ok,
             s.cycles,
-            r.iterations,
-            r.peak_hbp,
+            s.final_hbp_size,
             s.total.as_secs_f64(),
             counter_columns(&counts),
             s.peak_bytes,
@@ -147,72 +218,6 @@ pub fn baseline_json(rows: &[Row]) -> String {
         counter_columns(&totals),
     );
     body
-}
-
-/// Distills `(iterations, peak HBP size)` from a run's trace.
-fn trace_metrics(trace: &str) -> (usize, usize) {
-    let (mut iters, mut peak) = (0usize, 0usize);
-    for line in trace.lines() {
-        let Ok(v) = parse_json(line) else { continue };
-        if v.get("ev").and_then(JsonValue::as_str) != Some("iter") {
-            continue;
-        }
-        iters += 1;
-        if let Some(h) = v.get("hbp_terms").and_then(JsonValue::as_num) {
-            peak = peak.max(h as usize);
-        }
-    }
-    (iters, peak)
-}
-
-/// Runs one suite program and checks its verdict against the paper's. The
-/// run carries an in-memory tracer so the row can report iteration counts
-/// and peak HBP size; the overhead (a few dozen formatted events) is noise
-/// at the suite's time scales.
-pub fn run_program(p: &SuiteProgram) -> Row {
-    let tracer = Tracer::memory(false);
-    let cache = Arc::new(QueryCache::new());
-    let opts = VerifierOptions {
-        tracer: tracer.clone(),
-        cache: Some(cache.clone()),
-        evidence: Some(EvidenceConfig {
-            dir: None,
-            key: p.name.to_string(),
-            source_hash: stable_hash64(p.source),
-        }),
-        ..VerifierOptions::default()
-    };
-    let mut outcome = verify(p.source, &opts).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    // The independent checker must re-establish every decisive verdict
-    // from the exported certificate alone, as the run's `check` phase; a
-    // rejection fails the row. The row keeps no certificate, so a later
-    // row's peak heap does not count it.
-    let checked = self_check(p.source, &opts, &mut outcome).unwrap_or(true);
-    outcome.evidence = None;
-    let verdict_ok = checked
-        && match p.expected {
-            Expected::Safe => outcome.verdict.is_safe(),
-            Expected::Unsafe => outcome.verdict.is_unsafe(),
-            Expected::Diverges => !outcome.verdict.is_unsafe(),
-        };
-    let (iterations, peak_hbp) = trace_metrics(&tracer.snapshot().unwrap_or_default());
-    let (warm_total_s, warm_disk_hits) = warm_rerun(p, &cache);
-    // A verdict flip on the edit-resubmit path fails the row outright: the
-    // edit is semantics-preserving, so the incremental verdict must agree
-    // with the cold one.
-    let (incr_total_s, incr_ok) = incr_rerun(p, &outcome.verdict);
-    let verdict_ok = verdict_ok && incr_ok;
-    Row {
-        name: p.name,
-        outcome,
-        verdict_ok,
-        paper_cycles: p.paper_cycles,
-        iterations,
-        peak_hbp,
-        warm_total_s,
-        warm_disk_hits,
-        incr_total_s,
-    }
 }
 
 /// Wraps the *last* standalone integer literal `k` of `src` as `(0 + k)`.
@@ -248,88 +253,6 @@ pub fn edit_one_literal(src: &str) -> Option<String> {
     Some(format!("{}(0 + {}){}", &src[..i], &src[i..j], &src[j..]))
 }
 
-/// The edit-resubmit measurement behind [`Row::incr_total_s`]: a seeding
-/// pass verifies `p` with a temporary artifact store (publishing its
-/// manifest, predicate environment, per-definition abstractions, and
-/// interpolants), then the single-literal edit of the source is verified
-/// against that store. Returns the edited run's `total` seconds and
-/// whether its verdict kind matches `cold` (`(0.0, true)` if the
-/// measurement could not be set up — the cold row is still valid then).
-fn incr_rerun(p: &SuiteProgram, cold: &Verdict) -> (f64, bool) {
-    let dir = std::env::temp_dir().join(format!(
-        "homc-bench-incr-{}-{}",
-        std::process::id(),
-        p.name.replace(|c: char| !c.is_alphanumeric(), "_")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let artifacts = Some(ArtifactConfig {
-        dir: dir.clone(),
-        key: p.name.to_string(),
-    });
-    let seeded = verify(
-        p.source,
-        &VerifierOptions {
-            artifacts: artifacts.clone(),
-            ..VerifierOptions::default()
-        },
-    );
-    if seeded.is_err() {
-        let _ = std::fs::remove_dir_all(&dir);
-        return (0.0, true);
-    }
-    let edited = edit_one_literal(p.source).unwrap_or_else(|| p.source.to_string());
-    let out = verify(
-        &edited,
-        &VerifierOptions {
-            artifacts,
-            ..VerifierOptions::default()
-        },
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    match out {
-        Ok(out) => {
-            let same = matches!(
-                (&out.verdict, cold),
-                (Verdict::Safe, Verdict::Safe)
-                    | (Verdict::Unsafe { .. }, Verdict::Unsafe { .. })
-                    | (Verdict::Unknown { .. }, Verdict::Unknown { .. })
-            );
-            (out.stats.total.as_secs_f64(), same)
-        }
-        Err(_) => (0.0, false),
-    }
-}
-
-/// Round-trips the cold run's query cache through a temporary on-disk
-/// segment, then verifies `p` again against the reloaded cache. Returns the
-/// warm run's CEGAR-loop seconds and disk-hit count (`(0.0, 0)` if the rerun
-/// could not be measured — the cold row is still valid then).
-fn warm_rerun(p: &SuiteProgram, cold_cache: &QueryCache) -> (f64, u64) {
-    let dir = std::env::temp_dir().join(format!(
-        "homc-bench-warm-{}-{}",
-        std::process::id(),
-        p.name.replace(|c: char| !c.is_alphanumeric(), "_")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk = DiskCache::new(&dir);
-    let warm_cache = Arc::new(QueryCache::new());
-    let round_trip = disk
-        .publish(cold_cache)
-        .and_then(|_| disk.load_into(&warm_cache));
-    let _ = std::fs::remove_dir_all(&dir);
-    if round_trip.is_err() {
-        return (0.0, 0);
-    }
-    let opts = VerifierOptions {
-        cache: Some(warm_cache),
-        ..VerifierOptions::default()
-    };
-    match verify(p.source, &opts) {
-        Ok(out) => (out.stats.total.as_secs_f64(), out.stats.disk_hits),
-        Err(_) => (0.0, 0),
-    }
-}
-
 /// A run's `total` as the paper times it: without the phases around the
 /// CEGAR loop (certificate export, artifact I/O).
 pub fn paper_total(s: &VerifyStats) -> Duration {
@@ -340,17 +263,16 @@ pub fn paper_total(s: &VerifyStats) -> Duration {
 /// Formats a row in the paper's column layout: the Table 1 columns of the
 /// CEGAR loop's phases, then the [`paper_total`].
 pub fn format_row(r: &Row) -> String {
-    let v = match &r.outcome.verdict {
-        Verdict::Safe => "safe",
-        Verdict::Unsafe { .. } => "unsafe",
-        Verdict::Unknown { .. } => "-",
+    let v = match verdict_kind(&r.cold.verdict) {
+        "unknown" => "-",
+        kind => kind,
     };
     let paper_c = if r.paper_cycles == usize::MAX {
         "-".to_string()
     } else {
         r.paper_cycles.to_string()
     };
-    let s = &r.outcome.stats;
+    let s = r.stats();
     let columns: String = s
         .time
         .columns(LOOP)
@@ -359,12 +281,12 @@ pub fn format_row(r: &Row) -> String {
         .collect();
     format!(
         "{:12} {:4} {:2} {:>4} ({:>2})  {columns}{:6.2}   {}{}",
-        r.name,
-        r.outcome.size,
-        r.outcome.order,
+        r.cold.name,
+        r.cold.size,
+        r.cold.order,
         s.cycles,
         paper_c,
-        paper_total(s).as_secs_f64(),
+        paper_total(&s).as_secs_f64(),
         v,
         if r.verdict_ok { "" } else { "  ** MISMATCH **" },
     )
@@ -415,16 +337,22 @@ mod tests {
         let z = suite::find("l-zipmap").expect("present");
         let edited = edit_one_literal(z.source).expect("l-zipmap has literals");
         assert_ne!(edited, z.source);
-        homc::verify(&edited, &homc::VerifierOptions::default()).expect("edited source compiles");
+        homc_lang::frontend(&edited).expect("edited source compiles");
     }
 
     #[test]
     fn harness_reproduces_a_known_row() {
         let p = suite::find("intro1").expect("present");
-        let row = run_program(p);
+        let dir = std::env::temp_dir().join(format!("homc-bench-row-{}", std::process::id()));
+        let rows = run_table(std::slice::from_ref(p), &dir).expect("batches run");
+        let row = &rows[0];
         assert!(row.verdict_ok);
-        assert!(row.outcome.verdict.is_safe());
-        let line = format_row(&row);
+        assert_eq!(row.cold.verdict, "safe");
+        assert_eq!(row.cold.check, Some(true), "cold run self-checks");
+        assert!(row.warm_disk_hits > 0, "warm run must hit the disk tier");
+        assert!(row.incr_total_s > 0.0, "resubmit must be measured");
+        assert!(!dir.exists(), "scratch directory left behind");
+        let line = format_row(row);
         assert!(line.contains("intro1") && line.contains("safe"));
     }
 }

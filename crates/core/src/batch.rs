@@ -14,8 +14,7 @@
 //! back to disk as one new append-only segment.
 //!
 //! Determinism: per-job fault injection ([`JobFault`]) covers job-thread
-//! panics and fuel exhaustion; the disk tier's [`DiskFault`] covers torn
-//! writes, truncation and checksum flips. Under a logical trace clock each
+//! panics and fuel exhaustion. Under a logical trace clock each
 //! job's event stream is byte-identical to a solo run of the same program
 //! (fresh caches, no disk dir), which the batch degradation test asserts.
 
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use homc_metrics::{Counter, Counts, Surface};
-use homc_serve::{run_jobs, DiskCache, DiskFault, Job, LoadReport, PoolConfig, PublishReport};
+use homc_serve::{run_jobs, DiskCache, Job, LoadReport, PoolConfig, PublishReport};
 use homc_smt::QueryCache;
 use homc_trace::{stable_hash64, Tracer};
 
@@ -99,8 +98,6 @@ pub struct BatchOptions {
     /// `Failed` (the verdict cannot be trusted as recorded). `None` exports
     /// nothing.
     pub evidence_dir: Option<PathBuf>,
-    /// Deterministic disk fault applied to the segment published at the end.
-    pub disk_fault: Option<DiskFault>,
     /// Deterministic per-job faults.
     pub job_faults: Vec<JobFault>,
     /// When set, each job writes its trace to `<dir>/<name>.jsonl`; the
@@ -131,7 +128,6 @@ impl Default for BatchOptions {
             cache_dir: None,
             artifacts_dir: None,
             evidence_dir: None,
-            disk_fault: None,
             job_faults: Vec::new(),
             trace_dir: None,
             capture_traces: false,
@@ -312,13 +308,10 @@ pub fn run_batch(jobs: Vec<BatchJob>, opts: &BatchOptions) -> io::Result<BatchRe
             e.num("job", i as u64).str("name", &job.name);
         });
     }
-    let disk = opts.cache_dir.as_ref().map(|dir| {
-        let mut d = DiskCache::new(dir).with_metrics(opts.verify.metrics.clone());
-        if opts.disk_fault.is_some() {
-            d = d.with_fault(opts.disk_fault);
-        }
-        d
-    });
+    let disk = opts
+        .cache_dir
+        .as_ref()
+        .map(|dir| DiskCache::new(dir).with_metrics(opts.verify.metrics.clone()));
     // An empty directory attaches no tier: a miss would render its key
     // for nothing.
     let (tier, load) = match &disk {

@@ -27,7 +27,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use homc::{
-    bench_diff, check_evidence, fold_trace, ledger_record, parse_threshold, progress_complete,
+    append_ledger, bench_diff, check_evidence, fold_trace, parse_threshold, progress_complete,
     regress, render_batch_json, render_explain, render_history, render_report, render_top,
     run_batch, shown, stable_hash64, suite, trace_diff, validate_folded, validate_trace, verify,
     BatchJob, BatchOptions, BatchReport, Counts, DiffOptions, EvidenceConfig, EvidenceStore, Fault,
@@ -90,7 +90,6 @@ whole suite without one):
   --timeout <secs>           per-program wall-clock deadline (fractions allowed)
   --inject <phase:n[:kind]>  fail the n-th checkpoint of abs|mc|feas|interp|smt (error|panic)
   --inject-job <idx:panic|exhaust>  fault one job of the run
-  --inject-disk <torn:b|trunc:r|flipsum:r|flip:o>  corrupt the published cache segment
   --workers <n>              pool workers (default 1, 2 under batch; profile takes 1)
   --stats                    per-job counters and peak heap, run totals, metrics registry
   --json                     print the report as one schema-versioned JSON document
@@ -245,25 +244,6 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
 fn write_metrics_out(path: &str, metrics: &Metrics) {
     if let Err(e) = std::fs::write(path, metrics.snapshot().render_prometheus()) {
         eprintln!("homc: cannot write --metrics-out {path}: {e}");
-    }
-}
-
-/// Appends one run's records to the ledger. Ledger trouble is reported but
-/// never changes the run's exit code: observability must not fail the run
-/// it observes.
-fn append_ledger(dir: &str, kind: &str, mut records: Vec<RunRecord>) {
-    if records.is_empty() {
-        return;
-    }
-    // Narration goes to stderr so `--json` stdout stays a pure document.
-    match Ledger::new(dir).append(kind, &mut records) {
-        Ok(r) => eprintln!(
-            "homc: ledger: run {} ({} record(s)) -> {}",
-            r.run,
-            r.records,
-            r.path.display()
-        ),
-        Err(e) => eprintln!("homc: ledger append failed: {e}"),
     }
 }
 
@@ -684,7 +664,6 @@ fn parse_run(cmd: RunCmd, args: &[String]) -> Result<RunArgs, String> {
                 opts.verify.faults.push(fault);
             }
             "--inject-job" => opts.job_faults.push(value()?.parse()?),
-            "--inject-disk" => opts.disk_fault = Some(value()?.parse()?),
             "--trace" | "--trace-logical" => {
                 if run.trace.is_some() {
                     return Err("at most one of --trace/--trace-logical".to_string());
@@ -788,26 +767,13 @@ fn execute(cmd: RunCmd, run: RunArgs) -> Result<ExitCode, String> {
             _ if run.suite => "suite",
             _ => "file",
         };
-        let records = report
-            .jobs
-            .iter()
-            .map(|j| {
-                let mut r = ledger_record(
-                    &j.name,
-                    &j.verdict,
-                    j.status == JobStatus::Passed,
-                    j.wall.as_micros() as u64,
-                    j.stats.as_ref(),
-                    j.trace.as_deref(),
-                );
-                if let Some(ok) = j.check {
-                    r.counters
-                        .insert("evidence_check_pass".to_string(), u64::from(ok));
-                }
-                r
-            })
-            .collect();
-        append_ledger(dir, kind, records);
+        // Narration goes to stderr so `--json` stdout stays a pure document,
+        // and ledger trouble never changes the exit code: observability
+        // must not fail the run it observes.
+        match append_ledger(Path::new(dir), kind, &report.jobs) {
+            Ok(r) => eprintln!("homc: ledger: {r}"),
+            Err(e) => eprintln!("homc: ledger append failed: {e}"),
+        }
     }
     if let Some(path) = &run.metrics_out {
         write_metrics_out(path, &opts.verify.metrics);

@@ -8,18 +8,23 @@
 //! renders once — so snapshot tests golden it directly. No ANSI here; the
 //! CLI owns the screen.
 //!
-//! [`ledger_record`] folds one program's outcome into a
+//! [`ledger_record`] folds one batch job's report into a
 //! [`RunRecord`](homc_serve::RunRecord) for the persistent ledger, with the
-//! counter snapshot from [`stats_counters`].
+//! counter snapshot from [`stats_counters`]; [`append_ledger`] appends a
+//! run's records. The CLI's `--ledger` and `table1 --ledger` both write
+//! through it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
 
 use homc_budget::shown;
 use homc_metrics::Surface;
-use homc_serve::RunRecord;
+use homc_serve::{AppendReport, Ledger, RunRecord};
 use homc_trace::{parse_json, stable_hash64, JsonValue};
 
+use crate::batch::{JobReport, JobStatus};
 use crate::verifier::VerifyStats;
 
 #[derive(Default)]
@@ -207,34 +212,43 @@ pub fn stats_counters(stats: &VerifyStats) -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// Builds one ledger record from a settled run. `schema`, `run` and `kind`
-/// are stamped by `Ledger::append`; `trace` (when captured) is digested so
-/// two runs can be compared for behavioural identity without storing the
-/// stream.
-pub fn ledger_record(
-    program: &str,
-    verdict: &str,
-    ok: bool,
-    wall_us: u64,
-    stats: Option<&VerifyStats>,
-    trace: Option<&str>,
-) -> RunRecord {
+/// Builds one ledger record from a settled job. `schema`, `run` and `kind`
+/// are stamped by `Ledger::append`; the job's trace (when captured) is
+/// digested so two runs can be compared for behavioural identity without
+/// storing the stream, and its certificate self-check, when it ran, is the
+/// `evidence_check_pass` counter.
+pub fn ledger_record(job: &JobReport) -> RunRecord {
     let mut r = RunRecord {
-        program: program.to_string(),
-        verdict: verdict.to_string(),
-        ok,
-        wall_us,
-        trace_digest: trace.map_or(0, stable_hash64),
+        program: job.name.clone(),
+        verdict: job.verdict.clone(),
+        ok: job.status == JobStatus::Passed,
+        wall_us: job.wall.as_micros() as u64,
+        trace_digest: job.trace.as_deref().map_or(0, stable_hash64),
         ..RunRecord::default()
     };
-    if let Some(s) = stats {
+    if let Some(s) = &job.stats {
         let columns = s.time.columns(shown(Surface::Ledger)).into_iter();
         r.phase_us = columns.map(|(c, d)| (c, d.as_micros() as u64)).collect();
         r.total_us = s.total.as_micros() as u64;
         r.peak_bytes = s.peak_bytes;
         r.counters = stats_counters(s);
     }
+    if let Some(ok) = job.check {
+        r.counters
+            .insert("evidence_check_pass".to_string(), u64::from(ok));
+    }
     r
+}
+
+/// Appends one [`ledger_record`] per job to the run ledger in `dir`, as one
+/// run of `kind` (`suite`, `file`, `batch` or `table1`).
+pub fn append_ledger<'a>(
+    dir: &Path,
+    kind: &str,
+    jobs: impl IntoIterator<Item = &'a JobReport>,
+) -> io::Result<AppendReport> {
+    let mut records: Vec<RunRecord> = jobs.into_iter().map(ledger_record).collect();
+    Ledger::new(dir).append(kind, &mut records)
 }
 
 #[cfg(test)]
@@ -289,17 +303,33 @@ mod tests {
 
     #[test]
     fn ledger_record_carries_counters_and_digest() {
-        let stats = VerifyStats {
-            cycles: 3,
-            cache_hits: 17,
-            ..VerifyStats::default()
+        let job = JobReport {
+            name: "sum".to_string(),
+            status: JobStatus::Passed,
+            verdict: "safe".to_string(),
+            wall: std::time::Duration::from_micros(1234),
+            size: 0,
+            order: 0,
+            stats: Some(VerifyStats {
+                cycles: 3,
+                cache_hits: 17,
+                ..VerifyStats::default()
+            }),
+            evidence_digest: 0,
+            check: None,
+            trace: Some("trace".to_string()),
         };
-        let r = ledger_record("sum", "safe", true, 1234, Some(&stats), Some("trace"));
+        let r = ledger_record(&job);
         assert_eq!(r.counters["cycles"], 3);
         assert_eq!(r.counters["cache_hits"], 17);
         assert_eq!(r.trace_digest, stable_hash64("trace"));
         assert_eq!(r.wall_us, 1234);
-        let bare = ledger_record("sum", "safe", true, 1, None, None);
+        assert!(r.ok);
+        let bare = ledger_record(&JobReport {
+            stats: None,
+            trace: None,
+            ..job
+        });
         assert_eq!(bare.trace_digest, 0);
         assert!(bare.counters.is_empty());
     }

@@ -54,7 +54,7 @@ pub use batch::{
     JobReport, JobStatus, BATCH_SCHEMA,
 };
 pub use evcheck::{check_evidence, render_explain, EvidenceCheck};
-pub use fleet::{ledger_record, progress_complete, render_top, stats_counters};
+pub use fleet::{append_ledger, ledger_record, progress_complete, render_top, stats_counters};
 pub use homc_budget::{
     columns, shown, Budget, BudgetError, Fault, FaultKind, FaultPlan, FaultSpecError, LimitKind,
     PerPhase, Phase, LOOP, TIMED,
@@ -69,7 +69,7 @@ pub use homc_serve::{
     SafeEvidence,
 };
 pub use homc_serve::{
-    regress, render_history, seed_cache, DiskCache, DiskFault, Ledger, LedgerLoad, LoadReport,
+    regress, render_history, seed_cache, AppendReport, DiskCache, Ledger, LedgerLoad, LoadReport,
     PublishReport, RunRecord, TrendOptions, RECORD_SCHEMA,
 };
 pub use homc_serve::{Artifact, ArtifactLoad, ArtifactStore};

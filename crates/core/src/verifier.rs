@@ -856,8 +856,8 @@ fn timed<R>(
 /// whether it passed, or `None` when the run exported none. The check runs
 /// as the run's `check` phase, under the same guard as its own phases,
 /// stamped with its last iteration; its time joins the run's `total`, and
-/// its allocations the run's peaks. `run_batch` and the Table 1 harness
-/// both check their runs through it.
+/// its allocations the run's peaks. `run_batch` checks every job's
+/// certificate through it.
 pub fn self_check(src: &str, opts: &VerifierOptions, out: &mut VerifyOutcome) -> Option<bool> {
     let ev = out.evidence.as_ref()?;
     let stats = &mut out.stats;

@@ -129,6 +129,10 @@ pub enum CheckError {
     Budget(BudgetError),
     /// The program is not well-formed.
     IllFormed(String),
+    /// The table types `main` as failing, yet the path search found no
+    /// error path within its depth cap: the checker disagrees with itself,
+    /// which is a bug, not an exhausted budget.
+    NoErrorPath,
 }
 
 impl CheckError {
@@ -144,6 +148,7 @@ impl fmt::Display for CheckError {
             CheckError::TupleTooWide(n) => write!(f, "tuple of width {n} exceeds 64"),
             CheckError::Budget(e) => write!(f, "model-checking budget exhausted: {e}"),
             CheckError::IllFormed(s) => write!(f, "ill-formed boolean program: {s}"),
+            CheckError::NoErrorPath => f.write_str("main may fail, but no error path was found"),
         }
     }
 }

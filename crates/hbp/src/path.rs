@@ -16,7 +16,9 @@ use crate::ast::{BExpr, BProgram, BVal, Label, PathLabel};
 use crate::check::{AVal, CheckError, Checker, CloHead};
 
 /// Extracts a labelled error path. Call after [`Checker::saturate`]; returns
-/// `Ok(None)` when the program cannot fail.
+/// `Ok(None)` when the program cannot fail, and
+/// [`CheckError::NoErrorPath`] when the table says it can but no path of
+/// depth up to 65,536 reaches `fail`.
 pub fn find_error_path(checker: &mut Checker<'_>) -> Result<Option<Vec<PathLabel>>, CheckError> {
     if !checker.may_fail() {
         return Ok(None);
@@ -35,11 +37,7 @@ pub fn find_error_path(checker: &mut Checker<'_>) -> Result<Option<Vec<PathLabel
         }
         depth *= 2;
         if depth > 1 << 16 {
-            return Err(CheckError::Budget(homc_budget::BudgetError::with_detail(
-                homc_budget::Phase::Mc,
-                homc_budget::LimitKind::Steps,
-                "counterexample extraction exceeded the depth budget",
-            )));
+            return Err(CheckError::NoErrorPath);
         }
     }
 }
@@ -235,11 +233,29 @@ impl<'p> Checker<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{source_labels, BDef, BTy, BoolExpr};
-    use crate::check::CheckLimits;
+    use crate::ast::{source_labels, BDef, BTy, BoolExpr, FunName};
+    use crate::check::{CheckLimits, Gamma};
 
     fn v(x: &str) -> Var {
         Var::new(x)
+    }
+
+    #[test]
+    fn a_table_without_a_path_is_no_budget_error() {
+        // main = ⟨⟩, seeded with a table that types main as failing.
+        let p = BProgram {
+            defs: vec![BDef {
+                name: "main".into(),
+                params: vec![],
+                body: BExpr::Value(BVal::unit()),
+            }],
+            main: "main".into(),
+        };
+        let mut c = Checker::new(&p, CheckLimits::default()).expect("checker");
+        let failing = [(FunName::from("main"), [Vec::new()].into())];
+        c.seed_invariant(Gamma::from_entries(failing), BTreeMap::new());
+        assert!(c.may_fail());
+        assert_eq!(find_error_path(&mut c), Err(CheckError::NoErrorPath));
     }
 
     #[test]

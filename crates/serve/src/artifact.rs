@@ -51,7 +51,6 @@ static FORMAT: Format = Format {
     version: ARTIFACT_VERSION,
     naming: Naming::Keyed { ext: "art" },
     reclaim_stale: true,
-    skip_bad_records: false,
     counter: Counter::ArtifactQuarantine,
 };
 

@@ -10,7 +10,6 @@
 use std::convert::Infallible;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 
 use homc_metrics::{Counter, Metrics};
@@ -36,64 +35,11 @@ static FORMAT: Format = Format {
     naming: Naming::Sequenced {
         prefix: "seg",
         ext: "seg",
+        skip_bad_records: true,
     },
     reclaim_stale: true,
-    skip_bad_records: true,
     counter: Counter::DiskQuarantine,
 };
-
-/// A deterministic fault to apply while publishing a segment (the disk
-/// half of the `--inject` plan: torn writes, truncation, checksum flips).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiskFault {
-    /// Keep only the first `keep_bytes` bytes of the segment (a torn write
-    /// that still got published).
-    Torn {
-        /// Bytes of the composed segment to keep.
-        keep_bytes: u64,
-    },
-    /// Keep the header and only the first `keep_records` records.
-    Truncate {
-        /// Records to keep.
-        keep_records: usize,
-    },
-    /// Overwrite one hex digit of record `record`'s checksum field.
-    FlipChecksum {
-        /// Zero-based record index.
-        record: usize,
-    },
-    /// XOR the byte at `offset` with `0x01` after composing the segment.
-    FlipByte {
-        /// Byte offset into the segment file.
-        offset: u64,
-    },
-}
-
-impl FromStr for DiskFault {
-    type Err = String;
-
-    /// Parses `torn:<bytes>`, `trunc:<records>`, `flipsum:<record>`, or
-    /// `flip:<offset>`.
-    fn from_str(s: &str) -> Result<DiskFault, String> {
-        let (kind, arg) = s
-            .split_once(':')
-            .ok_or_else(|| format!("bad disk fault {s:?}: expected kind:<n>"))?;
-        let n: u64 = arg
-            .parse()
-            .map_err(|_| format!("bad disk fault {s:?}: {arg:?} is not a number"))?;
-        match kind {
-            "torn" => Ok(DiskFault::Torn { keep_bytes: n }),
-            "trunc" => Ok(DiskFault::Truncate {
-                keep_records: n as usize,
-            }),
-            "flipsum" => Ok(DiskFault::FlipChecksum { record: n as usize }),
-            "flip" => Ok(DiskFault::FlipByte { offset: n }),
-            _ => Err(format!(
-                "bad disk fault {s:?}: kind must be torn|trunc|flipsum|flip"
-            )),
-        }
-    }
-}
 
 /// What [`DiskCache::publish`] wrote.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,7 +48,7 @@ pub struct PublishReport {
     pub path: PathBuf,
     /// Records written.
     pub records: usize,
-    /// Segment size in bytes (after any injected fault).
+    /// Segment size in bytes.
     pub bytes: u64,
 }
 
@@ -110,7 +56,6 @@ pub struct PublishReport {
 #[derive(Clone, Debug)]
 pub struct DiskCache {
     store: Store,
-    fault: Option<DiskFault>,
 }
 
 impl DiskCache {
@@ -118,14 +63,7 @@ impl DiskCache {
     pub fn new(dir: impl Into<PathBuf>) -> DiskCache {
         DiskCache {
             store: Store::new(dir, &FORMAT),
-            fault: None,
         }
-    }
-
-    /// Applies a deterministic fault to the next publication.
-    pub fn with_fault(mut self, fault: Option<DiskFault>) -> DiskCache {
-        self.fault = fault;
-        self
     }
 
     /// Attaches a metrics registry ([`Counter::DiskQuarantine`] etc.).
@@ -158,14 +96,6 @@ impl DiskCache {
         Ok((DiskTier::new(payloads), report))
     }
 
-    /// [`load_tier`](Self::load_tier), attached to `cache`, for single-cache
-    /// users.
-    pub fn load_into(&self, cache: &QueryCache) -> io::Result<LoadReport> {
-        let (tier, report) = self.load_tier()?;
-        cache.attach_tier(Arc::new(tier));
-        Ok(report)
-    }
-
     /// Publishes every entry the run discovered (entries copied in from the
     /// tier excluded) as one new segment. Returns `None` when there is
     /// nothing new to write.
@@ -188,29 +118,7 @@ impl DiskCache {
         payloads.sort();
         payloads.dedup();
         let records = payloads.len();
-
-        let kept = match self.fault {
-            Some(DiskFault::Truncate { keep_records }) => keep_records.clamp(1, records),
-            _ => records,
-        };
-        let mut bytes = FORMAT.compose(&payloads[..kept]).into_bytes();
-        match self.fault {
-            Some(DiskFault::Torn { keep_bytes }) => {
-                bytes.truncate(keep_bytes as usize);
-            }
-            Some(DiskFault::FlipByte { offset }) => {
-                if let Some(b) = bytes.get_mut(offset as usize) {
-                    *b ^= 0x01;
-                }
-            }
-            Some(DiskFault::FlipChecksum { record }) if record < kept => {
-                // The checksum field starts 9 bytes into the record line
-                // (8 hex digits of length plus one space).
-                let b = &mut bytes[FORMAT.compose(&payloads[..record]).len() + 9];
-                *b = if *b == b'0' { b'1' } else { b'0' };
-            }
-            _ => {}
-        }
+        let bytes = FORMAT.compose(&payloads).into_bytes();
         let len = bytes.len() as u64;
         let (path, _) = self.store.publish_next(|_| bytes.clone())?;
         Ok(Some(PublishReport {
@@ -314,6 +222,13 @@ mod tests {
         c
     }
 
+    /// Loads the directory's tier and attaches it to `cache`.
+    fn load_into(disk: &DiskCache, cache: &QueryCache) -> LoadReport {
+        let (tier, report) = disk.load_tier().unwrap();
+        cache.attach_tier(Arc::new(tier));
+        report
+    }
+
     #[test]
     fn publish_then_load_roundtrips() {
         let dir = tmpdir("roundtrip");
@@ -322,7 +237,7 @@ mod tests {
         assert_eq!(report.records, 3);
 
         let fresh = QueryCache::new();
-        let load = disk.load_into(&fresh).unwrap();
+        let load = load_into(&disk, &fresh);
         assert_eq!(load.records, 3);
         assert_eq!(load.bad_records, 0);
         assert_eq!(load.quarantined, 0);
@@ -372,7 +287,7 @@ mod tests {
         fs::write(dir.join("seg-000001.seg"), "homc-cache v999\ngarbage").unwrap();
         let disk = DiskCache::new(&dir);
         let fresh = QueryCache::new();
-        let load = disk.load_into(&fresh).unwrap();
+        let load = load_into(&disk, &fresh);
         assert_eq!(load.stale, 1);
         assert_eq!(load.records, 0);
         assert_eq!(load.quarantined, 0);
@@ -390,12 +305,12 @@ mod tests {
         fs::write(dir.join("seg-000001.seg"), "not a cache\n").unwrap();
         let metrics = Metrics::new(true);
         let disk = DiskCache::new(&dir).with_metrics(metrics.clone());
-        let load = disk.load_into(&QueryCache::new()).unwrap();
+        let load = load_into(&disk, &QueryCache::new());
         assert_eq!(load.quarantined, 1);
         assert!(dir.join("seg-000001.seg.quarantined").exists());
         assert_eq!(metrics.snapshot().counter(Counter::DiskQuarantine), 1);
         // The quarantined file is never rescanned.
-        let load2 = disk.load_into(&QueryCache::new()).unwrap();
+        let load2 = load_into(&disk, &QueryCache::new());
         assert_eq!(load2.segments, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -403,10 +318,12 @@ mod tests {
     #[test]
     fn torn_write_fault_quarantines_tail() {
         let dir = tmpdir("torn");
-        let disk = DiskCache::new(&dir).with_fault(Some(DiskFault::Torn { keep_bytes: 40 }));
-        disk.publish(&warm_cache()).unwrap().expect("records");
+        let disk = DiskCache::new(&dir);
+        let report = disk.publish(&warm_cache()).unwrap().expect("records");
+        let bytes = fs::read(&report.path).unwrap();
+        fs::write(&report.path, &bytes[..40]).unwrap();
         let fresh = QueryCache::new();
-        let load = DiskCache::new(&dir).load_into(&fresh).unwrap();
+        let load = load_into(&disk, &fresh);
         assert_eq!(load.quarantined, 1);
         assert_eq!(load.records, 0, "40 bytes is inside the first record");
         let _ = fs::remove_dir_all(&dir);
@@ -415,31 +332,20 @@ mod tests {
     #[test]
     fn checksum_flip_fault_skips_record_keeps_rest() {
         let dir = tmpdir("flipsum");
-        let disk = DiskCache::new(&dir).with_fault(Some(DiskFault::FlipChecksum { record: 0 }));
+        let disk = DiskCache::new(&dir);
         let report = disk.publish(&warm_cache()).unwrap().expect("records");
         assert_eq!(report.records, 3);
+        // The first record's checksum field starts 9 bytes into its line
+        // (8 hex digits of length plus one space).
+        let mut bytes = fs::read(&report.path).unwrap();
+        let at = bytes.iter().position(|&b| b == b'\n').unwrap() + 1 + 9;
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        fs::write(&report.path, &bytes).unwrap();
         let fresh = QueryCache::new();
-        let load = DiskCache::new(&dir).load_into(&fresh).unwrap();
+        let load = load_into(&disk, &fresh);
         assert_eq!(load.bad_records, 1);
         assert_eq!(load.records, 2, "later records survive a mid-file flip");
         assert_eq!(load.quarantined, 1);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_fault_parser() {
-        assert_eq!("torn:7".parse(), Ok(DiskFault::Torn { keep_bytes: 7 }));
-        assert_eq!(
-            "trunc:2".parse(),
-            Ok(DiskFault::Truncate { keep_records: 2 })
-        );
-        assert_eq!(
-            "flipsum:0".parse(),
-            Ok(DiskFault::FlipChecksum { record: 0 })
-        );
-        assert_eq!("flip:33".parse(), Ok(DiskFault::FlipByte { offset: 33 }));
-        assert!("nope:1".parse::<DiskFault>().is_err());
-        assert!("torn".parse::<DiskFault>().is_err());
-        assert!("torn:x".parse::<DiskFault>().is_err());
     }
 }

@@ -62,7 +62,6 @@ static FORMAT: Format = Format {
     version: EVIDENCE_VERSION,
     naming: Naming::Keyed { ext: "evd" },
     reclaim_stale: true,
-    skip_bad_records: false,
     counter: Counter::ArtifactQuarantine,
 };
 

@@ -33,9 +33,9 @@ static FORMAT: Format = Format {
     naming: Naming::Sequenced {
         prefix: "run",
         ext: "led",
+        skip_bad_records: false,
     },
     reclaim_stale: false,
-    skip_bad_records: false,
     counter: Counter::LedgerQuarantine,
 };
 
@@ -199,6 +199,13 @@ pub struct AppendReport {
     pub run: u64,
     /// Records written.
     pub records: usize,
+}
+
+impl fmt::Display for AppendReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (run, n, path) = (self.run, self.records, self.path.display());
+        write!(f, "run {run} ({n} record(s)) -> {path}")
+    }
 }
 
 /// Handle to one ledger directory.

@@ -27,9 +27,9 @@
 //!   * **verdict evidence** ([`mod@evidence`]): one certificate per program
 //!     key, replayed by `homc check`.
 //!
-//! Deterministic fault injection covers the failure surfaces: torn writes,
-//! truncated segments, checksum flips ([`DiskFault`]) and job-thread panics
-//! (injected by the batch driver through the job body).
+//! Job-thread panics are injected deterministically by the batch driver
+//! through the job body; damaged store files are drilled by writing their
+//! bytes directly (`tests/store_drill.rs`).
 //! See DESIGN.md §"Serving & persistence architecture" and §"On-disk store".
 
 #![forbid(unsafe_code)]
@@ -46,9 +46,7 @@ pub mod trend;
 
 pub use artifact::{Artifact, ArtifactLoad, ArtifactStore, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use codec::{decode_record, encode_check, encode_cube, CodecError, Record};
-pub use disk::{
-    seed_cache, DiskCache, DiskFault, DiskTier, LoadReport, PublishReport, MAGIC, VERSION,
-};
+pub use disk::{seed_cache, DiskCache, DiskTier, LoadReport, PublishReport, MAGIC, VERSION};
 pub use evidence::{
     parse_evidence_bytes, Evidence, EvidenceLoad, EvidenceStore, EvidenceVerdict, ProvenanceRecord,
     SafeEvidence, EVIDENCE_MAGIC, EVIDENCE_VERSION,

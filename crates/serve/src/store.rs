@@ -38,13 +38,17 @@ pub(crate) enum Naming {
     Sequenced {
         prefix: &'static str,
         ext: &'static str,
+        /// Skip a bad record and keep the rest of its file, rather than
+        /// drop the whole file.
+        skip_bad_records: bool,
     },
-    /// `<slug≤40>-<hash16>.<ext>`, one file per key.
+    /// `<slug≤40>-<hash16>.<ext>`, one file per key. A keyed file is
+    /// trusted whole: one bad record drops it.
     Keyed { ext: &'static str },
 }
 
-/// One on-disk format: its header, its naming, and the two policies in
-/// which formats differ.
+/// One on-disk format: its header, its naming (which carries the
+/// bad-record policy of sequenced files), and its stale-file policy.
 #[derive(Debug)]
 pub(crate) struct Format {
     pub(crate) magic: &'static str,
@@ -53,9 +57,6 @@ pub(crate) struct Format {
     /// Delete a file of another version (the store can be rebuilt) rather
     /// than keep it (history cannot).
     pub(crate) reclaim_stale: bool,
-    /// Skip a bad record and keep the rest of its file, rather than drop the
-    /// whole file.
-    pub(crate) skip_bad_records: bool,
     /// Bumped once per quarantined file.
     pub(crate) counter: Counter,
 }
@@ -84,8 +85,8 @@ impl Format {
     /// Checks the header, then walks the frames, handing each payload whose
     /// checksum matches to `record`. Returns the file's verdict and the
     /// number of records rejected. A framing break ends the walk (there is
-    /// no resync); a bad record ends it too unless the format skips bad
-    /// records.
+    /// no resync); a bad record ends it too unless the format is sequenced
+    /// and skips bad records.
     fn scan<E>(
         &self,
         bytes: &[u8],
@@ -111,7 +112,7 @@ impl Format {
             pos += len;
             if stable_hash64(payload) != sum || record(payload).is_err() {
                 bad += 1;
-                if !self.skip_bad_records {
+                if !self.skip_bad_records() {
                     return (Parsed::Corrupt, bad);
                 }
             }
@@ -120,6 +121,16 @@ impl Format {
             return (Parsed::Corrupt, bad);
         }
         (Parsed::Good(()), 0)
+    }
+
+    fn skip_bad_records(&self) -> bool {
+        matches!(
+            self.naming,
+            Naming::Sequenced {
+                skip_bad_records: true,
+                ..
+            }
+        )
     }
 
     /// Parses a whole keyed file: `decode` folds each record into an
@@ -216,7 +227,7 @@ impl Store {
 
     fn sequenced(&self) -> (&'static str, &'static str) {
         match self.format.naming {
-            Naming::Sequenced { prefix, ext } => (prefix, ext),
+            Naming::Sequenced { prefix, ext, .. } => (prefix, ext),
             Naming::Keyed { .. } => {
                 unreachable!("{} files are keyed, not sequenced", self.format.magic)
             }
@@ -282,7 +293,7 @@ impl Store {
                     if self.quarantine(&path) {
                         tally.quarantined += 1;
                     }
-                    if !self.format.skip_bad_records {
+                    if !self.format.skip_bad_records() {
                         continue;
                     }
                 }

@@ -7,10 +7,11 @@
 //! `bench-diff`'s rules, report and exit codes: the newest run is compared
 //! with the per-metric median over a trailing window of earlier runs of the
 //! same kind, and with the verdict of the most recent of them. Kinds never
-//! mix because their wall times measure different things: a `table1`
-//! record's is the verifier-internal total, while suite, file and batch
-//! records time the whole run. CI can thus gate on history, not just the one
-//! checked-in baseline file.
+//! mix because their runs do different work: every record's wall is its
+//! job's wall, but a `table1` job always exports and checks a certificate
+//! and feeds a published cache, which suite, file and batch jobs do only
+//! when asked. CI can thus gate on history, not just the one checked-in
+//! baseline file.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

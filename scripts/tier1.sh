@@ -322,8 +322,20 @@ fi
 # on any verdict mismatch against the paper. A missing or stale-schema
 # baseline fails fast with regeneration instructions instead of the
 # opaque exit 3 that bench-diff would produce.
+# The run also appends its rows to a scratch ledger, through the same
+# append path as the CLI's `--ledger`; `homc history` must read them back
+# as one table1 run of the 30 programs.
 BENCH_SCRATCH=target/bench-table1.json
-run cargo run --release --offline -p homc-bench --bin table1 -- --json "$BENCH_SCRATCH"
+TABLE1_LEDGER=target/ledger-table1
+TABLE1_HISTORY=target/ledger-table1-history.txt
+rm -rf "$TABLE1_LEDGER"
+run cargo run --release --offline -p homc-bench --bin table1 -- --json "$BENCH_SCRATCH" \
+    --ledger "$TABLE1_LEDGER"
+run cargo run --release --offline --bin homc -- history "$TABLE1_LEDGER" | tee "$TABLE1_HISTORY"
+if ! grep -q '30 program(s) over 1 run(s)' "$TABLE1_HISTORY"; then
+    echo "tier1: bench-smoke: history did not read the table1 run back from its ledger" >&2
+    exit 1
+fi
 bench_schema() { sed -n 's/.*"schema": \([0-9]*\).*/\1/p' "$1" | head -1; }
 # Warm-edit latency gate: on l-zipmap the edit-resubmit rerun must land at
 # or under 25% of the cold wall without its certificate check (plus 20 ms
@@ -355,7 +367,7 @@ fi
 OLD_SCHEMA=$(bench_schema BENCH_table1.json)
 NEW_SCHEMA=$(bench_schema "$BENCH_SCRATCH")
 if [ "${OLD_SCHEMA:-none}" != "$NEW_SCHEMA" ]; then
-    echo "tier1: BENCH_table1.json has schema ${OLD_SCHEMA:-none} but this build writes schema $NEW_SCHEMA — stale baseline (schema 8 made the certificate check the check phase)." >&2
+    echo "tier1: BENCH_table1.json has schema ${OLD_SCHEMA:-none} but this build writes schema $NEW_SCHEMA — stale baseline (schema 9 made table1 a report over run_batch: iterations dropped, peak_hbp became final_hbp_size)." >&2
     bench_regen_hint
     exit 1
 fi

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use homc::{
-    parse_json, render_batch_json, run_batch, stats_counters, suite, verify, Agg, ArtifactConfig,
+    ledger_record, parse_json, render_batch_json, run_batch, suite, verify, Agg, ArtifactConfig,
     BatchJob, BatchOptions, Counts, JsonValue, Metrics, Surface, Tracer, VerifierOptions, COUNTERS,
 };
 use homc_bench::{baseline_json, Row};
@@ -60,30 +60,39 @@ fn every_counter_reaches_its_surfaces() {
     }
     let prom = std::fs::read_to_string(&prom_path).expect("metrics written");
 
-    // The ledger snapshot, the iter records and the table1 document, in
-    // process from one traced run.
-    let tracer = Tracer::memory(true);
-    let opts = VerifierOptions {
-        tracer: tracer.clone(),
-        ..VerifierOptions::default()
+    // The ledger record, the iter records, the table1 document, the
+    // `batch_job` progress event and the `--json` job object, from one
+    // batch job of the same program with its logical trace captured.
+    let progress = Tracer::memory(true);
+    let job = BatchJob {
+        name: program.name.to_string(),
+        source: program.source.to_string(),
+        expected: Some(program.expected),
     };
-    let outcome = verify(program.source, &opts).expect("verifies");
-    let ledger = stats_counters(&outcome.stats);
-    let trace = tracer.snapshot().expect("memory sink");
-    let iters: Vec<JsonValue> = trace
+    let batch_opts = BatchOptions {
+        workers: 1,
+        progress: progress.clone(),
+        capture_traces: true,
+        logical: true,
+        ..BatchOptions::default()
+    };
+    let batch = run_batch(vec![job], &batch_opts).expect("batch runs");
+    let job = &batch.jobs[0];
+    let ledger = ledger_record(job).counters;
+    let iters: Vec<JsonValue> = job
+        .trace
+        .as_deref()
+        .expect("captured trace")
         .lines()
         .map(|l| parse_json(l).expect("json line"))
         .filter(|v| v.get("ev").and_then(JsonValue::as_str) == Some("iter"))
         .collect();
     assert!(iters.len() > 1, "l-zipmap takes several CEGAR iterations");
-    let counts = outcome.stats.counts();
+    let counts = job.stats.as_ref().expect("an outcome").counts();
     let row = Row {
-        name: program.name,
-        outcome,
+        cold: job.clone(),
         verdict_ok: true,
         paper_cycles: 0,
-        iterations: iters.len(),
-        peak_hbp: 0,
         warm_total_s: 0.0,
         warm_disk_hits: 0,
         incr_total_s: 0.0,
@@ -94,22 +103,6 @@ fn every_counter_reaches_its_surfaces() {
         .and_then(JsonValue::as_arr)
         .expect("rows")[0];
     let (row_keys, total_keys) = (keys(bench_row), keys(doc.get("totals").expect("totals")));
-
-    // The `batch_job` progress event and the `--json` job object, from one
-    // batch of the same program.
-    let progress = Tracer::memory(true);
-    let job = BatchJob {
-        name: program.name.to_string(),
-        source: program.source.to_string(),
-        expected: Some(program.expected),
-    };
-    let batch_opts = BatchOptions {
-        workers: 1,
-        progress: progress.clone(),
-        ..BatchOptions::default()
-    };
-    let batch = run_batch(vec![job], &batch_opts).expect("batch runs");
-    let batch_counts = batch.jobs[0].stats.as_ref().expect("an outcome").counts();
     let settled = progress
         .snapshot()
         .expect("memory sink")
@@ -157,9 +150,7 @@ fn every_counter_reaches_its_surfaces() {
         );
         for (what, v) in [("batch_job event", &settled), ("--json job", json_job)] {
             let shown = v.get(name).and_then(JsonValue::as_num);
-            let expected = c
-                .shows(Surface::Batch)
-                .then(|| i128::from(batch_counts.get(c)));
+            let expected = c.shows(Surface::Batch).then(|| i128::from(counts.get(c)));
             assert_eq!(shown, expected, "{name}: {what}");
         }
 

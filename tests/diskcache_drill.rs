@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use homc::{
-    stable_hash64, suite, verify, Counter, DiskCache, Metrics, QueryCache, Verdict,
+    stable_hash64, suite, verify, Counter, DiskCache, LoadReport, Metrics, QueryCache, Verdict,
     VerifierOptions, VerifyOutcome,
 };
 use homc_serve::{decode_record, encode_check, encode_cube, Record, MAGIC, VERSION};
@@ -32,6 +32,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("homc-drill-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
     d
+}
+
+/// Loads `disk`'s tier and attaches it to `cache`, as a batch does.
+fn load_into(disk: &DiskCache, cache: &QueryCache) -> LoadReport {
+    let (tier, report) = disk.load_tier().expect("load never hard-fails on content");
+    cache.attach_tier(Arc::new(tier));
+    report
 }
 
 /// Verifies `source` against `cache`.
@@ -78,7 +85,7 @@ fn write_segment(dir: &Path, seq: u32, payloads: &[String]) {
 /// valid records and nothing bad, since every checksum was recomputed.
 fn tiered_cache(dir: &Path, records: usize) -> Arc<QueryCache> {
     let cache = Arc::new(QueryCache::new());
-    let report = DiskCache::new(dir).load_into(&cache).unwrap();
+    let report = load_into(&DiskCache::new(dir), &cache);
     assert_eq!(
         (report.records, report.bad_records, report.quarantined),
         (records, 0, 0),
@@ -136,9 +143,7 @@ fn byte_flips_never_change_verdicts() {
         let metrics = Metrics::new(false);
         let disk = DiskCache::new(&dir).with_metrics(metrics.clone());
         let cache = Arc::new(QueryCache::new());
-        let report = disk
-            .load_into(&cache)
-            .expect("load never hard-fails on content");
+        let report = load_into(&disk, &cache);
         assert!(
             report.quarantined > 0 || report.bad_records > 0,
             "{class}: the flip at offset {offset} must be detected, got {report}"
@@ -173,7 +178,7 @@ fn version_mismatch_cold_starts_cleanly() {
     fs::write(&seg, &old).unwrap();
 
     let cache = Arc::new(QueryCache::new());
-    let report = DiskCache::new(&dir).load_into(&cache).unwrap();
+    let report = load_into(&DiskCache::new(&dir), &cache);
     // A schema bump is a clean cold start, not an integrity event: the stale
     // segment is reclaimed, nothing is quarantined, nothing is loaded.
     assert_eq!(report.stale, 1, "{report}");
@@ -199,7 +204,7 @@ fn every_header_byte_flip_is_safe() {
         corrupt[offset] ^= 0x01;
         fs::write(dir.join("seg-000001.seg"), &corrupt).unwrap();
         let cache = Arc::new(QueryCache::new());
-        let report = DiskCache::new(&dir).load_into(&cache).unwrap();
+        let report = load_into(&DiskCache::new(&dir), &cache);
         assert!(
             report.quarantined > 0 || report.stale > 0,
             "offset {offset}: corrupt header must quarantine or cold-start, got {report}"

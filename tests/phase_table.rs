@@ -9,9 +9,8 @@ use std::process::Command;
 use std::time::Duration;
 
 use homc::{
-    ledger_record, parse_json, render_report, run_batch, stable_hash64, suite, validate_line,
-    verify, ArtifactConfig, BatchJob, BatchOptions, EvidenceConfig, Fault, JsonValue, Phase,
-    Surface, Tracer, VerifierOptions, TIMED,
+    ledger_record, parse_json, render_report, run_batch, suite, validate_line, BatchJob,
+    BatchOptions, Fault, JsonValue, Phase, Surface, TIMED,
 };
 use homc_bench::{baseline_json, Row};
 use homc_budget::PHASES;
@@ -68,31 +67,28 @@ fn every_phase_reaches_its_surfaces() {
     let (stats_columns, stats_peaks) = (line("S="), line("peak_bytes="));
 
     // The ledger record, the table1 row and the trace, in process from one
-    // wall-clock run with every timed phase running.
-    let tracer = Tracer::memory(false);
-    let opts = VerifierOptions {
-        tracer: tracer.clone(),
-        evidence: Some(EvidenceConfig {
-            dir: None,
-            key: program.name.to_string(),
-            source_hash: stable_hash64(program.source),
-        }),
-        artifacts: Some(ArtifactConfig {
-            dir: dir.join("art"),
-            key: program.name.to_string(),
-        }),
-        ..VerifierOptions::default()
+    // batch job with every timed phase running, its wall-clock trace
+    // captured.
+    let job = BatchJob {
+        name: program.name.to_string(),
+        source: program.source.to_string(),
+        expected: Some(program.expected),
     };
-    let outcome = verify(program.source, &opts).expect("verifies");
-    let ledger = ledger_record(program.name, "safe", true, 0, Some(&outcome.stats), None);
+    let opts = BatchOptions {
+        workers: 1,
+        evidence_dir: Some(dir.join("batch-evd")),
+        artifacts_dir: Some(dir.join("art")),
+        capture_traces: true,
+        ..BatchOptions::default()
+    };
+    let batch = run_batch(vec![job], &opts).expect("batch runs");
+    let job = &batch.jobs[0];
+    let ledger = ledger_record(job);
     let ledger_keys = json_keys(&parse_json(&ledger.encode()).expect("ledger json"));
     let row = Row {
-        name: program.name,
-        outcome,
+        cold: job.clone(),
         verdict_ok: true,
         paper_cycles: 0,
-        iterations: 0,
-        peak_hbp: 0,
         warm_total_s: 0.0,
         warm_disk_hits: 0,
         incr_total_s: 0.0,
@@ -112,7 +108,7 @@ fn every_phase_reaches_its_surfaces() {
             .collect()
     };
     let cli_trace = std::fs::read_to_string(&cli_trace).expect("CLI trace");
-    let mut spans = span_phases(&tracer.snapshot().expect("memory sink"));
+    let mut spans = span_phases(job.trace.as_deref().expect("captured trace"));
     spans.extend(span_phases(&cli_trace));
     let report = render_report(&cli_trace);
     let totals = report
