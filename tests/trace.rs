@@ -3,7 +3,8 @@
 //! events under `--inject`.
 
 use homc::{
-    suite, validate_trace, verify, Fault, FaultPlan, JsonValue, Tracer, Verdict, VerifierOptions,
+    stable_hash64, suite, validate_trace, verify, Fault, FaultPlan, JsonValue, Tracer, Verdict,
+    VerifierOptions,
 };
 
 /// Verifies `src` with an in-memory tracer and returns the trace text.
@@ -49,6 +50,30 @@ fn logical_trace_is_byte_deterministic() {
     assert_eq!(v1, v2);
     assert_eq!(t1, t2, "two logical-clock runs must be byte-identical");
     validate_trace(&t1).expect("schema-valid");
+}
+
+/// The whole suite's logical traces, concatenated in suite order, hash to
+/// one pinned value. The traces carry every predicate refinement learned
+/// and every abstraction and feasibility answer, so this pins the
+/// arithmetic kernel's models and Farkas multipliers across all 30
+/// programs: a change to the solver that is meant to be invisible must
+/// leave it unedited.
+const SUITE_TRACE_HASH: u64 = 0xc620_af94_2aa4_ab39;
+
+#[test]
+fn suite_logical_trace_is_pinned() {
+    let mut all = String::new();
+    for p in suite::SUITE {
+        let (_, trace) = traced_run(p.source, true, FaultPlan::none());
+        all.push_str(&trace);
+    }
+    let hash = stable_hash64(&all);
+    assert_eq!(
+        hash,
+        SUITE_TRACE_HASH,
+        "suite logical trace drifted: {hash:#018x} ({} bytes)",
+        all.len()
+    );
 }
 
 /// Tracing must be an observer: same verdicts, same effort counters,
