@@ -5,7 +5,8 @@
 //! Certificates drive both unsat-core extraction (theory conflicts in the
 //! solver) and Farkas interpolation (see [`crate::interp`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 use crate::cache::{CachedRat, QueryCache};
 use crate::linexpr::{Atom, LinExpr, Rel, Var};
@@ -66,9 +67,14 @@ pub enum IntResult {
 }
 
 /// A working row `Σ coeffs·x + cst <= 0` with its provenance.
+///
+/// A variable is its index in the call's variable table, which is sorted, so
+/// coefficients sorted by index are sorted by [`Var`]: every scan below
+/// visits variables in the order a `Var`-keyed map would.
 #[derive(Clone, Debug)]
 struct Row {
-    coeffs: BTreeMap<Var, Rat>,
+    /// Non-zero coefficients, sorted by variable index.
+    coeffs: Vec<(u32, Rat)>,
     cst: Rat,
     cert: FarkasCert,
     /// `Some(i)` while this row is one half of the `= 0` pair of equality
@@ -80,31 +86,51 @@ struct Row {
 }
 
 impl Row {
-    fn from_atom(idx: usize, atom: &Atom, sign: i128) -> Row {
-        let mut coeffs = BTreeMap::new();
-        for (v, c) in atom.lhs().iter() {
-            coeffs.insert(v.clone(), Rat::int(c * sign));
-        }
+    fn from_atom(idx: usize, atom: &Atom, sign: i128, vars: &[&Var]) -> Row {
+        let index = |v: &Var| vars.binary_search(&v).expect("variable in table") as u32;
         Row {
-            coeffs,
+            coeffs: atom
+                .lhs()
+                .iter()
+                .map(|(v, c)| (index(v), Rat::int(c * sign)))
+                .collect(),
             cst: Rat::int(atom.lhs().constant_part() * sign),
             cert: vec![(idx, Rat::int(sign))],
             eq_id: (atom.rel() == Rel::Eq).then_some(idx),
         }
     }
 
+    /// The coefficient of variable `v`, if non-zero.
+    fn coeff(&self, v: u32) -> Option<Rat> {
+        let i = self.coeffs.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(self.coeffs[i].1)
+    }
+
     /// `self + other * k` with `k > 0`.
     fn combine(&self, other: &Row, k: Rat) -> Row {
         debug_assert!(k.signum() > 0);
-        let mut coeffs = self.coeffs.clone();
-        for (v, c) in &other.coeffs {
-            let e = coeffs.entry(v.clone()).or_insert(Rat::ZERO);
-            *e = *e + *c * k;
-            if e.is_zero() {
-                coeffs.remove(v);
+        let (a, b) = (&self.coeffs, &other.coeffs);
+        let mut coeffs = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((u, c), (w, d)) = (a[i], b[j]);
+            if u < w {
+                coeffs.push((u, c));
+                i += 1;
+            } else if w < u {
+                coeffs.push((w, d * k));
+                j += 1;
+            } else {
+                let e = c + d * k;
+                if !e.is_zero() {
+                    coeffs.push((u, e));
+                }
+                i += 1;
+                j += 1;
             }
         }
-        coeffs.retain(|_, c| !c.is_zero());
+        coeffs.extend_from_slice(&a[i..]);
+        coeffs.extend(b[j..].iter().map(|&(w, d)| (w, d * k)));
         let mut cert = self.cert.clone();
         for (i, l) in &other.cert {
             match cert.iter_mut().find(|(j, _)| j == i) {
@@ -126,14 +152,14 @@ impl Row {
         // Divide by the largest absolute coefficient magnitude if it exceeds
         // 1, keeping exact rationals throughout.
         let mut max = self.cst.abs();
-        for c in self.coeffs.values() {
+        for (_, c) in &self.coeffs {
             if c.abs() > max {
                 max = c.abs();
             }
         }
         if max > Rat::ONE {
             let k = max.recip();
-            for c in self.coeffs.values_mut() {
+            for (_, c) in &mut self.coeffs {
                 *c = *c * k;
             }
             self.cst = self.cst * k;
@@ -143,49 +169,72 @@ impl Row {
         }
     }
 
-    fn key(&self) -> (Vec<(Var, Rat)>, Rat, Option<usize>) {
-        (
-            self.coeffs.iter().map(|(v, c)| (v.clone(), *c)).collect(),
-            self.cst,
-            // Keeping the tag in the key stops dedup from merging an
-            // equality half into a coincidentally-equal inequality row —
-            // substitution needs both halves of a pair alive.
-            self.eq_id,
-        )
+    /// A total order on what dedup compares: coefficients, constant and
+    /// the equality tag, the tag included so that dedup never merges an
+    /// equality half into a coincidentally-equal inequality row —
+    /// substitution needs both halves of a pair alive. Rationals compare
+    /// by their normal form, which is unique, so rows are equal under this
+    /// order exactly when they are equal as constraints.
+    fn key_cmp(&self, other: &Row) -> Ordering {
+        fn parts(c: Rat) -> (i128, i128) {
+            (c.num(), c.den())
+        }
+        self.eq_id
+            .cmp(&other.eq_id)
+            .then_with(|| parts(self.cst).cmp(&parts(other.cst)))
+            .then_with(|| {
+                let terms = self.coeffs.iter().map(|&(u, c)| (u, parts(c)));
+                terms.cmp(other.coeffs.iter().map(|&(u, c)| (u, parts(c))))
+            })
     }
+}
+
+/// Drops every row whose key equals an earlier row's, keeping the first
+/// of each in order.
+fn dedup(rows: Vec<Row>) -> Vec<Row> {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&i, &j| rows[i].key_cmp(&rows[j]).then(i.cmp(&j)));
+    let mut keep = vec![true; rows.len()];
+    for w in order.windows(2) {
+        if rows[w[0]].key_cmp(&rows[w[1]]).is_eq() {
+            keep[w[1]] = false;
+        }
+    }
+    rows.into_iter()
+        .zip(keep)
+        .filter_map(|(r, k)| k.then_some(r))
+        .collect()
 }
 
 /// Checks a conjunction of atoms over the **rationals**.
 pub fn rational_sat(atoms: &[Atom]) -> RatResult {
+    let mut vars: Vec<&Var> = atoms.iter().flat_map(|a| a.lhs().vars()).collect();
+    vars.sort_unstable();
+    vars.dedup();
+
     let mut rows = Vec::new();
     for (i, a) in atoms.iter().enumerate() {
-        match a.rel() {
-            Rel::Le => rows.push(Row::from_atom(i, a, 1)),
-            Rel::Eq => {
-                rows.push(Row::from_atom(i, a, 1));
-                rows.push(Row::from_atom(i, a, -1));
-            }
+        rows.push(Row::from_atom(i, a, 1, &vars));
+        if a.rel() == Rel::Eq {
+            rows.push(Row::from_atom(i, a, -1, &vars));
         }
     }
 
-    let mut stages: Vec<(Var, Vec<Row>)> = Vec::new();
+    let mut stages: Vec<(u32, Vec<Row>)> = Vec::new();
+    // Per-variable sign counts of the rows, reused by every FM step.
+    let mut pos_count = vec![0usize; vars.len()];
+    let mut neg_count = vec![0usize; vars.len()];
 
     loop {
         // Constant rows decide immediately; duplicate rows are dropped.
-        let mut seen = BTreeSet::new();
-        let mut next = Vec::new();
-        for r in rows {
-            if r.coeffs.is_empty() {
-                if r.cst.signum() > 0 {
-                    return RatResult::Unsat(r.cert);
-                }
-                continue;
-            }
-            if seen.insert(r.key()) {
-                next.push(r);
-            }
+        if let Some(r) = rows
+            .iter()
+            .find(|r| r.coeffs.is_empty() && r.cst.signum() > 0)
+        {
+            return RatResult::Unsat(r.cert.clone());
         }
-        rows = next;
+        rows.retain(|r| !r.coeffs.is_empty());
+        rows = dedup(rows);
 
         // Gaussian presolve: a surviving equality pair lets its first
         // variable be *substituted* away — one combination per row that
@@ -194,39 +243,40 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
         // definitional equalities (`sym = expr` per A-normal bind), so this
         // is the common case and turns elimination from quadratic growth
         // into a linear sweep.
-        if let Some((v, i)) = rows.iter().find_map(|r| {
-            let i = r.eq_id?;
-            Some((r.coeffs.keys().next()?.clone(), i))
-        }) {
+        if let Some((v, i)) = rows
+            .iter()
+            .find_map(|r| Some((r.coeffs.first()?.0, r.eq_id?)))
+        {
             let (pair, others): (Vec<Row>, Vec<Row>) =
                 rows.into_iter().partition(|r| r.eq_id == Some(i));
-            let sign_on_v = |r: &&Row| r.coeffs.get(&v).map_or(0, |c| c.signum());
+            let sign_on_v = |r: &&Row| r.coeff(v).map_or(0, |c| c.signum());
             let p0 = pair.iter().find(|r| sign_on_v(r) > 0);
             let n0 = pair.iter().find(|r| sign_on_v(r) < 0);
             match (p0, n0) {
                 (Some(p0), Some(n0)) => {
-                    let a = p0.coeffs[&v]; // > 0; n0 has -a by pairing.
-                    let mut stage_rows = pair.clone();
+                    let a = p0.coeff(v).expect("positive on v"); // n0 has -a by pairing.
+                    let mut substituted = Vec::new();
                     let mut next = Vec::new();
                     for r in others {
-                        let Some(c) = r.coeffs.get(&v).copied() else {
+                        let Some(c) = r.coeff(v) else {
                             next.push(r);
                             continue;
                         };
-                        stage_rows.push(r.clone());
-                        let eq_id = r.eq_id;
                         let mut s = if c.signum() > 0 {
                             r.combine(n0, c / a)
                         } else {
                             r.combine(p0, (-c) / a)
                         };
-                        debug_assert!(!s.coeffs.contains_key(&v));
+                        debug_assert!(s.coeff(v).is_none());
                         s.normalize();
                         // Substituting into both halves of another pair
                         // keeps them exact negatives, so the tag survives.
-                        s.eq_id = eq_id;
+                        s.eq_id = r.eq_id;
                         next.push(s);
+                        substituted.push(r);
                     }
+                    let mut stage_rows = pair;
+                    stage_rows.append(&mut substituted);
                     stages.push((v, stage_rows));
                     rows = next;
                     continue;
@@ -247,45 +297,43 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
             }
         }
 
-        // Pick the variable whose elimination generates the fewest rows.
-        let mut best: Option<(Var, usize)> = None;
-        let vars: BTreeSet<Var> = rows.iter().flat_map(|r| r.coeffs.keys().cloned()).collect();
-        if vars.is_empty() {
-            break;
-        }
-        for v in vars {
-            let sign = |r: &Row| r.coeffs.get(&v).map_or(0, |c| c.signum());
-            let pos = rows.iter().filter(|r| sign(r) > 0).count();
-            let neg = rows.iter().filter(|r| sign(r) < 0).count();
-            let cost = pos * neg;
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((v, cost));
-            }
-        }
-        let (v, _) = best.expect("vars nonempty");
-
-        let (with_v, without_v): (Vec<Row>, Vec<Row>) =
-            rows.into_iter().partition(|r| r.coeffs.contains_key(&v));
-        let mut next = without_v;
-        let (pos, neg): (Vec<&Row>, Vec<&Row>) = {
-            let mut p = Vec::new();
-            let mut n = Vec::new();
-            for r in &with_v {
-                if r.coeffs[&v].signum() > 0 {
-                    p.push(r);
+        // Pick the variable whose elimination generates the fewest rows,
+        // the first in variable order on a tie.
+        pos_count.fill(0);
+        neg_count.fill(0);
+        for r in &rows {
+            for (u, c) in &r.coeffs {
+                if c.signum() > 0 {
+                    pos_count[*u as usize] += 1;
                 } else {
-                    n.push(r);
+                    neg_count[*u as usize] += 1;
                 }
             }
-            (p, n)
+        }
+        let mut best: Option<(u32, usize)> = None;
+        for (u, (&pos, &neg)) in pos_count.iter().zip(&neg_count).enumerate() {
+            let cost = pos * neg;
+            if pos + neg > 0 && best.is_none_or(|(_, c)| cost < c) {
+                best = Some((u as u32, cost));
+            }
+        }
+        let Some((v, _)) = best else {
+            break;
         };
-        for p in &pos {
-            for n in &neg {
-                let a = p.coeffs[&v]; // > 0
-                let b = n.coeffs[&v]; // < 0
-                                      // p + n * (a / -b) eliminates v with a positive multiplier.
+
+        let (with_v, without_v): (Vec<Row>, Vec<Row>) =
+            rows.into_iter().partition(|r| r.coeff(v).is_some());
+        let mut next = without_v;
+        let (pos, neg): (Vec<_>, Vec<_>) = with_v
+            .iter()
+            .map(|r| (r, r.coeff(v).expect("mentions v")))
+            .partition(|(_, c)| c.signum() > 0);
+        for &(p, a) in &pos {
+            for &(n, b) in &neg {
+                // a > 0 > b: p + n * (a / -b) eliminates v with a positive
+                // multiplier.
                 let mut r = p.combine(n, a / (-b));
-                debug_assert!(!r.coeffs.contains_key(&v));
+                debug_assert!(r.coeff(v).is_none());
                 r.normalize();
                 next.push(r);
             }
@@ -295,16 +343,19 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
     }
 
     // Satisfiable: rebuild a model stage by stage, last eliminated first.
-    let mut model: BTreeMap<Var, Rat> = BTreeMap::new();
+    // Variables not yet assigned read as zero.
+    let mut values = vec![Rat::ZERO; vars.len()];
     for (v, stage_rows) in stages.iter().rev() {
         let mut lo: Option<Rat> = None;
         let mut hi: Option<Rat> = None;
         for r in stage_rows {
-            let a = r.coeffs[v];
+            let mut a = Rat::ZERO;
             let mut rest = r.cst;
-            for (u, c) in &r.coeffs {
-                if u != v {
-                    rest = rest + *c * model.get(u).copied().unwrap_or(Rat::ZERO);
+            for &(u, c) in &r.coeffs {
+                if u == *v {
+                    a = c;
+                } else {
+                    rest = rest + c * values[u as usize];
                 }
             }
             // a·v + rest <= 0
@@ -321,7 +372,7 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
                 });
             }
         }
-        let val = match (lo, hi) {
+        values[*v as usize] = match (lo, hi) {
             (None, None) => Rat::ZERO,
             (Some(l), None) => Rat::int(l.ceil()),
             (None, Some(h)) => Rat::int(h.floor()),
@@ -336,9 +387,13 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
                 }
             }
         };
-        model.insert(v.clone(), val);
     }
-    RatResult::Sat(model)
+    RatResult::Sat(
+        stages
+            .iter()
+            .map(|&(v, _)| (vars[v as usize].clone(), values[v as usize]))
+            .collect(),
+    )
 }
 
 /// [`rational_sat`] memoized in a shared [`QueryCache`].

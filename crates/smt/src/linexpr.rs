@@ -3,20 +3,23 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::Arc;
 
 use crate::rat::gcd;
 
-/// An interned-by-value variable name.
+/// A variable name, shared: cloning a variable (and so a formula, an atom
+/// or a model) bumps a reference count instead of copying the name.
 ///
 /// Variables are ordered and hashable so they can key the sorted coefficient
-/// maps inside [`LinExpr`].
+/// maps inside [`LinExpr`]. Equality, order, hashing and display are the
+/// name's, exactly as for a `String`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Var(String);
+pub struct Var(Arc<str>);
 
 impl Var {
     /// Creates a variable with the given name.
-    pub fn new(name: impl Into<String>) -> Var {
-        Var(name.into())
+    pub fn new(name: impl AsRef<str>) -> Var {
+        Var(Arc::from(name.as_ref()))
     }
 
     /// The variable's name.

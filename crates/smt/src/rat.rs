@@ -41,6 +41,9 @@ impl Rat {
     ///
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
+        if den == 1 {
+            return Rat { num, den };
+        }
         assert!(den != 0, "rational with zero denominator");
         let g = gcd(num, den);
         if g == 0 {
@@ -121,6 +124,10 @@ impl Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        // Integers are their own normal form: no gcd to take.
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num.checked_add(rhs.num).expect("rational overflow"));
+        }
         // Pre-reduce by the gcd of denominators to delay overflow.
         let g = gcd(self.den, rhs.den).max(1);
         let (dl, dr) = (self.den / g, rhs.den / g);
@@ -153,6 +160,9 @@ impl Neg for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num.checked_mul(rhs.num).expect("rational overflow"));
+        }
         // Cross-reduce first.
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
@@ -252,5 +262,79 @@ mod tests {
     #[should_panic]
     fn zero_denominator_panics() {
         let _ = Rat::new(1, 0);
+    }
+
+    /// Integer operands take the fast paths of `new`, `+` and `*`; mixed
+    /// and fractional ones take the gcd path. Either way the result is the
+    /// normal form of the textbook formula, here reduced by `new`'s gcd
+    /// path (numerator and denominator doubled, so the denominator is
+    /// never 1).
+    #[test]
+    fn fast_paths_agree_with_the_general_path() {
+        let vals: Vec<Rat> = [
+            (0, 1),
+            (1, 1),
+            (-1, 1),
+            (7, 1),
+            (-12, 1),
+            (1, 2),
+            (-3, 4),
+            (5, 6),
+            (-7, 3),
+            (9, 4),
+        ]
+        .into_iter()
+        .map(|(n, d)| Rat::new(n, d))
+        .collect();
+        for n in [-5, 0, 1, 12] {
+            assert_eq!(Rat::new(n, 1), Rat::new(2 * n, 2));
+        }
+        for &a in &vals {
+            for &b in &vals {
+                let (an, ad, bn, bd) = (a.num(), a.den(), b.num(), b.den());
+                assert_eq!(
+                    a + b,
+                    Rat::new(2 * (an * bd + bn * ad), 2 * ad * bd),
+                    "{a} + {b}"
+                );
+                assert_eq!(
+                    a - b,
+                    Rat::new(2 * (an * bd - bn * ad), 2 * ad * bd),
+                    "{a} - {b}"
+                );
+                assert_eq!(a * b, Rat::new(2 * an * bn, 2 * ad * bd), "{a} * {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_fast_paths_reach_the_bounds() {
+        assert_eq!(Rat::int(i128::MAX - 1) + Rat::ONE, Rat::int(i128::MAX));
+        assert_eq!(Rat::int(i128::MIN + 1) - Rat::ONE, Rat::int(i128::MIN));
+        assert_eq!(Rat::int(i128::MAX) * Rat::int(-1), Rat::int(-i128::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_add_overflow_panics() {
+        let _ = Rat::int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_sub_overflow_panics() {
+        let _ = Rat::int(i128::MIN) - Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_mul_overflow_panics() {
+        let _ = Rat::int(i128::MIN) * Rat::int(-1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn mixed_add_overflow_panics() {
+        let _ = Rat::int(i128::MAX) + Rat::new(1, 2);
     }
 }

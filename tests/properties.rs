@@ -5,9 +5,12 @@
 //! build and run on an air-gapped CI runner). The default case counts keep
 //! the suite fast; build with `--features slow-tests` for deeper sweeps.
 
+use std::collections::BTreeMap;
+
 use homc_smt::{
-    int_sat, interpolate, is_interpolant, prove_unsat, rational_sat, verify_unsat, Atom, Formula,
-    IntResult, LinExpr, RatResult, SatResult, SmtSolver, Var,
+    int_sat, interpolate, is_interpolant, prove_unsat, rational_sat, rational_sat_cached,
+    verify_unsat, Atom, Formula, IntResult, LinExpr, QueryCache, Rat, RatResult, Rel, SatResult,
+    SmtSolver, Var,
 };
 
 /// Deterministic xorshift64* generator.
@@ -111,6 +114,109 @@ fn farkas_certificates_verify() {
             assert!(homc_smt::check_certificate(&atoms, &cert));
         }
     }
+}
+
+/// Whether a rational model satisfies `a`, evaluated exactly (variables the
+/// model leaves out read as zero).
+fn rat_holds(a: &Atom, model: &BTreeMap<Var, Rat>) -> bool {
+    let mut sum = Rat::int(a.lhs().constant_part());
+    for (v, c) in a.lhs().iter() {
+        sum = sum + Rat::int(c) * model.get(v).copied().unwrap_or(Rat::ZERO);
+    }
+    match a.rel() {
+        Rel::Le => sum <= Rat::ZERO,
+        Rel::Eq => sum == Rat::ZERO,
+    }
+}
+
+/// Checks one `rational_sat` answer: a Sat model satisfies every atom
+/// exactly, an Unsat certificate checks against the atoms in their order.
+/// Returns whether the answer was Sat.
+fn check_rat_answer(atoms: &[Atom], answer: RatResult) -> bool {
+    match answer {
+        RatResult::Sat(model) => {
+            for a in atoms {
+                assert!(rat_holds(a, &model), "model {model:?} violates {a}");
+            }
+            true
+        }
+        RatResult::Unsat(cert) => {
+            assert!(
+                homc_smt::check_certificate(atoms, &cert),
+                "certificate {cert:?} does not check against {atoms:?}"
+            );
+            false
+        }
+    }
+}
+
+/// A rational model satisfies every atom under exact evaluation, not only
+/// after branch & bound has rounded it to integers.
+#[test]
+fn rational_sat_models_are_models() {
+    let mut rng = Rng::new(0x05A7_3AB5);
+    let mut sat = 0;
+    for _ in 0..cases(256) {
+        let atoms = gen_atoms(&mut rng);
+        sat += usize::from(check_rat_answer(&atoms, rational_sat(&atoms)));
+    }
+    assert!(sat > 0, "no satisfiable case generated");
+}
+
+/// An equality chain `x1 = x0 + c0, …, xn = x(n-1) + c(n-1)` of 20–130
+/// atoms, a few links weakened to `>=`, with bounds `x0 >= 0` and
+/// `xn <= t` around the chain's total (so that `xn >= x0 + total` makes
+/// about half the chains unsatisfiable), and the atoms in shuffled order.
+/// Long chains take the Gaussian substitution path once per equality.
+fn gen_chain(rng: &mut Rng) -> Vec<Atom> {
+    let n = rng.range(18, 128) as usize;
+    let x = |i: usize| LinExpr::var(format!("x{i}"));
+    let mut atoms = Vec::new();
+    let mut total = 0;
+    for i in 0..n {
+        let c = rng.range(-9, 9);
+        total += c;
+        let next = x(i) + LinExpr::constant(c);
+        atoms.push(if rng.index(8) == 0 {
+            Atom::ge(x(i + 1), next)
+        } else {
+            Atom::eq(x(i + 1), next)
+        });
+    }
+    atoms.push(Atom::ge(x(0), LinExpr::constant(0)));
+    atoms.push(Atom::le(x(n), LinExpr::constant(total + rng.range(-3, 2))));
+    for i in (1..atoms.len()).rev() {
+        atoms.swap(i, rng.index(i + 1));
+    }
+    atoms
+}
+
+/// On long equality chains a Sat model satisfies every link and an Unsat
+/// certificate checks. The cached solver, asked again for a shuffled copy,
+/// answers from its table with a certificate remapped to the shuffled
+/// order, which must check there too.
+#[test]
+fn equality_chains_solve_and_cache_across_orders() {
+    let mut rng = Rng::new(0x00C4_A145);
+    let (mut sat, mut unsat) = (0, 0);
+    for _ in 0..cases(24) {
+        let atoms = gen_chain(&mut rng);
+        let cache = QueryCache::new();
+        let fresh = rational_sat_cached(&atoms, Some(&cache));
+        if check_rat_answer(&atoms, fresh) {
+            sat += 1;
+        } else {
+            unsat += 1;
+        }
+        let mut shuffled = atoms.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.index(i + 1));
+        }
+        check_rat_answer(&shuffled, rational_sat_cached(&shuffled, Some(&cache)));
+        let s = cache.stats();
+        assert_eq!((s.rat_hits, s.rat_misses), (1, 1), "shuffled copy missed");
+    }
+    assert!(sat > 0 && unsat > 0, "sat {sat}, unsat {unsat}");
 }
 
 /// UNSAT proofs are the search's own refutations: `prove_unsat` finds one
