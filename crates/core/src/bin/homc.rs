@@ -54,6 +54,13 @@ fn say(line: std::fmt::Arguments) {
     let _ = writeln!(std::io::stdout(), "{line}");
 }
 
+/// Prints a diagnostic, tolerating a closed stderr: a bad flag must exit 1
+/// with the usage text even when nothing reads it (`homc --bogus 2>&1 |
+/// head -1`), not panic with exit 101.
+fn warn(line: std::fmt::Arguments) {
+    let _ = writeln!(std::io::stderr(), "{line}");
+}
+
 /// Every subcommand `main` dispatches on. The usage text and the dispatch
 /// match are audited against this list by the `usage_audit` tests, so the
 /// three can never drift apart silently.
@@ -105,7 +112,7 @@ whole suite without one):
   --evidence-dir <dir>       export and self-check a certificate per decided program";
 
 fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
+    warn(format_args!("{USAGE}"));
     ExitCode::FAILURE
 }
 
@@ -126,7 +133,7 @@ fn cmd_trace_validate(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("homc: cannot read {path}: {e}");
+            warn(format_args!("homc: cannot read {path}: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -136,7 +143,7 @@ fn cmd_trace_validate(path: &str) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err((line, e)) => {
-            eprintln!("homc: {path}:{line}: {e}");
+            warn(format_args!("homc: {path}:{line}: {e}"));
             ExitCode::FAILURE
         }
     }
@@ -148,7 +155,7 @@ fn cmd_trace_report(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("homc: cannot read {path}: {e}");
+            warn(format_args!("homc: cannot read {path}: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -174,7 +181,7 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
             // `--window` belongs to `regress` alone.
             flag @ ("--threshold" | "--window") if flag == "--threshold" || ledger => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: {flag} needs a value");
+                    warn(format_args!("homc: {flag} needs a value"));
                     return usage();
                 };
                 let parsed = if flag == "--threshold" {
@@ -185,13 +192,13 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
                         .ok_or(format!("--window must be a positive integer, got {v:?}"))
                 };
                 if let Err(e) = parsed {
-                    eprintln!("homc: {e}");
+                    warn(format_args!("homc: {e}"));
                     return ExitCode::FAILURE;
                 }
                 i += 2;
             }
             flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown {kind} flag {flag}");
+                warn(format_args!("homc: unknown {kind} flag {flag}"));
                 return usage();
             }
             other => {
@@ -212,7 +219,7 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
             let read = |p: &String| match std::fs::read_to_string(p) {
                 Ok(t) => Some(t),
                 Err(e) => {
-                    eprintln!("homc: cannot read {p}: {e}");
+                    warn(format_args!("homc: cannot read {p}: {e}"));
                     None
                 }
             };
@@ -230,7 +237,7 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
             } else {
                 "exactly two input files"
             };
-            eprintln!("homc: {kind} needs {inputs}");
+            warn(format_args!("homc: {kind} needs {inputs}"));
             return usage();
         }
     };
@@ -243,7 +250,7 @@ fn cmd_diff(kind: &str, args: &[String]) -> ExitCode {
 /// the exit code of the run that produced it.
 fn write_metrics_out(path: &str, metrics: &Metrics) {
     if let Err(e) = std::fs::write(path, metrics.snapshot().render_prometheus()) {
-        eprintln!("homc: cannot write --metrics-out {path}: {e}");
+        warn(format_args!("homc: cannot write --metrics-out {path}: {e}"));
     }
 }
 
@@ -253,12 +260,12 @@ fn load_ledger(dir: &str) -> Option<Vec<RunRecord>> {
     match Ledger::new(dir).load() {
         Ok((records, load)) => {
             if load.quarantined > 0 || load.stale > 0 || load.bad_records > 0 {
-                eprintln!("homc: ledger: {load}");
+                warn(format_args!("homc: ledger: {load}"));
             }
             Some(records)
         }
         Err(e) => {
-            eprintln!("homc: cannot load ledger {dir}: {e}");
+            warn(format_args!("homc: cannot load ledger {dir}: {e}"));
             None
         }
     }
@@ -281,25 +288,25 @@ fn cmd_top(args: &[String]) -> ExitCode {
             }
             "--interval" => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: --interval needs a value");
+                    warn(format_args!("homc: --interval needs a value"));
                     return usage();
                 };
                 match seconds("--interval", v) {
                     Ok(d) => interval = d,
                     Err(e) => {
-                        eprintln!("homc: {e}");
+                        warn(format_args!("homc: {e}"));
                         return ExitCode::FAILURE;
                     }
                 }
                 i += 2;
             }
             flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown top flag {flag}");
+                warn(format_args!("homc: unknown top flag {flag}"));
                 return usage();
             }
             other => {
                 if path.is_some() {
-                    eprintln!("homc: unexpected extra argument {other:?}");
+                    warn(format_args!("homc: unexpected extra argument {other:?}"));
                     return usage();
                 }
                 path = Some(other.to_string());
@@ -314,7 +321,7 @@ fn cmd_top(args: &[String]) -> ExitCode {
         let stream = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("homc: cannot read {path}: {e}");
+                warn(format_args!("homc: cannot read {path}: {e}"));
                 return ExitCode::FAILURE;
             }
         };
@@ -341,7 +348,9 @@ fn cmd_history(args: &[String]) -> ExitCode {
         return usage();
     };
     if args.len() > 2 {
-        eprintln!("homc: history takes at most a ledger dir and a program filter");
+        warn(format_args!(
+            "homc: history takes at most a ledger dir and a program filter"
+        ));
         return usage();
     }
     let Some(records) = load_ledger(dir) else {
@@ -370,7 +379,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         match args[i].as_str() {
             "--evidence-dir" => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: --evidence-dir needs a path");
+                    warn(format_args!("homc: --evidence-dir needs a path"));
                     return usage();
                 };
                 evidence_dir = Some(v.clone());
@@ -381,7 +390,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 i += 1;
             }
             flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown check flag {flag}");
+                warn(format_args!("homc: unknown check flag {flag}"));
                 return usage();
             }
             other => {
@@ -391,17 +400,19 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     }
     let Some(dir) = evidence_dir else {
-        eprintln!("homc: check needs --evidence-dir <dir>");
+        warn(format_args!("homc: check needs --evidence-dir <dir>"));
         return usage();
     };
     if !suite_mode && targets.is_empty() {
-        eprintln!("homc: check needs a source file, a program or --suite");
+        warn(format_args!(
+            "homc: check needs a source file, a program or --suite"
+        ));
         return usage();
     }
     let jobs = match resolve_jobs(suite_mode, &targets) {
         Ok(jobs) => jobs,
         Err(e) => {
-            eprintln!("homc: {e}");
+            warn(format_args!("homc: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -484,7 +495,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         match args[i].as_str() {
             flag @ ("--evidence-dir" | "--trace-logical") => {
                 let Some(v) = args.get(i + 1) else {
-                    eprintln!("homc: {flag} needs a path");
+                    warn(format_args!("homc: {flag} needs a path"));
                     return usage();
                 };
                 if flag == "--evidence-dir" {
@@ -499,7 +510,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
                 i += 1;
             }
             flag if flag.starts_with("--") => {
-                eprintln!("homc: unknown explain flag {flag}");
+                warn(format_args!("homc: unknown explain flag {flag}"));
                 return usage();
             }
             other => {
@@ -509,7 +520,9 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
     }
     if targets.len() != 1 {
-        eprintln!("homc: explain needs one source file or program");
+        warn(format_args!(
+            "homc: explain needs one source file or program"
+        ));
         return usage();
     }
     let BatchJob {
@@ -517,7 +530,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     } = match resolve_jobs(suite_mode, &targets) {
         Ok(mut jobs) => jobs.remove(0),
         Err(e) => {
-            eprintln!("homc: {e}");
+            warn(format_args!("homc: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -526,7 +539,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         Some(path) => match Tracer::to_file(Path::new(path), true) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("homc: cannot open trace file {path}: {e}");
+                warn(format_args!("homc: cannot open trace file {path}: {e}"));
                 return ExitCode::FAILURE;
             }
         },
@@ -543,7 +556,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     let out = match verify(&source, &opts) {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("homc: {key}: error: {e}");
+            warn(format_args!("homc: {key}: error: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -559,7 +572,9 @@ fn cmd_explain(args: &[String]) -> ExitCode {
                 Verdict::Unknown { reason } => format!("unknown ({reason})"),
                 _ => "decisive but evidence-less".to_string(),
             };
-            eprintln!("homc: explain: no evidence to narrate — verdict {v}");
+            warn(format_args!(
+                "homc: explain: no evidence to narrate — verdict {v}"
+            ));
             ExitCode::FAILURE
         }
     }
@@ -714,12 +729,12 @@ fn cmd_run(cmd: RunCmd, args: &[String]) -> ExitCode {
     let run = match parse_run(cmd, args) {
         Ok(run) => run,
         Err(e) => {
-            eprintln!("homc: {e}");
+            warn(format_args!("homc: {e}"));
             return usage();
         }
     };
     execute(cmd, run).unwrap_or_else(|e| {
-        eprintln!("homc: {e}");
+        warn(format_args!("homc: {e}"));
         ExitCode::FAILURE
     })
 }
@@ -771,8 +786,8 @@ fn execute(cmd: RunCmd, run: RunArgs) -> Result<ExitCode, String> {
         // and ledger trouble never changes the exit code: observability
         // must not fail the run it observes.
         match append_ledger(Path::new(dir), kind, &report.jobs) {
-            Ok(r) => eprintln!("homc: ledger: {r}"),
-            Err(e) => eprintln!("homc: ledger append failed: {e}"),
+            Ok(r) => warn(format_args!("homc: ledger: {r}")),
+            Err(e) => warn(format_args!("homc: ledger append failed: {e}")),
         }
     }
     if let Some(path) = &run.metrics_out {

@@ -123,10 +123,27 @@ fn write_tmp(dir: &std::path::Path, name: &str, text: &str) -> String {
     path.to_string_lossy().into_owned()
 }
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
+/// A directory under the system temp dir, removed when dropped, so
+/// a failing test cleans up too.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("homc-metrics-test-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempDir(dir)
 }
 
 const META: &str =

@@ -175,6 +175,21 @@ fn one_trace_file_needs_one_worker() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A bad flag exits 1 even when stderr is a pipe nobody reads: the usage
+/// text's write fails, and that must not turn into a panic (exit 101).
+#[test]
+fn bad_flag_exits_1_on_a_closed_stderr() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = homc()
+        .arg("--bogus")
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("homc runs");
+    assert_eq!(status.code(), Some(1), "{status}");
+}
+
 #[test]
 fn trace_dir_is_created_on_demand() {
     let dir = tmpdir("trace-dir");
