@@ -13,15 +13,16 @@
 //! a lookup makes of them: a changed key never answers the original query,
 //! an undecodable payload is a miss, and of two segments holding one key
 //! the later answers. A last test reruns every suite program on the tier
-//! its cold run published and finds every `check` and `cube` query there.
+//! its cold run published and finds every `check` and `cube` query there;
+//! it also pins the bytes of the segments and artifacts the cold runs write.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use homc::{
-    stable_hash64, suite, verify, Counter, DiskCache, LoadReport, Metrics, QueryCache, Verdict,
-    VerifierOptions, VerifyOutcome,
+    stable_hash64, suite, verify, ArtifactConfig, ArtifactStore, Counter, DiskCache, LoadReport,
+    Metrics, QueryCache, Verdict, VerifierOptions, VerifyOutcome,
 };
 use homc_serve::{decode_record, encode_check, encode_cube, Record, MAGIC, VERSION};
 use homc_smt::{Atom, CachedSat, CubeSat, Formula, LinExpr, Var};
@@ -335,22 +336,59 @@ fn the_later_segment_answers_a_key_stored_twice() {
     let _ = fs::remove_dir_all(&base);
 }
 
+/// `stable_hash64` of the 30 disk-cache segments the cold runs below
+/// publish, one per suite program, concatenated in suite order. A segment
+/// holds every `check` and `cube` query of its run, keys and answers
+/// encoded, so this pins the on-disk bytes of every formula, atom and model
+/// the solver caches: a change to the solver's representation that is
+/// meant to be invisible must leave it unedited.
+const SUITE_SEGMENTS_HASH: u64 = 0x3b00_98ce_20af_2c89;
+
+/// `stable_hash64` of the 30 artifact files the same cold runs write into
+/// a fresh artifact store (what `homc --suite --artifacts-dir D` writes),
+/// concatenated in suite order. An artifact holds the learned predicate
+/// environment, the per-definition abstractions and the interpolant table.
+const SUITE_ARTIFACTS_HASH: u64 = 0x8da4_c06e_c24d_08ef;
+
+/// Verifies `source` against `cache`, writing its artifact under `key`
+/// into the store at `dir`.
+fn verify_publishing(source: &str, cache: Arc<QueryCache>, dir: &Path, key: &str) -> VerifyOutcome {
+    let opts = VerifierOptions {
+        cache: Some(cache),
+        artifacts: Some(ArtifactConfig {
+            dir: dir.to_path_buf(),
+            key: key.to_string(),
+        }),
+        ..VerifierOptions::default()
+    };
+    verify(source, &opts).expect("verification runs")
+}
+
 /// Each suite program verified cold, published, and verified again on a
 /// fresh cache with the published tier: the rerun finds every `check` and
 /// `cube` query on disk, credits each published record one disk hit,
 /// reaches the same verdict in as many cycles, and has nothing to publish.
+/// The cold runs also write each program's artifact to a fresh store, and
+/// the published segments and artifacts hash to their pinned values.
 #[test]
 fn a_warm_rerun_finds_every_query_on_disk() {
     let base = tmpdir("suite-rerun");
+    let artifacts = base.join("artifacts");
+    let (mut segments, mut arts) = (String::new(), String::new());
     for p in suite::SUITE {
         let dir = base.join(p.name);
         let cold_cache = Arc::new(QueryCache::new());
-        let cold = verify_with(p.source, cold_cache.clone());
+        let cold = verify_publishing(p.source, cold_cache.clone(), &artifacts, p.name);
         let cs = cold_cache.stats();
-        let published = DiskCache::new(&dir)
+        let report = DiskCache::new(&dir)
             .publish(&cold_cache)
-            .expect("publish succeeds")
-            .map_or(0, |r| r.records);
+            .expect("publish succeeds");
+        let published = report.as_ref().map_or(0, |r| r.records);
+        if let Some(r) = &report {
+            segments.push_str(&fs::read_to_string(&r.path).expect("segment readable"));
+        }
+        let art = ArtifactStore::new(&artifacts).path_for(p.name);
+        arts.push_str(&fs::read_to_string(&art).expect("artifact written"));
         assert_eq!(
             published as u64,
             cs.check_misses + cs.cube_misses,
@@ -372,4 +410,16 @@ fn a_warm_rerun_finds_every_query_on_disk() {
         );
     }
     let _ = fs::remove_dir_all(&base);
+    for (what, text, pinned) in [
+        ("segments", &segments, SUITE_SEGMENTS_HASH),
+        ("artifacts", &arts, SUITE_ARTIFACTS_HASH),
+    ] {
+        let hash = stable_hash64(text);
+        assert_eq!(
+            hash,
+            pinned,
+            "suite {what} drifted: {hash:#018x} ({} bytes)",
+            text.len()
+        );
+    }
 }
