@@ -1,17 +1,18 @@
 //! Variables, linear integer expressions, and atomic constraints.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::ops::{Add, Mul, Neg, Sub};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::rat::gcd;
 
 /// A variable name, shared: cloning a variable (and so a formula, an atom
 /// or a model) bumps a reference count instead of copying the name.
 ///
-/// Variables are ordered and hashable so they can key the sorted coefficient
-/// maps inside [`LinExpr`]. Equality, order, hashing and display are the
+/// Variables are ordered so that the coefficient vector inside [`LinExpr`]
+/// can be kept sorted by them. Equality, order, hashing and display are the
 /// name's, exactly as for a `String`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(Arc<str>);
@@ -54,10 +55,13 @@ impl From<String> for Var {
 
 /// A linear expression `c₁·x₁ + … + cₙ·xₙ + k` with integer coefficients.
 ///
-/// Invariant: no coefficient stored in the map is zero.
+/// The coefficients are a flat vector sorted by variable, with no zero
+/// entry, so the derived `Eq` and `Ord` compare the `(variable,
+/// coefficient)` pairs lexicographically and then the constant, exactly as
+/// a sorted map of the same pairs would.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinExpr {
-    coeffs: BTreeMap<Var, i128>,
+    coeffs: Vec<(Var, i128)>,
     constant: i128,
 }
 
@@ -70,17 +74,15 @@ impl LinExpr {
     /// The constant expression `k`.
     pub fn constant(k: i128) -> LinExpr {
         LinExpr {
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
             constant: k,
         }
     }
 
     /// The expression `1·x`.
     pub fn var(x: impl Into<Var>) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(x.into(), 1);
         LinExpr {
-            coeffs,
+            coeffs: vec![(x.into(), 1)],
             constant: 0,
         }
     }
@@ -95,14 +97,20 @@ impl LinExpr {
         self.constant
     }
 
-    /// The coefficient of `x` (zero if absent).
-    pub fn coeff(&self, x: &Var) -> i128 {
-        self.coeffs.get(x).copied().unwrap_or(0)
+    /// Where `x`'s entry is (`Ok`) or would go (`Err`) in the sorted vector.
+    fn position(&self, x: &Var) -> Result<usize, usize> {
+        self.coeffs.binary_search_by(|(v, _)| v.cmp(x))
     }
 
-    /// Iterates over `(variable, coefficient)` pairs with non-zero coefficient.
+    /// The coefficient of `x` (zero if absent).
+    pub fn coeff(&self, x: &Var) -> i128 {
+        self.position(x).map_or(0, |i| self.coeffs[i].1)
+    }
+
+    /// Iterates over `(variable, coefficient)` pairs with non-zero
+    /// coefficient, in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, i128)> {
-        self.coeffs.iter().map(|(v, &c)| (v, c))
+        self.coeffs.iter().map(|(v, c)| (v, *c))
     }
 
     /// `true` iff the expression is a constant.
@@ -110,9 +118,9 @@ impl LinExpr {
         self.coeffs.is_empty()
     }
 
-    /// The variables occurring in the expression.
+    /// The variables occurring in the expression, in order.
     pub fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.coeffs.keys()
+        self.coeffs.iter().map(|(v, _)| v)
     }
 
     /// Adds `c·x` in place.
@@ -120,21 +128,27 @@ impl LinExpr {
         if c == 0 {
             return;
         }
-        let entry = self.coeffs.entry(x).or_insert(0);
-        *entry = entry.checked_add(c).expect("coefficient overflow");
-        if *entry == 0 {
-            // Re-find to remove; `entry` borrow ended above.
+        match self.position(&x) {
+            Ok(i) => {
+                let sum = self.coeffs[i].1.checked_add(c);
+                match sum.expect("coefficient overflow") {
+                    0 => {
+                        self.coeffs.remove(i);
+                    }
+                    sum => self.coeffs[i].1 = sum,
+                }
+            }
+            Err(i) => self.coeffs.insert(i, (x, c)),
         }
-        self.coeffs.retain(|_, c| *c != 0);
     }
 
     /// Substitutes `x := e` and returns the result.
     pub fn subst(&self, x: &Var, e: &LinExpr) -> LinExpr {
-        match self.coeffs.get(x) {
-            None => self.clone(),
-            Some(&c) => {
+        match self.position(x) {
+            Err(_) => self.clone(),
+            Ok(i) => {
                 let mut out = self.clone();
-                out.coeffs.remove(x);
+                let (_, c) = out.coeffs.remove(i);
                 out + e.clone() * c
             }
         }
@@ -169,7 +183,7 @@ impl LinExpr {
         }
         let g = g.abs();
         if g > 1 {
-            for c in self.coeffs.values_mut() {
+            for (_, c) in &mut self.coeffs {
                 *c /= g;
             }
             self.constant /= g;
@@ -182,12 +196,33 @@ impl LinExpr {
 
 impl Add for LinExpr {
     type Output = LinExpr;
+    /// Merges the two sorted coefficient vectors in one pass, dropping the
+    /// entries that cancel.
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        for (v, c) in rhs.coeffs {
-            let entry = self.coeffs.entry(v).or_insert(0);
-            *entry = entry.checked_add(c).expect("coefficient overflow");
+        if self.coeffs.is_empty() {
+            self.coeffs = rhs.coeffs;
+        } else if !rhs.coeffs.is_empty() {
+            let mut coeffs = Vec::with_capacity(self.coeffs.len() + rhs.coeffs.len());
+            let mut a = std::mem::take(&mut self.coeffs).into_iter().peekable();
+            let mut b = rhs.coeffs.into_iter().peekable();
+            while let (Some((x, _)), Some((y, _))) = (a.peek(), b.peek()) {
+                match x.cmp(y) {
+                    Ordering::Less => coeffs.extend(a.next()),
+                    Ordering::Greater => coeffs.extend(b.next()),
+                    Ordering::Equal => {
+                        let (x, c) = a.next().expect("peeked");
+                        let (_, d) = b.next().expect("peeked");
+                        match c.checked_add(d).expect("coefficient overflow") {
+                            0 => {}
+                            sum => coeffs.push((x, sum)),
+                        }
+                    }
+                }
+            }
+            coeffs.extend(a);
+            coeffs.extend(b);
+            self.coeffs = coeffs;
         }
-        self.coeffs.retain(|_, c| *c != 0);
         self.constant = self
             .constant
             .checked_add(rhs.constant)
@@ -206,7 +241,7 @@ impl Sub for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
-        for c in self.coeffs.values_mut() {
+        for (_, c) in &mut self.coeffs {
             *c = c.checked_neg().expect("coefficient overflow");
         }
         self.constant = self.constant.checked_neg().expect("constant overflow");
@@ -220,7 +255,7 @@ impl Mul<i128> for LinExpr {
         if k == 0 {
             return LinExpr::zero();
         }
-        for c in self.coeffs.values_mut() {
+        for (_, c) in &mut self.coeffs {
             *c = c.checked_mul(k).expect("coefficient overflow");
         }
         self.constant = self.constant.checked_mul(k).expect("constant overflow");
@@ -281,13 +316,35 @@ pub enum Rel {
 ///
 /// Strict comparisons over the integers are normalized away at construction
 /// (`e < 0` becomes `e + 1 <= 0`), so only `Le` and `Eq` remain.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Atom {
+///
+/// An atom is immutable and shared: cloning it (and so a formula, a cache
+/// key or an implicant) bumps a reference count, and its hash is computed
+/// once, when it is built. Equality and order are those of `(lhs, rel)`,
+/// the left-hand side first; the hash only ever feeds hash tables.
+#[derive(Clone)]
+pub struct Atom(Arc<AtomData>);
+
+struct AtomData {
     lhs: LinExpr,
     rel: Rel,
+    /// A hash of `(lhs, rel)`, fixed at construction.
+    hash: u64,
 }
 
+/// The keys of every atom's hash. They are drawn once per process, like a
+/// `HashMap`'s, so atoms cannot be crafted to collide, and an output that
+/// came to depend on a hash value would differ between two runs.
+static HASH_KEYS: OnceLock<RandomState> = OnceLock::new();
+
 impl Atom {
+    /// The one place an atom is built: `lhs` is already canonical.
+    fn new(lhs: LinExpr, rel: Rel) -> Atom {
+        let hash = HASH_KEYS
+            .get_or_init(RandomState::new)
+            .hash_one((&lhs, rel));
+        Atom(Arc::new(AtomData { lhs, rel, hash }))
+    }
+
     /// `e <= 0`.
     pub fn le0(lhs: LinExpr) -> Atom {
         let mut lhs = lhs;
@@ -296,7 +353,7 @@ impl Atom {
         // `e <= 0` by the gcd of *all* coefficients including the constant is
         // also exact.
         lhs.normalize_gcd();
-        Atom { lhs, rel: Rel::Le }
+        Atom::new(lhs, Rel::Le)
     }
 
     /// `e == 0`.
@@ -309,7 +366,7 @@ impl Atom {
             None => lhs.constant_part() < 0,
         };
         let lhs = if flip { -lhs } else { lhs };
-        Atom { lhs, rel: Rel::Eq }
+        Atom::new(lhs, Rel::Eq)
     }
 
     /// `a <= b`.
@@ -339,36 +396,39 @@ impl Atom {
 
     /// The left-hand side (the relation is against zero).
     pub fn lhs(&self) -> &LinExpr {
-        &self.lhs
+        &self.0.lhs
     }
 
     /// The relation.
     pub fn rel(&self) -> Rel {
-        self.rel
+        self.0.rel
     }
 
-    /// Substitutes `x := e`.
-    pub fn subst(&self, x: &Var, e: &LinExpr) -> Atom {
-        let lhs = self.lhs.subst(x, e);
-        match self.rel {
+    /// Rebuilds the atom with the same relation over a new left-hand side.
+    fn with_lhs(&self, lhs: LinExpr) -> Atom {
+        match self.rel() {
             Rel::Le => Atom::le0(lhs),
             Rel::Eq => Atom::eq0(lhs),
         }
+    }
+
+    /// Substitutes `x := e`. An atom without `x` is returned shared.
+    pub fn subst(&self, x: &Var, e: &LinExpr) -> Atom {
+        if self.lhs().coeff(x) == 0 {
+            return self.clone();
+        }
+        self.with_lhs(self.lhs().subst(x, e))
     }
 
     /// Applies a simultaneous renaming of variables.
     pub fn rename(&self, f: &mut impl FnMut(&Var) -> Var) -> Atom {
-        let lhs = self.lhs.rename(f);
-        match self.rel {
-            Rel::Le => Atom::le0(lhs),
-            Rel::Eq => Atom::eq0(lhs),
-        }
+        self.with_lhs(self.lhs().rename(f))
     }
 
     /// Evaluates under an integer assignment.
     pub fn eval(&self, env: &dyn Fn(&Var) -> Option<i128>) -> Option<bool> {
-        let v = self.lhs.eval(env)?;
-        Some(match self.rel {
+        let v = self.lhs().eval(env)?;
+        Some(match self.rel() {
             Rel::Le => v <= 0,
             Rel::Eq => v == 0,
         })
@@ -377,13 +437,44 @@ impl Atom {
     /// `true` if the atom has no variables and holds; `false` if it has no
     /// variables and fails; `None` if it has variables.
     pub fn const_value(&self) -> Option<bool> {
-        if !self.lhs.is_constant() {
+        if !self.lhs().is_constant() {
             return None;
         }
-        Some(match self.rel {
-            Rel::Le => self.lhs.constant_part() <= 0,
-            Rel::Eq => self.lhs.constant_part() == 0,
+        Some(match self.rel() {
+            Rel::Le => self.lhs().constant_part() <= 0,
+            Rel::Eq => self.lhs().constant_part() == 0,
         })
+    }
+}
+
+impl PartialEq for Atom {
+    fn eq(&self, other: &Atom) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0) || (a.hash == b.hash && a.rel == b.rel && a.lhs == b.lhs)
+    }
+}
+
+impl Eq for Atom {}
+
+impl Ord for Atom {
+    fn cmp(&self, other: &Atom) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        let (a, b) = (&*self.0, &*other.0);
+        a.lhs.cmp(&b.lhs).then(a.rel.cmp(&b.rel))
+    }
+}
+
+impl PartialOrd for Atom {
+    fn partial_cmp(&self, other: &Atom) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Atom {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
     }
 }
 
@@ -396,10 +487,10 @@ impl fmt::Debug for Atom {
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Pretty-print with the constant moved to the right-hand side.
-        let mut lhs = self.lhs.clone();
+        let mut lhs = self.lhs().clone();
         let k = lhs.constant_part();
         lhs = lhs - LinExpr::constant(k);
-        let op = match self.rel {
+        let op = match self.rel() {
             Rel::Le => "<=",
             Rel::Eq => "=",
         };
@@ -437,6 +528,34 @@ mod tests {
         let e = x() * 2 + y() + LinExpr::constant(1);
         let r = e.subst(&Var::new("x"), &(y() - LinExpr::constant(1)));
         assert_eq!(r, y() * 3 - LinExpr::constant(1));
+    }
+
+    #[test]
+    fn add_term_removes_an_entry_that_reaches_zero() {
+        let (vx, vy) = (Var::new("x"), Var::new("y"));
+        let mut e = x() * 2 + y();
+        e.add_term(-2, vx.clone());
+        assert_eq!(e, y());
+        assert_eq!(e.coeff(&vx), 0);
+        assert_eq!(e.vars().collect::<Vec<_>>(), [&vy]);
+        e.add_term(-1, vy);
+        assert!(e.is_constant());
+        assert_eq!(e, LinExpr::zero());
+        // Adding zero leaves no entry either.
+        e.add_term(0, vx);
+        assert_eq!(e, LinExpr::zero());
+    }
+
+    #[test]
+    fn subst_of_an_absent_variable() {
+        let z = Var::new("z");
+        let e = x() * 2 + LinExpr::constant(1);
+        assert_eq!(e.subst(&z, &y()), e);
+        // An atom without the variable comes back shared, not rebuilt.
+        let a = Atom::le0(e);
+        assert!(Arc::ptr_eq(&a.subst(&z, &y()).0, &a.0));
+        let b = a.subst(&Var::new("x"), &y());
+        assert_eq!(b, Atom::le(y() * 2, LinExpr::constant(-1)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! build and run on an air-gapped CI runner). The default case counts keep
 //! the suite fast; build with `--features slow-tests` for deeper sweeps.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use homc_smt::{
     int_sat, interpolate, is_interpolant, prove_unsat, rational_sat, rational_sat_cached,
@@ -39,6 +40,13 @@ impl Rng {
     /// Uniform in `0..n`.
     pub fn index(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
+    }
+
+    /// Shuffles `v` in place (Fisher–Yates).
+    pub fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.index(i + 1));
+        }
     }
 }
 
@@ -185,9 +193,7 @@ fn gen_chain(rng: &mut Rng) -> Vec<Atom> {
     }
     atoms.push(Atom::ge(x(0), LinExpr::constant(0)));
     atoms.push(Atom::le(x(n), LinExpr::constant(total + rng.range(-3, 2))));
-    for i in (1..atoms.len()).rev() {
-        atoms.swap(i, rng.index(i + 1));
-    }
+    rng.shuffle(&mut atoms);
     atoms
 }
 
@@ -209,9 +215,7 @@ fn equality_chains_solve_and_cache_across_orders() {
             unsat += 1;
         }
         let mut shuffled = atoms.clone();
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, rng.index(i + 1));
-        }
+        rng.shuffle(&mut shuffled);
         check_rat_answer(&shuffled, rational_sat_cached(&shuffled, Some(&cache)));
         let s = cache.stats();
         assert_eq!((s.rat_hits, s.rat_misses), (1, 1), "shuffled copy missed");
@@ -348,6 +352,171 @@ fn nnf_preserves_semantics() {
         };
         let bools = |_: &Var| Some(false);
         assert_eq!(f.eval(&ints, &bools), f.nnf().eval(&ints, &bools));
+    }
+}
+
+/// Up to six terms over `VARS`, repeats and zero coefficients included, so
+/// that building them up merges, cancels and drops entries.
+fn gen_terms(rng: &mut Rng) -> Vec<(i128, &'static str)> {
+    (0..rng.index(7))
+        .map(|_| (rng.range(-3, 3), VARS[rng.index(VARS.len())]))
+        .collect()
+}
+
+/// The sorted-map view of an expression: its pairs in order, then its
+/// constant. The derived orders of `LinExpr` and `Atom` must be this one.
+fn pairs(e: &LinExpr) -> (Vec<(Var, i128)>, i128) {
+    (
+        e.iter().map(|(v, c)| (v.clone(), c)).collect(),
+        e.constant_part(),
+    )
+}
+
+/// `a` rebuilt from its parts with fresh variable names and a fresh atom,
+/// so it shares no allocation with `a`.
+fn rebuilt(a: &Atom) -> Atom {
+    let mut lhs = LinExpr::constant(a.lhs().constant_part());
+    for (v, c) in a.lhs().iter() {
+        lhs.add_term(c, Var::new(v.name()));
+    }
+    match a.rel() {
+        Rel::Le => Atom::le0(lhs),
+        Rel::Eq => Atom::eq0(lhs),
+    }
+}
+
+/// One expression built four ways from the same terms in shuffled orders:
+/// by `+`, by `add_term`, by substituting each term for a placeholder, and
+/// by renaming placeholders onto the terms' variables. All four are `==`,
+/// compare `Equal`, and are one key of a `HashSet`.
+#[test]
+fn linexprs_from_shuffled_terms_are_one_value() {
+    let mut rng = Rng::new(0x5EED_11E7);
+    for _ in 0..cases(256) {
+        let terms = gen_terms(&mut rng);
+        let k = rng.range(-5, 5);
+        let placeholder = |i: usize| Var::new(format!("p{i}"));
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+
+        let by_add = terms
+            .iter()
+            .fold(LinExpr::constant(k), |e, &(c, v)| e + LinExpr::term(c, v));
+
+        rng.shuffle(&mut order);
+        let mut by_add_term = LinExpr::constant(k);
+        for &i in &order {
+            by_add_term.add_term(terms[i].0, Var::new(terms[i].1));
+        }
+
+        rng.shuffle(&mut order);
+        let mut by_subst = (0..terms.len()).fold(LinExpr::constant(k), |e, i| {
+            e + LinExpr::var(placeholder(i))
+        });
+        for &i in &order {
+            let (c, v) = terms[i];
+            by_subst = by_subst.subst(&placeholder(i), &LinExpr::term(c, v));
+        }
+
+        rng.shuffle(&mut order);
+        let mut by_rename = LinExpr::constant(k);
+        for &i in &order {
+            by_rename.add_term(terms[i].0, placeholder(i));
+        }
+        let by_rename = by_rename.rename(&mut |p: &Var| {
+            let i: usize = p.name()[1..].parse().expect("placeholder index");
+            Var::new(terms[i].1)
+        });
+
+        let all = [by_add, by_add_term, by_subst, by_rename];
+        for e in &all[1..] {
+            assert_eq!(e, &all[0], "terms {terms:?} + {k}");
+            assert_eq!(e.cmp(&all[0]), Ordering::Equal, "terms {terms:?} + {k}");
+        }
+        assert_eq!(all.iter().collect::<HashSet<_>>().len(), 1);
+    }
+}
+
+/// `iter()` never yields a zero coefficient, however the expression was
+/// built, and an expression minus itself is the constant zero.
+#[test]
+fn no_zero_coefficient_survives() {
+    let mut rng = Rng::new(0x0000_2E60);
+    for _ in 0..cases(256) {
+        let mut e = LinExpr::zero();
+        for (c, v) in gen_terms(&mut rng) {
+            if rng.index(2) == 0 {
+                e = e + LinExpr::term(c, v);
+            } else {
+                e.add_term(c, Var::new(v));
+            }
+            assert!(e.iter().all(|(_, c)| c != 0), "{e}");
+        }
+        let v = Var::new(VARS[rng.index(VARS.len())]);
+        let c = e.coeff(&v);
+        e.add_term(-c, v.clone());
+        assert_eq!(e.coeff(&v), 0);
+        assert!(e.vars().all(|w| *w != v), "{e} still names {v}");
+        let zero = e.clone() + -e.clone();
+        assert!(zero.is_constant(), "{e} minus itself is {zero}");
+        assert_eq!(zero, LinExpr::zero());
+        assert_eq!(e.clone() - e, LinExpr::zero());
+    }
+}
+
+/// `LinExpr::cmp` is the order of `(pairs, constant)`, and `Atom::cmp` is
+/// that order and then the relation: the order of the sorted maps these
+/// types were built on, which every canonical form and cache key sorts by.
+#[test]
+fn orders_are_the_sorted_pairs_order() {
+    let mut rng = Rng::new(0x0DE2_0DE2);
+    let mut equal = 0;
+    for _ in 0..cases(512) {
+        let (a, b) = (gen_linexpr(&mut rng), gen_linexpr(&mut rng));
+        assert_eq!(a.cmp(&b), pairs(&a).cmp(&pairs(&b)), "{a} vs {b}");
+        let (a, b) = (gen_atom(&mut rng), gen_atom(&mut rng));
+        let key = |a: &Atom| (pairs(a.lhs()), a.rel());
+        assert_eq!(a.cmp(&b), key(&a).cmp(&key(&b)), "{a} vs {b}");
+        assert_eq!(a == b, key(&a) == key(&b), "{a} vs {b}");
+        equal += usize::from(a == b);
+        assert_eq!(a.cmp(&a.clone()), Ordering::Equal);
+    }
+    assert!(equal > 0, "no equal pair generated");
+}
+
+/// Two atoms built independently from equal expressions share no
+/// allocation, yet are `==`, compare `Equal` and are one `HashMap` key.
+#[test]
+fn independently_built_atoms_are_one_key() {
+    let mut rng = Rng::new(0x0A70_0A70);
+    for _ in 0..cases(256) {
+        let a = gen_atom(&mut rng);
+        let b = rebuilt(&a);
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        let mut map = HashMap::new();
+        map.insert(a.clone(), 1);
+        assert_eq!(map.get(&b), Some(&1), "{a} missed its rebuilt copy");
+        map.insert(b, 2);
+        assert_eq!(map.len(), 1);
+    }
+}
+
+/// `Formula::canon` makes a conjunction's permutations collide, also when
+/// the permuted copy's atoms were rebuilt rather than shared.
+#[test]
+fn canon_ignores_conjunct_order() {
+    let mut rng = Rng::new(0xCA70_0C0A);
+    for _ in 0..cases(128) {
+        let parts: Vec<Formula> = (0..2 + rng.index(5))
+            .map(|_| gen_formula(&mut rng, 2))
+            .collect();
+        let mut shuffled: Vec<Formula> = parts
+            .iter()
+            .map(|f| f.rename(&mut |v: &Var| Var::new(v.name())))
+            .collect();
+        rng.shuffle(&mut shuffled);
+        let (f, g) = (Formula::And(parts), Formula::And(shuffled));
+        assert_eq!(f.canon(), g.canon(), "{f} vs {g}");
     }
 }
 
