@@ -5,7 +5,7 @@
 //!
 //! The rules are implemented algorithmically:
 //!
-//! * **A-BASE / A-CADD / A-CREM** — [`Abstractor::abstract_tuple`] builds, in
+//! * **A-BASE / A-CADD / A-CREM** — `Abstractor::abstract_tuple` builds, in
 //!   one pass, the guarded non-deterministic tuple the paper derives by
 //!   adding predicates one at a time. For a target predicate list `P̃` over a
 //!   value `ν` with exact knowledge `E` (e.g. `ν = x + 1`), it enumerates

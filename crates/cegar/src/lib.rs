@@ -10,7 +10,7 @@
 //!   discovery by Craig interpolation over the straightline program's
 //!   acyclic constraint system, followed by abstraction-type refinement `⊔`
 //!   (§5.2.2–5.2.3);
-//! * [`slice`] — cone-of-influence slicing of path conditions, the first
+//! * [`slice`](mod@slice) — cone-of-influence slicing of path conditions, the first
 //!   layer of the refinement fast path (shared-certificate sequence
 //!   interpolants over the contradiction cone, solved per independent
 //!   component).

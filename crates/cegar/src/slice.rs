@@ -108,7 +108,7 @@ const SCREEN_DNF_LIMIT: usize = 16;
 /// the end of every real trace is a disjunction — are screened through a
 /// bounded DNF sweep: the component refutes iff every disjunct of its DNF
 /// is inconsistent on its own. Components whose DNF exceeds
-/// [`SCREEN_DNF_LIMIT`] stay `Other`.
+/// `SCREEN_DNF_LIMIT` (16) disjuncts stay `Other`.
 pub fn screen_components(
     events: &[Event],
     slice: &PathSlice,

@@ -9,7 +9,7 @@
 //! CLI owns the screen.
 //!
 //! [`ledger_record`] folds one batch job's report into a
-//! [`RunRecord`](homc_serve::RunRecord) for the persistent ledger, with the
+//! [`RunRecord`] for the persistent ledger, with the
 //! counter snapshot from [`stats_counters`]; [`append_ledger`] appends a
 //! run's records. The CLI's `--ledger` and `table1 --ledger` both write
 //! through it.

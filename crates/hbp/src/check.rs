@@ -345,7 +345,7 @@ impl<'p> Checker<'p> {
     ///
     /// Every definition starts dirty. Searching a definition registers, at
     /// each `gamma`/flow read site, a dependency edge from the function read
-    /// to the definition under search ([`Self::note_dep`]); a new typing or
+    /// to the definition under search (`note_dep`); a new typing or
     /// base-flow fact then dirties exactly the registered consumers. This is
     /// sound because read sets only grow along with the (monotone) fact
     /// tables: a search can only reach a *new* read site after one of its

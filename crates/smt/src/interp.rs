@@ -384,7 +384,7 @@ pub fn cube_literals(f: &Formula) -> Option<Vec<Literal>> {
 /// family, whose interpolants the combined conjunction/disjunction bounds.
 ///
 /// Errors: [`InterpError::TooLarge`] when the case-split width of the
-/// non-cube parts exceeds [`SEQ_BRANCH_LIMIT`], certificate weights
+/// non-cube parts exceeds `SEQ_BRANCH_LIMIT` (16), certificate weights
 /// overflow the integer grid, or the split budget runs out before a
 /// refutation or an integer model is found; [`InterpError::NotRefutable`]
 /// when the conjunction has an integer model; [`InterpError::Exhausted`]

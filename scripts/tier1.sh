@@ -52,6 +52,10 @@ else
     echo "==> clippy unavailable; skipping lint stage"
 fi
 
+# Rustdoc: the API docs build without a warning (a broken, ambiguous or
+# private intra-doc link fails the stage).
+run env RUSTDOCFLAGS="-D warnings" cargo doc "${CARGO_FLAGS[@]}" --no-deps
+
 run cargo test -q "${CARGO_FLAGS[@]}"
 
 # End-to-end degradation check: with a 1-second per-program deadline the
