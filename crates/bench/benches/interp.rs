@@ -1,7 +1,7 @@
 //! Interpolation microbenchmark over the suite's refinement-heavy programs
 //! (`a-prod`, `r-file`, `r-lock`): the first counterexample of each program
 //! is refined three ways — the production fast path (slicing + shared
-//! certificates), the sequence engine alone, and the legacy per-cut
+//! certificates), the sequence engine alone, and the per-cut reference
 //! engine — in `name: min/mean/max` format.
 //!
 //! Gated behind `slow-tests` (it re-runs full refinements many times):
@@ -18,7 +18,7 @@ use homc_cegar::{
 use homc_hbp::check::CheckLimits;
 use homc_hbp::{find_error_path, source_labels, Checker};
 use homc_lang::frontend;
-use homc_smt::{interpolate_budgeted_cached, Budget, Formula, InterpOptions};
+use homc_smt::{interpolate, Formula};
 
 const PROGRAMS: [&str; 3] = ["a-prod", "r-file", "r-lock"];
 
@@ -62,13 +62,7 @@ fn main() {
                 for k in 0..parts.len() - 1 {
                     let a = Formula::and(parts[..=k].iter().cloned());
                     let b = Formula::and(parts[k + 1..].iter().cloned());
-                    let _ = interpolate_budgeted_cached(
-                        &a,
-                        &b,
-                        InterpOptions::default(),
-                        Budget::unlimited(),
-                        None,
-                    );
+                    let _ = interpolate(&a, &b);
                 }
             });
         }

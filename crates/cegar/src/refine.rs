@@ -7,14 +7,14 @@
 //!    the unknown-integer witness extracted from the model.
 //! 2. **Predicate discovery** (§5.2.2): when infeasible, each cut point
 //!    (integer parameter binding / `rand_int` site) gets a predicate by
-//!    Craig interpolation. The cuts are solved in execution (= topological)
-//!    order; the A-side of cut `k` is, when possible, built from the
-//!    *already-solved* predicates of earlier cuts plus the conditions since
-//!    the previous cut — which makes the solution chain inductive, the
-//!    property behind the paper's progress theorem (Thm 5.3). When the
-//!    inductive A-side fails (information was deliberately dropped at an
-//!    earlier `true` solution) we fall back to the raw prefix, which is
-//!    always refutable.
+//!    Craig interpolation. The path condition is sliced into independent
+//!    components, and every cut of a refuting component is solved at once
+//!    by sequence interpolation: each cut's predicate is a prefix sum of one
+//!    shared Farkas refutation. The family telescopes (`I_k ∧ φ_{k+1} ⇒
+//!    I_{k+1}`), so the solution chain is inductive, the property behind
+//!    the paper's progress theorem (Thm 5.3). When the sequence engine
+//!    declines (the case split is wider than its budget, or certificate
+//!    weights overflow), the refinement learns only seeded predicates.
 //! 3. **Refinement** (§5.2.3): solved predicates are rewritten from trace
 //!    symbols to the source functions' parameter names and merged (`⊔`) into
 //!    the abstraction-type environment.
@@ -31,8 +31,8 @@ use homc_budget::{Budget, BudgetError, Phase};
 use homc_lang::kernel::{FunName, Program};
 use homc_metrics::{Counter, Hist, Metrics};
 use homc_smt::{
-    interpolate_budgeted_cached, interpolate_sequence, Formula, InterpError, InterpOptions,
-    QueryCache, SatResult, SmtSolver, Var,
+    interpolate_sequence, Formula, InterpError, InterpOptions, QueryCache, SatResult, SmtSolver,
+    Var,
 };
 use homc_trace::Tracer;
 
@@ -106,8 +106,6 @@ pub struct Refinement {
     /// Cut interpolants derived from a shared Farkas certificate (sequence
     /// interpolation) instead of an independent per-cut refutation.
     pub cert_reuse_hits: usize,
-    /// 1 when the fast path declined and the per-cut engine ran, else 0.
-    pub refine_fallback: usize,
     /// Where each installed predicate came from (one entry per install
     /// target), in discovery order — the raw material for `homc explain`.
     pub provenance: Vec<PredProvenance>,
@@ -237,12 +235,12 @@ pub fn discover_predicates(
 /// [`discover_predicates`] under a shared [`Budget`], with an optional shared
 /// [`QueryCache`], a [`Tracer`] and a metrics registry.
 ///
-/// - Each cut point's interpolation is an `interp` checkpoint, and budget
-///   exhaustion inside the interpolation engine propagates out instead of
-///   being treated as an ordinary "no interpolant" failure.
-/// - Adjacent cut points interpolate against largely overlapping cube sets,
-///   so the cube-level memoization inside the interpolation engine collapses
-///   the repeated work, within one refinement and across CEGAR iterations.
+/// - Sequence interpolation is an `interp` checkpoint, and budget exhaustion
+///   inside the interpolation engine propagates out instead of being
+///   treated as an ordinary "no interpolant" failure.
+/// - Slicing screens components through the cache's cube table and the
+///   sequence engine refutes through its rational table, so repeated work
+///   collapses within one refinement and across CEGAR iterations.
 /// - Each cut point that solves to a non-trivial interpolant emits an
 ///   `interp_cut` event (cut index, formula size), bumps
 ///   [`Counter::InterpCuts`] and records the size in [`Hist::InterpSize`].
@@ -326,10 +324,10 @@ pub fn discover_predicates_metered(
         .filter(|(_, e)| matches!(e, Event::Bind { .. } | Event::Rand { .. }))
         .map(|(i, _)| i)
         .collect();
-    // Fast path: slice the path condition into variable-connected
-    // components, screen for the contradiction cone, and read every crossed
-    // cut's interpolant off one shared Farkas certificate per refuting
-    // component. Structural bailouts fall back to the per-cut engine below.
+    // Slice the path condition into variable-connected components, screen
+    // for the contradiction cone, and read every crossed cut's interpolant
+    // off one shared Farkas certificate per refuting component. When the
+    // sequence engine declines, only seeding below learns predicates.
     let fast = if cuts.is_empty() {
         None
     } else {
@@ -348,8 +346,7 @@ pub fn discover_predicates_metered(
             // crosses; in between, the family repeats the same formula. The
             // knowledge is already installed where it first appeared —
             // re-recording it at every intermediate scheme multiplies the
-            // predicate pool (and abstraction cost) for no refutation power,
-            // where the per-cut engine's inductive A-side yields `true`.
+            // predicate pool (and abstraction cost) for no refutation power.
             if prev == Some(solution) {
                 continue;
             }
@@ -378,83 +375,6 @@ pub fn discover_predicates_metered(
                 PredSource::Interp,
                 ci,
             )?;
-        }
-    } else {
-        out.refine_fallback = usize::from(!cuts.is_empty());
-        let mut solved: Vec<Formula> = Vec::new();
-        for (ci, &i) in cuts.iter().enumerate() {
-            let (sym, _deps, def_eq) = match &trace.events[i] {
-                Event::Bind {
-                    sym, deps, def_eq, ..
-                } => (sym.clone(), deps.clone(), def_eq.clone()),
-                Event::Rand { sym, deps, .. } => (sym.clone(), deps.clone(), None),
-                Event::Cond(_) => unreachable!("cuts are binds"),
-            };
-            let suffix = Formula::and(trace.events[i + 1..].iter().map(Event::formula));
-            // Inductive A-side: earlier solutions + conditions since the
-            // previous cut + this cut's defining equality.
-            let since_prev = match ci {
-                0 => 0,
-                _ => cuts[ci - 1] + 1,
-            };
-            let inductive_a = Formula::and(
-                solved
-                    .iter()
-                    .cloned()
-                    .chain(trace.events[since_prev..i].iter().map(Event::formula))
-                    .chain(def_eq.clone()),
-            );
-            let raw_a = Formula::and(trace.events[..=i].iter().map(Event::formula));
-
-            // Any interpolant will do as a knowledge carrier: scoping to each
-            // target's template happens in `record_predicate`, per target (the
-            // definition's own scheme and each higher-order position have
-            // different visibility).
-            let mut solution = Formula::True;
-            for a in [inductive_a, raw_a.clone()] {
-                budget
-                    .checkpoint(Phase::Interp)
-                    .map_err(RefineError::Exhausted)?;
-                match interpolate_budgeted_cached(
-                    &a,
-                    &suffix,
-                    InterpOptions::default(),
-                    budget,
-                    cache,
-                ) {
-                    Ok(interp) => {
-                        solution = interp;
-                        break;
-                    }
-                    Err(InterpError::Exhausted(e)) => return Err(RefineError::Exhausted(e)),
-                    // Not refutable / too large: fall back to the raw prefix,
-                    // or settle for the trivial solution.
-                    Err(_) => {}
-                }
-            }
-            if !matches!(solution, Formula::True) {
-                let size = solution.size();
-                out.max_interp_size = out.max_interp_size.max(size);
-                metrics.incr(Counter::InterpCuts);
-                metrics.observe(Hist::InterpSize, size as u64);
-                tracer.emit("interp_cut", |e| {
-                    e.num("cut", ci as u64).num("size", size as u64);
-                });
-                record_predicate(
-                    &trace.events[i],
-                    &solution,
-                    &sym,
-                    &orig_names,
-                    &act_params,
-                    &canon,
-                    program,
-                    trace,
-                    &mut out,
-                    PredSource::Interp,
-                    ci,
-                )?;
-            }
-            solved.push(solution);
         }
     }
 
@@ -526,8 +446,8 @@ fn build_parts(events: &[Event], cuts: &[usize], group: &[usize]) -> Vec<Formula
 /// Returns one solution per cut on success (`true`/`false` for cuts no
 /// refuting component crosses — counted as `cuts_sliced`; certificate-derived
 /// interpolants for crossed cuts — counted as `cert_reuse_hits`). `None`
-/// routes the caller to the per-cut engine: no component survives sequence
-/// interpolation, or the whole condition is outside the cube fragment.
+/// when no component survives sequence interpolation: the refinement then
+/// learns no interpolated predicate.
 fn fast_path(
     trace: &Trace,
     cuts: &[usize],
@@ -613,7 +533,7 @@ fn fast_path(
 /// unlimited budget and no cache, returning the **full** per-cut parts
 /// `φ_0, …, φ_n` of the path condition together with the per-cut solutions
 /// `I_0, …, I_{n-1}` the fast path produced. `None` when the fast path
-/// declined (the per-cut engine would run instead) or the trace has no cuts.
+/// declined or the trace has no cuts.
 ///
 /// Because sliced interpolants are valid for the full condition, the
 /// returned family must satisfy the telescoping property
@@ -957,10 +877,9 @@ pub fn refine_env(
 /// [`refine_env`] under a shared [`Budget`] and with an attached [`Tracer`],
 /// additionally returning the [`Refinement`] itself so callers can report
 /// what was discovered (interpolated/seeded counts, higher-order updates,
-/// largest interpolant). A budget-exhausted feasibility check returns early
-/// — the caller decides whether to retry or give up. The returned
-/// refinement is empty when the path was feasible or the budget preempted
-/// the feasibility check.
+/// largest interpolant). Only an infeasible path is refined: on any other
+/// verdict (feasible, undecided, or preempted by the budget) the call
+/// returns early with `env` untouched and an empty refinement.
 pub fn refine_env_traced(
     program: &Program,
     trace: &Trace,
@@ -971,7 +890,7 @@ pub fn refine_env_traced(
     tracer: &Tracer,
 ) -> Result<(Feasibility, bool, Refinement), RefineError> {
     let feas = check_feasibility(trace, solver);
-    if matches!(feas, Feasibility::Feasible(_) | Feasibility::Exhausted(_)) {
+    if !matches!(feas, Feasibility::Infeasible) {
         return Ok((feas, false, Refinement::default()));
     }
     // Interpolation shares the solver's query cache (if it carries one), so

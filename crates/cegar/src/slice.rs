@@ -100,9 +100,9 @@ const SCREEN_DNF_LIMIT: usize = 16;
 /// propositional clash) puts a component into the cone, so slicing can only
 /// *shrink* the formula handed to interpolation, never misroute the
 /// contradiction — if the refutation hides in an `Other` component, the
-/// caller's fallbacks (whole-condition sequence interpolation, then the
-/// per-cut engine) still find it. Consistency checks go through the shared
-/// cube table, so screening work is reused by interpolation and vice versa.
+/// caller's fallback (sequence interpolation over the whole condition)
+/// still finds it. Consistency checks go through the shared cube table, so
+/// screening work is reused across refinements.
 ///
 /// Components whose conjuncts are not all cubes — the negated assertion at
 /// the end of every real trace is a disjunction — are screened through a

@@ -133,11 +133,10 @@ pub struct VerifierOptions {
     pub job: u64,
     /// Cross-run artifact store: when set, the run loads the prior artifact
     /// for [`ArtifactConfig::key`], diffs definition manifests, seeds the
-    /// predicate environment / transition memo / interpolant cache for
-    /// unchanged dependency cones, and publishes a fresh artifact on a
-    /// decisive verdict. Everything seeded is a *candidate* (predicates
-    /// narrow the search, memo entries are fingerprint-revalidated,
-    /// interpolants are keyed by their full query), so this accelerates
+    /// predicate environment and transition memo for unchanged dependency
+    /// cones, and publishes a fresh artifact on a decisive verdict.
+    /// Everything seeded is a *candidate* (predicates narrow the search,
+    /// memo entries are fingerprint-revalidated), so this accelerates
     /// re-verification without being able to change a verdict. `None` — the
     /// default — runs cold.
     pub artifacts: Option<ArtifactConfig>,
@@ -540,8 +539,8 @@ pub fn verify_compiled(
     let mut memo = TransitionMemo::new();
     // Cross-run warm start, the first half of the `artifact` phase: load
     // the prior artifact for this key (if any), diff per-definition
-    // manifests, and seed the predicate environment, transition memo, and
-    // interpolant cache for the unchanged dependency cones. A corrupt
+    // manifests, and seed the predicate environment and transition memo
+    // for the unchanged dependency cones. A corrupt
     // artifact is quarantined by the store and the run degrades to a cold
     // start — seeding can speed the run up but never change its verdict
     // (see DESIGN.md §"Cross-run incremental verification" for the
@@ -550,7 +549,6 @@ pub fn verify_compiled(
     // run counter `artifact_quarantine` reaches it when the run ends.
     let mut seeded = Counts::default();
     let mut run = Counts::default();
-    let mut prior_interp = Vec::new();
     let artifact = opts.artifacts.as_ref().map(|cfg| {
         timed(opts, &mut stats.time, Phase::Artifact, 0, || {
             let manifest = Manifest::of(&compiled.cps);
@@ -575,13 +573,6 @@ pub fn verify_compiled(
                         if replay && memo.seed_entry(&compiled.cps, entry) {
                             seeded.add(Counter::ReverifyDefsSkipped, 1);
                         }
-                    }
-                    // Seeded interpolants are full-key cache entries: they
-                    // can only be *found* by re-posing the identical query,
-                    // so they are safe for any edit.
-                    for (k, v) in prior.interp {
-                        cache.store_interp_seeded(k.clone(), v.clone());
-                        prior_interp.push((k, v));
                     }
                 }
             }
@@ -765,20 +756,17 @@ pub fn verify_compiled(
     // Publish the artifact for the *next* run, the second half of the
     // `artifact` phase, but only on a decisive verdict: an `Unknown`
     // environment is mid-refinement noise, and persisting it could keep a
-    // bad seed alive across edits. Seeded interpolants are republished
-    // together with the ones this run discovered (the two sets are disjoint
-    // by construction). Publish failures are non-fatal — the verdict stands
-    // either way.
+    // bad seed alive across edits. Artifacts carry no interpolants: no
+    // engine reads them back. Publish failures are non-fatal — the verdict
+    // stands either way.
     if let (Some((store, manifest)), Some(cfg)) = (artifact, &opts.artifacts) {
         if matches!(verdict, Verdict::Safe | Verdict::Unsafe { .. }) {
             timed(opts, &mut stats.time, Phase::Artifact, last, || {
-                let mut interp = prior_interp;
-                interp.extend(cache.export_new_interp());
                 let artifact = Artifact {
                     manifest,
                     env: env.clone(),
                     memo: memo.export_entries(&compiled.cps),
-                    interp,
+                    interp: Vec::new(),
                 };
                 let _ = store.publish(&cfg.key, &artifact);
             });
@@ -1140,6 +1128,27 @@ mod tests {
         }
         let trace = tracer.snapshot().expect("memory sink");
         assert_eq!(trace.matches("\"ev\":\"iter\"").count(), 1, "{trace}");
+    }
+
+    #[test]
+    fn an_undecided_path_is_not_refined() {
+        // `x * x` is over-approximated, so a model of the path condition
+        // does not certify a failure and feasibility is undecided. The run
+        // ends inconclusive without learning predicates from that path, and
+        // without reaching an `interp` checkpoint a fault could fire at.
+        let src = "let f x = if x > 0 then assert (x * x > 0) else () in f n";
+        let inconclusive = Verdict::Unknown {
+            reason: UnknownReason::Inconclusive,
+        };
+        let out = verify(src, &VerifierOptions::default()).expect("runs");
+        assert_eq!(out.verdict, inconclusive);
+        assert_eq!(out.stats.predicates, 0);
+        let opts = VerifierOptions {
+            faults: FaultPlan::one(Phase::Interp, 1, homc_smt::FaultKind::Error),
+            ..VerifierOptions::default()
+        };
+        let out = verify(src, &opts).expect("runs");
+        assert_eq!(out.verdict, inconclusive);
     }
 }
 

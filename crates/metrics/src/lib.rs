@@ -86,8 +86,6 @@ macro_rules! counter_table {
                     [Stats, Ledger, Iter, Table1] "Refinement cuts settled trivially by path slicing";
                 CertReuseHits cert_reuse_hits: usize = Sum(Refinement.cert_reuse_hits)
                     [Stats, Ledger, Iter, Table1] "Refinement cuts solved from a shared Farkas certificate";
-                RefineFallback refine_fallback: usize = Sum(Refinement.refine_fallback)
-                    [Stats, Ledger, Iter] "Refinements where the fast path declined and the per-cut engine ran";
                 FmPrefixHits fm_prefix_hits: u64 = Cache(CacheStats.rat_hits)
                     [Stats, Ledger, Iter, Table1] "Fourier-Motzkin eliminations the rational-core cache skipped";
                 AbsDefsReused abs_defs_reused: usize = Sum(AbsStats.defs_reused)

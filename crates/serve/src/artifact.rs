@@ -11,15 +11,15 @@
 //!   to unchanged definitions) into the next run's initial environment;
 //! * the final transition-memo entries ([`MemoDefExport`]) — replayed
 //!   verbatim for definitions whose cone is unchanged;
-//! * the interpolants discovered during refinement — seeded into the
-//!   query cache so re-refinement of an unchanged path is a lookup.
+//! * a list of cube-pair interpolants (`I` records), which the verifier
+//!   publishes empty and no longer reads: the list and its codec stay so
+//!   older artifacts still decode.
 //!
 //! Each program key has one `.art` file in the framed-file store, of record
 //! payloads in the [`crate::codec`] style. Soundness does not rest on its
 //! integrity: everything seeded from an artifact is a *candidate*
-//! (predicates, cone-fingerprinted memo entries, cached interpolant answers
-//! keyed by full keys), so even a checksum-forging corruption could cost
-//! iterations, never verdicts.
+//! (predicates, cone-fingerprinted memo entries), so even a
+//! checksum-forging corruption could cost iterations, never verdicts.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -63,7 +63,10 @@ pub struct Artifact {
     pub env: AbsEnv,
     /// Final transition-memo entries, exported per definition.
     pub memo: Vec<MemoDefExport>,
-    /// Interpolation answers discovered (or carried forward) by the run.
+    /// Cube-pair interpolants. The verifier publishes this empty and reads
+    /// nothing from it; it stays so older artifacts still decode and
+    /// because the repository benchmark fills it. It goes with the
+    /// benchmark's next change.
     pub interp: Vec<(InterpKey, Option<Formula>)>,
 }
 

@@ -22,8 +22,8 @@
 //!     ([`mod@trend`]): one JSONL run file per suite/batch/bench run, read
 //!     by `homc history`/`homc regress`;
 //!   * **abstraction artifacts** ([`mod@artifact`]): one file per program
-//!     key holding a run's manifest, predicate environment, memo entries
-//!     and interpolants, seeded into the next run of the same program;
+//!     key holding a run's manifest, predicate environment and memo
+//!     entries, seeded into the next run of the same program;
 //!   * **verdict evidence** ([`mod@evidence`]): one certificate per program
 //!     key, replayed by `homc check`.
 //!

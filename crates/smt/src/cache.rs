@@ -3,21 +3,18 @@
 //! CEGAR re-asks near-identical questions constantly: predicate abstraction
 //! issues the same entailments on every refinement iteration (only a few
 //! predicates change between rounds), feasibility checking re-solves growing
-//! prefixes of the same path condition, and interpolation revisits the same
-//! DNF cube pairs across the inductive/raw A-side attempts of every cut
-//! point. A [`QueryCache`] collapses all of that repeated work across the
-//! *whole* verification run.
+//! prefixes of the same path condition, and refinement re-screens and
+//! re-refutes the same path-condition components. A [`QueryCache`]
+//! collapses all of that repeated work across the *whole* verification run.
 //!
-//! Four tables, all keyed by canonical forms so syntactic permutations
+//! Three tables, all keyed by canonical forms so syntactic permutations
 //! collide:
 //!
 //! * **check** — full [`SmtSolver::check`](crate::SmtSolver::check) results,
 //!   keyed by [`Formula::canon`] plus the branch & bound depth.
 //! * **cube** — satisfiability tri-states of plain atom conjunctions (the
-//!   per-cube consistency probes of the interpolation engine), keyed by the
-//!   sorted atom list plus the split depth.
-//! * **interp** — per-cube-pair Craig interpolants, keyed by both sorted
-//!   cubes plus the split depth.
+//!   consistency probes of refinement's path slicing), keyed by the sorted
+//!   atom list plus the split depth.
 //! * **rat** — rational-relaxation verdicts of atom conjunctions (the
 //!   Fourier–Motzkin eliminations behind interpolation), keyed by the sorted
 //!   atom list. Sequence interpolation and branch & bound re-refute the same
@@ -82,14 +79,14 @@ pub enum CachedRat {
 
 /// Per-table hit/miss counters of a [`QueryCache`].
 ///
-/// Each lookup increments exactly one counter pair. The `check`, `cube` and
-/// `interp` tables partition the run's *decision-procedure queries* (full
-/// formula satisfiability, atom-conjunction tri-states, cube-pair
-/// interpolants) and make up the [`hits`](CacheStats::hits) /
-/// [`lookups`](CacheStats::lookups) aggregates. The `rat` table memoizes
-/// Fourier–Motzkin eliminations *inside* the solver's implicant search and
-/// the interpolator — internal bookkeeping, not queries — so it is excluded
-/// from the aggregates and reported on its own as `fm_prefix_hits`.
+/// Each lookup increments exactly one counter pair. The `check` and `cube`
+/// tables partition the run's *decision-procedure queries* (full formula
+/// satisfiability, atom-conjunction tri-states) and make up the
+/// [`hits`](CacheStats::hits) / [`lookups`](CacheStats::lookups)
+/// aggregates. The `rat` table memoizes Fourier–Motzkin eliminations
+/// *inside* the solver's implicant search and the interpolator — internal
+/// bookkeeping, not queries — so it is excluded from the aggregates and
+/// reported on its own as `fm_prefix_hits`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// `check`-table lookups answered from the cache.
@@ -100,31 +97,27 @@ pub struct CacheStats {
     pub cube_hits: u64,
     /// `cube`-table misses.
     pub cube_misses: u64,
-    /// `interp`-table hits.
-    pub interp_hits: u64,
-    /// `interp`-table misses.
-    pub interp_misses: u64,
     /// `rat`-table hits (reported as `fm_prefix_hits`).
     pub rat_hits: u64,
     /// `rat`-table misses.
     pub rat_misses: u64,
     /// First hits on entries from a persistent tier: answers of the
-    /// attached [`CacheTier`] and artifact-seeded interpolants (a subset of
-    /// the per-table hits above — every disk hit is also a table hit).
+    /// attached [`CacheTier`] (a subset of the per-table hits above — every
+    /// disk hit is also a table hit).
     pub disk_hits: u64,
 }
 
 impl CacheStats {
-    /// Query lookups answered from the cache (`check` + `cube` + `interp`;
-    /// the internal `rat` table is excluded — see the type docs).
+    /// Query lookups answered from the cache (`check` + `cube`; the
+    /// internal `rat` table is excluded — see the type docs).
     pub fn hits(&self) -> u64 {
-        self.check_hits + self.cube_hits + self.interp_hits
+        self.check_hits + self.cube_hits
     }
 
     /// Query lookups that fell through to the underlying procedure
-    /// (`check` + `cube` + `interp`).
+    /// (`check` + `cube`).
     pub fn misses(&self) -> u64 {
-        self.check_misses + self.cube_misses + self.interp_misses
+        self.check_misses + self.cube_misses
     }
 
     /// Total query lookups (= total decision-procedure queries of the run).
@@ -141,8 +134,6 @@ impl CacheStats {
             check_misses: self.check_misses.saturating_sub(earlier.check_misses),
             cube_hits: self.cube_hits.saturating_sub(earlier.cube_hits),
             cube_misses: self.cube_misses.saturating_sub(earlier.cube_misses),
-            interp_hits: self.interp_hits.saturating_sub(earlier.interp_hits),
-            interp_misses: self.interp_misses.saturating_sub(earlier.interp_misses),
             rat_hits: self.rat_hits.saturating_sub(earlier.rat_hits),
             rat_misses: self.rat_misses.saturating_sub(earlier.rat_misses),
             disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
@@ -150,7 +141,13 @@ impl CacheStats {
     }
 }
 
-/// Key of the interpolant table: both cubes sorted, plus the split depth.
+/// Key of a cube-pair interpolant in an artifact's `I` records: both cubes
+/// sorted, plus the split depth.
+///
+/// Kept only because the repository benchmark passes it to
+/// [`QueryCache::store_interp_seeded`] and
+/// [`QueryCache::export_new_interp`]; it goes with the benchmark's next
+/// change.
 pub type InterpKey = (Vec<Literal>, Vec<Literal>, u32);
 
 /// A read-only tier behind a [`QueryCache`]'s private `check` and `cube`
@@ -176,10 +173,7 @@ pub trait CacheTier: Send + Sync {
 /// and (b) [`export_new_check`](Self::export_new_check) /
 /// [`export_new_cubes`](Self::export_new_cubes) return only entries this
 /// run discovered, so segment publication stays append-only and never
-/// rewrites records already on disk. Interpolants replayed from an
-/// artifact are stored up front through
-/// [`store_interp_seeded`](Self::store_interp_seeded), with the same two
-/// rules ([`export_new_interp`](Self::export_new_interp)).
+/// rewrites records already on disk.
 ///
 /// # The checkpoint-before-lookup invariant
 ///
@@ -195,22 +189,14 @@ pub trait CacheTier: Send + Sync {
 pub struct QueryCache {
     check: Mutex<HashMap<(Formula, u32), CachedSat>>,
     cubes: Mutex<HashMap<(Vec<Atom>, u32), CubeSat>>,
-    interp: Mutex<HashMap<InterpKey, Option<Formula>>>,
     rat: Mutex<HashMap<Vec<Atom>, CachedRat>>,
     tier: OnceLock<Arc<dyn CacheTier>>,
     seeded_check: Mutex<HashSet<(Formula, u32)>>,
     seeded_cubes: Mutex<HashSet<(Vec<Atom>, u32)>>,
-    seeded_interp: Mutex<HashSet<InterpKey>>,
-    // Artifact-seeded interpolants whose one-time disk-hit credit is still
-    // outstanding. A key is removed on its first hit; later hits are pure
-    // memory hits.
-    uncredited_interp: Mutex<HashSet<InterpKey>>,
     check_hits: AtomicU64,
     check_misses: AtomicU64,
     cube_hits: AtomicU64,
     cube_misses: AtomicU64,
-    interp_hits: AtomicU64,
-    interp_misses: AtomicU64,
     rat_hits: AtomicU64,
     rat_misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -240,8 +226,6 @@ impl QueryCache {
             check_misses: self.check_misses.load(Ordering::Relaxed),
             cube_hits: self.cube_hits.load(Ordering::Relaxed),
             cube_misses: self.cube_misses.load(Ordering::Relaxed),
-            interp_hits: self.interp_hits.load(Ordering::Relaxed),
-            interp_misses: self.interp_misses.load(Ordering::Relaxed),
             rat_hits: self.rat_hits.load(Ordering::Relaxed),
             rat_misses: self.rat_misses.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
@@ -388,66 +372,20 @@ impl QueryCache {
             .collect()
     }
 
-    /// Looks up a cube-pair interpolant (`None` inside the `Option` =
-    /// "provably not refutable"). Cube keys must be sorted.
-    #[allow(clippy::option_option)] // outer = cache presence, inner = refutability
-    pub fn lookup_interp(&self, key: &InterpKey) -> Option<Option<Formula>> {
-        let found = self
-            .interp
-            .lock()
-            .expect("cache poisoned")
-            .get(key)
-            .cloned();
-        self.count(&self.interp_hits, &self.interp_misses, found.is_some());
-        if found.is_some()
-            && self
-                .uncredited_interp
-                .lock()
-                .expect("cache poisoned")
-                .remove(key)
-        {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
+    /// Stores nothing: no engine reads cube-pair interpolants any more.
+    ///
+    /// Kept only because the repository benchmark still replays an
+    /// artifact's interpolants through it; it goes with the benchmark's
+    /// next change.
+    pub fn store_interp_seeded(&self, _key: InterpKey, _value: Option<Formula>) {}
 
-    /// Stores a cube-pair interpolant (or its definite absence).
-    pub fn store_interp(&self, key: InterpKey, value: Option<Formula>) {
-        self.interp
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value);
-    }
-
-    /// Stores an interpolant replayed from a persistent artifact. Its first
-    /// hit counts in [`CacheStats::disk_hits`] (later hits are in-memory) and
-    /// the key is excluded from [`export_new_interp`](Self::export_new_interp).
-    pub fn store_interp_seeded(&self, key: InterpKey, value: Option<Formula>) {
-        self.seeded_interp
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.uncredited_interp
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone());
-        self.interp
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value);
-    }
-
-    /// The `interp`-table entries this run discovered itself (seeded entries
-    /// excluded), for append-only artifact publication.
+    /// Always empty: no engine stores cube-pair interpolants any more, so
+    /// artifacts are published with none.
+    ///
+    /// Kept only because the repository benchmark still publishes
+    /// artifacts through it; it goes with the benchmark's next change.
     pub fn export_new_interp(&self) -> Vec<(InterpKey, Option<Formula>)> {
-        let seeded = self.seeded_interp.lock().expect("cache poisoned");
-        self.interp
-            .lock()
-            .expect("cache poisoned")
-            .iter()
-            .filter(|(k, _)| !seeded.contains(*k))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+        Vec::new()
     }
 
     /// Looks up a rational-relaxation verdict. `key` must be sorted.
@@ -572,23 +510,6 @@ mod tests {
         assert_eq!(s.disk_hits, 2);
         assert_eq!(s.check_hits, 5);
         assert_eq!(s.cube_hits, 5);
-    }
-
-    #[test]
-    fn interp_seeding_and_export() {
-        let c = QueryCache::new();
-        let seeded: InterpKey = (Vec::new(), Vec::new(), 24);
-        let own: InterpKey = (Vec::new(), Vec::new(), 48);
-        c.store_interp_seeded(seeded.clone(), Some(Formula::True));
-        c.store_interp(own.clone(), None);
-        assert_eq!(c.lookup_interp(&seeded), Some(Some(Formula::True)));
-        assert_eq!(c.lookup_interp(&seeded), Some(Some(Formula::True)));
-        let s = c.stats();
-        assert_eq!(s.disk_hits, 1); // first seeded hit only
-        assert_eq!(s.interp_hits, 2);
-        let new = c.export_new_interp();
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].0, own);
     }
 
     #[test]

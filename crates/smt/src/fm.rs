@@ -401,8 +401,9 @@ pub fn rational_sat(atoms: &[Atom]) -> RatResult {
 /// The table key is the *sorted* atom list, so syntactic permutations of one
 /// conjunction collide. The callers that profit are the ones that re-refute
 /// a shared cube prefix with a handful of extra atoms appended — sequence
-/// interpolation's integer-split recursion and the per-cut fallback path —
-/// which is why the table's hits surface as the `fm_prefix_hits` counter.
+/// interpolation's integer-split recursion and the solver's branch & bound
+/// and implicant search — which is why the table's hits surface as the
+/// `fm_prefix_hits` counter.
 ///
 /// Stored Farkas certificates index into the sorted key; on a hit they are
 /// remapped onto the caller's ordering through the sort bijection, so the

@@ -1,13 +1,19 @@
 //! Craig interpolation for QF_LIA, replacing CSIsat in the paper's pipeline.
 //!
-//! Given `A ∧ B` unsatisfiable, [`interpolate`] computes a formula `I` with
+//! Given `A ∧ B` unsatisfiable, an interpolant is a formula `I` with
 //! `A ⇒ I`, `I ∧ B` unsatisfiable, and `vars(I) ⊆ vars(A) ∩ vars(B)`.
 //!
-//! Strategy: both sides are put in DNF; each cube pair is interpolated from
-//! the Farkas certificate of its rational refutation (the weighted sum of the
-//! A-side rows is an interpolant), with a recursive integer branch split when
-//! the pair is only integer-unsatisfiable. Cube interpolants are recombined
-//! as `⋁ᵢ ⋀ⱼ I(aᵢ, bⱼ)`.
+//! Two engines, one of them on the verification path:
+//!
+//! - [`interpolate_sequence`], the one refinement runs, solves every cut of
+//!   a path condition from one shared Farkas refutation (see its docs).
+//! - [`interpolate`] / [`interpolate_with`], the per-cut engine, is the
+//!   reference the tests and the interpolation benchmark compare against.
+//!   Both sides are put in DNF; each cube pair is interpolated from the
+//!   Farkas certificate of its rational refutation (the weighted sum of the
+//!   A-side rows is an interpolant), with a recursive integer branch split
+//!   when the pair is only integer-unsatisfiable. Cube interpolants are
+//!   recombined as `⋁ᵢ ⋀ⱼ I(aᵢ, bⱼ)`.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -15,7 +21,7 @@ use std::fmt;
 use homc_budget::{Budget, BudgetError, Phase};
 
 use crate::cache::{CubeSat, QueryCache};
-use crate::fm::{int_sat, rational_sat_cached, FarkasCert, IntResult, RatResult};
+use crate::fm::{int_sat, rational_sat, rational_sat_cached, FarkasCert, IntResult, RatResult};
 use crate::formula::{Formula, Literal};
 use crate::linexpr::{Atom, LinExpr, Rel, Var};
 use crate::rat::Rat;
@@ -47,7 +53,9 @@ impl std::error::Error for InterpError {}
 /// Options bounding the interpolation search.
 #[derive(Clone, Copy, Debug)]
 pub struct InterpOptions {
-    /// Maximum number of DNF cubes per side.
+    /// Maximum number of DNF cubes per side of the per-cut engine, and the
+    /// case-split width of [`interpolate_sequence`]: the product of the DNF
+    /// branch counts of its non-cube parts.
     pub dnf_limit: usize,
     /// Maximum recursion depth for integer branch splits.
     pub split_depth: u32,
@@ -68,31 +76,15 @@ pub fn interpolate(a: &Formula, b: &Formula) -> Result<Formula, InterpError> {
 }
 
 /// [`interpolate`] with explicit limits.
+///
+/// The per-cut engine: one independent refutation per cube pair, with no
+/// budget and no cache. Refinement runs [`interpolate_sequence`]; this
+/// engine is the reference the tests and the interpolation benchmark
+/// compare it against.
 pub fn interpolate_with(
     a: &Formula,
     b: &Formula,
     opts: InterpOptions,
-) -> Result<Formula, InterpError> {
-    interpolate_budgeted_cached(a, b, opts, Budget::unlimited(), None)
-}
-
-/// [`interpolate_with`] under a shared [`Budget`] and with an optional shared
-/// [`QueryCache`]. The budget takes one [`Phase::Smt`] checkpoint per cube
-/// pair, so even degenerate DNFs cannot overrun a deadline by more than one
-/// pairwise interpolation.
-///
-/// CEGAR interpolates against the same trace prefixes repeatedly (the
-/// inductive and raw A-side attempts of adjacent cut points share most of
-/// their DNF cubes), so per-cube-pair interpolants and per-cube consistency
-/// checks are memoized, keyed by the *sorted* cubes plus the split depth.
-/// The budget checkpoint runs before each pair's lookup, so `smt:n` fault
-/// schedules are unaffected by cache state.
-pub fn interpolate_budgeted_cached(
-    a: &Formula,
-    b: &Formula,
-    opts: InterpOptions,
-    budget: &Budget,
-    cache: Option<&QueryCache>,
 ) -> Result<Formula, InterpError> {
     let a_cubes = a.dnf(opts.dnf_limit).ok_or(InterpError::TooLarge)?;
     let b_cubes = b.dnf(opts.dnf_limit).ok_or(InterpError::TooLarge)?;
@@ -107,58 +99,20 @@ pub fn interpolate_budgeted_cached(
     for ac in &a_cubes {
         let mut conjuncts = Vec::new();
         for bc in &b_cubes {
-            budget
-                .checkpoint(Phase::Smt)
-                .map_err(InterpError::Exhausted)?;
-            conjuncts.push(cube_interpolant_cached(ac, bc, opts, cache)?);
+            conjuncts.push(cube_interpolant(ac, bc, opts)?);
         }
         disjuncts.push(Formula::and(conjuncts));
     }
     Ok(Formula::or(disjuncts))
 }
 
-/// [`cube_interpolant`] memoized per cube pair. A cube is a set of literals,
-/// so keys are sorted+deduped; `None` in the table records a definite
-/// `NotRefutable` at this split depth (also deterministic, hence cacheable).
-fn cube_interpolant_cached(
-    a_cube: &[Literal],
-    b_cube: &[Literal],
-    opts: InterpOptions,
-    cache: Option<&QueryCache>,
-) -> Result<Formula, InterpError> {
-    let Some(cache) = cache else {
-        return cube_interpolant(a_cube, b_cube, opts, None);
-    };
-    let canon_cube = |cube: &[Literal]| {
-        let mut c = cube.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        c
-    };
-    let key = (canon_cube(a_cube), canon_cube(b_cube), opts.split_depth);
-    if let Some(hit) = cache.lookup_interp(&key) {
-        return hit.ok_or(InterpError::NotRefutable);
-    }
-    match cube_interpolant(a_cube, b_cube, opts, Some(cache)) {
-        Ok(i) => {
-            cache.store_interp(key, Some(i.clone()));
-            Ok(i)
-        }
-        Err(InterpError::NotRefutable) => {
-            cache.store_interp(key, None);
-            Err(InterpError::NotRefutable)
-        }
-        // TooLarge/Exhausted carry no per-cube information; don't cache.
-        Err(e) => Err(e),
-    }
-}
-
 /// [`int_sat`] reduced to its tri-state verdict, memoized when a cache is
 /// available (the certificate/model is irrelevant to cube screening).
 ///
 /// Public because the refinement layer's cone-of-influence slicing screens
-/// path-condition components through the same cube table, so screening work
-/// is shared with interpolation across the whole run.
+/// path-condition components through the cache's cube table, so screening
+/// work is shared across the whole run; the per-cut engine calls it
+/// without a cache.
 pub fn cube_consistency(atoms: &[Atom], depth: u32, cache: Option<&QueryCache>) -> CubeSat {
     let verdict = |atoms: &[Atom]| match int_sat(atoms, depth) {
         IntResult::Sat(_) => CubeSat::Sat,
@@ -202,7 +156,6 @@ fn cube_interpolant(
     a_cube: &[Literal],
     b_cube: &[Literal],
     opts: InterpOptions,
-    cache: Option<&QueryCache>,
 ) -> Result<Formula, InterpError> {
     let (a_atoms, a_bools) = split_literals(a_cube);
     let (b_atoms, b_bools) = split_literals(b_cube);
@@ -211,14 +164,14 @@ fn cube_interpolant(
     if bool_conflict(&a_bools) {
         return Ok(Formula::False);
     }
-    if cube_consistency(&a_atoms, opts.split_depth, cache) == CubeSat::Unsat {
+    if cube_consistency(&a_atoms, opts.split_depth, None) == CubeSat::Unsat {
         return Ok(Formula::False);
     }
     // 2. B-cube inconsistent on its own → true is an interpolant.
     if bool_conflict(&b_bools) {
         return Ok(Formula::True);
     }
-    if cube_consistency(&b_atoms, opts.split_depth, cache) == CubeSat::Unsat {
+    if cube_consistency(&b_atoms, opts.split_depth, None) == CubeSat::Unsat {
         return Ok(Formula::True);
     }
     // 3. Propositional conflict across the cut: the shared literal itself.
@@ -229,7 +182,7 @@ fn cube_interpolant(
         }
     }
     // 4. Arithmetic conflict across the cut.
-    arith_interpolant(&a_atoms, &b_atoms, opts.split_depth, cache)
+    arith_interpolant(&a_atoms, &b_atoms, opts.split_depth)
 }
 
 /// Interpolates two conjunctions of arithmetic atoms, splitting on fractional
@@ -238,11 +191,10 @@ fn arith_interpolant(
     a_atoms: &[Atom],
     b_atoms: &[Atom],
     depth: u32,
-    cache: Option<&QueryCache>,
 ) -> Result<Formula, InterpError> {
     let mut all = a_atoms.to_vec();
     all.extend(b_atoms.iter().cloned());
-    match rational_sat_cached(&all, cache) {
+    match rational_sat(&all) {
         RatResult::Unsat(cert) => Ok(farkas_interpolant(&all, a_atoms.len(), &cert)),
         RatResult::Sat(model) => {
             if depth == 0 {
@@ -265,20 +217,20 @@ fn arith_interpolant(
             match (in_a, in_b) {
                 (true, false) => {
                     // Split inside A: A ⇒ (A ∧ v≤⌊r⌋) ∨ (A ∧ v≥⌈r⌉).
-                    let i1 = arith_interpolant(&with(a_atoms, &below), b_atoms, depth - 1, cache)?;
-                    let i2 = arith_interpolant(&with(a_atoms, &above), b_atoms, depth - 1, cache)?;
+                    let i1 = arith_interpolant(&with(a_atoms, &below), b_atoms, depth - 1)?;
+                    let i2 = arith_interpolant(&with(a_atoms, &above), b_atoms, depth - 1)?;
                     Ok(Formula::or2(i1, i2))
                 }
                 (false, true) => {
-                    let i1 = arith_interpolant(a_atoms, &with(b_atoms, &below), depth - 1, cache)?;
-                    let i2 = arith_interpolant(a_atoms, &with(b_atoms, &above), depth - 1, cache)?;
+                    let i1 = arith_interpolant(a_atoms, &with(b_atoms, &below), depth - 1)?;
+                    let i2 = arith_interpolant(a_atoms, &with(b_atoms, &above), depth - 1)?;
                     Ok(Formula::and2(i1, i2))
                 }
                 _ => {
                     // Shared (or phantom) variable: the split literal may
                     // appear in the interpolant.
-                    let i1 = arith_interpolant(&with(a_atoms, &below), b_atoms, depth - 1, cache)?;
-                    let i2 = arith_interpolant(&with(a_atoms, &above), b_atoms, depth - 1, cache)?;
+                    let i1 = arith_interpolant(&with(a_atoms, &below), b_atoms, depth - 1)?;
+                    let i2 = arith_interpolant(&with(a_atoms, &above), b_atoms, depth - 1)?;
                     Ok(Formula::or2(
                         Formula::and2(Formula::atom(below), i1),
                         Formula::and2(Formula::atom(above), i2),
@@ -384,12 +336,11 @@ pub fn cube_literals(f: &Formula) -> Option<Vec<Literal>> {
 /// family, whose interpolants the combined conjunction/disjunction bounds.
 ///
 /// Errors: [`InterpError::TooLarge`] when the case-split width of the
-/// non-cube parts exceeds `SEQ_BRANCH_LIMIT` (16), certificate weights
+/// non-cube parts exceeds [`InterpOptions::dnf_limit`], certificate weights
 /// overflow the integer grid, or the split budget runs out before a
 /// refutation or an integer model is found; [`InterpError::NotRefutable`]
 /// when the conjunction has an integer model; [`InterpError::Exhausted`]
-/// on budget preemption. Callers fall back to the per-cut engine on the
-/// first two.
+/// on budget preemption.
 pub fn interpolate_sequence(
     parts: &[Formula],
     opts: InterpOptions,
@@ -399,17 +350,13 @@ pub fn interpolate_sequence(
     if parts.len() <= 1 {
         return Ok(Vec::new());
     }
-    seq_branch(parts, opts, budget, cache, SEQ_BRANCH_LIMIT)
+    seq_branch(parts, opts, budget, cache, opts.dnf_limit)
 }
-
-/// Total case-split width across all non-cube parts: the product of the
-/// DNF branch counts may not exceed this before the sequence engine gives
-/// up with [`InterpError::TooLarge`].
-const SEQ_BRANCH_LIMIT: usize = 16;
 
 /// Case-splitting layer over the cube-only core [`seq_cubes`]: the first
 /// non-cube part is rewritten into DNF and the sequence is solved once per
-/// disjunct with the part replaced by that cube. The width budget divides
+/// disjunct with the part replaced by that cube. The width budget (the
+/// product of the DNF branch counts across all non-cube parts) divides
 /// multiplicatively across nested splits so total work stays bounded.
 fn seq_branch(
     parts: &[Formula],
@@ -844,10 +791,10 @@ mod tests {
 
     #[test]
     fn sequence_rejects_wide_case_splits() {
-        // A disjunction wider than the branch budget must fall back to the
-        // per-cut engine rather than blow up.
+        // A disjunction wider than the case-split width (`dnf_limit`, 512)
+        // must be declined rather than blow up.
         let wide =
-            Formula::or((0..64).map(|i| Formula::atom(Atom::ge(x(), LinExpr::constant(100 + i)))));
+            Formula::or((0..600).map(|i| Formula::atom(Atom::ge(x(), LinExpr::constant(100 + i)))));
         let parts = vec![wide, Formula::atom(Atom::le(x(), LinExpr::constant(0)))];
         assert_eq!(
             interpolate_sequence(&parts, InterpOptions::default(), Budget::unlimited(), None),

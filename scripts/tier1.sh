@@ -34,6 +34,21 @@ if [ "$(printf '%s' "$HOOK_SITES" | grep -c .)" -gt 1 ]; then
     exit 1
 fi
 
+# One refinement engine: refinement runs sequence interpolation only. The
+# per-cut engine (`interpolate`/`interpolate_with`) is the reference the
+# tests and the interpolation benchmark compare against, so a non-comment
+# line under crates/*/src outside crates/smt/src/interp.rs that calls it
+# fails the stage, naming the lines.
+echo "==> one-refinement-engine"
+PER_CUT_CALLS=$(grep -rnE '\binterpolate(_with)?\(' crates/*/src |
+    grep -v '^crates/smt/src/interp\.rs:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$PER_CUT_CALLS" ]; then
+    echo "tier1: one-refinement-engine: the per-cut engine is called outside crates/smt/src/interp.rs:" >&2
+    echo "$PER_CUT_CALLS" >&2
+    exit 1
+fi
+
 # Formatting: the root workspace stays rustfmt-clean. The homcbench
 # package is a workspace of its own and is not checked here.
 if command -v rustfmt >/dev/null 2>&1; then

@@ -3,8 +3,8 @@
 //! Three angles on the same contract:
 //!
 //! * a differential sweep over ~1k random SHP-style constraint chains,
-//!   checking that the shared-certificate sequence engine and the legacy
-//!   per-cut engine agree on refutability and that every fast-path
+//!   checking that the shared-certificate sequence engine and the per-cut
+//!   reference engine agree on refutability and that every fast-path
 //!   interpolant satisfies the Craig conditions at its cut;
 //! * a property test that cone-of-influence slicing is sound — deleting
 //!   conjuncts outside the contradiction cone never changes satisfiability;
@@ -24,8 +24,8 @@ use homc_hbp::check::CheckLimits;
 use homc_hbp::{find_error_path, source_labels, Checker};
 use homc_lang::frontend;
 use homc_smt::{
-    int_sat, interpolate_budgeted_cached, interpolate_sequence, Atom, Budget, Formula, IntResult,
-    InterpError, InterpOptions, LinExpr, SatResult, SmtSolver, Var,
+    int_sat, interpolate_sequence, interpolate_with, Atom, Budget, Formula, IntResult, InterpError,
+    InterpOptions, LinExpr, SatResult, SmtSolver, Var,
 };
 
 /// The solver is integer-complete only up to its branch & bound depth, and
@@ -112,7 +112,7 @@ fn gen_chain(rng: &mut Rng) -> Vec<Formula> {
         .collect()
 }
 
-/// The legacy per-cut split: A = parts[..=k], B = parts[k+1..].
+/// The per-cut split: A = parts[..=k], B = parts[k+1..].
 fn cut_sides(parts: &[Formula], k: usize) -> (Formula, Formula) {
     (
         Formula::and(parts[..=k].iter().cloned()),
@@ -146,7 +146,7 @@ fn sequence_agrees_with_per_cut_engine() {
                 // conjunction is cut-independent, so one cut suffices).
                 let mid = (parts.len() - 1) / 2;
                 let (ma, mb) = cut_sides(&parts, mid);
-                let per_cut = interpolate_budgeted_cached(&ma, &mb, opts, budget, None);
+                let per_cut = interpolate_with(&ma, &mb, opts);
                 assert!(
                     !matches!(per_cut, Err(InterpError::NotRefutable)),
                     "case {case}: sequence refuted but per-cut engine found a \
@@ -207,7 +207,7 @@ fn sequence_agrees_with_per_cut_engine() {
                 // The sequence engine claims an integer model exists, so the
                 // per-cut engine must not refute the chain.
                 let (a, b) = cut_sides(&parts, 0);
-                let per_cut = interpolate_budgeted_cached(&a, &b, opts, budget, None);
+                let per_cut = interpolate_with(&a, &b, opts);
                 assert!(
                     matches!(per_cut, Err(InterpError::NotRefutable)),
                     "case {case}: sequence found a model but per-cut engine \
@@ -215,7 +215,7 @@ fn sequence_agrees_with_per_cut_engine() {
                 );
             }
             // Structural bail-outs (certificate-weight overflow, split
-            // budget); the production code falls back to the per-cut engine.
+            // budget); refinement then learns only seeded predicates.
             Err(_) => skipped += 1,
         }
     }

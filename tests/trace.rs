@@ -58,7 +58,7 @@ fn logical_trace_is_byte_deterministic() {
 /// arithmetic kernel's models and Farkas multipliers across all 30
 /// programs: a change to the solver that is meant to be invisible must
 /// leave it unedited.
-const SUITE_TRACE_HASH: u64 = 0xc620_af94_2aa4_ab39;
+const SUITE_TRACE_HASH: u64 = 0x1258_8104_4d12_9599;
 
 #[test]
 fn suite_logical_trace_is_pinned() {
